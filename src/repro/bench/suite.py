@@ -123,7 +123,7 @@ WORKLOAD_AXES: Dict[str, Dict[str, Axis]] = {
         Axis("vehicles", "int", 8, minimum=1),
         Axis("workers", "int", 1, minimum=1),
         Axis("backend", "choice", "serial",
-             choices=("serial", "threads", "process")),
+             choices=("serial", "process")),
         Axis("epochs", "int", 6, minimum=1),
         Axis("mode", "choice", "independent",
              choices=("independent", "apparmor")),
@@ -454,10 +454,10 @@ def _run_fleet_cell(params: Dict[str, object]
             driver.at(epochs - 2, "veh000", "clear")
         return driver
 
-    def make_config(backend: str) -> FleetConfig:
+    def make_config(backend: str, workers: int) -> FleetConfig:
         return FleetConfig(
             n_vehicles=int(params["vehicles"]), seed=int(params["seed"]),
-            workers=int(params["workers"]), mode=str(params["mode"]),
+            workers=workers, mode=str(params["mode"]),
             backend=backend,
             vehicle_fault_intensity=float(params["fault_intensity"]))
 
@@ -466,7 +466,8 @@ def _run_fleet_cell(params: Dict[str, object]
     # the coordinator cannot reach into their kernels for the per-hook
     # latency histograms; the knob is in-process-only.
     hook_latency = bool(params["hook_latency"]) and backend != "process"
-    fleet = Fleet(make_config(backend), driver=make_driver())
+    fleet = Fleet(make_config(backend, int(params["workers"])),
+                  driver=make_driver())
     try:
         if hook_latency:
             for vehicle in fleet.vehicles.values():
@@ -512,23 +513,24 @@ def _run_fleet_cell(params: Dict[str, object]
     finally:
         fleet.close()
     if backend == "process":
-        # Shadow run on the honest-GIL thread backend: the recorded
-        # fleet_mp_speedup gate defends the multiprocessing win, and the
-        # fingerprint pair doubles as an in-suite conformance check.
-        shadow = Fleet(make_config("threads"), driver=make_driver())
+        # Shadow run on the serial backend at one worker (every tick on
+        # one clock): the recorded fleet_mp_speedup gate defends the
+        # multiprocessing win, and the fingerprint pair doubles as an
+        # in-suite conformance check.
+        shadow = Fleet(make_config("serial", 1), driver=make_driver())
         try:
             # Identical workload — only the backend differs.
             stage_rollout(shadow)
-            threads_report = shadow.run(epochs).report
+            shadow_report = shadow.run(epochs).report
         finally:
             shadow.close()
-        threads_vps = threads_report.vehicles_per_second()
+        shadow_vps = shadow_report.vehicles_per_second()
         metrics["fleet_mp_speedup"] = (
-            report.vehicles_per_second() / threads_vps
-            if threads_vps else 0.0)
-        obs["threads_fingerprint"] = threads_report.fingerprint()
+            report.vehicles_per_second() / shadow_vps
+            if shadow_vps else 0.0)
+        obs["shadow_fingerprint"] = shadow_report.fingerprint()
         obs["mp_bit_identical"] = (report.fingerprint()
-                                   == threads_report.fingerprint())
+                                   == shadow_report.fingerprint())
     return metrics, obs
 
 

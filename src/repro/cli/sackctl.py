@@ -582,15 +582,16 @@ def _render_fleet_top(fleet, top_n: int) -> List[str]:
         + (f", {sum(agg.series_dropped.values())} dropped"
            if agg.series_dropped else ""),
     ]
+    health = {vid: fleet.host.health_snapshot(vid) for vid in fleet.ids}
     situations: dict = {}
     for vid in fleet.ids:
-        name = fleet.vehicles[vid].situation or "?"
+        name = health[vid]["situation"] or "?"
         situations[name] = situations.get(name, 0) + 1
     states: dict = {}
     for vid in fleet.ids:
         state = sup.status[vid].state
         states[state] = states.get(state, 0) + 1
-    online = sum(1 for vid in fleet.ids if fleet.vehicles[vid].online)
+    online = sum(1 for vid in fleet.ids if health[vid]["online"])
     lines.append("  situations: " + ", ".join(
         f"{k}={v}" for k, v in sorted(situations.items()))
         + f" | vehicles: " + ", ".join(
@@ -775,7 +776,7 @@ def _run_restore_once(args):
         checkpoint_interval_epochs=args.interval,
         max_restarts=args.max_restarts)
     victim = args.vehicle or fleet.ids[0]
-    if victim not in fleet.vehicles:
+    if victim not in fleet.ids:
         raise ValueError(f"no vehicle {victim!r}; "
                          f"ids: {', '.join(fleet.ids)}")
     events: List[Tuple[str, dict]] = []
@@ -837,10 +838,10 @@ def _add_fleet_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker pool size (default: 1)")
     parser.add_argument("--backend",
-                        choices=["serial", "threads", "process"],
+                        choices=["serial", "process"],
                         default="serial",
                         help="epoch scheduler backend (default: serial; "
-                             "all three are bit-identical)")
+                             "both are bit-identical)")
     parser.add_argument("--epochs", type=int, default=12,
                         help="epochs to run (default: 12)")
     parser.add_argument("--policy", help="policy file for every vehicle "

@@ -140,5 +140,10 @@ class InjectedFault(RuntimeError):
 
     def __init__(self, point: str, detail: str = ""):
         self.point = point
+        self._detail = detail
         super().__init__(f"injected fault at {point}"
                          + (f": {detail}" if detail else ""))
+
+    def __reduce__(self):
+        # Pickle the constructor's arguments (see KernelError.__reduce__).
+        return type(self), (self.point, self._detail)

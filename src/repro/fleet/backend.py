@@ -1,48 +1,40 @@
-"""Fleet execution backends: where the vehicle kernels actually live.
+"""Fleet execution hosts: where the vehicle kernels live.
 
 The epoch-barrier scheduler (:class:`~repro.fleet.orchestrator.Fleet`)
-never touches a vehicle object directly any more — every per-vehicle
-effect goes through a **host**:
+never touches a vehicle object directly — every per-vehicle effect goes
+through a **host**:
 
-* :class:`InProcessHost` — the vehicles live in the coordinator's own
-  process (the ``serial`` and ``threads`` backends).  Every method is
-  the exact loop the orchestrator used to run inline, so serial runs
-  are byte-identical to pre-backend builds.
+* :class:`InProcessHost` — owns a dict of vehicles and runs every
+  per-vehicle effect (boot, barrier phases, tick, checkpoint, restore,
+  fault arming, report) in the calling process.  It is the ``serial``
+  backend, and the *only* implementation of those effects.
 
-* :class:`ProcessHost` — the ``process`` backend.  Vehicles are
-  sharded across persistent worker processes (static ownership:
-  ``index % workers``) connected by duplex pipes.  Within an epoch a
-  vehicle is share-nothing; only canonical barrier messages (see
-  :mod:`repro.fleet.wire`) cross the process boundary:
+* :class:`ProcessHost` — the ``process`` backend.  Vehicles are sharded
+  across persistent worker processes (static ownership:
+  ``index % workers``) connected by duplex pipes.  Each worker runs an
+  :class:`InProcessHost` over its shard and serves batches of pickled
+  ``(method, args)`` calls.  The coordinator side only routes calls to
+  the owning worker, batches them so each barrier phase costs one round
+  trip per worker (online flags and driver actions ride with delivery;
+  the post-tick transitions, health, positions and frames ride with the
+  tick), and keeps read mirrors so barrier logic — rollout gating,
+  invariants I8/I9/I10, reporting — never blocks mid-phase.
 
-  - ``barrier_a``: online flags, driver actions, V2X deliveries →
-    per-message reactions,
-  - ``barrier_b``: rollout commands → acks + bundle versions,
-  - ``tick``: the tick phase → exceptions, drained transitions,
-    positions, health snapshots, optional telemetry frames,
-  - ``checkpoint`` / ``restore`` / ``arm_fault`` / ``report`` / ``stop``.
-
-  All seeded randomness stays where its RNG lives: the fleet plan and
-  bus draw in the coordinator, each vehicle's own fault plan draws in
-  its worker — so the global draw order of every RNG stream matches the
-  serial backend and fleet fingerprints are bit-for-bit identical at
-  any worker count (proven by ``tests/fleet/test_backend_conformance``).
-
-The coordinator keeps per-vehicle mirrors (position, health, bundle
-version, fresh transitions, telemetry frames) refreshed by each RPC, so
-barrier logic — rollout gating, invariants I8/I9/I10, reporting — reads
-local state and never blocks mid-phase.
+All seeded randomness stays where its RNG lives: the fleet plan and bus
+draw in the coordinator, each vehicle's own fault plan draws in the
+process that owns the vehicle — so the global draw order of every RNG
+stream matches the serial backend and fleet fingerprints are bit-for-bit
+identical at any worker count (proven by
+``tests/fleet/test_backend_conformance``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.telemetry import snapshot_frame
-from . import wire
 from .resilience import CheckpointStore, EpochRecord, replay_epoch
 from .vehicle import FleetVehicle, apply_driver_action
 
@@ -54,25 +46,28 @@ IPC_COST_PER_CROSSING_NS = 100_000
 
 
 class InProcessHost:
-    """Vehicles in the coordinator process (serial / threads backends)."""
+    """A set of vehicles in this process: the whole fleet (``serial``)
+    or one process worker's shard."""
 
-    def __init__(self, fleet):
-        self.fleet = fleet
+    def __init__(self, config):
+        self.config = config
+        self.vehicles: Dict[str, FleetVehicle] = {}
         self._checkpoints = CheckpointStore()
 
     # -- lifecycle ---------------------------------------------------------
-    def boot(self) -> Dict[str, Dict[str, object]]:
-        fleet = self.fleet
-        cfg = fleet.config
-        for spec in fleet._vehicle_specs:
+    def boot(self, specs: List[Dict[str, object]]
+             ) -> Dict[str, Dict[str, object]]:
+        """Build one vehicle per constructor spec; boot health by id."""
+        cfg = self.config
+        for spec in specs:
             vehicle = FleetVehicle(**spec)
             if cfg.start_moving:
                 dyn = vehicle.world.dynamics
                 dyn.start_engine()
                 dyn.accelerate(cfg.cruise_accel_ms2)
-            fleet.vehicles[vehicle.vehicle_id] = vehicle
-        return {vid: fleet.vehicles[vid].health_snapshot()
-                for vid in fleet.ids}
+            self.vehicles[vehicle.vehicle_id] = vehicle
+        return {vid: vehicle.health_snapshot()
+                for vid, vehicle in self.vehicles.items()}
 
     def close(self) -> None:
         pass
@@ -80,76 +75,66 @@ class InProcessHost:
     # -- barrier phases ----------------------------------------------------
     def set_online(self, flags: Dict[str, bool]) -> None:
         for vid, on in flags.items():
-            self.fleet.vehicles[vid].online = on
+            self.vehicles[vid].online = on
 
     def apply_actions(self, actions: List[Tuple[str, str]]) -> None:
-        cfg = self.fleet.config
         for vid, action in actions:
-            apply_driver_action(self.fleet.vehicles[vid], action,
-                                cfg.cruise_accel_ms2)
+            apply_driver_action(self.vehicles[vid], action,
+                                self.config.cruise_accel_ms2)
 
-    def deliver(self, due: Dict[str, list]
-                ) -> List[Tuple[str, object, str]]:
-        out: List[Tuple[str, object, str]] = []
-        for vid, messages in due.items():
-            vehicle = self.fleet.vehicles.get(vid)
-            if vehicle is None:
-                continue
-            for message in messages:
-                out.append((vid, message, vehicle.deliver(message)))
-        return out
+    def deliver(self, due: Dict[str, list]) -> Dict[str, List[str]]:
+        """Hand each vehicle its due V2X copies; its reactions by id."""
+        return {vid: [self.vehicles[vid].deliver(message)
+                      for message in messages]
+                for vid, messages in due.items()}
 
     def apply_commands(self, commands: list, now_ns: int) -> list:
-        fleet = self.fleet
-        return [fleet.vehicles[c.vehicle_id].apply_bundle(
-                    c.bundle, fleet.config.fleet_key, now_ns=now_ns)
+        return [self.vehicles[c.vehicle_id].apply_bundle(
+                    c.bundle, self.config.fleet_key, now_ns=now_ns)
                 for c in commands]
 
-    def tick(self, tickable: List[str],
-             frame_spec: Optional[Tuple[int, int]] = None) -> None:
-        fleet = self.fleet
-        cfg = fleet.config
-        sup = fleet.supervisor
-        shards = [tickable[i::cfg.workers] for i in range(cfg.workers)]
+    def tick(self, tickable: List[str], live: List[str] = (),
+             frame_spec: Optional[Tuple[int, int]] = None
+             ) -> Dict[str, str]:
+        """Run the epoch's ticks in *tickable* order.
 
-        def run_shard(shard: List[str]) -> None:
-            for vid in shard:
-                vehicle = fleet.vehicles[vid]
-                try:
-                    for _ in range(cfg.epoch_ticks):
-                        vehicle.tick(dt_s=cfg.dt_s)
-                except Exception as exc:   # a vehicle kernel died mid-tick
-                    sup.note_tick_exception(vid, exc)
-
-        if cfg.backend == "threads" and cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                list(pool.map(run_shard, shards))
-        else:
-            for shard in shards:
-                run_shard(shard)
+        Returns ``{vehicle_id: "Type: message"}`` for every vehicle whose
+        kernel raised mid-tick.  *live* and *frame_spec* name the
+        post-tick reads a mirroring host prefetches; this host serves
+        those reads on demand, so it ignores both.
+        """
+        cfg = self.config
+        failures: Dict[str, str] = {}
+        for vid in tickable:
+            vehicle = self.vehicles[vid]
+            try:
+                for _ in range(cfg.epoch_ticks):
+                    vehicle.tick(dt_s=cfg.dt_s)
+            except Exception as exc:   # a vehicle kernel died mid-tick
+                failures[vid] = f"{type(exc).__name__}: {exc}"
+        return failures
 
     # -- per-vehicle reads -------------------------------------------------
     def positions(self) -> Dict[str, float]:
-        return {vid: self.fleet.vehicles[vid].position_km
-                for vid in self.fleet.ids}
+        return {vid: vehicle.position_km
+                for vid, vehicle in self.vehicles.items()}
 
     def drain_transitions(self, vid: str) -> list:
-        return self.fleet.vehicles[vid].drain_transitions()
+        return self.vehicles[vid].drain_transitions()
 
     def health_snapshot(self, vid: str) -> Dict[str, object]:
-        return self.fleet.vehicles[vid].health_snapshot()
+        return self.vehicles[vid].health_snapshot()
 
     def bundle_version(self, vid: str):
-        return self.fleet.vehicles[vid].bundle_version
+        return self.vehicles[vid].bundle_version
 
     def telemetry_frame(self, vid: str, epoch: int, at_ns: int):
-        return snapshot_frame(self.fleet.vehicles[vid].world.kernel.obs,
+        return snapshot_frame(self.vehicles[vid].world.kernel.obs,
                               vid, epoch, at_ns)
 
     def report_rows(self) -> Dict[str, Dict[str, object]]:
         rows: Dict[str, Dict[str, object]] = {}
-        for vid in self.fleet.ids:
-            vehicle = self.fleet.vehicles[vid]
+        for vid, vehicle in self.vehicles.items():
             vehicle.drain_transitions()     # flush stragglers
             rows[vid] = {
                 "transitions": list(vehicle.transition_log),
@@ -164,7 +149,7 @@ class InProcessHost:
     def arm_fault(self, vid: str, point: str,
                   knobs: Dict[str, object]) -> None:
         from ..faults.plan import FaultPlan
-        vehicle = self.fleet.vehicles[vid]
+        vehicle = self.vehicles[vid]
         if vehicle.fault_plan is None:
             vehicle.fault_plan = FaultPlan(vehicle.seed)
         vehicle.fault_plan.arm(point, **knobs)
@@ -175,8 +160,7 @@ class InProcessHost:
         return self._checkpoints.taken
 
     def checkpoint_take(self, vid: str, epoch: int) -> str:
-        return self._checkpoints.take(self.fleet.vehicles[vid],
-                                      epoch).digest
+        return self._checkpoints.take(self.vehicles[vid], epoch).digest
 
     def checkpoint_meta(self, vid: str) -> Optional[Tuple[int, str]]:
         ckpt = self._checkpoints.get(vid)
@@ -190,37 +174,32 @@ class InProcessHost:
     def restore_vehicle(self, vid: str, full_records: List[EpochRecord],
                         barrier_record: Optional[EpochRecord],
                         baseline_epoch: int) -> Dict[str, object]:
-        fleet = self.fleet
-        cfg = fleet.config
+        cfg = self.config
         restored = self._checkpoints.materialize(vid)
-        replayed = 0
-        for record in full_records:
+        # Full epochs replay with their ticks; a mid-tick crash epoch
+        # replays its barrier work only.
+        replays = [(record, True) for record in full_records]
+        if barrier_record is not None:
+            replays.append((barrier_record, False))
+        for record, with_ticks in replays:
             replay_epoch(restored, record, cfg.epoch_ticks, cfg.dt_s,
                          cfg.fleet_key, cfg.cruise_accel_ms2,
-                         with_ticks=True)
-            replayed += 1
-        if barrier_record is not None:
-            replay_epoch(restored, barrier_record, cfg.epoch_ticks,
-                         cfg.dt_s, cfg.fleet_key, cfg.cruise_accel_ms2,
-                         with_ticks=False)
-            replayed += 1
-        wreck_digest = fleet.vehicles[vid].state_digest()
+                         with_ticks=with_ticks)
+        wreck_digest = self.vehicles[vid].state_digest()
         restored_digest = restored.state_digest()
-        fleet.vehicles[vid] = restored
+        self.vehicles[vid] = restored
         restored.online = True
-        self._checkpoints.take(restored, baseline_epoch)
+        baseline = self._checkpoints.take(restored, baseline_epoch)
         return {
             "wreck_digest": wreck_digest,
             "restored_digest": restored_digest,
-            "replayed": replayed,
+            "replayed": len(replays),
             "health": restored.health_snapshot(),
             "position": restored.position_km,
             "situation": restored.situation or "",
             "bundle_version": restored.bundle_version,
+            "baseline_digest": baseline.digest,
         }
-
-    def drain_crossings(self) -> int:
-        return 0
 
 
 # -- the process backend -------------------------------------------------------
@@ -232,24 +211,37 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
+class WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a fleet worker;
+    :class:`ProcessHost` chains it under the re-raised exception."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+#: One batched call to a worker's host: ``(method name, positional args)``.
+Call = Tuple[str, tuple]
+
+
 class ProcessHost:
     """Vehicles sharded across persistent worker processes.
 
     Static ownership — vehicle ``index % workers`` — so a vehicle's
     whole life (build, ticks, bundle applies, checkpoints, restores)
-    happens in one worker and nothing ever migrates.  The coordinator
-    ships only wire-canonical barrier payloads and keeps read mirrors;
-    each mirror is refreshed by the RPC whose phase could change it.
+    happens in one worker and nothing ever migrates.  Each mirror is
+    refreshed by the call whose phase could change it.
     """
 
-    def __init__(self, fleet):
-        self.fleet = fleet
+    def __init__(self, config):
+        self.config = config
+        #: The vehicle objects live in the workers, never here.
+        self.vehicles: Dict[str, FleetVehicle] = {}
         self._workers: List[multiprocessing.Process] = []
         self._conns: List[Any] = []
         self._owner: Dict[str, int] = {}
-        self._pending_flags: Dict[str, bool] = {}
-        self._pending_actions: List[Tuple[str, str]] = []
-        # Coordinator mirrors (refreshed per RPC).
+        #: Calls held back to ride with the next delivery round trip.
+        self._pending: Dict[int, List[Call]] = {}
+        # Coordinator mirrors (refreshed per round trip).
         self._positions: Dict[str, float] = {}
         self._health: Dict[str, Dict[str, object]] = {}
         self._versions: Dict[str, object] = {}
@@ -261,43 +253,31 @@ class ProcessHost:
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
-    def boot(self) -> Dict[str, Dict[str, object]]:
-        fleet = self.fleet
-        cfg = fleet.config
+    def boot(self, specs: List[Dict[str, object]]
+             ) -> Dict[str, Dict[str, object]]:
+        workers = self.config.workers
+        owned: List[List[Dict[str, object]]] = [[] for _ in range(workers)]
+        for index, spec in enumerate(specs):
+            vid = str(spec["vehicle_id"])
+            self._owner[vid] = index % workers
+            self._versions[vid] = None
+            owned[index % workers].append(spec)
         ctx = _fork_context()
-        owned: List[List[Dict[str, object]]] = \
-            [[] for _ in range(cfg.workers)]
-        for index, spec in enumerate(fleet._vehicle_specs):
-            owner = index % cfg.workers
-            owned[owner].append(spec)
-            self._owner[spec["vehicle_id"]] = owner
-        init_config = {
-            "start_moving": cfg.start_moving,
-            "cruise_accel_ms2": cfg.cruise_accel_ms2,
-            "epoch_ticks": cfg.epoch_ticks,
-            "dt_s": cfg.dt_s,
-            "fleet_key": cfg.fleet_key,
-        }
-        for w in range(cfg.workers):
+        for w in range(workers):
             parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(target=_worker_main, args=(child,),
+            proc = ctx.Process(target=_worker_main,
+                               args=(child, self.config),
                                daemon=True, name=f"fleet-worker-{w}")
             proc.start()
             child.close()
             self._conns.append(parent)
             self._workers.append(proc)
-        replies = self._rpc_all("init", {
-            w: {"specs": owned[w], "config": init_config}
-            for w in range(cfg.workers)})
-        health: Dict[str, Dict[str, object]] = {}
-        for reply in replies.values():
-            for vid, snap in reply["health"].items():
-                health[vid] = wire.decode_health(snap)
-            self._positions.update(reply["positions"])
-        for vid in fleet.ids:
-            self._versions[vid] = None
-            self._health[vid] = health[vid]
-        return {vid: health[vid] for vid in fleet.ids}
+        results = self._call({w: [("boot", (owned[w],)), ("positions", ())]
+                              for w in range(workers)})
+        for health, positions in results.values():
+            self._health.update(health)
+            self._positions.update(positions)
+        return {vid: self._health[vid] for vid in self._owner}
 
     def close(self) -> None:
         if self._closed:
@@ -305,137 +285,142 @@ class ProcessHost:
         self._closed = True
         for conn in self._conns:
             try:
-                conn.send(("stop", None))
+                conn.send(None)
             except (BrokenPipeError, OSError):
-                pass
-        for conn in self._conns:
-            try:
-                conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
                 pass
             conn.close()
         for proc in self._workers:
             proc.join(timeout=5)
             if proc.is_alive():
                 proc.terminate()
+                proc.join()
 
-    # -- RPC plumbing ------------------------------------------------------
-    def _rpc_all(self, op: str, payloads: Dict[int, object]
-                 ) -> Dict[int, Any]:
+    # -- call plumbing -----------------------------------------------------
+    def _call(self, batches: Dict[int, List[Call]]) -> Dict[int, list]:
+        """Send each worker its batch; every worker's results, in call
+        order.  A call that raised is re-raised here with its own type,
+        chained to the worker's traceback — after every reply is in, so
+        the pipes stay in step."""
         if self._closed:
             raise RuntimeError("fleet process backend already closed")
-        for w, payload in payloads.items():
-            self._conns[w].send((op, payload))
-        replies: Dict[int, Any] = {}
-        for w in payloads:
-            status, data = self._conns[w].recv()
-            if status != "ok":
-                raise RuntimeError(
-                    f"fleet worker {w} failed during {op!r}:\n{data}")
-            replies[w] = data
-        return replies
+        for w, calls in batches.items():
+            self._conns[w].send(calls)
+        results: Dict[int, list] = {}
+        error = None
+        for w in batches:
+            reply = self._conns[w].recv()
+            if reply[0] == "ok":
+                results[w] = reply[1]
+            elif error is None:
+                error = reply
+        if error is not None:
+            _, exc, remote_tb = error
+            raise exc from WorkerTraceback(remote_tb)
+        return results
 
-    def _rpc_one(self, vid: str, op: str, payload: object) -> Any:
+    def _call_owner(self, vid: str, method: str, *args) -> Any:
         w = self._owner[vid]
-        return self._rpc_all(op, {w: payload})[w]
+        return self._call({w: [(method, args)]})[w][0]
+
+    def _shards(self, vids) -> Dict[int, List[str]]:
+        shards: Dict[int, List[str]] = {
+            w: [] for w in range(self.config.workers)}
+        for vid in vids:
+            shards[self._owner[vid]].append(vid)
+        return shards
+
+    def _hold(self, method: str, owned: Dict[int, object]) -> None:
+        """Queue one call per worker to ride the next delivery."""
+        for w, arg in owned.items():
+            self._pending.setdefault(w, []).append((method, (arg,)))
 
     # -- barrier phases ----------------------------------------------------
     def set_online(self, flags: Dict[str, bool]) -> None:
-        self._pending_flags.update(flags)
+        owned: Dict[int, Dict[str, bool]] = {}
+        for vid, on in flags.items():
+            owned.setdefault(self._owner[vid], {})[vid] = on
+        self._hold("set_online", owned)
 
     def apply_actions(self, actions: List[Tuple[str, str]]) -> None:
-        self._pending_actions.extend(actions)
+        owned: Dict[int, List[Tuple[str, str]]] = {}
+        for vid, action in actions:
+            owned.setdefault(self._owner[vid], []).append((vid, action))
+        self._hold("apply_actions", owned)
 
-    def deliver(self, due: Dict[str, list]
-                ) -> List[Tuple[str, object, str]]:
-        workers = range(self.fleet.config.workers)
-        per: Dict[int, Dict[str, object]] = {
-            w: {"flags": {}, "actions": [], "deliveries": []}
-            for w in workers}
-        for vid, on in self._pending_flags.items():
-            per[self._owner[vid]]["flags"][vid] = on
-        for vid, action in self._pending_actions:
-            per[self._owner[vid]]["actions"].append([vid, action])
+    def deliver(self, due: Dict[str, list]) -> Dict[str, List[str]]:
+        owned: Dict[int, Dict[str, list]] = {
+            w: {} for w in range(self.config.workers)}
         for vid, messages in due.items():
-            owner = self._owner.get(vid)
-            if owner is None:
-                continue
-            per[owner]["deliveries"].append(
-                [vid, [wire.encode_message(m) for m in messages]])
+            owned[self._owner[vid]][vid] = messages
             self._crossings += len(messages)
-        self._pending_flags = {}
-        self._pending_actions = []
-        replies = self._rpc_all("barrier_a", per)
+        pending, self._pending = self._pending, {}
+        results = self._call({w: pending.get(w, []) + [("deliver", (mine,))]
+                              for w, mine in owned.items()})
         reactions: Dict[str, List[str]] = {}
-        for reply in replies.values():
-            for vid, rs in reply["reactions"]:
-                reactions[vid] = rs
-        out: List[Tuple[str, object, str]] = []
-        for vid, messages in due.items():
-            for message, reaction in zip(messages,
-                                         reactions.get(vid, ())):
-                out.append((vid, message, reaction))
-        return out
+        for out in results.values():
+            reactions.update(out[-1])
+        return reactions
 
     def apply_commands(self, commands: list, now_ns: int) -> list:
         if not commands:
             return []
-        workers = range(self.fleet.config.workers)
-        per: Dict[int, Dict[str, object]] = {
-            w: {"commands": [], "now_ns": now_ns} for w in workers}
+        slots: Dict[int, List[int]] = {}
         for idx, command in enumerate(commands):
-            per[self._owner[command.vehicle_id]]["commands"].append(
-                [idx, command.vehicle_id,
-                 wire.encode_bundle(command.bundle)])
+            slots.setdefault(self._owner[command.vehicle_id], []).append(idx)
             self._crossings += 1
-        replies = self._rpc_all(
-            "barrier_b",
-            {w: payload for w, payload in per.items()
-             if payload["commands"]})
-        acks_by_idx: Dict[int, object] = {}
-        for reply in replies.values():
-            for idx, ackdoc in reply["acks"]:
-                acks_by_idx[idx] = wire.decode_ack(ackdoc)
-            self._versions.update(reply["bundle_versions"])
-        return [acks_by_idx[idx] for idx in range(len(commands))]
+        results = self._call({
+            w: [("apply_commands", ([commands[i] for i in idxs], now_ns))]
+            for w, idxs in slots.items()})
+        acks: list = [None] * len(commands)
+        for w, idxs in slots.items():
+            for idx, ack in zip(idxs, results[w][0]):
+                acks[idx] = ack
+                if ack.ok:      # the one place a bundle version moves
+                    self._versions[ack.vehicle_id] = ack.version
+        return acks
 
-    def tick(self, tickable: List[str],
-             frame_spec: Optional[Tuple[int, int]] = None) -> None:
-        fleet = self.fleet
-        cfg = fleet.config
-        sup = fleet.supervisor
-        drain = [vid for vid in fleet.ids if not sup.is_dead(vid)]
-        per: Dict[int, Dict[str, object]] = {
-            w: {"tickable": [], "drain": [],
-                "epoch_ticks": cfg.epoch_ticks, "dt_s": cfg.dt_s,
-                "frame": list(frame_spec) if frame_spec else None}
-            for w in range(cfg.workers)}
-        for vid in tickable:
-            per[self._owner[vid]]["tickable"].append(vid)
-        for vid in drain:
-            per[self._owner[vid]]["drain"].append(vid)
+    def tick(self, tickable: List[str], live: List[str] = (),
+             frame_spec: Optional[Tuple[int, int]] = None
+             ) -> Dict[str, str]:
+        """One round trip per worker: its ticks, then the reads the
+        barrier makes next — positions, and each *live* vehicle's fresh
+        transitions, health and (with *frame_spec*) telemetry frame."""
+        ticks = self._shards(tickable)
+        reads = self._shards(live)
+        batches: Dict[int, List[Call]] = {}
+        for w in range(self.config.workers):
+            calls: List[Call] = [("tick", (ticks[w],)), ("positions", ())]
+            for vid in reads[w]:
+                calls += [("drain_transitions", (vid,)),
+                          ("health_snapshot", (vid,))]
+                if frame_spec is not None:
+                    calls.append(
+                        ("telemetry_frame", (vid,) + tuple(frame_spec)))
+            batches[w] = calls
+        width = 3 if frame_spec is not None else 2
+        results = self._call(batches)
+        failures: Dict[str, str] = {}
         self._fresh_transitions = {}
         self._frames = {}
-        replies = self._rpc_all("tick", per)
-        failures: Dict[str, str] = {}
-        for reply in replies.values():
-            failures.update(reply["exceptions"])
-            self._positions.update(reply["positions"])
-            for vid, doc in reply["transitions"].items():
-                self._fresh_transitions[vid] = \
-                    wire.decode_transitions(doc)
-            for vid, snap in reply["health"].items():
-                self._health[vid] = wire.decode_health(snap)
-            for framedoc in reply["frames"]:
-                frame = wire.decode_frame(framedoc)
-                self._frames[frame.vehicle_id] = frame
-                self._crossings += 1
-        for vid in sorted(failures):
-            sup.note_tick_failure(vid, failures[vid])
+        for w in range(self.config.workers):
+            failed, positions, *rest = results[w]
+            failures.update(failed)
+            self._positions.update(positions)
+            for i, vid in enumerate(reads[w]):
+                if vid in failed:
+                    continue    # the wreck's reads are discarded
+                fresh, health, *frame = rest[i * width:(i + 1) * width]
+                if fresh:
+                    self._fresh_transitions[vid] = fresh
+                self._health[vid] = health
+                if frame:
+                    self._frames[vid] = frame[0]
+                    self._crossings += 1
+        return failures
 
     # -- per-vehicle reads (mirrors) ---------------------------------------
     def positions(self) -> Dict[str, float]:
-        return {vid: self._positions[vid] for vid in self.fleet.ids}
+        return {vid: self._positions[vid] for vid in self._owner}
 
     def drain_transitions(self, vid: str) -> list:
         return self._fresh_transitions.pop(vid, [])
@@ -450,35 +435,24 @@ class ProcessHost:
         return self._frames.get(vid)
 
     def report_rows(self) -> Dict[str, Dict[str, object]]:
-        replies = self._rpc_all(
-            "report", {w: None for w in range(self.fleet.config.workers)})
         rows: Dict[str, Dict[str, object]] = {}
-        for reply in replies.values():
-            for vid, row in reply.items():
-                rows[vid] = {
-                    "transitions": wire.decode_transitions(
-                        row["transitions"]),
-                    "metrics": row["metrics"],
-                    "situation": row["situation"],
-                    "bundle_version": row["bundle_version"],
-                    "apply_log": [tuple(entry)
-                                  for entry in row["apply_log"]],
-                }
+        for out in self._call({w: [("report_rows", ())]
+                               for w in range(self.config.workers)}
+                              ).values():
+            rows.update(out[0])
         return rows
 
     # -- faults ------------------------------------------------------------
     def arm_fault(self, vid: str, point: str,
                   knobs: Dict[str, object]) -> None:
-        self._rpc_one(vid, "arm_fault",
-                      {"vid": vid, "point": point, "knobs": knobs})
+        self._call_owner(vid, "arm_fault", vid, point, knobs)
 
     # -- checkpoint custody ------------------------------------------------
     def checkpoint_take(self, vid: str, epoch: int) -> str:
-        reply = self._rpc_one(vid, "checkpoint",
-                              {"vid": vid, "epoch": epoch})
-        self._ckpt_meta[vid] = (epoch, reply["digest"])
+        digest = self._call_owner(vid, "checkpoint_take", vid, epoch)
+        self._ckpt_meta[vid] = (epoch, digest)
         self.checkpoints_taken += 1
-        return reply["digest"]
+        return digest
 
     def checkpoint_meta(self, vid: str) -> Optional[Tuple[int, str]]:
         return self._ckpt_meta.get(vid)
@@ -490,26 +464,13 @@ class ProcessHost:
     def restore_vehicle(self, vid: str, full_records: List[EpochRecord],
                         barrier_record: Optional[EpochRecord],
                         baseline_epoch: int) -> Dict[str, object]:
-        reply = self._rpc_one(vid, "restore", {
-            "vid": vid,
-            "full": [wire.encode_record(r) for r in full_records],
-            "barrier": wire.encode_record(barrier_record)
-            if barrier_record is not None else None,
-            "baseline_epoch": baseline_epoch,
-        })
-        result = {
-            "wreck_digest": reply["wreck_digest"],
-            "restored_digest": reply["restored_digest"],
-            "replayed": reply["replayed"],
-            "health": wire.decode_health(reply["health"]),
-            "position": reply["position"],
-            "situation": reply["situation"],
-            "bundle_version": reply["bundle_version"],
-        }
+        result = self._call_owner(vid, "restore_vehicle", vid,
+                                  full_records, barrier_record,
+                                  baseline_epoch)
         self._positions[vid] = result["position"]
         self._health[vid] = result["health"]
         self._versions[vid] = result["bundle_version"]
-        self._ckpt_meta[vid] = (baseline_epoch, reply["baseline_digest"])
+        self._ckpt_meta[vid] = (baseline_epoch, result["baseline_digest"])
         self.checkpoints_taken += 1
         return result
 
@@ -522,174 +483,36 @@ class ProcessHost:
 
 # -- the worker process --------------------------------------------------------
 
-def _worker_main(conn) -> None:
-    """One fleet worker: builds its vehicles from deterministic ctor
-    specs and serves barrier RPCs until told to stop.  Everything it
-    sends back is wire-canonical (or raw metric primitives); everything
-    nondeterministic it could touch — wall clock, pids — never enters a
-    reply payload."""
-    vehicles: Dict[str, FleetVehicle] = {}
-    checkpoints = CheckpointStore()
-    config: Dict[str, Any] = {}
+def _worker_main(conn, config) -> None:
+    """One fleet worker: an :class:`InProcessHost` over this worker's
+    shard, serving batches of ``(method, args)`` calls until it receives
+    ``None``.  A call that raises ends its batch; the exception goes back
+    with its formatted traceback."""
+    host = InProcessHost(config)
     while True:
         try:
-            op, payload = conn.recv()
+            calls = conn.recv()
         except (EOFError, KeyboardInterrupt):
             return
+        if calls is None:
+            return
         try:
-            if op == "stop":
-                conn.send(("ok", None))
-                return
-            conn.send(("ok", _worker_dispatch(
-                op, payload, vehicles, checkpoints, config)))
-        except Exception:
-            try:
-                conn.send(("error", traceback.format_exc()))
-            except (BrokenPipeError, OSError):
-                return
+            reply = ("ok", [getattr(host, method)(*args)
+                            for method, args in calls])
+        except Exception as exc:
+            reply = ("error", exc, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except (BrokenPipeError, OSError):
+            return
+        except Exception as exc:        # the reply does not pickle
+            conn.send(("error", RuntimeError(
+                f"unpicklable fleet worker reply: "
+                f"{type(exc).__name__}: {exc}"), traceback.format_exc()))
 
 
-def _worker_dispatch(op: str, payload, vehicles: Dict[str, FleetVehicle],
-                     checkpoints: CheckpointStore,
-                     config: Dict[str, Any]):
-    if op == "init":
-        config.update(payload["config"])
-        health: Dict[str, object] = {}
-        positions: Dict[str, float] = {}
-        for spec in payload["specs"]:
-            vehicle = FleetVehicle(**spec)
-            if config["start_moving"]:
-                dyn = vehicle.world.dynamics
-                dyn.start_engine()
-                dyn.accelerate(config["cruise_accel_ms2"])
-            vehicles[vehicle.vehicle_id] = vehicle
-            health[vehicle.vehicle_id] = \
-                wire.encode_health(vehicle.health_snapshot())
-            positions[vehicle.vehicle_id] = vehicle.position_km
-        return {"health": health, "positions": positions}
-
-    if op == "barrier_a":
-        for vid in sorted(payload["flags"]):
-            vehicles[vid].online = payload["flags"][vid]
-        for vid, action in payload["actions"]:
-            apply_driver_action(vehicles[vid], action,
-                                config["cruise_accel_ms2"])
-        reactions: List[list] = []
-        for vid, msgdocs in payload["deliveries"]:
-            vehicle = vehicles[vid]
-            reactions.append([vid, [
-                vehicle.deliver(wire.decode_message(doc))
-                for doc in msgdocs]])
-        return {"reactions": reactions}
-
-    if op == "barrier_b":
-        acks: List[list] = []
-        versions: Dict[str, object] = {}
-        for idx, vid, bundledoc in payload["commands"]:
-            ack = vehicles[vid].apply_bundle(
-                wire.decode_bundle(bundledoc), config["fleet_key"],
-                now_ns=payload["now_ns"])
-            acks.append([idx, wire.encode_ack(ack)])
-            versions[vid] = vehicles[vid].bundle_version
-        return {"acks": acks, "bundle_versions": versions}
-
-    if op == "tick":
-        exceptions: Dict[str, str] = {}
-        for vid in payload["tickable"]:
-            vehicle = vehicles[vid]
-            try:
-                for _ in range(payload["epoch_ticks"]):
-                    vehicle.tick(dt_s=payload["dt_s"])
-            except Exception as exc:
-                exceptions[vid] = f"{type(exc).__name__}: {exc}"
-        transitions: Dict[str, object] = {}
-        health: Dict[str, object] = {}
-        positions: Dict[str, float] = {}
-        frames: List[object] = []
-        frame_spec = payload["frame"]
-        for vid in payload["drain"]:
-            if vid in exceptions:
-                continue        # serial leaves a wreck undrained too
-            vehicle = vehicles[vid]
-            fresh = vehicle.drain_transitions()
-            if fresh:
-                transitions[vid] = wire.encode_transitions(fresh)
-            health[vid] = wire.encode_health(vehicle.health_snapshot())
-            positions[vid] = vehicle.position_km
-            if frame_spec is not None:
-                frames.append(wire.encode_frame(snapshot_frame(
-                    vehicle.world.kernel.obs, vid,
-                    frame_spec[0], frame_spec[1])))
-        return {"exceptions": exceptions, "transitions": transitions,
-                "health": health, "positions": positions,
-                "frames": frames}
-
-    if op == "checkpoint":
-        vid = payload["vid"]
-        return {"digest": checkpoints.take(vehicles[vid],
-                                           payload["epoch"]).digest}
-
-    if op == "restore":
-        vid = payload["vid"]
-        restored = checkpoints.materialize(vid)
-        replayed = 0
-        for doc in payload["full"]:
-            replay_epoch(restored, wire.decode_record(doc),
-                         config["epoch_ticks"], config["dt_s"],
-                         config["fleet_key"],
-                         config["cruise_accel_ms2"], with_ticks=True)
-            replayed += 1
-        if payload["barrier"] is not None:
-            replay_epoch(restored, wire.decode_record(payload["barrier"]),
-                         config["epoch_ticks"], config["dt_s"],
-                         config["fleet_key"],
-                         config["cruise_accel_ms2"], with_ticks=False)
-            replayed += 1
-        wreck_digest = vehicles[vid].state_digest()
-        restored_digest = restored.state_digest()
-        vehicles[vid] = restored
-        restored.online = True
-        baseline = checkpoints.take(restored, payload["baseline_epoch"])
-        return {
-            "wreck_digest": wreck_digest,
-            "restored_digest": restored_digest,
-            "replayed": replayed,
-            "health": wire.encode_health(restored.health_snapshot()),
-            "position": restored.position_km,
-            "situation": restored.situation or "",
-            "bundle_version": restored.bundle_version,
-            "baseline_digest": baseline.digest,
-        }
-
-    if op == "arm_fault":
-        from ..faults.plan import FaultPlan
-        vehicle = vehicles[payload["vid"]]
-        if vehicle.fault_plan is None:
-            vehicle.fault_plan = FaultPlan(vehicle.seed)
-        vehicle.fault_plan.arm(payload["point"], **payload["knobs"])
-        return None
-
-    if op == "report":
-        rows: Dict[str, Dict[str, object]] = {}
-        for vid in sorted(vehicles):
-            vehicle = vehicles[vid]
-            vehicle.drain_transitions()     # flush stragglers
-            rows[vid] = {
-                "transitions": wire.encode_transitions(
-                    vehicle.transition_log),
-                "metrics": vehicle.world.kernel.obs.metrics.to_dict(),
-                "situation": vehicle.situation or "",
-                "bundle_version": vehicle.bundle_version,
-                "apply_log": [list(entry)
-                              for entry in vehicle.apply_log],
-            }
-        return rows
-
-    raise ValueError(f"unknown fleet worker op {op!r}")
-
-
-def create_host(fleet):
-    """The host for ``fleet.config.backend``."""
-    if fleet.config.backend == "process":
-        return ProcessHost(fleet)
-    return InProcessHost(fleet)
+def create_host(config):
+    """The host for ``config.backend``."""
+    if config.backend == "process":
+        return ProcessHost(config)
+    return InProcessHost(config)

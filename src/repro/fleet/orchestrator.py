@@ -16,26 +16,23 @@ and every barrier resolution is ordered and seeded, a run's outcome is
 **independent of worker count**: `workers=1` and `workers=8` produce
 bit-identical :meth:`~repro.fleet.report.FleetReport.fingerprint`\\ s.
 
-Three pool backends exist, all routed through a **host**
-(:mod:`repro.fleet.backend`).  ``serial`` executes shards inline;
-``threads`` uses a real :class:`~concurrent.futures.ThreadPoolExecutor`
-(proves shard independence, but the GIL serializes the tick hot path);
-``process`` shards vehicles across persistent worker processes, with
-only canonical barrier messages crossing the pipe.  Throughput scaling
-is *modelled* on the virtual clock with a backend-aware cost model:
+Two backends exist, both routed through a **host**
+(:mod:`repro.fleet.backend`).  ``serial`` ticks every vehicle in this
+process; ``process`` shards vehicles across persistent worker processes,
+each running the same in-process host over its shard.  Throughput
+scaling is *modelled* on the virtual clock with a backend-aware cost
+model:
 
-* ``serial`` — the idealized Amdahl split (the pre-backend model,
-  unchanged): the largest shard ticks in parallel, the barrier is
-  serial per-vehicle cost;
-* ``threads`` — honest about the GIL: every tickable vehicle's ticks
-  are serialized onto one clock;
+* ``serial`` — the idealized Amdahl split: the largest of ``workers``
+  shards ticks in parallel, the barrier is serial per-vehicle cost
+  (``workers`` shapes only this model; execution order is fixed);
 * ``process`` — the largest *owner* shard ticks in true parallel, and
   every barrier payload crossing a process boundary adds
   :data:`~repro.fleet.backend.IPC_COST_PER_CROSSING_NS`.
 
 ``benchmarks/test_fleet.py`` measures vehicles/sec vs worker count on
 the serial model; the suite's ``fleet_mp_speedup`` metric gates the
-process-vs-threads ratio.
+process backend against a serial shadow at ``workers=1``.
 """
 
 from __future__ import annotations
@@ -54,8 +51,7 @@ from .resilience import RestartPolicy, VehicleSupervisor
 from .telemetry import FleetTelemetry, SloSpec
 from .rollout import (RolloutController, RolloutPlan, RolloutState,
                       VehicleAck, default_rollout_plan)
-from .vehicle import (DEFAULT_TOPICS, MODE_CONFIGS, FleetVehicle,
-                      apply_driver_action)
+from .vehicle import DEFAULT_TOPICS, MODE_CONFIGS, FleetVehicle
 
 #: Modelled compute cost of one vehicle-tick on a worker (2 ms — the
 #: order of one simulated kernel's SDS sweep + LSM checks).
@@ -161,7 +157,7 @@ class FleetConfig:
     #: recorded in the rollout history.  Decisions are digest-cached, so
     #: re-staging the same policy costs nothing.
     proof_gate: bool = True
-    backend: str = "serial"            # "serial" | "threads" | "process"
+    backend: str = "serial"            # "serial" | "process"
     # -- crash resilience (see repro.fleet.resilience) ----------------------
     #: Completed epochs between copy-on-write vehicle checkpoints.
     checkpoint_interval_epochs: int = 4
@@ -194,7 +190,7 @@ class FleetConfig:
     #: quarantines the vehicle (0 = never quarantine on SLO).
     slo_quarantine_epochs: int = 0
 
-    ACCEPTED_BACKENDS = ("serial", "threads", "process")
+    ACCEPTED_BACKENDS = ("serial", "process")
 
     def __post_init__(self):
         if self.n_vehicles < 1:
@@ -260,7 +256,6 @@ class Fleet:
                           config.v2x_offline_queue_limit)
         #: Deterministic constructor specs; the host builds the actual
         #: vehicle objects (in this process, or in its workers).
-        self.vehicles: Dict[str, FleetVehicle] = {}
         self._vehicle_specs: List[Dict[str, object]] = []
         for index in range(config.n_vehicles):
             vid = f"veh{index:03d}"
@@ -293,8 +288,13 @@ class Fleet:
         self._health_deltas: Dict[str, Dict[str, object]] = {}
         #: Execution backend: owns the vehicles (and, for ``process``,
         #: the worker pool + per-vehicle read mirrors).
-        self.host = create_host(self)
-        self._last_health: Dict[str, Dict[str, object]] = self.host.boot()
+        self.host = create_host(config)
+        try:
+            self._last_health: Dict[str, Dict[str, object]] = \
+                self.host.boot(self._vehicle_specs)
+        except BaseException:
+            self.host.close()       # reap any workers already forked
+            raise
         self._i8_strikes: Dict[str, int] = {vid: 0 for vid in self.ids}
         #: Crash supervisor: checkpoints, restores, quarantine, and the
         #: control-plane deadline guard (idle until faults are armed).
@@ -312,6 +312,12 @@ class Fleet:
         #: disabled fleet is byte-identical to pre-telemetry builds).
         self.telemetry: Optional[FleetTelemetry] = \
             FleetTelemetry(self) if config.telemetry else None
+
+    @property
+    def vehicles(self) -> Dict[str, FleetVehicle]:
+        """The vehicle objects by id — empty under ``process``, whose
+        vehicles live in the workers."""
+        return self.host.vehicles
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -384,9 +390,6 @@ class Fleet:
         self.host.set_online(online)
         return online
 
-    def _apply_action(self, vehicle: FleetVehicle, action: str) -> None:
-        apply_driver_action(vehicle, action, self.config.cruise_accel_ms2)
-
     def _positions(self) -> Dict[str, float]:
         return self.host.positions()
 
@@ -403,18 +406,20 @@ class Fleet:
                 if messages:
                     record.deliveries[vid] = list(messages)
         # Always call the host, even with nothing due: the process
-        # backend's barrier_a RPC also flushes the pending online flags
-        # and driver actions.  Delivery itself draws no RNG, so emitting
-        # the follow-on publishes after the host returns is bit-identical
-        # to the old interleaved loop.
-        for vid, message, reaction in self.host.deliver(due):
-            if reaction == "braked":
-                # Follow-on event: hard braking is itself a situation
-                # neighbours may care about.
-                self.bus.publish("emergency_brake", vid,
-                                 positions[vid], self.sim_now_ns,
-                                 payload={"cause": message.topic},
-                                 positions=positions)
+        # backend's delivery round trip also carries the held online
+        # flags and driver actions.  Delivery itself draws no RNG, so
+        # emitting the follow-on publishes after the host returns is
+        # bit-identical to the old interleaved loop.
+        reactions = self.host.deliver(due)
+        for vid, messages in due.items():
+            for message, reaction in zip(messages, reactions[vid]):
+                if reaction == "braked":
+                    # Follow-on event: hard braking is itself a
+                    # situation neighbours may care about.
+                    self.bus.publish("emergency_brake", vid,
+                                     positions[vid], self.sim_now_ns,
+                                     payload={"cause": message.topic},
+                                     positions=positions)
 
     def _dispatch_rollout(self, online: Dict[str, bool],
                           record=None) -> None:
@@ -449,12 +454,12 @@ class Fleet:
         cfg = self.config
         sup = self.supervisor
         # Dead vehicles don't tick; stalled ones miss this phase only.
-        # The shard split covers *tickable* vehicles — keyed by sorted
-        # vehicle id, never by shard index, so crash/stall outcomes are
-        # identical at any worker count.
-        tickable = [vid for vid in self.ids
-                    if not sup.is_dead(vid)
-                    and vid not in sup.stalled_this_epoch]
+        # The cost model's shard split covers *tickable* vehicles — keyed
+        # by sorted vehicle id, never by shard index, so crash/stall
+        # outcomes are identical at any worker count.
+        live = [vid for vid in self.ids if not sup.is_dead(vid)]
+        tickable = [vid for vid in live
+                    if vid not in sup.stalled_this_epoch]
         frame_spec = None
         if self.telemetry is not None:
             # The frame the collector will want *after* the clock
@@ -462,8 +467,7 @@ class Fleet:
             frame_spec = (self.epoch_index,
                           self.sim_now_ns
                           + int(cfg.epoch_ticks * cfg.dt_s * 1e9))
-        self.host.tick(tickable, frame_spec)
-        sup.absorb_tick_crashes()
+        sup.absorb_tick_failures(self.host.tick(tickable, live, frame_spec))
         # Cost model (see module docstring): tick parallelism per
         # backend; the barrier is serial per-vehicle cost; control-plane
         # timeout penalties (deadline + backoff) are serial barrier time;
@@ -476,11 +480,6 @@ class Fleet:
             shard_cost = max(owner_load) * cfg.epoch_ticks * TICK_COST_NS
             ipc_cost = self.host.drain_crossings() \
                 * IPC_COST_PER_CROSSING_NS
-        elif cfg.backend == "threads" and cfg.workers > 1:
-            # Honest about the GIL: shards prove independence but the
-            # tick hot path serializes onto one clock.
-            shard_cost = len(tickable) * cfg.epoch_ticks * TICK_COST_NS
-            ipc_cost = 0
         else:
             shards = [tickable[i::cfg.workers]
                       for i in range(cfg.workers)]

@@ -8,7 +8,7 @@ layers a **vehicle supervisor** on the epoch-barrier scheduler:
   :data:`~repro.faults.points.FLEET_SHARD_STALL` are decided at the
   barrier in sorted vehicle order (never by shard index, so the outcome
   is worker-count independent), and any unhandled exception a vehicle
-  tick raises is caught by the shard runner and converted into a crash
+  tick raises is caught by the host and converted into a crash
   instead of aborting :meth:`~repro.fleet.orchestrator.Fleet.run`.
 
 * **Checkpoint/restore** — while armed, the supervisor snapshots each
@@ -86,8 +86,7 @@ def replay_epoch(vehicle, record: Optional[EpochRecord],
     Mirrors the barrier order in ``Fleet.run_epoch`` exactly — actions,
     deliveries, commands, ticks, drain — but publishes nothing back to
     the bus: the original run already published the fleet-visible side
-    of these epochs.  Module-level so a process-backend worker replays
-    restores with the same code the in-process host uses.
+    of these epochs.
     """
     if record is None:
         return
@@ -350,7 +349,6 @@ class VehicleSupervisor:
             vid: VehicleStatus(vid) for vid in fleet.ids}
         #: Scenario-forced crashes: vehicle_id -> epoch to crash at.
         self._forced_crash: Dict[str, int] = {}
-        self._tick_exceptions: Dict[str, str] = {}
         self.stalled_this_epoch: Set[str] = set()
         self._ever_active = False
         #: Fleet-level observability (metrics/spans/tracepoints); kept
@@ -457,29 +455,18 @@ class VehicleSupervisor:
                     self.obs.metrics.counter("fleet_shard_stalls").inc()
 
     # -- mid-tick exceptions -----------------------------------------------
-    def note_tick_exception(self, vehicle_id: str, exc: Exception) -> None:
-        """Called from inside a shard runner (any thread): record the
-        failure; the crash is absorbed at the barrier."""
-        self.note_tick_failure(vehicle_id,
-                               f"{type(exc).__name__}: {exc}")
-
-    def note_tick_failure(self, vehicle_id: str, detail: str) -> None:
-        """Pre-formatted variant for the process backend, whose workers
-        ship the exception detail as a string across the pipe."""
-        self._tick_exceptions[vehicle_id] = detail
-
-    def absorb_tick_crashes(self) -> None:
-        """Convert tick-phase exceptions into crashes (sorted order)."""
-        if not self._tick_exceptions:
+    def absorb_tick_failures(self, failures: Dict[str, str]) -> None:
+        """Convert the tick phase's failures — ``{vehicle_id: "Type:
+        message"}`` as every host reports them — into crashes, in sorted
+        vehicle order."""
+        if not failures:
             return
         self._ever_active = True
-        for vid in sorted(self._tick_exceptions):
-            detail = self._tick_exceptions[vid]
+        for vid in sorted(failures):
             if self.status[vid].state == RUNNING:
                 self._crash(vid, self.fleet.epoch_index,
-                            reason=f"tick exception ({detail})",
+                            reason=f"tick exception ({failures[vid]})",
                             mid_tick=True)
-        self._tick_exceptions = {}
 
     # -- the barrier-end step ----------------------------------------------
     def end_epoch(self) -> None:

@@ -53,9 +53,8 @@ def apply_driver_action(vehicle: "FleetVehicle", action: str,
                         cruise_accel_ms2: float = 3.0) -> None:
     """Apply one scenario-driver action to a vehicle's dynamics.
 
-    Module-level (not a ``Fleet`` method) so both the orchestrator and a
-    process-backend worker replaying a journaled epoch execute the exact
-    same code path.
+    Module-level (not a host method) so both the barrier and a replayed
+    journal epoch execute the exact same code path.
     """
     dyn = vehicle.world.dynamics
     if action == "start":

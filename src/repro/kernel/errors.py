@@ -68,8 +68,15 @@ class KernelError(Exception):
 
     def __init__(self, errno: Errno, message: str = ""):
         self.errno = Errno(errno)
+        self._message = message
         detail = message or self.errno.name
         super().__init__(f"[{self.errno.name}] {detail}")
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not the formatted
+        # text, so the error survives pickling (a fleet worker ships it
+        # back to the coordinator).
+        return type(self), (self.errno, self._message)
 
     def __int__(self) -> int:
         return -int(self.errno)

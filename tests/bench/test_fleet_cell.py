@@ -1,7 +1,8 @@
 """Tests for the fleet benchmark workload's process-backend cell: the
-shadow threads fleet must see the exact same workload (rollout staging
-included), so ``mp_bit_identical`` is a real conformance bit and the
-recorded ``fleet_mp_speedup`` compares like against like."""
+serial shadow fleet (one worker) must see the exact same workload
+(rollout staging included), so ``mp_bit_identical`` is a real
+conformance bit and the recorded ``fleet_mp_speedup`` compares like
+against like."""
 
 from repro.bench.suite import WORKLOAD_AXES, _run_fleet_cell
 from repro.bench.trajectory import direction_of
@@ -19,7 +20,7 @@ class TestProcessCell:
         metrics, obs = _run_fleet_cell(_params(
             vehicles=4, workers=2, backend="process", epochs=4))
         assert obs["mp_bit_identical"]
-        assert obs["fingerprint"] == obs["threads_fingerprint"]
+        assert obs["fingerprint"] == obs["shadow_fingerprint"]
         assert metrics["fleet_mp_speedup"] > 1.0
 
     def test_rollout_is_staged_on_the_shadow_fleet_too(self):
@@ -29,7 +30,7 @@ class TestProcessCell:
             vehicles=4, workers=2, backend="process", epochs=6,
             drive_cycle="crash", rollout=True))
         assert obs["mp_bit_identical"], \
-            (obs["fingerprint"], obs["threads_fingerprint"])
+            (obs["fingerprint"], obs["shadow_fingerprint"])
         assert obs["rollout"], "the primary fleet never saw the rollout"
         assert metrics["fleet_mp_speedup"] > 1.0
 
@@ -37,7 +38,7 @@ class TestProcessCell:
         metrics, obs = _run_fleet_cell(_params(vehicles=4, epochs=4))
         assert "fleet_mp_speedup" not in metrics
         assert "mp_bit_identical" not in obs
-        assert "threads_fingerprint" not in obs
+        assert "shadow_fingerprint" not in obs
 
     def test_hook_latency_knob_is_in_process_only(self):
         # Worker-resident kernels are out of the coordinator's reach;
@@ -56,5 +57,5 @@ class TestGateWiring:
 
     def test_backend_axis_covers_all_hosts(self):
         axis = WORKLOAD_AXES["fleet"]["backend"]
-        assert axis.choices == ("serial", "threads", "process")
+        assert axis.choices == ("serial", "process")
         assert axis.default == "serial"

@@ -138,13 +138,13 @@ class TestGates:
 class TestExpansion:
     def test_cross_product_order_and_ids(self):
         config = parse_suite_config(minimal(
-            matrix={"workers": [1, 2], "backend": ["serial", "threads"]}))
+            matrix={"workers": [1, 2], "backend": ["serial", "process"]}))
         cells = expand_cells(config)
         assert [c.cell_id for c in cells] == [
             "s__workers=1,backend=serial",
-            "s__workers=1,backend=threads",
+            "s__workers=1,backend=process",
             "s__workers=2,backend=serial",
-            "s__workers=2,backend=threads",
+            "s__workers=2,backend=process",
         ]
 
     def test_unswept_scenario_uses_bare_name(self):

@@ -1,4 +1,4 @@
-"""Cross-backend differential conformance: serial vs threads vs process.
+"""Cross-backend differential conformance: serial vs process.
 
 The multiprocessing backend is only admissible if it is *bit-identical*
 to the serial scheduler on every observable the fleet exports.  These
@@ -26,9 +26,8 @@ from repro.vehicle.ivi import DEFAULT_SACK_POLICY
 
 #: The full differential matrix.  Serial ignores workers for scheduling
 #: (they only shape the cost model, which fingerprints exclude), so one
-#: cell covers it; threads and process sweep 1/2/4 workers.
+#: cell covers it; process sweeps 1/2/4 workers.
 MATRIX = [("serial", 1), ("serial", 4),
-          ("threads", 1), ("threads", 2), ("threads", 4),
           ("process", 1), ("process", 2), ("process", 4)]
 
 KEY = b"conformance-key"
@@ -116,8 +115,8 @@ class TestRichWorkloadConformance:
 
     @pytest.mark.parametrize(
         "backend,workers",
-        [("threads", 4), ("process", 2), ("process", 4)],
-        ids=["threads-w4", "process-w2", "process-w4"])
+        [("process", 2), ("process", 4)],
+        ids=["process-w2", "process-w4"])
     def test_matches_serial_baseline(self, baseline, backend, workers):
         observed = _rich_workload(backend, workers)
         for key in baseline:

@@ -39,13 +39,14 @@ class TestDeterminism:
     def test_fingerprint_worker_count_independent(self):
         prints = set()
         for workers, backend in ((1, "serial"), (4, "serial"),
-                                 (4, "threads")):
+                                 (4, "process")):
             fleet = _fleet(workers=workers, backend=backend,
                            driver=ScriptedDriver()
                            .at(2, "veh001", "crash")
                            .at(8, "veh001", "clear"))
             fleet.stage_rollout(_bundle(1))
-            result = fleet.run(epochs=16)
+            with fleet:
+                result = fleet.run(epochs=16)
             assert result.ok, result.report.violations
             prints.add(result.fingerprint)
         assert len(prints) == 1
@@ -261,9 +262,9 @@ def _soak(workers, backend="serial"):
 @pytest.mark.slow
 class TestHundredVehicleSoak:
     def test_soak_is_bit_identical_and_converges(self):
-        first = _soak(workers=1)
-        second = _soak(workers=4, backend="threads")
-        ra, rb = first.report(), second.report()
+        first = _soak(workers=4)
+        with _soak(workers=4, backend="process") as second:
+            ra, rb = first.report(), second.report()
         assert ra.fingerprint() == rb.fingerprint()
         assert ra.ok, ra.violations
         # Rollout: completed v1, then rolled back off v2.

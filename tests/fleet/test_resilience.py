@@ -270,7 +270,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value,expected", [
         ("backend", "mpi",
          "unknown backend 'mpi'; accepted backends: "
-         "serial, threads, process"),
+         "serial, process"),
         ("mode", "selinux",
          "unknown fleet mode 'selinux'; accepted modes: "
          "apparmor, independent"),
