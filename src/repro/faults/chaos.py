@@ -38,6 +38,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from . import points as fault_points
+from ..kernel.errors import KernelError
 from ..verify.properties import runtime_checks
 from .plan import FaultPlan, random_plan
 from .points import InjectedFault
@@ -45,6 +46,9 @@ from .points import InjectedFault
 #: Scenario-RNG domain separator (keeps action draws independent of the
 #: fault plan's draws for the same seed).
 _SCENARIO_SALT = 0xC4A05
+
+#: World builds tried before a boot-time policy-load fault is fatal.
+BOOT_ATTEMPTS = 3
 
 #: Audit kinds excluded from the fingerprint: their detail embeds
 #: perf-counter durations, which vary run to run.
@@ -204,7 +208,16 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
         plan = random_plan(seed, intensity=intensity)
     scenario = random.Random(seed ^ _SCENARIO_SALT)
 
-    world = build_ivi_world(config, fault_plan=plan)
+    for attempt in range(BOOT_ATTEMPTS):
+        try:
+            world = build_ivi_world(config, fault_plan=plan)
+            break
+        except KernelError:
+            # An injected fault refused the boot-time policy load; boot
+            # again, as an init system would (the plan keeps counting,
+            # so the retry draws afresh).
+            if attempt == BOOT_ATTEMPTS - 1:
+                raise
     # Chaos always runs with span tracing on: span-ID sequences are part
     # of the fingerprint, so a nondeterministic tracer fails loudly here.
     world.kernel.obs.spans.enable()
@@ -249,7 +262,6 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
                 act("kill_sds")
         elif roll < 0.16:
             # Administrative policy reload mid-drive.
-            from ..kernel.errors import KernelError
             try:
                 world.kernel.write_file(
                     world.kernel.procs.init,

@@ -280,12 +280,11 @@ class FleetVehicle:
             kernel.write_file(kernel.procs.init,
                               "/sys/kernel/security/SACK/policy",
                               bundle.policy_text.encode(), create=False)
-        except (KernelError, ValueError,
-                fault_points.InjectedFault) as exc:
-            # InjectedFault covers a bridge profile reload dying mid
-            # policy load; the bridge applies all-or-nothing, so the
-            # previous profiles are still enforcing and the control
-            # plane just sees a failed ack to re-offer.
+        except (KernelError, ValueError) as exc:
+            # A failed load — SACKfs reports a bridge profile reload
+            # dying mid load as EIO — leaves the previous policy and
+            # profiles enforcing; the control plane just sees a failed
+            # ack to re-offer.
             self.apply_log.append((bundle.version, "apply_failed"))
             return VehicleAck(vehicle_id=self.vehicle_id,
                               version=bundle.version, ok=False,
@@ -340,27 +339,22 @@ class FleetVehicle:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- health ------------------------------------------------------------
-    def _counter_total(self, name: str) -> int:
-        total = 0
-        for row in self.world.kernel.obs.metrics.to_dict()["counters"]:
-            if row["name"] == name:
-                total += int(row["value"])
-        return total
-
     def health_snapshot(self) -> Dict[str, object]:
         """Deterministic health counters for rollout gating and roll-up."""
         fs = self.world.sackfs
         wd = fs.watchdog.stats() if fs.watchdog is not None else {}
+        totals = self.world.kernel.obs.metrics.counter_totals(
+            ("lsm_denials_total", "sack_failsafe_engagements_total",
+             "sack_transition_rollbacks_total"))
         return {
             "vehicle": self.vehicle_id,
             "online": self.online,
             "situation": self.situation or "",
             "bundle_version": self.bundle_version,
-            "denials": self._counter_total("lsm_denials_total"),
+            "denials": totals["lsm_denials_total"],
             "failsafe_engagements":
-                self._counter_total("sack_failsafe_engagements_total"),
-            "rollbacks":
-                self._counter_total("sack_transition_rollbacks_total"),
+                totals["sack_failsafe_engagements_total"],
+            "rollbacks": totals["sack_transition_rollbacks_total"],
             "watchdog_engaged": bool(wd.get("engaged", False)),
             "events_accepted": fs.events_accepted,
             "events_rejected": fs.events_rejected,

@@ -380,164 +380,114 @@ class LsmFramework(SecurityHooks):
         obs.denial(module, hook.value, self._object_path(args), task, rc)
 
     def _call_int(self, hook: Hook, *args) -> int:
-        """Walk the hook's call list; first nonzero return wins (deny).
+        """Dispatch an int hook; first nonzero module return wins (deny).
 
-        Three fast paths run before any dispatch bookkeeping: the
-        implemented-hook bitmap (nobody registered → allow, one ``and``),
-        the precompiled decision table (when enabled: the whole allow
-        surface for this epoch, one dict probe, no miss path to
-        maintain), and the AVC (a live cache entry proving every module
-        already allowed this (subject, object, mask) → allow without
-        walking).  Denials are never cached in either structure — they
-        must reach the modules so audit records, denial counters and
-        span attribution still fire.
+        Three fast paths run before the module walk: the implemented-hook
+        bitmap (nobody registered → allow, one ``and``), the precompiled
+        decision table (when enabled: the whole allow surface for this
+        epoch, one dict probe, no miss path to maintain), and the AVC (a
+        live cache entry proving every module already allowed this
+        (subject, object, mask) → allow without calling a module).  Both
+        caches are probed with one ``(hook, subject, obj)`` key, built
+        once.  Denials are never cached in either structure — they must
+        reach the modules so audit records, denial counters and span
+        attribution still fire.
         """
         if not self.hook_bitmap & HOOK_BIT[hook]:
             return 0
         avc = self.avc
         dtable = self.dtable
-        if dtable.enabled:
-            modules = self._dtable_plans[hook]
-            if modules is not None:
-                if dtable.built_epoch != avc.core.epoch:
-                    # Self-heal: first use after enable, or a bump that
-                    # bypassed the wrapper (direct core access).
-                    self.rebuild_dtable()
-                extractor, subject_fns, _compute = self._avc_plans[hook]
-                object_mask = extractor(args)
-                if object_mask is not None:
-                    obj, mask = object_mask
-                    task = args[0]
-                    try:
-                        subject = tuple(fn(task) for fn in subject_fns)
-                    except TypeError:
-                        subject = (None,)
-                    if None not in subject and dtable.lookup(
-                            (hook, subject, obj), mask, avc.core.epoch):
-                        return self._avc_hit(hook, args, source="dtable")
-        if avc.enabled:
-            plan = self._avc_plans[hook]
-            if plan is not None:
-                extractor, subject_fns, compute_fns = plan
-                object_mask = extractor(args)
-                if object_mask is not None:
-                    obj, mask = object_mask
-                    task = args[0]
-                    key = None
-                    hit = False
-                    try:
-                        subject = tuple(fn(task) for fn in subject_fns)
-                        if None not in subject:
-                            key = (hook, subject, obj)
-                            hit = avc.core.lookup_vector(key, mask)
-                    except TypeError:
-                        key = None  # unhashable key part: don't cache
-                    if hit:
-                        return self._avc_hit(hook, args)
-                    rc = self._dispatch_int(hook, args)
-                    if rc == 0 and key is not None:
-                        if compute_fns is not None:
-                            vector = AV_ALL
-                            for fn in compute_fns:
-                                vector &= fn(task, obj)
-                            avc.core.extend_vector(key, vector | mask)
-                        else:
-                            avc.core.extend_vector(key, mask)
-                    return rc
-        return self._dispatch_int(hook, args)
+        table = dtable.enabled and self._dtable_plans[hook] is not None
+        plan = self._avc_plans[hook]
+        if plan is None or not (table or avc.enabled):
+            return self._walk(hook, args)
+        if table and dtable.built_epoch != avc.core.epoch:
+            # Self-heal: first use after enable, or a bump that bypassed
+            # the wrapper (direct core access).
+            self.rebuild_dtable()
+        extractor, subject_fns, compute_fns = plan
+        object_mask = extractor(args)
+        if object_mask is None:
+            return self._walk(hook, args)
+        obj, mask = object_mask
+        task = args[0]
+        key = cached = None
+        try:
+            subject = tuple(fn(task) for fn in subject_fns)
+            if None not in subject:
+                key = (hook, subject, obj)
+                if table and dtable.lookup(key, mask, avc.core.epoch):
+                    cached = "dtable"
+                elif avc.enabled and avc.core.lookup_vector(key, mask):
+                    cached = "avc"
+        except TypeError:
+            key = None  # unhashable key part: don't cache
+        rc = self._walk(hook, args, cached)
+        if rc == 0 and cached is None and key is not None and avc.enabled:
+            if compute_fns is not None:
+                vector = AV_ALL
+                for fn in compute_fns:
+                    vector &= fn(task, obj)
+                avc.core.extend_vector(key, vector | mask)
+            else:
+                avc.core.extend_vector(key, mask)
+        return rc
 
-    def _avc_hit(self, hook: Hook, args, source: str = "avc") -> int:
-        """Serve an allow from a cache/table, replaying the side effects
-        an allowed module walk would have had (HookStats counters; an
-        ``avc.hit``/``dtable.hit`` span when hooks are being watched) so
-        decisions and counters are bit-identical with the fast paths
-        off."""
-        stats = self.stats
-        if stats is not None:
-            for name, _method in self._hook_lists[hook]:
-                stats.record(name, hook, denied=False)
+    def _walk(self, hook: Hook, args, cached: Optional[str] = None,
+              void: bool = False) -> int:
+        """The one module walk every dispatch takes.
+
+        Each module on the hook's call list is called in stack order and
+        counted in HookStats; the first nonzero return is audited and
+        wins.  Observation rides the same loop: a module call is timed
+        (latency histogram, ``lsm:hook_dispatch``) only while an observer
+        is present, and an int hook runs inside a root span *linked* to
+        the trace that caused the current situation while hooks are
+        watched — a link, not a parent edge, since the hook runs under
+        the new state rather than on the transition's critical path.
+
+        *cached* names the cache (``"avc"`` or ``"dtable"``) that already
+        proved the allow: no module is called, but HookStats and the span
+        record exactly what an allowed walk would, so decisions and
+        counters are bit-identical with the fast paths off.  *void* hooks
+        take no span and ignore return codes.
+        """
+        span = None
         spans = self._spans
-        if spans is not None and spans.watch_hooks:
+        if not void and spans is not None and spans.watch_hooks:
             task = args[0] if args else None
-            span = spans.start_span(
-                f"lsm.{hook.value}", stage="hook", root=True,
-                attributes={"pid": getattr(task, "pid", 0),
-                            "comm": getattr(task, "comm", ""),
-                            f"{source}.hit": True})
+            attributes = {"pid": getattr(task, "pid", 0),
+                          "comm": getattr(task, "comm", "")}
+            if cached is not None:
+                attributes[f"{cached}.hit"] = True
+            span = spans.start_span(f"lsm.{hook.value}", stage="hook",
+                                    root=True, attributes=attributes)
             if span is not None:
                 span.add_link(spans.consume_link())
-            spans.end_span(span)
-        return 0
-
-    def _dispatch_int(self, hook: Hook, args) -> int:
-        """The full module walk (AVC miss or uncacheable dispatch)."""
-        spans = self._spans
-        if spans is not None and spans.watch_hooks:
-            return self._call_int_spanned(hook, args)
+        stats = self.stats
+        if cached is not None and stats is None and span is None:
+            return 0  # a cache-served allow with nothing to record
         latency = self._latency
         tp = self._tp_hook
-        if latency is not None or (tp is not None and tp.callbacks):
-            return self._call_int_observed(hook, args)
-        stats = self.stats
-        for name, method in self._hook_lists[hook]:
-            rc = method(*args)
-            if stats is not None:
-                stats.record(name, hook, denied=rc != 0)
-            if rc != 0:
-                self._report_denial(hook, name, args, rc)
-                return rc
-        return 0
-
-    def _call_int_observed(self, hook: Hook, args) -> int:
-        """Dispatch with timing and the lsm:hook_dispatch tracepoint."""
-        stats = self.stats
-        tp = self._tp_hook
-        latency = self._latency
-        for name, method in self._hook_lists[hook]:
-            t0 = time.perf_counter_ns()
-            rc = method(*args)
-            dt = time.perf_counter_ns() - t0
-            if latency is not None:
-                self._latency_histogram(name, hook).record(dt)
-            if tp.callbacks:
-                tp.emit(module=name, hook=hook.value, rc=rc, latency_ns=dt)
-            if stats is not None:
-                stats.record(name, hook, denied=rc != 0)
-            if rc != 0:
-                self._report_denial(hook, name, args, rc)
-                return rc
-        return 0
-
-    def _call_int_spanned(self, hook: Hook, args) -> int:
-        """Dispatch wrapped in a root hook span *linked* to the trace that
-        caused the current situation (the first K decisions after a
-        transition).  The link is weaker than a parent/child edge: the
-        hook runs under the new state, it is not part of the transition's
-        critical path."""
-        spans = self._spans
-        task = args[0] if args else None
-        span = spans.start_span(
-            f"lsm.{hook.value}", stage="hook", root=True,
-            attributes={"pid": getattr(task, "pid", 0),
-                        "comm": getattr(task, "comm", "")})
-        if span is not None:
-            span.add_link(spans.consume_link())
-        latency = self._latency
-        tp = self._tp_hook
-        stats = self.stats
+        timed = cached is None and (
+            latency is not None or (tp is not None and tp.callbacks))
+        trace_id = span.trace_id if span is not None else None
         rc = 0
         try:
             for name, method in self._hook_lists[hook]:
-                t0 = time.perf_counter_ns()
-                rc = method(*args)
-                dt = time.perf_counter_ns() - t0
-                if latency is not None:
-                    self._latency_histogram(name, hook).record(
-                        dt, trace_id=span.trace_id
-                        if span is not None else None)
-                if tp is not None and tp.callbacks:
-                    tp.emit(module=name, hook=hook.value, rc=rc,
-                            latency_ns=dt)
+                if cached is None:
+                    t0 = time.perf_counter_ns() if timed else 0
+                    rc = method(*args)
+                    if void:
+                        rc = 0
+                    if timed:
+                        dt = time.perf_counter_ns() - t0
+                        if latency is not None:
+                            self._latency_histogram(name, hook).record(
+                                dt, trace_id=trace_id)
+                        if tp is not None and tp.callbacks:
+                            tp.emit(module=name, hook=hook.value, rc=rc,
+                                    latency_ns=dt)
                 if stats is not None:
                     stats.record(name, hook, denied=rc != 0)
                 if rc != 0:
@@ -548,26 +498,11 @@ class LsmFramework(SecurityHooks):
                     return rc
             return 0
         finally:
-            spans.end_span(span, status="denied" if rc != 0 else "ok")
+            if span is not None:
+                spans.end_span(span, status="denied" if rc != 0 else "ok")
 
     def _call_void(self, hook: Hook, *args) -> None:
-        latency = self._latency
-        tp = self._tp_hook
-        observed = latency is not None or (tp is not None and tp.callbacks)
-        for name, method in self._hook_lists[hook]:
-            if observed:
-                t0 = time.perf_counter_ns()
-                method(*args)
-                dt = time.perf_counter_ns() - t0
-                if latency is not None:
-                    self._latency_histogram(name, hook).record(dt)
-                if tp.callbacks:
-                    tp.emit(module=name, hook=hook.value, rc=0,
-                            latency_ns=dt)
-            else:
-                method(*args)
-            if self.stats is not None:
-                self.stats.record(name, hook, denied=False)
+        self._walk(hook, args, void=True)
 
     # -- SecurityHooks implementation -------------------------------------------
     def task_alloc(self, parent, child) -> int:

@@ -50,6 +50,28 @@ def _label_str(labels: LabelPairs) -> str:
 DEFAULT_NS_BUCKETS: Tuple[int, ...] = tuple(1 << p for p in range(8, 31))
 
 
+def bucket_percentile(bounds: Sequence[float], buckets: Sequence[int],
+                      count: int, maximum: Optional[float],
+                      q: float) -> float:
+    """Percentile *q* of a bucketed distribution, Prometheus-style.
+
+    Returns the upper bound of the bucket holding the q-th sample (the
+    ``histogram_quantile`` convention); a sample in the overflow bucket
+    (one past *bounds*) reports the observed *maximum*.
+    """
+    if count == 0:
+        return 0.0
+    rank = max(1, int(round(count * q / 100.0)))
+    seen = 0
+    for i, n in enumerate(buckets):
+        seen += int(n)
+        if seen >= rank:
+            if i < len(bounds):
+                return float(bounds[i])
+            break
+    return float(maximum or 0.0)
+
+
 class Counter:
     """Monotonically increasing count."""
 
@@ -127,17 +149,8 @@ class Histogram:
         """
         if not 0 < q <= 100:
             raise ValueError("percentile out of range")
-        if self.count == 0:
-            return 0.0
-        rank = max(1, int(round(self.count * q / 100.0)))
-        seen = 0
-        for i, n in enumerate(self.bucket_counts):
-            seen += n
-            if seen >= rank:
-                if i < len(self.bounds):
-                    return float(self.bounds[i])
-                return float(self.max if self.max is not None else 0.0)
-        return float(self.max if self.max is not None else 0.0)
+        return bucket_percentile(self.bounds, self.bucket_counts,
+                                 self.count, self.max, q)
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -250,6 +263,18 @@ class MetricsRegistry:
     def register_collector(self, collector: Collector) -> None:
         if collector not in self._collectors:
             self._collectors.append(collector)
+
+    def counter_totals(self, names: Sequence[str]) -> Dict[str, int]:
+        """Per-name sum over every registered counter series of *names*.
+
+        Reads the instruments directly, without :meth:`to_dict`'s full
+        serialisation; collector samples are not included.
+        """
+        totals = dict.fromkeys(names, 0)
+        for (name, _labels), instrument in self._counters.items():
+            if name in totals:
+                totals[name] += int(instrument.value)
+        return totals
 
     def histograms_named(self, name: str) -> Dict[LabelPairs, Histogram]:
         return {labels: h for (n, labels), h in self._histograms.items()

@@ -21,6 +21,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
+from .metrics import bucket_percentile
+
 #: Frame schema identifier; bump on incompatible layout changes.
 TELEMETRY_SCHEMA = "sack-telemetry/v1"
 
@@ -152,18 +154,9 @@ def merge_histograms(rows: List[Dict[str, object]]
 
 
 def histogram_percentile(summary: Dict[str, object], q: float) -> float:
-    """Percentile from a merged bucket summary (Prometheus convention:
-    the upper bound of the bucket holding the q-th sample)."""
-    count = int(summary.get("count", 0))
-    if count == 0:
-        return 0.0
-    rank = max(1, int(round(count * q / 100.0)))
-    bounds = summary.get("bounds", [])
-    seen = 0
-    for i, n in enumerate(summary.get("buckets", [])):
-        seen += int(n)
-        if seen >= rank:
-            if i < len(bounds):
-                return float(bounds[i])
-            return float(summary.get("max", 0.0))
-    return float(summary.get("max", 0.0))
+    """Percentile from a merged bucket summary (see
+    :func:`~repro.obs.metrics.bucket_percentile`)."""
+    return bucket_percentile(summary.get("bounds", []),
+                             summary.get("buckets", []),
+                             int(summary.get("count", 0)),
+                             summary.get("max", 0.0), q)

@@ -104,19 +104,30 @@ class SackAppArmorBridge(LsmModule):
     # -- policy lifecycle -----------------------------------------------------
     def load_policy(self, policy: SackPolicy, ioctl_symbols=None
                     ) -> SituationStateMachine:
-        """Validate, activate, and apply *policy*'s initial state."""
+        """Validate, activate, and apply *policy*'s initial state.
+
+        A failed profile reload leaves the previous policy, SSM and
+        profiles in force and re-raises.
+        """
         started_ns = time.perf_counter_ns()
         # Compilation is for validation only in bridge mode; enforcement
         # data lives in AppArmor profiles.
         compiled = compile_policy(policy, ioctl_symbols=ioctl_symbols)
+        previous = self.policy, self.ioctl_symbols
         self.policy = policy
         self.ioctl_symbols = dict(ioctl_symbols or {})
+        try:
+            self._apply_state(policy.initial)
+        except Exception:
+            # The apply is all-or-nothing, so restoring the policy the
+            # live profiles were built from leaves the old one in force.
+            self.policy, self.ioctl_symbols = previous
+            raise
         self.ssm = policy.build_ssm()
         self.ssm.add_listener(self._on_transition)
         # Belt and braces with the PolicyDb subscription: even a
         # transition whose profile rewrite is a no-op moves the epoch.
         self.ssm.add_listener(self._on_transition_bump_avc)
-        self._apply_state(policy.initial)
         self.bump_avc("policy-load")
         self.audit("sack_policy_loaded",
                    f"bridge policy {policy.name!r} -> AppArmor")

@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from ..faults import points as fault_points
+from ..faults.points import InjectedFault
 from ..kernel.credentials import Capability
 from ..kernel.errors import Errno, KernelError
 from ..lsm.securityfs import SecurityFs
@@ -215,6 +216,10 @@ class SackFs:
                                     ioctl_symbols=self.ioctl_symbols)
         except (UnicodeDecodeError, ValueError) as exc:
             raise KernelError(Errno.EINVAL, f"policy: {exc}") from exc
+        except InjectedFault as exc:
+            # A backend fault mid-load (e.g. a bridge profile reload):
+            # the module kept its old policy, so fail like a load fault.
+            raise KernelError(Errno.EIO, f"policy: {exc}") from exc
         if policy.failsafe_deadline_ms is not None:
             self.watchdog = StalenessWatchdog(
                 self.module.ssm, policy.failsafe_deadline_ms,

@@ -164,7 +164,10 @@ def _check_avc_coherent(world, ctx) -> List[Tuple[str, str]]:
     The AVC core stamps every hit with (entry epoch, epoch at serve
     time); under any interleaving of transitions, rollbacks, failsafe
     settles and profile reloads these must match — a mismatch means a
-    pre-transition decision outlived its situation.
+    pre-transition decision outlived its situation.  Every committed
+    transition must also move the epoch: if the SSM (the same machine as
+    at the previous check) committed more transitions since then than
+    the epoch advanced, old-state entries stayed live.
     """
     framework = getattr(world, "framework", None)
     avc = getattr(framework, "avc", None)
@@ -172,6 +175,17 @@ def _check_avc_coherent(world, ctx) -> List[Tuple[str, str]]:
         return []
     failures: List[Tuple[str, str]] = []
     core = avc.core
+    ssm = _ssm_of(world)
+    if ssm is not None:
+        mark = ctx.get("avc_epoch_mark")
+        if mark is not None and mark[0] is ssm:
+            moved = ssm.transition_count - mark[1]
+            bumped = core.epoch - mark[2]
+            if moved > bumped:
+                failures.append(("I7:avc-stale-hit",
+                                 f"{moved} transition(s) committed but "
+                                 f"the epoch advanced {bumped}"))
+        ctx["avc_epoch_mark"] = (ssm, ssm.transition_count, core.epoch)
     if core.stale_served:
         failures.append(("I7:avc-stale-hit",
                          f"{core.stale_served} stale entr(y/ies) served"))

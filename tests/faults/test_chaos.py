@@ -66,3 +66,31 @@ class TestInvariants:
         assert d["traces"] == len(report.spans)
         lines = report.summary_lines()
         assert any("seed" in line for line in lines)
+
+
+class TestRegressions:
+    @pytest.mark.parametrize("seed", [4, 15])
+    def test_bridge_reload_fault_on_policy_write(self, seed):
+        # These seeds inject a bridge profile-reload fault into a SACKfs
+        # policy reload (seed 15 also into the boot-time load, which the
+        # harness boots again); the write must fail cleanly with EIO and
+        # the old policy left in force.
+        report = chaos.run_chaos(seed, ticks=600, mode="apparmor")
+        assert report.ok, [str(v) for v in report.violations]
+        assert "policy_reload_failed" in report.actions
+        assert report.fault_report["bridge:profile_reload_fail"][
+            "injected"] >= 1
+
+
+class TestMutations:
+    def test_i7_catches_a_transition_that_skips_the_epoch_bump(
+            self, monkeypatch):
+        from repro.sack.module import SackLsm
+
+        monkeypatch.setattr(SackLsm, "_on_transition_bump_avc",
+                            lambda self, transition: None)
+        report = chaos.run_chaos(seed=1, ticks=600)
+        fired = [v for v in report.violations
+                 if v.invariant.startswith("I7:")]
+        assert fired, "I7 must flag transitions that leave the epoch"
+        assert report.transitions

@@ -196,3 +196,51 @@ class TestEndToEndEnforcement:
         assert fw._hook_lists[Hook.FILE_OPEN][0][0] == "apparmor"
         assert all(name != "sack"
                    for name, _ in fw._hook_lists[Hook.FILE_PERMISSION])
+
+
+class TestFailedReload:
+    def test_reload_fault_fails_write_and_keeps_old_policy(self):
+        """A profile-reload fault during a SACKfs policy write fails the
+        write with EIO and leaves the old policy, SSM, profiles and
+        watchdog in force."""
+        from repro.faults import FaultPlan
+        from repro.faults import points as fp
+        from repro.kernel import Errno
+        from repro.vehicle.ivi import (DEFAULT_SACK_POLICY,
+                                       EnforcementConfig, build_ivi_world)
+
+        plan = FaultPlan()
+        # Call 1 is the boot-time load; call 2 is the transition below;
+        # call 3 is the reload under test.
+        plan.arm(fp.BRIDGE_RELOAD_FAIL, nth_calls=frozenset({3}))
+        world = build_ivi_world(EnforcementConfig.SACK_APPARMOR,
+                                fault_plan=plan)
+        bridge = world.bridge
+        bridge.ssm.process_event(SituationEvent(name="crash_detected"))
+        ssm, policy, watchdog = bridge.ssm, bridge.policy, \
+            world.sackfs.watchdog
+        epoch = world.framework.avc.core.epoch
+
+        def sack_rules():
+            return {p.name: sorted((r.glob, r.perms.value, r.deny)
+                                   for r in p.path_rules
+                                   if r.origin == SACK_ORIGIN)
+                    for p in bridge._target_profiles()}
+
+        rules = sack_rules()
+        with pytest.raises(KernelError) as info:
+            world.kernel.write_file(
+                world.kernel.procs.init, "/sys/kernel/security/SACK/policy",
+                DEFAULT_SACK_POLICY.encode(), create=False)
+        assert info.value.errno is Errno.EIO
+        assert plan.injected[fp.BRIDGE_RELOAD_FAIL] == 1
+        assert bridge.ssm is ssm and bridge.policy is policy
+        assert ssm.current_name == "emergency"
+        assert sack_rules() == rules
+        assert bridge.verify_consistency() == []
+        assert world.sackfs.watchdog is watchdog
+        assert world.framework.avc.core.epoch == epoch
+        # The old machine still drives the profiles.
+        ssm.process_event(SituationEvent(name="emergency_cleared"))
+        assert bridge.verify_consistency() == []
+        assert sack_rules() != rules
