@@ -65,9 +65,8 @@ def summarize_ns(values: Sequence[float]) -> Dict[str, float]:
     return {
         "count": len(ordered),
         "mean_ns": sum(ordered) / len(ordered),
-        "p50_ns": ordered[min(len(ordered) - 1, len(ordered) // 2)],
-        "p99_ns": ordered[min(len(ordered) - 1,
-                              int(len(ordered) * 0.99))],
+        "p50_ns": percentile(ordered, 0.5),
+        "p99_ns": percentile(ordered, 0.99),
         "max_ns": ordered[-1],
     }
 

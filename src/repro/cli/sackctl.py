@@ -780,7 +780,7 @@ def _run_restore_once(args):
         raise ValueError(f"no vehicle {victim!r}; "
                          f"ids: {', '.join(fleet.ids)}")
     events: List[Tuple[str, dict]] = []
-    reg = fleet.supervisor.obs.tracepoints
+    reg = fleet.obs.tracepoints
     for name in (tp_names.FLEET_CRASH_TP, tp_names.FLEET_RESTORE_TP,
                  tp_names.FLEET_QUARANTINE_TP):
         reg.attach(name, lambda n, fields: events.append((n, dict(fields))))

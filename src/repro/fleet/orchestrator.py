@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults import points as fault_points
 from ..faults.plan import FaultPlan
+from ..obs.hub import Observability
 from .backend import IPC_COST_PER_CROSSING_NS, create_host
 from .bundle import PolicyBundle
 from .bus import V2xBus
@@ -296,6 +297,12 @@ class Fleet:
             self.host.close()       # reap any workers already forked
             raise
         self._i8_strikes: Dict[str, int] = {vid: 0 for vid in self.ids}
+        #: Fleet-level observability (metrics, spans, tracepoints) shared
+        #: by the supervisor and the telemetry pipeline, stamped on the
+        #: fleet virtual clock (:attr:`now_ns`).  Kept out of the vehicle
+        #: kernels so per-kernel roll-ups (and fingerprints) never move.
+        self.obs = Observability(clock=self)
+        self.obs.spans.enable()
         #: Crash supervisor: checkpoints, restores, quarantine, and the
         #: control-plane deadline guard (idle until faults are armed).
         self.supervisor = VehicleSupervisor(
@@ -312,6 +319,11 @@ class Fleet:
         #: disabled fleet is byte-identical to pre-telemetry builds).
         self.telemetry: Optional[FleetTelemetry] = \
             FleetTelemetry(self) if config.telemetry else None
+
+    @property
+    def now_ns(self) -> int:
+        """The fleet virtual clock, as the fleet obs hub reads it."""
+        return self.sim_now_ns
 
     @property
     def vehicles(self) -> Dict[str, FleetVehicle]:

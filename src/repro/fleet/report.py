@@ -19,13 +19,7 @@ import hashlib
 import json
 from typing import Dict, List, Tuple
 
-
-def _series_key(row) -> str:
-    labels = row.get("labels") or {}
-    if labels:
-        rendered = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-        return f"{row['name']}{{{rendered}}}"
-    return row["name"]
+from ..obs.telemetry import merge_histograms, series_key
 
 
 def aggregate_counters(metric_dicts) -> Dict[str, int]:
@@ -39,7 +33,7 @@ def aggregate_counters(metric_dicts) -> Dict[str, int]:
     totals: Dict[str, int] = {}
     for doc in metric_dicts:
         for row in doc.get("counters", []):
-            key = _series_key(row)
+            key = series_key(row["name"], row.get("labels"))
             totals[key] = totals.get(key, 0) + int(row["value"])
     return dict(sorted(totals.items()))
 
@@ -54,17 +48,15 @@ def aggregate_metrics(metric_dicts) -> Dict[str, Dict[str, object]]:
     :func:`repro.obs.telemetry.merge_histograms` (host-timing — callers
     must keep them out of fingerprints).
     """
-    from ..obs.telemetry import merge_histograms
-
     counters: Dict[str, int] = {}
     gauges: Dict[str, Dict[str, float]] = {}
     hist_rows: Dict[str, List[Dict[str, object]]] = {}
     for doc in metric_dicts:
         for row in doc.get("counters", []):
-            key = _series_key(row)
+            key = series_key(row["name"], row.get("labels"))
             counters[key] = counters.get(key, 0) + int(row["value"])
         for row in doc.get("gauges", []):
-            key = _series_key(row)
+            key = series_key(row["name"], row.get("labels"))
             value = float(row["value"])
             agg = gauges.get(key)
             if agg is None:
@@ -74,7 +66,8 @@ def aggregate_metrics(metric_dicts) -> Dict[str, Dict[str, object]]:
                 agg["min"] = min(agg["min"], value)
                 agg["max"] = max(agg["max"], value)
         for row in doc.get("histograms", []):
-            hist_rows.setdefault(_series_key(row), []).append(row)
+            key = series_key(row["name"], row.get("labels"))
+            hist_rows.setdefault(key, []).append(row)
     histograms: Dict[str, Dict[str, object]] = {}
     for key, rows in hist_rows.items():
         merged = merge_histograms(rows)

@@ -318,13 +318,6 @@ class VehicleStatus:
         return out
 
 
-class _FleetClock:
-    """Adapter so the fleet-level obs hub reads the fleet virtual clock."""
-
-    def __init__(self):
-        self.now_ns = 0
-
-
 class VehicleSupervisor:
     """Crash detection, checkpoint/restore, backoff, and quarantine.
 
@@ -351,12 +344,7 @@ class VehicleSupervisor:
         self._forced_crash: Dict[str, int] = {}
         self.stalled_this_epoch: Set[str] = set()
         self._ever_active = False
-        #: Fleet-level observability (metrics/spans/tracepoints); kept
-        #: out of the per-vehicle kernels so per-kernel counter roll-ups
-        #: (and therefore pre-existing fingerprints) are untouched.
-        self.clock = _FleetClock()
-        self.obs = Observability(clock=self.clock)
-        self.obs.spans.enable()
+        self.obs = fleet.obs
         self.guard = ControlPlaneGuard(fleet.fleet_plan, obs=self.obs,
                                        retries=control_retries,
                                        deadline_ns=control_deadline_ns)
@@ -419,7 +407,6 @@ class VehicleSupervisor:
         self._ever_active = True
         fleet = self.fleet
         epoch = fleet.epoch_index
-        self.clock.now_ns = fleet.sim_now_ns
         # Late arming: a vehicle that has never been checkpointed gets a
         # baseline snapshot before anything can kill it this epoch.
         for vid in fleet.ids:

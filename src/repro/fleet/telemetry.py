@@ -46,7 +46,6 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..obs.hub import Observability
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import (TelemetryFrame, histogram_percentile,
                              merge_histograms, split_series_key)
@@ -612,13 +611,6 @@ class SloEngine:
 
 # -- the orchestrator-facing facade --------------------------------------------
 
-class _FleetClock:
-    """Adapter so the telemetry obs hub reads the fleet virtual clock."""
-
-    def __init__(self):
-        self.now_ns = 0
-
-
 class FleetTelemetry:
     """Owns the pipeline for one :class:`~repro.fleet.orchestrator.Fleet`."""
 
@@ -635,11 +627,7 @@ class FleetTelemetry:
         self.engine = SloEngine(slos, self.aggregator)
         self.epochs_collected = 0
         self.last_frames = 0
-        #: Self-accounting hub — separate from the vehicle kernels so
-        #: per-kernel counter roll-ups (and fingerprints) never move.
-        self.clock = _FleetClock()
-        self.obs = Observability(clock=self.clock)
-        self.obs.spans.enable()
+        self.obs = fleet.obs
         self.last_alerts: List[SloAlert] = []
 
     def collect(self, epoch: int) -> List[SloAlert]:
@@ -650,7 +638,6 @@ class FleetTelemetry:
         the orchestrator into the barrier makespan.
         """
         fleet = self.fleet
-        self.clock.now_ns = fleet.sim_now_ns
         span = self.obs.spans.start_span("telemetry_overhead",
                                          stage="fleet",
                                          attributes={"epoch": epoch})

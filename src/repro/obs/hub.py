@@ -306,20 +306,21 @@ class Observability:
                             situation=self.situation(), detail=reason)
 
     # -- policy lifecycle --------------------------------------------------
-    def policy_load(self, policy_name: str, backend: str, n_states: int,
-                    n_rules: int, duration_ns: int,
-                    state_rule_counts: Optional[Dict[str, int]] = None
-                    ) -> None:
-        """One policy compile+activate cycle (any backend)."""
+    def policy_load(self, compiled, backend: str, duration_ns: int) -> None:
+        """One compile+activate cycle (any backend) of *compiled*, a
+        :class:`~repro.sack.policy.compiler.CompiledPolicy`."""
+        policy_name = compiled.policy.name
+        n_states = len(compiled.rulesets)
+        n_rules = compiled.total_rules()
         self.metrics.counter("sack_policy_loads_total",
                              {"backend": backend}).inc()
         self.metrics.histogram("sack_policy_load_ns",
                                {"backend": backend}).record(duration_ns)
         self.metrics.gauge("sack_policy_states").set(n_states)
         self.metrics.gauge("sack_policy_rules").set(n_rules)
-        for state, count in (state_rule_counts or {}).items():
+        for state, ruleset in compiled.rulesets.items():
             self.metrics.gauge("sack_state_rules",
-                               {"state": state}).set(count)
+                               {"state": state}).set(ruleset.rule_count)
         tp = self.tracepoints.get(SACK_POLICY_LOAD)
         if tp.callbacks:
             tp.emit(policy=policy_name, backend=backend, states=n_states,

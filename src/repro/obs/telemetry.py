@@ -28,9 +28,9 @@ TELEMETRY_SCHEMA = "sack-telemetry/v1"
 
 
 def series_key(name: str, labels: Optional[Dict[str, str]]) -> str:
-    """``name{label=value,...}`` (or bare ``name``) — the same rendered
-    series key :func:`repro.fleet.report.aggregate_counters` uses, so
-    frame series and report counters join on equal strings."""
+    """``name{label=value,...}`` (or bare ``name``) — the one rendered
+    series key, which :func:`repro.fleet.report.aggregate_counters` also
+    uses, so frame series and report counters join on equal strings."""
     if not labels:
         return name
     rendered = ",".join(f"{k}={labels[k]}" for k in sorted(labels))

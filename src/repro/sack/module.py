@@ -1,8 +1,14 @@
-"""Independent SACK: the standalone LSM with its own policy store.
+"""SACK's security modules: one activation front end, three variants.
 
-This is the first of the paper's two prototypes (§III-E-3): SACK registers
-its own hooks and answers access checks from its own (situation-indexed)
-rulesets — low check latency, no dependence on other LSMs' policies.
+The paper separates policy from enforcement (§III-D): one SSM front end
+drives either SACK's own hooks or a MAC backend's policy store.
+:class:`SackModule` is that front end — the one ``load_policy`` every
+variant shares.  :class:`SackLsm` is the first of the paper's two
+prototypes (§III-E-3): SACK registers its own hooks and answers access
+checks from its own (situation-indexed) rulesets — low check latency, no
+dependence on other LSMs' policies.  The bridges
+(:mod:`~repro.sack.apparmor_bridge`, :mod:`~repro.sack.selinux_bridge`)
+instead rewrite a backend's policy store on every transition.
 
 Tasks holding ``CAP_MAC_OVERRIDE`` bypass SACK, mirroring the threat-model
 boundary (§III-A): attackers are assumed unable to obtain it.
@@ -11,7 +17,7 @@ boundary (§III-A): attackers are assumed unable to obtain it.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 from ..kernel.credentials import Capability
 from ..kernel.syscalls import MAY_EXEC, MAY_READ, MAY_WRITE
@@ -20,15 +26,132 @@ from ..lsm.module import LsmModule
 from .ape import AdaptivePolicyEnforcer
 from .policy.compiler import CompiledPolicy, compile_policy
 from .policy.model import RuleOp, SackPolicy
-from .ssm import SituationStateMachine
-
-MODULE_NAME = "sack"
+from .ssm import SituationStateMachine, Transition
 
 
-class SackLsm(LsmModule):
+class SackModule(LsmModule):
+    """The ``sack`` LSM front end: policy, SSM and the activation path.
+
+    A variant names its :attr:`backend` and supplies :meth:`_install`,
+    the step that makes a freshly compiled policy enforce.  The default
+    install is the bridges': apply the initial state to the backend, then
+    re-apply on every transition through :meth:`_install_state`, the
+    variant's translate-and-install step.
+    """
+
+    name = "sack"
+
+    #: Label on the policy-load and bridge-apply metrics.
+    backend = ""
+    #: ``sack_policy_loaded`` audit detail (``name``, ``states``).
+    loaded_audit = ""
+    #: Audit kind of one bridge apply.
+    applied_audit = ""
+
+    def __init__(self):
+        self.policy: Optional[SackPolicy] = None
+        self.ssm: Optional[SituationStateMachine] = None
+        self.ioctl_symbols: dict = {}
+
+    @property
+    def current_state(self) -> Optional[str]:
+        return self.ssm.current_name if self.ssm is not None else None
+
+    def _on_transition_bump_avc(self, _transition) -> None:
+        self.bump_avc("transition")
+
+    # -- policy lifecycle ----------------------------------------------------
+    def load_policy(self, policy: SackPolicy,
+                    ioctl_symbols=None) -> SituationStateMachine:
+        """Compile, validate and activate *policy*; returns its SSM.
+
+        Every variant compiles: independent SACK enforces the compiled
+        rulesets, the bridges compile only to validate.  A failed install
+        leaves the previous policy, SSM and enforcement state in force
+        and re-raises.
+        """
+        started_ns = time.perf_counter_ns()
+        compiled = compile_policy(policy, ioctl_symbols=ioctl_symbols)
+        self._validate(policy)
+        ssm = policy.build_ssm()
+        previous = self.policy, self.ioctl_symbols
+        self.policy = policy
+        self.ioctl_symbols = dict(ioctl_symbols or {})
+        try:
+            self._install(compiled, ssm)
+        except Exception:
+            # The install is all-or-nothing, so restoring the policy the
+            # live state was built from leaves the old one in force.
+            self.policy, self.ioctl_symbols = previous
+            raise
+        self.ssm = ssm
+        # After the variant's own listener, so a hit-after-bump can never
+        # see the old rules: by the time the epoch moves, the swap is done.
+        ssm.add_listener(self._on_transition_bump_avc)
+        self.bump_avc("policy-load")
+        self.audit("sack_policy_loaded", self.loaded_audit.format(
+            name=policy.name, states=len(compiled.rulesets)))
+        obs = getattr(self.kernel, "obs", None)
+        if obs is not None:
+            obs.attach_ssm(ssm, provider=self)
+            obs.policy_load(compiled, self.backend,
+                            time.perf_counter_ns() - started_ns)
+        return ssm
+
+    def _validate(self, policy: SackPolicy) -> None:
+        """Reject *policy* (raise ``ValueError``) before anything changes."""
+
+    def _install(self, compiled: CompiledPolicy,
+                 ssm: SituationStateMachine) -> None:
+        self._apply_state(ssm.current_name)
+        ssm.add_listener(self._on_transition)
+
+    # -- bridge apply ----------------------------------------------------------
+    def _on_transition(self, transition: Transition) -> None:
+        self._apply_state(transition.to_state)
+
+    def _apply_state(self, state_name: str) -> None:
+        """Install *state_name*'s rules into the backend, traced as one
+        ``<backend>.reload`` span and timed into ``sack_bridge_apply_ns``.
+        """
+        obs = getattr(self.kernel, "obs", None)
+        spans = obs.spans if obs is not None else None
+        span = None
+        if spans is not None:
+            span = spans.start_span(f"{self.backend}.reload",
+                                    stage="reload",
+                                    attributes={"state": state_name})
+        started_ns = time.perf_counter_ns() if obs is not None else 0
+        try:
+            applied = self._install_state(state_name)
+        except Exception:
+            if spans is not None:
+                spans.end_span(span, status="error")
+            raise
+        if span is not None:
+            span.attributes.update(applied)
+        if spans is not None:
+            spans.end_span(span)
+        if obs is not None:
+            obs.metrics.histogram(
+                "sack_bridge_apply_ns", {"backend": self.backend}).record(
+                    time.perf_counter_ns() - started_ns,
+                    trace_id=span.trace_id if span is not None else None)
+        self.audit(self.applied_audit, " ".join(
+            [f"state={state_name}"]
+            + [f"{key}={value}" for key, value in applied.items()]))
+
+    def _install_state(self, state_name: str) -> Dict[str, object]:
+        """Translate and install *state_name*'s rules; returns the
+        counts the span and audit record carry.  Bridges only."""
+        raise NotImplementedError
+
+
+class SackLsm(SackModule):
     """The independent SACK security module."""
 
-    name = MODULE_NAME
+    backend = "independent"
+    loaded_audit = "policy {name!r}, {states} states"
 
     #: SACK decisions depend only on (comm, MAC-override bit), the path,
     #: and the current situation — and every situation change flows
@@ -36,8 +159,8 @@ class SackLsm(LsmModule):
     avc_cacheable = True
 
     def __init__(self):
+        super().__init__()
         self.ape: Optional[AdaptivePolicyEnforcer] = None
-        self.ssm: Optional[SituationStateMachine] = None
         self.denial_count = 0
 
     # -- stack-AVC participation ---------------------------------------------
@@ -114,47 +237,10 @@ class SackLsm(LsmModule):
             av |= MAY_WRITE
         return av
 
-    def _on_transition_bump_avc(self, _transition) -> None:
-        self.bump_avc("transition")
-
     # -- policy lifecycle ----------------------------------------------------
-    def load_policy(self, policy: SackPolicy,
-                    ioctl_symbols=None) -> AdaptivePolicyEnforcer:
-        """Compile and activate *policy*; returns the live enforcer."""
-        started_ns = time.perf_counter_ns()
-        compiled = compile_policy(policy, ioctl_symbols=ioctl_symbols)
-        return self.load_compiled(compiled, _started_ns=started_ns)
-
-    def load_compiled(self, compiled: CompiledPolicy,
-                      _started_ns: Optional[int] = None
-                      ) -> AdaptivePolicyEnforcer:
-        started_ns = (_started_ns if _started_ns is not None
-                      else time.perf_counter_ns())
-        ssm = compiled.policy.build_ssm()
-        self.ssm = ssm
+    def _install(self, compiled: CompiledPolicy,
+                 ssm: SituationStateMachine) -> None:
         self.ape = AdaptivePolicyEnforcer(compiled, ssm)
-        # After the APE's own listener, so a hit-after-bump can never see
-        # the old ruleset: by the time the epoch moves, the remap is done.
-        ssm.add_listener(self._on_transition_bump_avc)
-        self.bump_avc("policy-load")
-        self.audit("sack_policy_loaded",
-                   f"policy {compiled.policy.name!r}, "
-                   f"{len(compiled.rulesets)} states")
-        obs = getattr(self.kernel, "obs", None)
-        if obs is not None:
-            obs.attach_ssm(ssm, provider=self)
-            obs.policy_load(
-                compiled.policy.name, "independent",
-                len(compiled.rulesets), compiled.total_rules(),
-                time.perf_counter_ns() - started_ns,
-                state_rule_counts={name: rs.rule_count
-                                   for name, rs in
-                                   compiled.rulesets.items()})
-        return self.ape
-
-    @property
-    def current_state(self) -> Optional[str]:
-        return self.ssm.current_name if self.ssm is not None else None
 
     # -- the common check path --------------------------------------------------
     def _check(self, task, op: RuleOp, path: str,

@@ -55,10 +55,8 @@ class SackFs:
     def __init__(self, kernel, module, securityfs: Optional[SecurityFs] = None,
                  authorized_event_uids: Optional[Set[int]] = None,
                  ioctl_symbols=None, fault_plan=None):
-        """*module* is an independent :class:`~repro.sack.module.SackLsm`
-        or a :class:`~repro.sack.apparmor_bridge.SackAppArmorBridge` —
-        anything with ``ssm``, ``current_state`` and ``load_policy``.
-        """
+        """*module* is any :class:`~repro.sack.module.SackModule`:
+        independent SACK or either MAC bridge."""
         self.kernel = kernel
         self.module = module
         self.securityfs = securityfs or SecurityFs(kernel)
@@ -229,18 +227,10 @@ class SackFs:
         return len(data)
 
     def _read_policy(self, task) -> bytes:
-        policy = self._policy()
+        policy = self.module.policy
         if policy is None:
             return b"no policy loaded\n"
         return policy.summary().encode()
-
-    def _policy(self):
-        # Independent SACK keeps the policy on the APE; the bridge keeps
-        # it directly.
-        ape = getattr(self.module, "ape", None)
-        if ape is not None:
-            return ape.compiled.policy
-        return getattr(self.module, "policy", None)
 
     # -- read-only views ----------------------------------------------------------
     def _read_current(self, task) -> bytes:
@@ -250,7 +240,7 @@ class SackFs:
         return f"{ssm.current.name} {ssm.current.encoding}\n".encode()
 
     def _read_states(self, task) -> bytes:
-        policy = self._policy()
+        policy = self.module.policy
         if policy is None:
             return b""
         lines = [f"{s.name} {s.encoding}"
@@ -258,7 +248,7 @@ class SackFs:
         return ("\n".join(lines) + "\n").encode()
 
     def _read_state_per(self, task) -> bytes:
-        policy = self._policy()
+        policy = self.module.policy
         if policy is None:
             return b""
         lines = [f"{state}: {', '.join(sorted(perms))}"
@@ -266,7 +256,7 @@ class SackFs:
         return ("\n".join(lines) + "\n").encode()
 
     def _read_per_rules(self, task) -> bytes:
-        policy = self._policy()
+        policy = self.module.policy
         if policy is None:
             return b""
         lines = []

@@ -24,17 +24,12 @@ Translation notes (fidelity):
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Mapping, Optional
 
-from ..lsm.module import LsmModule
 from ..selinux.module import SelinuxLsm
 from ..selinux.policy import AvRule
-from .policy.compiler import compile_policy
+from .module import SackModule
 from .policy.model import MacRule, RuleDecision, RuleOp, SackPolicy
-from .ssm import SituationStateMachine, Transition
-
-MODULE_NAME = "sack"
 
 #: Provenance tag on every AV rule the bridge injects.
 SACK_ORIGIN = "sack"
@@ -64,27 +59,24 @@ def _probe_path(glob: str) -> str:
     return probe.rstrip("/") or "/"
 
 
-class SackSelinuxBridge(LsmModule):
+class SackSelinuxBridge(SackModule):
     """SACK as a policy administrator for SELinux."""
 
-    name = MODULE_NAME
+    backend = "selinux"
+    loaded_audit = "bridge policy {name!r} -> SELinux"
+    applied_audit = "sack_av_table_updated"
 
     def __init__(self, selinux: SelinuxLsm,
                  subject_domains: Optional[Mapping[str, str]] = None):
         """*subject_domains* maps SACK subject names (task comms) to the
         SELinux domains that confine them."""
+        super().__init__()
         self.selinux = selinux
         self.subject_domains: Dict[str, str] = dict(subject_domains or {})
-        self.policy: Optional[SackPolicy] = None
-        self.ssm: Optional[SituationStateMachine] = None
         self.update_count = 0
         self.rules_injected = 0
 
-    # -- policy lifecycle -------------------------------------------------------
-    def load_policy(self, policy: SackPolicy, ioctl_symbols=None
-                    ) -> SituationStateMachine:
-        started_ns = time.perf_counter_ns()
-        compiled = compile_policy(policy, ioctl_symbols=ioctl_symbols)
+    def _validate(self, policy: SackPolicy) -> None:
         for rules in policy.per_rules.values():
             for rule in rules:
                 if rule.decision is RuleDecision.DENY:
@@ -94,27 +86,6 @@ class SackSelinuxBridge(LsmModule):
                 # Validate the subject->domain mapping for every rule up
                 # front, not lazily at the first transition that needs it.
                 self._domains_for(rule)
-        self.policy = policy
-        self.ssm = policy.build_ssm()
-        self.ssm.add_listener(self._on_transition)
-        self._apply_state(policy.initial)
-        self.audit("sack_policy_loaded",
-                   f"bridge policy {policy.name!r} -> SELinux")
-        obs = getattr(self.kernel, "obs", None)
-        if obs is not None:
-            obs.attach_ssm(self.ssm, provider=self)
-            obs.policy_load(
-                policy.name, "selinux",
-                len(compiled.rulesets), compiled.total_rules(),
-                time.perf_counter_ns() - started_ns,
-                state_rule_counts={name: rs.rule_count
-                                   for name, rs in
-                                   compiled.rulesets.items()})
-        return self.ssm
-
-    @property
-    def current_state(self) -> Optional[str]:
-        return self.ssm.current_name if self.ssm is not None else None
 
     # -- translation -------------------------------------------------------------
     def _domains_for(self, rule: MacRule) -> List[str]:
@@ -144,12 +115,7 @@ class SackSelinuxBridge(LsmModule):
                 for tclass in ("file", "chr_file")]
 
     # -- transition handling ------------------------------------------------------
-    def _on_transition(self, transition: Transition) -> None:
-        self._apply_state(transition.to_state)
-
-    def _apply_state(self, state_name: str) -> None:
-        obs = getattr(self.kernel, "obs", None)
-        started_ns = time.perf_counter_ns() if obs is not None else 0
+    def _install_state(self, state_name: str) -> Dict[str, int]:
         te_policy = self.selinux.policy
         te_policy.remove_rules_by_origin(SACK_ORIGIN)
         injected = 0
@@ -159,13 +125,7 @@ class SackSelinuxBridge(LsmModule):
                 injected += 1
         self.update_count += 1
         self.rules_injected = injected
-        if obs is not None:
-            obs.metrics.histogram(
-                "sack_bridge_apply_ns", {"backend": "selinux"}).record(
-                    time.perf_counter_ns() - started_ns)
-        self.audit("sack_av_table_updated",
-                   f"state={state_name} av_rules={injected} "
-                   f"revision={te_policy.revision}")
+        return {"av_rules": injected, "revision": te_policy.revision}
 
     def stats(self) -> dict:
         return {
