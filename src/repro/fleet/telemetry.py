@@ -44,7 +44,7 @@ import hashlib
 import json
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import (TelemetryFrame, histogram_percentile,
@@ -261,43 +261,45 @@ class TelemetryAggregator:
         return (len(self._counter_last) + len(self._gauge_last)
                 + len(self._hist_last))
 
-    def _admit(self, vid: str, key: str, store: Dict) -> bool:
-        if (vid, key) in store:
-            return True
+    def _admit(self, vid: str, key: str) -> bool:
+        """Charge one new ``(vid, key)`` series against the budget."""
+        name, _ = split_series_key(key)
         if self.series_tracked >= self.max_series:
-            name, _ = split_series_key(key)
             self.series_dropped[name] = \
                 self.series_dropped.get(name, 0) + 1
             return False
-        self._by_name.setdefault(split_series_key(key)[0],
-                                 []).append((vid, key))
+        self._by_name.setdefault(name, []).append((vid, key))
         return True
 
     def ingest(self, frame: TelemetryFrame) -> None:
         """Fold one frame in.  Callers must ingest frames of one epoch
         in sorted vehicle order — that, plus sorted series iteration,
-        is what makes budget drops and rollups order-deterministic."""
+        is what makes budget drops and rollups order-deterministic.
+        Only a series not yet tracked is charged against the budget."""
         self.frames_total += 1
         self.last_epoch = max(self.last_epoch, frame.epoch)
-        vid = frame.vehicle_id
-        self.last_seen[vid] = frame.epoch
-        for key in sorted(frame.counters):
-            value = frame.counters[key]
-            if not self._admit(vid, key, self._counter_last):
-                continue
-            prev = self._counter_last.get((vid, key), 0.0)
-            self._counter_last[(vid, key)] = value
-            hist = self._counter_hist.get((vid, key))
+        vid, epoch = frame.vehicle_id, frame.epoch
+        self.last_seen[vid] = epoch
+        counter_last, counter_hist = self._counter_last, self._counter_hist
+        counters = frame.counters
+        for key in sorted(counters):
+            series = (vid, key)
+            hist = counter_hist.get(series)
             if hist is None:
-                hist = self._counter_hist[(vid, key)] = deque(
-                    maxlen=self.long_window)
-            hist.append((frame.epoch, max(0.0, value - prev)))
-        for key in sorted(frame.gauges):
-            if self._admit(vid, key, self._gauge_last):
-                self._gauge_last[(vid, key)] = frame.gauges[key]
-        for key in sorted(frame.histograms):
-            if self._admit(vid, key, self._hist_last):
-                self._hist_last[(vid, key)] = frame.histograms[key]
+                if not self._admit(vid, key):
+                    continue
+                hist = counter_hist[series] = deque(maxlen=self.long_window)
+                prev = 0.0
+            else:
+                prev = counter_last[series]
+            value = counter_last[series] = counters[key]
+            hist.append((epoch, value - prev if value > prev else 0.0))
+        for store, values in ((self._gauge_last, frame.gauges),
+                              (self._hist_last, frame.histograms)):
+            for key in sorted(values):
+                series = (vid, key)
+                if series in store or self._admit(vid, key):
+                    store[series] = values[key]
 
     # -- window measurement ------------------------------------------------
     def _window_seconds(self, window_epochs: int) -> float:
@@ -489,12 +491,10 @@ class SloEngine:
         #: Objective name (+vehicle) -> consecutive alerted epochs.
         self.burning: Dict[str, int] = {}
 
-    def _measure(self, slo: SloSpec, epoch: int, window: int,
-                 vehicle: Optional[str] = None) -> Optional[float]:
+    def _measure(self, slo: SloSpec, epoch: int,
+                 window: int) -> Optional[float]:
+        """One window's fleet-scope measurement (None = no data)."""
         if slo.kind == "rate":
-            if vehicle is not None:
-                return self.agg.per_vehicle_rates(
-                    slo.series, epoch, window).get(vehicle, 0.0)
             return self.agg.fleet_rate(slo.series, epoch, window)
         if slo.kind == "gauge":
             return self.agg.gauge_total(slo.series)
@@ -517,10 +517,34 @@ class SloEngine:
             return BURN_CLAMP if slo.threshold > 0 else 0.0
         return min(BURN_CLAMP, slo.threshold / measured)
 
+    def _scoped(self, slo: SloSpec, epoch: int,
+                vehicle_ids: Tuple[str, ...]
+                ) -> Iterator[Tuple[Optional[str], Optional[float],
+                                    Optional[float]]]:
+        """``(vehicle, short, long)`` per scope of *slo*: the fleet, or
+        each vehicle in sorted order.  Each window is measured once for
+        all of a spec's scopes; a per-vehicle rate reads every vehicle's
+        rate from one :meth:`TelemetryAggregator.per_vehicle_rates`."""
+        scopes = sorted(vehicle_ids) if slo.per_vehicle else [None]
+        if not scopes:
+            return
+        agg = self.agg
+        if slo.per_vehicle and slo.kind == "rate":
+            short = agg.per_vehicle_rates(slo.series, epoch,
+                                          agg.short_window)
+            long_ = agg.per_vehicle_rates(slo.series, epoch,
+                                          agg.long_window)
+            for vid in scopes:
+                yield vid, short.get(vid, 0.0), long_.get(vid, 0.0)
+            return
+        short = self._measure(slo, epoch, agg.short_window)
+        long_ = self._measure(slo, epoch, agg.long_window)
+        for vid in scopes:
+            yield vid, short, long_
+
     def _evaluate_one(self, slo: SloSpec, epoch: int,
-                      vehicle: Optional[str]) -> Optional[SloAlert]:
-        short = self._measure(slo, epoch, self.agg.short_window, vehicle)
-        long_ = self._measure(slo, epoch, self.agg.long_window, vehicle)
+                      vehicle: Optional[str], short: Optional[float],
+                      long_: Optional[float]) -> Optional[SloAlert]:
         scope = vehicle or ""
         key = f"{slo.name}:{scope}" if scope else slo.name
         if short is None or long_ is None:
@@ -551,13 +575,8 @@ class SloEngine:
             return []
         fired: List[SloAlert] = []
         for slo in self.slos:
-            if slo.per_vehicle:
-                for vid in sorted(vehicle_ids):
-                    alert = self._evaluate_one(slo, epoch, vid)
-                    if alert is not None:
-                        fired.append(alert)
-            else:
-                alert = self._evaluate_one(slo, epoch, None)
+            for vid, short, long_ in self._scoped(slo, epoch, vehicle_ids):
+                alert = self._evaluate_one(slo, epoch, vid, short, long_)
                 if alert is not None:
                     fired.append(alert)
         self.alerts_total += len(fired)
@@ -572,13 +591,8 @@ class SloEngine:
         specs) — what ``sackctl fleet top`` renders."""
         rows: List[Dict[str, object]] = []
         for slo in self.slos:
-            scopes = sorted(vehicle_ids) if slo.per_vehicle else [None]
             worst: Optional[Dict[str, object]] = None
-            for vid in scopes:
-                short = self._measure(slo, epoch,
-                                      self.agg.short_window, vid)
-                long_ = self._measure(slo, epoch,
-                                      self.agg.long_window, vid)
+            for vid, short, long_ in self._scoped(slo, epoch, vehicle_ids):
                 if short is None or long_ is None:
                     continue
                 burn_short = self.burn_rate(slo, short)

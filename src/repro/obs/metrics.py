@@ -18,10 +18,10 @@ honest:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -29,7 +29,20 @@ LabelPairs = Tuple[Tuple[str, str], ...]
 def _label_key(labels: Optional[Dict[str, str]]) -> LabelPairs:
     if not labels:
         return ()
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    if len(labels) == 1:
+        [(k, v)] = labels.items()
+        return ((str(k), str(v)),)
+    return tuple(sorted([(str(k), str(v)) for k, v in labels.items()]))
+
+
+def series_key(name: str, labels: Optional[Dict[str, str]]) -> str:
+    """``name{label=value,...}`` (or bare ``name``) — the one rendered
+    series key, which :func:`repro.fleet.report.aggregate_counters` also
+    uses, so frame series and report counters join on equal strings."""
+    if not labels:
+        return name
+    rendered = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
+    return f"{name}{{{rendered}}}"
 
 
 def _escape_label_value(value: str) -> str:
@@ -163,8 +176,7 @@ class Histogram:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One exported series value (collectors return these)."""
 
     name: str
@@ -180,7 +192,8 @@ Collector = Callable[[], Iterable[Sample]]
 def sample(name: str, labels: Optional[Dict[str, str]], kind: str,
            value: float) -> Sample:
     """Convenience constructor used by collector callbacks."""
-    return Sample(name, _label_key(labels), kind, float(value))
+    return Sample(name, _label_key(labels) if labels else (), kind,
+                  float(value))
 
 
 #: Default ceiling on distinct label-sets per metric name.  A runaway
@@ -213,6 +226,10 @@ class MetricsRegistry:
         self._series_count: Dict[str, int] = {}
         #: Drops per metric name (exported as metrics_series_dropped).
         self._series_dropped: Dict[str, int] = {}
+        #: (name, labels) -> rendered series key, for instruments and
+        #: collector samples alike (see :meth:`series`); as large as the
+        #: set of series the registry exports.
+        self._series_keys: Dict[Tuple[str, LabelPairs], str] = {}
 
     def _admit(self, name: str) -> bool:
         """Charge one new series against *name*'s budget."""
@@ -293,8 +310,49 @@ class MetricsRegistry:
                               float(self._series_dropped[name])))
         return out
 
+    def series(self) -> Tuple[Dict[str, float], Dict[str, float],
+                              Dict[str, Dict[str, object]]]:
+        """``(counters, gauges, histograms)`` keyed by rendered series key.
+
+        The telemetry frame's reader: it folds the same series
+        :meth:`to_dict` exports, without building rows, sorting or
+        computing percentiles.  A collector counter on a registry
+        counter's key adds to it; a collector gauge on a registry gauge's
+        key replaces it.  Histogram entries carry
+        ``count/sum/min/max/bounds/buckets`` with lists copied, so they
+        never alias the live instrument.
+        """
+        keys = self._series_keys
+        counters: Dict[str, float] = {}
+        for series, instrument in self._counters.items():
+            key = keys.get(series) or self._render(series)
+            counters[key] = counters.get(key, 0.0) + float(instrument.value)
+        gauges: Dict[str, float] = {}
+        for series, instrument in self._gauges.items():
+            gauges[keys.get(series) or self._render(series)] = \
+                float(instrument.value)
+        for name, labels, kind, value in self._collected():
+            series = (name, labels)
+            key = keys.get(series) or self._render(series)
+            if kind == "counter":
+                counters[key] = counters.get(key, 0.0) + float(value)
+            else:
+                gauges[key] = float(value)
+        histograms: Dict[str, Dict[str, object]] = {}
+        for series, h in self._histograms.items():
+            histograms[keys.get(series) or self._render(series)] = {
+                "count": h.count, "sum": float(h.total),
+                "min": float(h.min or 0.0), "max": float(h.max or 0.0),
+                "bounds": list(h.bounds), "buckets": list(h.bucket_counts)}
+        return counters, gauges, histograms
+
+    def _render(self, series: Tuple[str, LabelPairs]) -> str:
+        name, labels = series
+        key = self._series_keys[series] = series_key(name, dict(labels))
+        return key
+
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot of every series."""
+        """JSON-ready snapshot of every series (the JSON export)."""
         counters = []
         for (name, labels), c in sorted(self._counters.items()):
             counters.append({"name": name, "labels": dict(labels),

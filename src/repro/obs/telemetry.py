@@ -21,20 +21,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from .metrics import bucket_percentile
+from .metrics import bucket_percentile, series_key
 
 #: Frame schema identifier; bump on incompatible layout changes.
 TELEMETRY_SCHEMA = "sack-telemetry/v1"
-
-
-def series_key(name: str, labels: Optional[Dict[str, str]]) -> str:
-    """``name{label=value,...}`` (or bare ``name``) — the one rendered
-    series key, which :func:`repro.fleet.report.aggregate_counters` also
-    uses, so frame series and report counters join on equal strings."""
-    if not labels:
-        return name
-    rendered = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return f"{name}{{{rendered}}}"
 
 
 def split_series_key(key: str) -> Tuple[str, Dict[str, str]]:
@@ -89,30 +79,13 @@ def snapshot_frame(obs, vehicle_id: str, epoch: int,
                    at_ns: int) -> TelemetryFrame:
     """Capture one kernel's :class:`Observability` into a frame.
 
-    Reads ``obs.metrics.to_dict()`` — the registry's collectors run, so
-    AVC stats, ring drop counters, SSM/SACKfs stats are all included
-    without duplicating any state.
+    Reads the registry directly through
+    :meth:`~repro.obs.metrics.MetricsRegistry.series` — the collectors
+    run, so AVC stats, ring drop counters, SSM/SACKfs stats are all
+    included without duplicating any state; ``to_dict`` stays the JSON
+    export.
     """
-    doc = obs.metrics.to_dict()
-    counters: Dict[str, float] = {}
-    for row in doc.get("counters", []):
-        key = series_key(row["name"], row.get("labels") or {})
-        counters[key] = counters.get(key, 0.0) + float(row["value"])
-    gauges: Dict[str, float] = {}
-    for row in doc.get("gauges", []):
-        gauges[series_key(row["name"], row.get("labels") or {})] = \
-            float(row["value"])
-    histograms: Dict[str, Dict[str, object]] = {}
-    for row in doc.get("histograms", []):
-        key = series_key(row["name"], row.get("labels") or {})
-        histograms[key] = {
-            "count": int(row["count"]),
-            "sum": float(row.get("sum", 0.0)),
-            "min": float(row.get("min", 0.0)),
-            "max": float(row.get("max", 0.0)),
-            "bounds": list(row.get("bounds", [])),
-            "buckets": list(row.get("buckets", [])),
-        }
+    counters, gauges, histograms = obs.metrics.series()
     return TelemetryFrame(schema=TELEMETRY_SCHEMA,
                           vehicle_id=vehicle_id, epoch=epoch,
                           at_ns=at_ns, counters=counters,

@@ -113,6 +113,41 @@ class TestAggregatorBudget:
         assert results[0] == results[1] == [("veh000", "c{i=0}")]
 
 
+class TestIngestOrder:
+    """A repeat frame updates known series and admits new ones in sorted
+    key order, whatever the frame's dict insertion order."""
+
+    SECOND = {"c{i=1}": 10, "c{i=3}": 0, "c{i=0}": 2, "c{i=2}": 7,
+              "c{i=4}": 3, "d": 5}
+
+    def _ingest(self, keys):
+        a = agg(max_series=5)
+        a.ingest(frame("veh000", 0, {"c{i=1}": 4, "c{i=3}": 1}, {"g": 1}))
+        a.ingest(frame("veh000", 1, {k: self.SECOND[k] for k in keys},
+                       {"h": 2, "g": 3}))
+        return a
+
+    def test_reverse_insertion_matches_sorted(self):
+        ordered = self._ingest(sorted(self.SECOND))
+        reverse = self._ingest(list(reversed(list(self.SECOND))))
+        for a in (ordered, reverse):
+            assert list(a._by_name.items()) == [
+                ("c", [("veh000", "c{i=1}"), ("veh000", "c{i=3}"),
+                       ("veh000", "c{i=0}"), ("veh000", "c{i=2}")]),
+                ("g", [("veh000", "g")])]
+            assert a.series_dropped == {"c": 1, "d": 1, "h": 1}
+            assert a.window_deltas("c", 1, 1) == {"veh000": 15.0}
+            assert a._gauge_last == {("veh000", "g"): 3}
+        for window in (1, 2):
+            assert reverse.window_deltas("c", 1, window) == \
+                ordered.window_deltas("c", 1, window)
+
+    def test_counter_going_down_gives_zero_delta(self):
+        a = self._ingest(list(self.SECOND))
+        assert a.window_deltas("c{i=3}", 1, 1) == {"veh000": 0.0}
+        assert a._counter_last[("veh000", "c{i=3}")] == 0
+
+
 class TestRollups:
     def _soak(self, a):
         for epoch in range(4):
@@ -252,6 +287,28 @@ class TestSloEngine:
         alerts = engine.evaluate(5, ("veh000", "veh001"))
         assert [alert.vehicle_id for alert in alerts] == ["veh001"]
         assert "x:veh001" in engine.burning
+
+    def test_per_vehicle_rates_measured_once_per_window(self):
+        slo = SloSpec("x", "rate", "max", 5.0, series="c",
+                      per_vehicle=True)
+        engine, a = self._engine([slo])
+        vids = tuple(f"veh{i:03d}" for i in range(8))
+        for i, vid in enumerate(vids):
+            self._feed(a, 6, 10 * i, vid=vid)
+        calls = []
+        measure = a.per_vehicle_rates
+        a.per_vehicle_rates = lambda *args: calls.append(args) or \
+            measure(*args)
+        alerts = engine.evaluate(5, vids)
+        rows = engine.status_rows(5, vids)
+        assert calls == [("c", 5, 2), ("c", 5, 4)] * 2
+        short = measure("c", 5, 2)
+        assert [alert.vehicle_id for alert in alerts] == \
+            [vid for vid in vids if short[vid] > 5.0]
+        worst = max(vids, key=lambda vid: short[vid])
+        assert rows[0]["scope"] == worst
+        assert rows[0]["measured_short"] == round(short[worst], 4)
+        assert rows[0]["state"] == "ALERT"
 
     def test_recovery_clears_burning(self):
         slo = SloSpec("x", "rate", "max", 5.0, series="c")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import (Observability, TELEMETRY_SCHEMA,
+from repro.obs import (Observability, TELEMETRY_SCHEMA, sample,
                        histogram_percentile, merge_histograms,
                        series_key, snapshot_frame, split_series_key)
 
@@ -58,6 +58,86 @@ class TestSnapshotFrame:
         a = snapshot_frame(self._obs(), "veh000", 1, 10).deterministic_dict()
         b = snapshot_frame(self._obs(), "veh000", 1, 10).deterministic_dict()
         assert a == b
+
+
+
+def _frame_from_export(obs, vehicle_id, epoch, at_ns):
+    """A frame built the long way, from the JSON export: counters on one
+    rendered key are summed, a later gauge on one key wins, histograms
+    keep only their bucket summary."""
+    doc = obs.metrics.to_dict()
+    counters, gauges, histograms = {}, {}, {}
+    for row in doc["counters"]:
+        key = series_key(row["name"], row["labels"])
+        counters[key] = counters.get(key, 0.0) + float(row["value"])
+    for row in doc["gauges"]:
+        gauges[series_key(row["name"], row["labels"])] = float(row["value"])
+    for row in doc["histograms"]:
+        histograms[series_key(row["name"], row["labels"])] = {
+            "count": int(row["count"]), "sum": float(row["sum"]),
+            "min": float(row["min"]), "max": float(row["max"]),
+            "bounds": list(row["bounds"]), "buckets": list(row["buckets"])}
+    return {"schema": TELEMETRY_SCHEMA, "vehicle_id": vehicle_id,
+            "epoch": epoch, "at_ns": at_ns, "counters": counters,
+            "gauges": gauges, "histograms": histograms}
+
+
+class TestFrameMatchesExport:
+    """A frame carries exactly what the registry's JSON export says."""
+
+    def _obs(self):
+        obs = Observability()
+        metrics = obs.metrics
+        metrics.max_series_per_metric = 2
+        metrics.counter("events_total", {"kind": "speed"}).inc(4)
+        metrics.counter("events_total", {"kind": "gps"}).inc(2)
+        metrics.counter("events_total", {"kind": "lidar"}).inc(9)  # dropped
+        metrics.counter("boots_total").inc(3)
+        metrics.counter("shared_total", {"src": "a"}).inc(5)
+        metrics.gauge("queue_depth").set(7)
+        metrics.gauge("shared_level").set(1.5)
+        metrics.histogram("idle_ns", bounds=(10, 100))
+        busy = metrics.histogram("busy_ns", {"cpu": "0"}, bounds=(10, 100))
+        for value in (5, 42, 42, 500):
+            busy.record(value)
+        metrics.register_collector(lambda: [
+            sample("shared_total", {"src": "a"}, "counter", 6),
+            sample("shared_level", None, "gauge", 8.25),
+            sample("collected_total", {"z": "1", "a": "2"}, "counter", 1),
+        ])
+        return obs
+
+    def test_frame_equals_export_rules(self):
+        obs = self._obs()
+        frame = snapshot_frame(obs, "veh007", 3, 42_000)
+        assert frame.to_dict() == _frame_from_export(obs, "veh007", 3,
+                                                     42_000)
+
+    def test_fold_rules(self):
+        frame = snapshot_frame(self._obs(), "veh000", 0, 0)
+        assert frame.counters["shared_total{src=a}"] == 11.0
+        assert frame.gauges["shared_level"] == 8.25
+        assert frame.counters["boots_total"] == 3.0
+        assert frame.counters["collected_total{a=2,z=1}"] == 1.0
+        assert frame.counters["metrics_series_dropped{metric=events_total}"] \
+            == 1.0
+        assert "events_total{kind=lidar}" not in frame.counters
+        assert frame.histograms["idle_ns"] == {
+            "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
+            "bounds": [10, 100], "buckets": [0, 0, 0]}
+        assert set(frame.histograms["busy_ns{cpu=0}"]) == {
+            "count", "sum", "min", "max", "bounds", "buckets"}
+
+    def test_frame_does_not_share_live_lists(self):
+        obs = self._obs()
+        frame = snapshot_frame(obs, "veh000", 0, 0)
+        busy = frame.histograms["busy_ns{cpu=0}"]
+        before = (busy["count"], list(busy["buckets"]), list(busy["bounds"]))
+        obs.metrics.histogram("busy_ns", {"cpu": "0"},
+                              bounds=(10, 100)).record(50)
+        assert (busy["count"], busy["buckets"], busy["bounds"]) == before
+        again = snapshot_frame(obs, "veh000", 0, 0)
+        assert again.histograms["busy_ns{cpu=0}"]["count"] == 5
 
 
 class TestMergeHistograms:
