@@ -70,22 +70,6 @@ class AppArmorLsm(LsmModule):
             return None
         return (profile.name,)
 
-    def compute_av(self, task, path: str) -> int:
-        """Full file access vector for (*task*, *path*) under the
-        current profile set (enforce mode only; the subject-key veto
-        keeps complain-mode dispatches out of the cache)."""
-        profile = self.profile_of(task)
-        if profile is None:
-            return MAY_READ | MAY_WRITE | MAY_EXEC
-        av = 0
-        if profile.allows_file(path, FilePerm.READ):
-            av |= MAY_READ
-        if profile.allows_file(path, FilePerm.WRITE):
-            av |= MAY_WRITE
-        if profile.allows_file(path, FilePerm.EXEC):
-            av |= MAY_EXEC
-        return av
-
     # -- confinement helpers ------------------------------------------------
     def profile_of(self, task) -> Optional[Profile]:
         """The live profile confining *task* (None = unconfined)."""

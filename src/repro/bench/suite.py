@@ -536,10 +536,18 @@ def _run_fleet_cell(params: Dict[str, object]
 
 def _run_chaos_cell(params: Dict[str, object]
                     ) -> Tuple[Dict[str, float], Dict[str, object]]:
+    """Seeded fault-injection run.  A cell whose SSM never commits a
+    transition checks the invariants over a situation that never
+    changes, so it fails rather than pass vacuously."""
     from ..faults.chaos import run_chaos
     report = run_chaos(int(params["seed"]), ticks=int(params["ticks"]),
                        mode=str(params["mode"]),
                        intensity=float(params["fault_intensity"]))
+    if not report.transitions:
+        raise RuntimeError(
+            f"chaos cell (seed {params['seed']}, {params['ticks']} ticks, "
+            f"mode {params['mode']}) committed no SSM transition; "
+            f"raise its ticks")
     faults_fired = sum(row.get("injected", 0)
                        for row in report.fault_report.values())
     metrics: Dict[str, float] = {

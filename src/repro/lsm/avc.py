@@ -267,9 +267,8 @@ KEY_EXTRACTORS = {
     Hook.SOCKET_RECVMSG: _k_sock,
 }
 
-#: Hooks whose vectors hold MAY_* bits and can be pre-filled by the
-#: modules' ``compute_av()`` on a miss (one policy walk proves the whole
-#: read/write/exec vector, so later accesses with other masks still hit).
+#: Hooks whose vectors hold MAY_* bits: the only hooks the decision
+#: table precompiles (from each module's ``compute_av_for_subject()``).
 VECTOR_HOOKS = frozenset({Hook.FILE_OPEN, Hook.FILE_PERMISSION})
 
 

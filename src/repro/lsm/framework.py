@@ -118,9 +118,8 @@ class LsmFramework(SecurityHooks):
 
         A hook is cacheable only when every module on its call list opted
         in (``avc_cacheable``) — one opaque module poisons the hook, not
-        the stack.  The plan is ``(extractor, subject_key_fns,
-        compute_av_fns)``; the last is None unless every module offers a
-        ``compute_av`` to pre-fill the whole vector on a miss.
+        the stack.  The plan is ``(extractor, subject_key_fns)``.  A fill
+        after an allowed walk records only the mask that walk proved.
         """
         extractor = KEY_EXTRACTORS.get(hook)
         entries = self._hook_lists[hook]
@@ -129,13 +128,7 @@ class LsmFramework(SecurityHooks):
         modules = [self.module_named(name) for name, _method in entries]
         if not all(getattr(m, "avc_cacheable", False) for m in modules):
             return None
-        subject_fns = tuple(m.avc_subject_key for m in modules)
-        compute_fns = None
-        if hook in VECTOR_HOOKS:
-            fns = tuple(getattr(m, "compute_av", None) for m in modules)
-            if all(fns):
-                compute_fns = fns
-        return extractor, subject_fns, compute_fns
+        return extractor, tuple(m.avc_subject_key for m in modules)
 
     def _build_dtable_plan(self, hook: Hook) -> Optional[tuple]:
         """The module tuple whose decisions *hook* can precompile, or None.
@@ -405,7 +398,7 @@ class LsmFramework(SecurityHooks):
             # Self-heal: first use after enable, or a bump that bypassed
             # the wrapper (direct core access).
             self.rebuild_dtable()
-        extractor, subject_fns, compute_fns = plan
+        extractor, subject_fns = plan
         object_mask = extractor(args)
         if object_mask is None:
             return self._walk(hook, args)
@@ -424,13 +417,7 @@ class LsmFramework(SecurityHooks):
             key = None  # unhashable key part: don't cache
         rc = self._walk(hook, args, cached)
         if rc == 0 and cached is None and key is not None and avc.enabled:
-            if compute_fns is not None:
-                vector = AV_ALL
-                for fn in compute_fns:
-                    vector &= fn(task, obj)
-                avc.core.extend_vector(key, vector | mask)
-            else:
-                avc.core.extend_vector(key, mask)
+            avc.core.extend_vector(key, mask)
         return rc
 
     def _walk(self, hook: Hook, args, cached: Optional[str] = None,

@@ -168,22 +168,6 @@ class SackLsm(SackModule):
         return (task.comm,
                 task.cred.has_cap(Capability.CAP_MAC_OVERRIDE))
 
-    def compute_av(self, task, path: str) -> int:
-        """The full file access vector for (*task*, *path*) right now.
-
-        MAY_EXEC is always granted here because neither file hook checks
-        exec (``bprm_check_security`` is its own, separately keyed hook).
-        """
-        if (self.ape is None
-                or task.cred.has_cap(Capability.CAP_MAC_OVERRIDE)):
-            return MAY_READ | MAY_WRITE | MAY_EXEC
-        av = MAY_EXEC
-        if self.ape.check(RuleOp.READ, path, task.comm):
-            av |= MAY_READ
-        if self.ape.check(RuleOp.WRITE, path, task.comm):
-            av |= MAY_WRITE
-        return av
-
     # -- decision-table participation ------------------------------------------
     def table_subject_keys(self):
         """Every live task's subject key, for table precompilation.
@@ -219,7 +203,13 @@ class SackLsm(SackModule):
         return sorted(paths)
 
     def compute_av_for_subject(self, subject, path: str) -> int:
-        """Pure variant of :meth:`compute_av` keyed by subject tuple.
+        """The full file access vector for *subject* (an
+        :meth:`avc_subject_key` tuple) on *path* in the current state.
+
+        The decision table's precompilation and the verifier's P4 use
+        it; the AVC never does (its fills hold only the mask a walk
+        proved).  MAY_EXEC is always granted because neither file hook
+        checks exec (``bprm_check_security`` is its own hook).
 
         Consults the current compiled ruleset directly — NOT
         ``ape.check`` — so precompiling the table moves no enforcement

@@ -587,9 +587,10 @@ STATIC_PROPERTIES: Tuple[StaticProperty, ...] = (
         "edge.", runtime_ids=("I6",), check=_p3_failsafe_reachable),
     StaticProperty(
         "P4:cache-coherence", "Cache fills match uncached dispatch",
-        "AVC fills and decision-table precompilation (compute_av for "
-        "every modeled (state, subject, object, mask)) agree with "
-        "uncached module dispatch through the compiled ruleset.",
+        "Decision-table precompilation (compute_av_for_subject for "
+        "every modeled (state, subject, object, mask)) agrees with "
+        "uncached module dispatch through the compiled ruleset; AVC "
+        "fills hold only the mask an allowed walk proved.",
         runtime_ids=("I7", "I11"), check=_p4_cache_coherence),
     StaticProperty(
         "P5:bridge-equivalence", "Bridge equivalent to independent SACK",

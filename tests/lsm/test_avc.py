@@ -211,18 +211,35 @@ class TestFrameworkAvc:
         sack.load_policy(parse_policy(POLICY))
         assert framework.avc.core.epoch > epoch
 
-    def test_compute_av_fills_whole_vector(self, world):
+    @pytest.mark.parametrize("write_allowed", [False, True])
+    def test_fill_proves_only_the_requested_mask(self, world,
+                                                 write_allowed):
         kernel, framework, sack = world
         rescue = make_task(kernel, "rescue_daemon")
-        sack.ssm.process_event(SituationEvent(name="crash_detected"))
-        # A read-only open walks the modules once; compute_av() proves
-        # the write bit in the same fill...
+        if write_allowed:
+            sack.ssm.process_event(SituationEvent(name="crash_detected"))
         fd = kernel.sys_open(rescue, "/dev/car/door", OpenFlags.O_RDONLY)
         kernel.sys_close(rescue, fd)
-        # ...so a write-side open hits without another policy walk.
+        # The read-only fill proved MAY_READ only, so a write-side open
+        # is a partial miss: the modules are walked again.
         checks_before = sack.ape.check_count
-        kernel.sys_open(rescue, "/dev/car/door", OpenFlags.O_WRONLY)
-        assert sack.ape.check_count == checks_before
+        if write_allowed:
+            fd = kernel.sys_open(rescue, "/dev/car/door",
+                                 OpenFlags.O_WRONLY)
+            kernel.sys_close(rescue, fd)
+        else:
+            with pytest.raises(KernelError):
+                kernel.sys_open(rescue, "/dev/car/door", OpenFlags.O_WRONLY)
+        assert sack.ape.check_count > checks_before
+        if write_allowed:
+            # The allowed walk extended the line: the next write hits.
+            checks_before = sack.ape.check_count
+            hits_before = framework.avc.core.hits
+            fd = kernel.sys_open(rescue, "/dev/car/door",
+                                 OpenFlags.O_WRONLY)
+            kernel.sys_close(rescue, fd)
+            assert sack.ape.check_count == checks_before
+            assert framework.avc.core.hits > hits_before
 
     def test_hook_stats_identical_with_and_without_cache(self):
         def run(enabled):

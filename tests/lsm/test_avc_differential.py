@@ -22,7 +22,9 @@ from repro.vehicle.scenarios import crash_on_highway, urban_commute
 APPS = ["media_app", "nav_app", "volume_service", "ignition_service",
         "rescue_daemon"]
 DEVICES = ["door", "window", "audio", "engine", "speedometer"]
-OPS = ["read", "write", "ioctl"]
+#: "rdwr" opens with a two-bit mask, so partial hits against one-bit
+#: read or write fills are compared cached vs uncached too.
+OPS = ["read", "write", "rdwr", "ioctl"]
 IOCTL_CMDS = sorted(IOCTL_SYMBOLS.values())
 
 #: Accesses issued in each drive-cycle phase; 14 phases -> 1120 calls.
@@ -47,6 +49,10 @@ def _one_access(world, rng):
             kernel.sys_read(task, fd, 8)
         elif op == "write":
             fd = kernel.sys_open(task, path, OpenFlags.O_WRONLY)
+            kernel.sys_write(task, fd, b"\x01")
+        elif op == "rdwr":
+            fd = kernel.sys_open(task, path, OpenFlags.O_RDWR)
+            kernel.sys_read(task, fd, 8)
             kernel.sys_write(task, fd, b"\x01")
         else:
             cmd = rng.choice(IOCTL_CMDS)
