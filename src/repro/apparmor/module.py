@@ -39,11 +39,6 @@ class AppArmorLsm(LsmModule):
 
     name = MODULE_NAME
 
-    #: Decisions are a pure function of the task's profile (by name) and
-    #: the path once the profile is pinned enforce-mode; any profile
-    #: mutation bumps the stack AVC epoch via the PolicyDb subscription.
-    avc_cacheable = True
-
     def __init__(self, policy: Optional[PolicyDb] = None):
         self.policy = policy or PolicyDb()
         self.denial_count = 0
@@ -57,18 +52,7 @@ class AppArmorLsm(LsmModule):
             self._policy_watched = True
 
     def _on_policy_change(self) -> None:
-        self.bump_avc("profile-reload")
-
-    # -- stack-AVC participation ---------------------------------------------
-    def avc_subject_key(self, task):
-        profile = self.profile_of(task)
-        if profile is None:
-            return (None,)  # unconfined: everything allowed, cacheable
-        if profile.mode is not ProfileMode.ENFORCE:
-            # Complain mode allows *with an audit record per access*;
-            # caching would swallow the records.  Veto this dispatch.
-            return None
-        return (profile.name,)
+        self.bump_epoch("profile-reload")
 
     # -- confinement helpers ------------------------------------------------
     def profile_of(self, task) -> Optional[Profile]:

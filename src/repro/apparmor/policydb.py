@@ -30,9 +30,8 @@ class PolicyDb:
         self._subscribers: List = []
 
     def subscribe(self, callback) -> None:
-        """Call *callback* () after every revision bump — the stack AVC's
-        invalidation feed (live tasks see replaced profiles immediately,
-        so cached decisions must die with the old revision)."""
+        """Call *callback* () after every revision bump — the feed that
+        advances the LSM stack's situation epoch on a profile reload."""
         if callback not in self._subscribers:
             self._subscribers.append(callback)
 

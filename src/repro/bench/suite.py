@@ -14,19 +14,18 @@ the regression *gates* the run is judged by::
           vehicles: 8
           workers: [1, 4]
           hook_latency: true
-      - name: avc-hit-path
-        workload: avc
+      - name: chaos-faults
+        workload: chaos
         matrix:
-          rules: [50, 200]
+          ticks: 200
     gates:
       fleet_vehicles_per_second: 10   # fail check on >10% drop
-      avc_speedup: 50
 
 ``expand_cells`` turns that into one :class:`SweepCell` per matrix
 combination; ``--dry-run`` prints exactly that matrix and executes
 nothing.  ``run_suite`` executes each cell through the *existing*
-harnesses — the fleet scheduler, the chaos harness, the AVC
-microbenchmark loop, the per-hook latency breakdown — and writes a run
+harnesses — the fleet scheduler, the chaos harness, the per-hook
+latency breakdown, the model checker — and writes a run
 directory::
 
     <out>/<suite>-<UTC stamp>-<confighash8>/
@@ -150,12 +149,6 @@ WORKLOAD_AXES: Dict[str, Dict[str, Axis]] = {
         Axis("crash_probability", "float", 0.0, minimum=0.0,
              maximum=1.0),
         _SEED, _MEASURE_MEMORY_ON,
-    ),
-    "avc": _axes(
-        Axis("rules", "int", 200, minimum=1),
-        Axis("iterations", "int", 2000, minimum=1),
-        Axis("reps", "int", 3, minimum=1),
-        _SEED, _MEASURE_MEMORY_OFF,
     ),
     "hooks": _axes(
         Axis("scale", "float", 0.1, minimum=0.001, maximum=1.0),
@@ -388,44 +381,6 @@ def expand_cells(config: SuiteConfig) -> List[SweepCell]:
 
 # -- workload executors --------------------------------------------------------
 
-#: Synthetic policy template shared with ``benchmarks/test_avc.py``:
-#: *rule_count* bulk rules with the probe path matching last, so every
-#: uncached check pays the full linear walk a large real policy would.
-def avc_bench_policy(rule_count: int) -> str:
-    rules = "\n".join(f"    allow read /dev/car/sensor{i:03d};"
-                      for i in range(rule_count))
-    return f"""
-policy avc_bench;
-initial normal;
-states {{
-  normal = 0;
-  emergency = 1;
-}}
-transitions {{
-  normal -> emergency on crash_detected;
-  emergency -> normal on emergency_cleared;
-}}
-permissions {{
-  BULK;
-  DOORS;
-}}
-state_per {{
-  normal: BULK;
-  emergency: BULK, DOORS;
-}}
-per_rules {{
-  BULK {{
-{rules}
-    allow read /dev/car/probe;
-  }}
-  DOORS {{
-    allow write /dev/car/door subject=rescue_daemon;
-  }}
-}}
-guard /dev/car/**;
-"""
-
-
 def _fold_counters(kernels) -> Dict[str, int]:
     from ..fleet.report import aggregate_counters
     return aggregate_counters(k.obs.metrics.to_dict() for k in kernels)
@@ -615,61 +570,6 @@ def _run_recovery_cell(params: Dict[str, object]
     return metrics, obs
 
 
-def _boot_avc_world(rules: int, cache_enabled: bool):
-    from ..kernel import OpenFlags, user_credentials
-    from .harness import CONFIG_SACK_INDEPENDENT, build_world
-    world = build_world(CONFIG_SACK_INDEPENDENT,
-                        policy_text=avc_bench_policy(rules))
-    kernel = world.kernel
-    kernel.security.avc.enabled = cache_enabled
-    kernel.vfs.makedirs("/dev/car")
-    kernel.vfs.create_file("/dev/car/probe", mode=0o666)
-    task = kernel.sys_fork(kernel.procs.init)
-    task.comm = "bench_app"
-    task.cred = user_credentials(1000)
-    fd = kernel.sys_open(task, "/dev/car/probe", OpenFlags.O_RDONLY)
-    file = task.get_fd(fd).obj
-    return kernel, task, file
-
-
-def _run_avc_cell(params: Dict[str, object]
-                  ) -> Tuple[Dict[str, float], Dict[str, object]]:
-    from ..kernel import MAY_READ
-    rules = int(params["rules"])
-    iterations = int(params["iterations"])
-    reps = int(params["reps"])
-
-    def loop(security, task, file, n):
-        for _ in range(n):
-            security.file_permission(task, file, MAY_READ)
-
-    hot_kernel, hot_task, hot_file = _boot_avc_world(rules, True)
-    cold_kernel, cold_task, cold_file = _boot_avc_world(rules, False)
-    loop(hot_kernel.security, hot_task, hot_file, 10)  # warm the cache
-    hot = best_of(lambda: loop(hot_kernel.security, hot_task, hot_file,
-                               iterations), reps=reps)
-    cold = best_of(lambda: loop(cold_kernel.security, cold_task,
-                                cold_file, iterations), reps=reps)
-    metrics: Dict[str, float] = {
-        "avc_cached_ns_per_op": hot / iterations * 1e9,
-        "avc_uncached_ns_per_op": cold / iterations * 1e9,
-        "avc_speedup": cold / hot if hot else 0.0,
-    }
-    # A short traced slice for the span CPU breakdown: tracing the timed
-    # loops would perturb them, so the capture runs after measurement.
-    spans = hot_kernel.obs.spans
-    spans.enable()
-    spans.trace_all_hooks()
-    loop(hot_kernel.security, hot_task, hot_file, 25)
-    obs: Dict[str, object] = {
-        "counters": _fold_counters([hot_kernel]),
-        "span_breakdown": spans.breakdown(),
-        "avc": {"hits": hot_kernel.security.avc.core.hits,
-                "misses": hot_kernel.security.avc.core.misses},
-    }
-    return metrics, obs
-
-
 def _run_hooks_cell(params: Dict[str, object]
                     ) -> Tuple[Dict[str, float], Dict[str, object]]:
     from .harness import run_hook_latency_breakdown
@@ -791,7 +691,6 @@ _EXECUTORS: Dict[str, Callable[[Dict[str, object]],
     "fleet": _run_fleet_cell,
     "chaos": _run_chaos_cell,
     "recovery": _run_recovery_cell,
-    "avc": _run_avc_cell,
     "hooks": _run_hooks_cell,
     "telemetry": _run_telemetry_cell,
     "verify": _run_verify_cell,

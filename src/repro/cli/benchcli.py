@@ -18,7 +18,7 @@ The declarative batch runner lives under ``suite``::
     sack-bench suite run config.yaml [--out DIR] [--dry-run]
     sack-bench suite check [--run DIR | --out DIR] [--trajectory DIR]
     sack-bench suite report [--trajectory DIR] [--run DIR] [--out FILE]
-    sack-bench suite ingest BENCH.json --set avc [--trajectory DIR]
+    sack-bench suite ingest BENCH.json --set obs [--trajectory DIR]
 
 Every subcommand accepts ``--json PATH`` (``-`` for stdout) and emits
 the same ``sack-bench/v1`` envelope — schema version, kind, timestamp,
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", help="append a pytest-benchmark JSON to a trajectory")
     p.add_argument("bench_json", help="--benchmark-json output file")
     p.add_argument("--set", required=True,
-                   help="metric set name (avc, obs, fleet, ...)")
+                   help="metric set name (obs, fleet, chaos, ...)")
     p.add_argument("--trajectory", default=DEFAULT_TRAJECTORY_DIR)
     p.add_argument("--seed", type=int, default=None)
     _add_json_arg(p)

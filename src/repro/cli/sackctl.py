@@ -52,12 +52,12 @@ Subcommands::
     sackctl fleet metrics --vehicles 10  whole-fleet OpenMetrics dump from
                                          the streaming telemetry pipeline
 
-The observability subcommands (``trace``, ``audit``, ``spans``, ``avc``)
+The observability subcommands (``trace``, ``audit``, ``spans``)
 accept ``--kernel <vehicle-id> --fleet-size N``: instead of booting one
 standalone kernel they boot a fleet, run it briefly so cross-vehicle
 traffic exists, then drive the events/accesses into — and dump the
 observability of — the selected vehicle's kernel only.  Every vehicle
-kernel carries its own tracefs/audit/AVC state, so what you see is that
+kernel carries its own tracefs/audit/span state, so what you see is that
 vehicle's view, not a fleet-wide mixture.
 
 ``trace`` and ``audit`` run against a real booted simulator kernel with
@@ -412,47 +412,6 @@ def cmd_spans(args) -> int:
     return 0
 
 
-def cmd_avc(args) -> int:
-    kernel, sds, app, fleet = _boot_observed_target(args)
-    # Dogfood the tracefs control files rather than reaching into the
-    # framework object.
-    root = "/sys/kernel/tracing/SACK/avc"
-    if args.disable:
-        kernel.write_file(kernel.procs.init, f"{root}/enable", b"0",
-                          create=False)
-    _warm_fleet(fleet, args)
-    for line in _drive(kernel, sds, app, args.event, args.access):
-        print(line)
-    if args.flush:
-        kernel.write_file(kernel.procs.init, f"{root}/flush", b"1",
-                          create=False)
-    print()
-    print(kernel.read_file(kernel.procs.init, f"{root}/stats").decode(),
-          end="")
-    return 0
-
-
-def cmd_dtable(args) -> int:
-    kernel, sds, app, fleet = _boot_observed_target(args)
-    # Dogfood the tracefs control files rather than reaching into the
-    # framework object.
-    root = "/sys/kernel/tracing/SACK/dtable"
-    kernel.write_file(kernel.procs.init, f"{root}/enable", b"1",
-                      create=False)
-    _warm_fleet(fleet, args)
-    for line in _drive(kernel, sds, app, args.event, args.access):
-        print(line)
-    print()
-    print(kernel.read_file(kernel.procs.init, f"{root}/stats").decode(),
-          end="")
-    if args.avc:
-        print()
-        print(kernel.read_file(
-            kernel.procs.init,
-            "/sys/kernel/tracing/SACK/avc/stats").decode(), end="")
-    return 0
-
-
 def _parse_seeds(spec: str) -> List[int]:
     """``"7"`` -> [7]; ``"1..5"`` -> [1, 2, 3, 4, 5]."""
     if ".." in spec:
@@ -471,8 +430,7 @@ def cmd_chaos(args) -> int:
 
     seeds = _parse_seeds(args.seed)
     reports = chaos.run_soak(seeds, ticks=args.ticks, mode=args.mode,
-                             intensity=args.intensity,
-                             dtable=getattr(args, "dtable", False))
+                             intensity=args.intensity)
     if args.json:
         print(_json.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -952,36 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_selector(p_spans)
     p_spans.set_defaults(func=cmd_spans)
 
-    p_avc = sub.add_parser(
-        "avc", help="run events/accesses in a booted kernel and dump the "
-                    "access-vector-cache counters")
-    p_avc.add_argument("policy")
-    p_avc.add_argument("-e", "--event", action="append",
-                       help="event name (repeatable, in order)")
-    p_avc.add_argument("--access", action="append",
-                       help="op:path[:ioctl_cmd] (repeatable, in order)")
-    p_avc.add_argument("--disable", action="store_true",
-                       help="run with the cache off (baseline comparison)")
-    p_avc.add_argument("--flush", action="store_true",
-                       help="flush the cache after the workload, before "
-                            "dumping stats")
-    _add_kernel_selector(p_avc)
-    p_avc.set_defaults(func=cmd_avc)
-
-    p_dtable = sub.add_parser(
-        "dtable", help="run events/accesses with the precompiled decision "
-                       "table on and dump its counters")
-    p_dtable.add_argument("policy")
-    p_dtable.add_argument("-e", "--event", action="append",
-                          help="event name (repeatable, in order)")
-    p_dtable.add_argument("--access", action="append",
-                          help="op:path[:ioctl_cmd] (repeatable, in order)")
-    p_dtable.add_argument("--avc", action="store_true",
-                          help="also dump the AVC counters (what the table "
-                               "kept off the cache path)")
-    _add_kernel_selector(p_dtable)
-    p_dtable.set_defaults(func=cmd_dtable)
-
     p_chaos = sub.add_parser(
         "chaos", help="seeded fault-injection scenarios with fail-closed "
                       "invariant checks")
@@ -998,9 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 0.05)")
     p_chaos.add_argument("--json", action="store_true",
                          help="emit one JSON report per seed")
-    p_chaos.add_argument("--dtable", action="store_true",
-                         help="run with the precompiled decision table "
-                              "enabled (exercises invariant I11)")
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_fleet = sub.add_parser(

@@ -19,7 +19,8 @@ I5  enforcement follows tracking: the APE's active ruleset (independent
     mode) or the live AppArmor profiles (bridge mode) agree with the
     SSM's current state;
 I6  when the failsafe is engaged, the machine actually sits in the
-    policy-declared failsafe state.
+    policy-declared failsafe state;
+I7  every committed transition advances the LSM stack's situation epoch.
 
 Everything — fault decisions, scenario actions, event timing — runs on
 seeded RNGs and the virtual clock, so one seed replays bit-for-bit:
@@ -184,16 +185,11 @@ def _install_listener_fault(world, plan: FaultPlan) -> None:
 
 def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
               intensity: float = 0.05,
-              plan: Optional[FaultPlan] = None,
-              dtable: bool = False) -> ChaosReport:
+              plan: Optional[FaultPlan] = None) -> ChaosReport:
     """One seeded chaos scenario; returns the full report.
 
     *mode* selects the enforcement backend: ``independent`` (SACK's own
     LSM + APE) or ``apparmor`` (the SACK-enhanced-AppArmor bridge).
-    With *dtable* the precompiled decision table is enabled for the
-    whole run, so invariant I11 (no stale-table hit) is exercised under
-    every fault interleaving; default off, keeping baseline chaos
-    fingerprints untouched.
     """
     from ..vehicle.ivi import EnforcementConfig, DEFAULT_SACK_POLICY, \
         build_ivi_world
@@ -221,9 +217,6 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
     # Chaos always runs with span tracing on: span-ID sequences are part
     # of the fingerprint, so a nondeterministic tracer fails loudly here.
     world.kernel.obs.spans.enable()
-    if dtable:
-        world.framework.dtable.enabled = True
-        world.framework.rebuild_dtable()
     _install_listener_fault(world, plan)
     checker = _InvariantChecker(world)
     live_sds = world.sds
@@ -298,33 +291,6 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
             }
     if ssm is not None:
         stats["ssm"] = ssm.stats()
-    avc = getattr(world.framework, "avc", None)
-    if avc is not None:
-        core = avc.core
-        # Deterministic counters only (no host timing feeds them), so
-        # they are safe inside the fingerprinted report.
-        stats["avc"] = {
-            "hits": core.hits,
-            "misses": core.misses,
-            "epoch": core.epoch,
-            "epoch_bumps": core.epoch_bumps,
-            "stale_drops": core.stale_drops,
-            "stale_served": core.stale_served,
-            "evictions": core.evictions,
-        }
-    dtable_obj = getattr(world.framework, "dtable", None)
-    if dtable_obj is not None and dtable_obj.used:
-        # Conditional: an untouched table exports nothing, keeping
-        # default-config chaos fingerprints byte-identical.
-        stats["dtable"] = {
-            "hits": dtable_obj.hits,
-            "misses": dtable_obj.misses,
-            "builds": dtable_obj.builds,
-            "invalidations": dtable_obj.invalidations,
-            "entries": len(dtable_obj),
-            "built_epoch": dtable_obj.built_epoch,
-            "stale_served": dtable_obj.stale_served,
-        }
     sds = live_sds
     if sds is not None:
         summary = sds.stats.summary()
@@ -357,9 +323,7 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
 
 
 def run_soak(seeds, ticks: int = 200, mode: str = "independent",
-             intensity: float = 0.05,
-             dtable: bool = False) -> List[ChaosReport]:
+             intensity: float = 0.05) -> List[ChaosReport]:
     """Run a chaos scenario per seed; returns every report."""
-    return [run_chaos(seed, ticks=ticks, mode=mode, intensity=intensity,
-                      dtable=dtable)
+    return [run_chaos(seed, ticks=ticks, mode=mode, intensity=intensity)
             for seed in seeds]

@@ -12,8 +12,8 @@ layers a **vehicle supervisor** on the epoch-barrier scheduler:
   instead of aborting :meth:`~repro.fleet.orchestrator.Fleet.run`.
 
 * **Checkpoint/restore** — while armed, the supervisor snapshots each
-  vehicle (kernel + SSM + AVC epoch + SDS state, one ``deepcopy`` of the
-  whole object graph) every :attr:`FleetConfig.checkpoint_interval_epochs`
+  vehicle (kernel + SSM + situation epoch + SDS state, one ``deepcopy`` of
+  the whole object graph) every :attr:`FleetConfig.checkpoint_interval_epochs`
   completed epochs.  A restore deep-copies the stored checkpoint and
   **replays** the journaled epochs between checkpoint and crash — driver
   actions, delivered V2X copies, rollout commands at their journaled

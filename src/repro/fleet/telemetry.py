@@ -122,9 +122,9 @@ SLO_ALIASES: Dict[str, Dict[str, object]] = {
                             "per_vehicle": True},
     "failsafe_entries": {"kind": "rate",
                          "series": "sack_failsafe_engagements_total"},
-    "avc_hit_ratio": {"kind": "ratio",
-                      "numerator": "lsm_avc_lookups_total{result=hit}",
-                      "denominator": "lsm_avc_lookups_total"},
+    "event_accept_ratio": {"kind": "ratio",
+                           "numerator": "sackfs_events_accepted_total",
+                           "denominator": "sackfs_events_received_total"},
     "event_rate": {"kind": "rate",
                    "series": "sackfs_events_received_total"},
     "heartbeat_rate": {"kind": "rate",
@@ -135,7 +135,7 @@ SLO_ALIASES: Dict[str, Dict[str, object]] = {
 
 
 def parse_slo(spec: str) -> SloSpec:
-    """``"denial_rate<=5"`` / ``"avc_hit_ratio>=0.2"`` -> SloSpec."""
+    """``"denial_rate<=5"`` / ``"event_accept_ratio>=0.9"`` -> SloSpec."""
     for token, op in (("<=", "max"), (">=", "min")):
         if token in spec:
             alias, _, raw = spec.partition(token)
@@ -165,9 +165,6 @@ def default_slos() -> Tuple[SloSpec, ...]:
                 series="lsm_denials_total", per_vehicle=True),
         SloSpec("failsafe_entries", "rate", "max", 0.0,
                 series="sack_failsafe_engagements_total"),
-        SloSpec("avc_hit_ratio", "ratio", "min", 0.05,
-                numerator="lsm_avc_lookups_total{result=hit}",
-                denominator="lsm_avc_lookups_total"),
     )
 
 
@@ -208,7 +205,7 @@ class SloAlert:
 
 def _series_matches(key: str, matcher: str) -> bool:
     """A series key matches a bare name, an exact key, or a name with a
-    label subset (``lsm_avc_lookups_total{result=hit}``)."""
+    label subset (``lsm_hook_calls_total{site=sack.file_open}``)."""
     if key == matcher:
         return True
     name, labels = split_series_key(key)
@@ -568,8 +565,8 @@ class SloEngine:
         *vehicle_ids* in sorted order.
 
         Burn-rate alerting needs a full long window of history — before
-        that, cold-start artifacts (an empty AVC, zero traffic) would
-        read as infinite burns — so evaluation warms up silently.
+        that, cold-start artifacts (zero traffic) would read as infinite
+        burns — so evaluation warms up silently.
         """
         if epoch + 1 < self.agg.long_window:
             return []

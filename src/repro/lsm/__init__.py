@@ -1,6 +1,5 @@
 """Linux Security Module framework for the simulated kernel."""
 
-from .avc import AccessVectorCache, AvcCore
 from .blob import clear_blob, ensure_blob, get_blob, set_blob
 from .capability import CapabilityLsm
 from .framework import HookStats, LsmFramework, boot_kernel
@@ -9,7 +8,6 @@ from .module import LsmModule
 from .securityfs import SECURITYFS_ROOT, SecurityFs
 
 __all__ = [
-    "AccessVectorCache", "AvcCore",
     "clear_blob", "ensure_blob", "get_blob", "set_blob", "CapabilityLsm",
     "HookStats", "LsmFramework", "boot_kernel", "Hook", "DECISION_HOOKS",
     "HOOK_BIT", "HOT_PATH_HOOKS", "LsmModule", "SecurityFs",

@@ -18,12 +18,6 @@ class CapabilityLsm(LsmModule):
 
     name = "capability"
 
-    #: A pure function of the (immutable, hashable) credential set.
-    avc_cacheable = True
-
-    def avc_subject_key(self, task):
-        return task.cred
-
     def capable(self, task, cap: Capability) -> int:
         if task.cred.has_cap(cap):
             return 0

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..kernel.credentials import Capability
 from ..kernel.security import SecurityHooks
 from ..obs.metrics import sample
 from ..obs.tracepoints import LSM_HOOK_DISPATCH
-from .avc import AV_ALL, KEY_EXTRACTORS, VECTOR_HOOKS, AccessVectorCache
 from .capability import CapabilityLsm
-from .dtable import DecisionTable
 from .hooks import HOOK_BIT, Hook
 from .module import LsmModule
 
@@ -70,8 +68,7 @@ class LsmFramework(SecurityHooks):
     name = "lsm"
 
     def __init__(self, modules: Sequence[LsmModule] = (),
-                 collect_stats: bool = False,
-                 avc_capacity: int = 8192):
+                 collect_stats: bool = False):
         self.capability = CapabilityLsm()
         self.modules: List[LsmModule] = [self.capability, *modules]
         self.stats = HookStats() if collect_stats else None
@@ -103,91 +100,57 @@ class LsmFramework(SecurityHooks):
         for hook, entries in self._hook_lists.items():
             if entries:
                 self.hook_bitmap |= HOOK_BIT[hook]
-        self.avc = AccessVectorCache(capacity=avc_capacity)
-        self._avc_plans: Dict[Hook, Optional[tuple]] = {
-            hook: self._build_avc_plan(hook) for hook in Hook}
-        #: Precompiled decision table (see repro.lsm.dtable): consulted
-        #: before the AVC when enabled; rebuilt on every epoch bump.
-        self.dtable = DecisionTable()
-        self._dtable_plans: Dict[Hook, Optional[tuple]] = {
-            hook: self._build_dtable_plan(hook) for hook in Hook}
-        self.avc.on_bump = self._on_avc_bump
+        #: The situation epoch: advanced by :meth:`bump_epoch` on every
+        #: committed transition (rollbacks and failsafe settles included),
+        #: policy load and AppArmor profile reload.
+        self.epoch = 0
+        self.bump_reasons: Counter = Counter()
 
-    def _build_avc_plan(self, hook: Hook) -> Optional[tuple]:
-        """Precompute the AVC recipe for *hook*, or None if uncacheable.
+    # -- situation epoch ------------------------------------------------------
+    def bump_epoch(self, reason: str) -> None:
+        """Advance the situation epoch, counting the bump under *reason*."""
+        self.epoch += 1
+        self.bump_reasons[reason] += 1
 
-        A hook is cacheable only when every module on its call list opted
-        in (``avc_cacheable``) — one opaque module poisons the hook, not
-        the stack.  The plan is ``(extractor, subject_key_fns)``.  A fill
-        after an allowed walk records only the mask that walk proved.
-        """
-        extractor = KEY_EXTRACTORS.get(hook)
-        entries = self._hook_lists[hook]
-        if extractor is None or not entries:
-            return None
-        modules = [self.module_named(name) for name, _method in entries]
-        if not all(getattr(m, "avc_cacheable", False) for m in modules):
-            return None
-        return extractor, tuple(m.avc_subject_key for m in modules)
+    @property
+    def epoch_bumps(self) -> int:
+        """Bumps so far; every bump advances the epoch by exactly one."""
+        return self.epoch
 
-    def _build_dtable_plan(self, hook: Hook) -> Optional[tuple]:
-        """The module tuple whose decisions *hook* can precompile, or None.
+    # -- frozen benchmark surface: the retired caches' counters --------------
+    # The host benchmark (hostbench/, frozen with BENCHMARK.json) still
+    # reads framework.avc.core.{hits,misses,epoch_bumps} and
+    # framework.dtable.hits, and its tracer wraps rebuild_dtable.  These
+    # names resolve over the situation epoch with every cache counter at
+    # zero.  Nothing in src/ reads them; they go when the benchmark
+    # retires its lsm.avc_* / lsm.dtable_* per-layer metrics.
+    class _RetiredCacheView:
+        """Read-only epoch view standing in for the removed stack AVC
+        (as ``avc`` and ``avc.core``) and decision table (``dtable``)."""
 
-        A hook is table-able only when it is AVC-cacheable, its vectors
-        carry real MAY_* masks (:data:`VECTOR_HOOKS`), and every module
-        on its call list implements the enumeration protocol —
-        ``table_subject_keys()``, ``table_paths()``, and the pure
-        ``compute_av_for_subject()``.
-        """
-        if hook not in VECTOR_HOOKS or self._avc_plans[hook] is None:
-            return None
-        modules = tuple(self.module_named(name)
-                        for name, _method in self._hook_lists[hook])
-        if not all(hasattr(m, "table_subject_keys")
-                   and hasattr(m, "table_paths")
-                   and hasattr(m, "compute_av_for_subject")
-                   for m in modules):
-            return None
-        return modules
+        hits = 0
+        misses = 0
 
-    def _on_avc_bump(self, reason: str, epoch: int) -> None:
-        """Epoch moved: the old table is wrong.  Recompile eagerly while
-        the table is live (the transition already remapped the APE, so
-        the new contents are the new state's), drop it otherwise."""
-        if self.dtable.enabled:
-            self.rebuild_dtable()
-        else:
-            self.dtable.invalidate()
+        def __init__(self, framework: "LsmFramework"):
+            self._framework = framework
+
+        @property
+        def core(self) -> "LsmFramework._RetiredCacheView":
+            return self
+
+        @property
+        def epoch_bumps(self) -> int:
+            return self._framework.epoch_bumps
+
+    @property
+    def avc(self) -> "LsmFramework._RetiredCacheView":
+        return self._RetiredCacheView(self)
+
+    dtable = avc
 
     def rebuild_dtable(self) -> int:
-        """Compile the decision table for the current epoch; returns the
-        entry count.  Enumerates every table-able hook's subject space
-        (cross product of each module's subject keys) against the
-        literal governed paths, storing the AND of every module's pure
-        access vector — zero vectors are dropped, keeping the table
-        allows-only."""
-        import itertools
-        entries: Dict[tuple, int] = {}
-        for hook, modules in self._dtable_plans.items():
-            if modules is None:
-                continue
-            subject_keys = [list(m.table_subject_keys())
-                            for m in modules]
-            if not all(subject_keys):
-                continue
-            paths = sorted(set().union(
-                *(set(m.table_paths()) for m in modules)))
-            for subject in itertools.product(*subject_keys):
-                for path in paths:
-                    vector = AV_ALL
-                    for module, key in zip(modules, subject):
-                        vector &= module.compute_av_for_subject(key, path)
-                        if not vector:
-                            break
-                    if vector:
-                        entries[(hook, subject, path)] = vector
-        self.dtable.install(entries, self.avc.core.epoch)
-        return len(entries)
+        """No-op: there is no decision table to build."""
+        return 0
 
     @classmethod
     def from_config(cls, config_lsm: str,
@@ -230,8 +193,7 @@ class LsmFramework(SecurityHooks):
                 # The metrics export reads HookStats live instead of
                 # keeping duplicate counts that could drift.
                 self.obs.metrics.register_collector(self._collect_stats)
-            self.obs.metrics.register_collector(self._collect_avc)
-            self.obs.metrics.register_collector(self._collect_dtable)
+            self.obs.metrics.register_collector(self._collect_epoch)
         for module in self.modules:
             module.registered(kernel)
 
@@ -246,50 +208,12 @@ class LsmFramework(SecurityHooks):
                    for key, count in stats.denials.items())
         return out
 
-    def _collect_avc(self):
-        core = self.avc.core
-        out = [
-            sample("lsm_avc_lookups_total", {"result": "hit"}, "counter",
-                   core.hits),
-            sample("lsm_avc_lookups_total", {"result": "miss"}, "counter",
-                   core.misses),
-            sample("lsm_avc_insertions_total", {}, "counter",
-                   core.insertions),
-            sample("lsm_avc_evictions_total", {}, "counter",
-                   core.evictions),
-            sample("lsm_avc_stale_drops_total", {}, "counter",
-                   core.stale_drops),
-            sample("lsm_avc_flushes_total", {}, "counter", core.flushes),
-            sample("lsm_avc_epoch", {}, "gauge", core.epoch),
-            sample("lsm_avc_entries", {}, "gauge", len(core)),
-        ]
-        out.extend(sample("lsm_avc_epoch_bumps_total", {"reason": reason},
-                          "counter", count)
-                   for reason, count in core.bump_reasons.items())
+    def _collect_epoch(self):
+        out = [sample("lsm_situation_epoch", {}, "gauge", self.epoch)]
+        out.extend(sample("lsm_situation_epoch_bumps_total",
+                          {"reason": reason}, "counter", count)
+                   for reason, count in self.bump_reasons.items())
         return out
-
-    def _collect_dtable(self):
-        dtable = self.dtable
-        if not dtable.used:
-            # An untouched table exports nothing, so default-config runs
-            # (and their fingerprints) are byte-identical to pre-table
-            # builds.
-            return []
-        return [
-            sample("lsm_dtable_lookups_total", {"result": "hit"},
-                   "counter", dtable.hits),
-            sample("lsm_dtable_lookups_total", {"result": "miss"},
-                   "counter", dtable.misses),
-            sample("lsm_dtable_builds_total", {}, "counter",
-                   dtable.builds),
-            sample("lsm_dtable_invalidations_total", {}, "counter",
-                   dtable.invalidations),
-            sample("lsm_dtable_stale_served_total", {}, "counter",
-                   dtable.stale_served),
-            sample("lsm_dtable_entries", {}, "gauge", len(dtable)),
-            sample("lsm_dtable_built_epoch", {}, "gauge",
-                   dtable.built_epoch),
-        ]
 
     # -- hook latency collection ---------------------------------------------
     def enable_hook_latency(self) -> None:
@@ -375,53 +299,16 @@ class LsmFramework(SecurityHooks):
     def _call_int(self, hook: Hook, *args) -> int:
         """Dispatch an int hook; first nonzero module return wins (deny).
 
-        Three fast paths run before the module walk: the implemented-hook
-        bitmap (nobody registered → allow, one ``and``), the precompiled
-        decision table (when enabled: the whole allow surface for this
-        epoch, one dict probe, no miss path to maintain), and the AVC (a
-        live cache entry proving every module already allowed this
-        (subject, object, mask) → allow without calling a module).  Both
-        caches are probed with one ``(hook, subject, obj)`` key, built
-        once.  Denials are never cached in either structure — they must
-        reach the modules so audit records, denial counters and span
-        attribution still fire.
+        The implemented-hook bitmap answers hooks nobody registered with
+        one ``and``; everything else takes the module walk.  There is no
+        decision cache: as in the paper (§III-E), an access costs one
+        lookup in each module's current ruleset.
         """
         if not self.hook_bitmap & HOOK_BIT[hook]:
             return 0
-        avc = self.avc
-        dtable = self.dtable
-        table = dtable.enabled and self._dtable_plans[hook] is not None
-        plan = self._avc_plans[hook]
-        if plan is None or not (table or avc.enabled):
-            return self._walk(hook, args)
-        if table and dtable.built_epoch != avc.core.epoch:
-            # Self-heal: first use after enable, or a bump that bypassed
-            # the wrapper (direct core access).
-            self.rebuild_dtable()
-        extractor, subject_fns = plan
-        object_mask = extractor(args)
-        if object_mask is None:
-            return self._walk(hook, args)
-        obj, mask = object_mask
-        task = args[0]
-        key = cached = None
-        try:
-            subject = tuple(fn(task) for fn in subject_fns)
-            if None not in subject:
-                key = (hook, subject, obj)
-                if table and dtable.lookup(key, mask, avc.core.epoch):
-                    cached = "dtable"
-                elif avc.enabled and avc.core.lookup_vector(key, mask):
-                    cached = "avc"
-        except TypeError:
-            key = None  # unhashable key part: don't cache
-        rc = self._walk(hook, args, cached)
-        if rc == 0 and cached is None and key is not None and avc.enabled:
-            avc.core.extend_vector(key, mask)
-        return rc
+        return self._walk(hook, args)
 
-    def _walk(self, hook: Hook, args, cached: Optional[str] = None,
-              void: bool = False) -> int:
+    def _walk(self, hook: Hook, args, void: bool = False) -> int:
         """The one module walk every dispatch takes.
 
         Each module on the hook's call list is called in stack order and
@@ -432,49 +319,38 @@ class LsmFramework(SecurityHooks):
         the trace that caused the current situation while hooks are
         watched — a link, not a parent edge, since the hook runs under
         the new state rather than on the transition's critical path.
-
-        *cached* names the cache (``"avc"`` or ``"dtable"``) that already
-        proved the allow: no module is called, but HookStats and the span
-        record exactly what an allowed walk would, so decisions and
-        counters are bit-identical with the fast paths off.  *void* hooks
-        take no span and ignore return codes.
+        *void* hooks take no span and ignore return codes.
         """
         span = None
         spans = self._spans
         if not void and spans is not None and spans.watch_hooks:
             task = args[0] if args else None
-            attributes = {"pid": getattr(task, "pid", 0),
-                          "comm": getattr(task, "comm", "")}
-            if cached is not None:
-                attributes[f"{cached}.hit"] = True
-            span = spans.start_span(f"lsm.{hook.value}", stage="hook",
-                                    root=True, attributes=attributes)
+            span = spans.start_span(
+                f"lsm.{hook.value}", stage="hook", root=True,
+                attributes={"pid": getattr(task, "pid", 0),
+                            "comm": getattr(task, "comm", "")})
             if span is not None:
                 span.add_link(spans.consume_link())
         stats = self.stats
-        if cached is not None and stats is None and span is None:
-            return 0  # a cache-served allow with nothing to record
         latency = self._latency
         tp = self._tp_hook
-        timed = cached is None and (
-            latency is not None or (tp is not None and tp.callbacks))
+        timed = latency is not None or (tp is not None and tp.callbacks)
         trace_id = span.trace_id if span is not None else None
         rc = 0
         try:
             for name, method in self._hook_lists[hook]:
-                if cached is None:
-                    t0 = time.perf_counter_ns() if timed else 0
-                    rc = method(*args)
-                    if void:
-                        rc = 0
-                    if timed:
-                        dt = time.perf_counter_ns() - t0
-                        if latency is not None:
-                            self._latency_histogram(name, hook).record(
-                                dt, trace_id=trace_id)
-                        if tp is not None and tp.callbacks:
-                            tp.emit(module=name, hook=hook.value, rc=rc,
-                                    latency_ns=dt)
+                t0 = time.perf_counter_ns() if timed else 0
+                rc = method(*args)
+                if void:
+                    rc = 0
+                if timed:
+                    dt = time.perf_counter_ns() - t0
+                    if latency is not None:
+                        self._latency_histogram(name, hook).record(
+                            dt, trace_id=trace_id)
+                    if tp is not None and tp.callbacks:
+                        tp.emit(module=name, hook=hook.value, rc=rc,
+                                latency_ns=dt)
                 if stats is not None:
                     stats.record(name, hook, denied=rc != 0)
                 if rc != 0:

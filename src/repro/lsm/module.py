@@ -21,34 +21,21 @@ class LsmModule:
     #: kernel (audit log, clock, VFS) without global state.
     kernel = None
 
-    #: Whether the stack-level AVC may cache this module's allow
-    #: decisions.  Off by default: a module must opt in by proving its
-    #: decisions are a pure function of ``avc_subject_key(task)``, the
-    #: hook's object key, and the situation epoch (bumping the epoch on
-    #: any other input change).  A hook's dispatch is only cached when
-    #: *every* module on its call list opted in.
-    avc_cacheable = False
-
     def registered(self, kernel) -> None:
         """Called by the framework once the module joins the stack."""
         self.kernel = kernel
 
-    def avc_subject_key(self, task):
-        """Hashable digest of every task-derived input this module's
-        decisions read, or None to veto caching for this dispatch (e.g.
-        an allow that must keep auditing, like complain mode)."""
-        return None
+    def bump_epoch(self, reason: str) -> None:
+        """Advance the stack's situation epoch (see
+        :meth:`LsmFramework.bump_epoch`).
 
-    def bump_avc(self, reason: str) -> None:
-        """Invalidate the stack-level AVC (O(1) epoch bump).
-
-        Safe to call from unregistered or AVC-less configurations; the
-        module need not know whether a cache exists.
+        Safe to call from unregistered or framework-less configurations;
+        the module need not know whether a framework is present.
         """
-        avc = getattr(getattr(self, "kernel", None), "security", None)
-        avc = getattr(avc, "avc", None)
-        if avc is not None:
-            avc.bump_epoch(reason)
+        security = getattr(getattr(self, "kernel", None), "security", None)
+        bump = getattr(security, "bump_epoch", None)
+        if bump is not None:
+            bump(reason)
 
     # Convenience deny values ------------------------------------------------
     EACCES = -int(Errno.EACCES)

@@ -3,9 +3,10 @@
 A :class:`TelemetryFrame` is the unit the fleet telemetry pipeline
 streams: everything one vehicle kernel's :class:`~repro.obs.hub.
 Observability` exports — metric-hub counters and gauges (which, via the
-registered collectors, already fold in AVC stats, span/audit/trace ring
-drop counters, SSM and SACKfs stats), plus the latency histograms —
-snapshotted at an epoch barrier and stamped with the **virtual** clock.
+registered collectors, already fold in the situation epoch, the
+span/audit/trace ring drop counters and SSM and SACKfs stats), plus the
+latency histograms — snapshotted at an epoch barrier and stamped with
+the **virtual** clock.
 
 Determinism contract: counters and gauges in this codebase are driven
 by simulated work on the virtual clock, so they are seed-stable and
@@ -81,9 +82,9 @@ def snapshot_frame(obs, vehicle_id: str, epoch: int,
 
     Reads the registry directly through
     :meth:`~repro.obs.metrics.MetricsRegistry.series` — the collectors
-    run, so AVC stats, ring drop counters, SSM/SACKfs stats are all
-    included without duplicating any state; ``to_dict`` stays the JSON
-    export.
+    run, so the situation epoch, ring drop counters and SSM/SACKfs stats
+    are all included without duplicating any state; ``to_dict`` stays
+    the JSON export.
     """
     counters, gauges, histograms = obs.metrics.series()
     return TelemetryFrame(schema=TELEMETRY_SCHEMA,

@@ -26,16 +26,6 @@ Mirrors the ftrace control surface:
     ``trace`` (rendered span trees), ``breakdown`` (per-stage latency
     attribution), ``chrome`` (Chrome trace-event JSON), ``folded``
     (flamegraph stacks), and ``stats``.
-``SACK/avc/``
-    The stack-level access vector cache (see ``docs/avc.md``):
-    ``enable`` (0/1 runtime toggle), ``stats`` (counters, epoch,
-    occupancy), and ``flush`` (write ``1`` to bump the epoch and drop
-    every entry).  Registered only when the kernel booted with an LSM
-    framework.
-``SACK/dtable/``
-    The precompiled decision table (see ``docs/avc.md``): ``enable``
-    (0/1; enabling compiles the table immediately) and ``stats``.
-    Registered only when the kernel booted with an LSM framework.
 
 All decision files are owned by root with mode 0o644/0o600 exactly like
 the securityfs files, so DAC governs who may toggle tracing.
@@ -99,18 +89,6 @@ class TraceFs:
         self._pseudo("SACK/spans/chrome", read=self._read_spans_chrome)
         self._pseudo("SACK/spans/folded", read=self._read_spans_folded)
         self._pseudo("SACK/spans/stats", read=self._read_spans_stats)
-        if self._avc() is not None:
-            self._pseudo("SACK/avc/enable", read=self._read_avc_enable,
-                         write=self._write_avc_enable, mode=0o644)
-            self._pseudo("SACK/avc/stats", read=self._read_avc_stats)
-            self._pseudo("SACK/avc/flush", write=self._write_avc_flush,
-                         mode=0o200)
-        if self._dtable() is not None:
-            self._pseudo("SACK/dtable/enable",
-                         read=self._read_dtable_enable,
-                         write=self._write_dtable_enable, mode=0o644)
-            self._pseudo("SACK/dtable/stats",
-                         read=self._read_dtable_stats)
         for point in self.obs.tracepoints:
             rel = f"events/{point.category}/{point.event}"
             self._pseudo(f"{rel}/enable",
@@ -186,52 +164,6 @@ class TraceFs:
         lines = [f"{key} {value}"
                  for key, value in self.obs.spans.stats().items()]
         return ("\n".join(lines) + "\n").encode()
-
-    # -- stack-AVC files ---------------------------------------------------
-    def _avc(self):
-        """The LSM framework's AccessVectorCache, if this kernel has one
-        (a kernel booted without a security framework does not)."""
-        return getattr(getattr(self.kernel, "security", None), "avc", None)
-
-    def _read_avc_enable(self, task) -> bytes:
-        return b"1\n" if self._avc().enabled else b"0\n"
-
-    def _write_avc_enable(self, task, data: bytes) -> int:
-        self._avc().enabled = self._parse_bool(data, "SACK/avc/enable")
-        return len(data)
-
-    def _read_avc_stats(self, task) -> bytes:
-        return self._avc().render().encode()
-
-    def _write_avc_flush(self, task, data: bytes) -> int:
-        from ..kernel.errors import Errno, KernelError
-        if data.decode("utf-8", "replace").strip() != "1":
-            raise KernelError(Errno.EINVAL, "SACK/avc/flush: write 1")
-        avc = self._avc()
-        avc.bump_epoch("tracefs-flush")
-        avc.flush()
-        return len(data)
-
-    # -- decision-table files ----------------------------------------------
-    def _dtable(self):
-        """The LSM framework's DecisionTable, if this kernel has one."""
-        return getattr(getattr(self.kernel, "security", None),
-                       "dtable", None)
-
-    def _read_dtable_enable(self, task) -> bytes:
-        return b"1\n" if self._dtable().enabled else b"0\n"
-
-    def _write_dtable_enable(self, task, data: bytes) -> int:
-        enable = self._parse_bool(data, "SACK/dtable/enable")
-        dtable = self._dtable()
-        dtable.enabled = enable
-        if enable:
-            # Compile now so the first post-enable dispatch hits.
-            self.kernel.security.rebuild_dtable()
-        return len(data)
-
-    def _read_dtable_stats(self, task) -> bytes:
-        return self._dtable().render().encode()
 
     def _make_read_enable(self, name: str):
         def read(task) -> bytes:

@@ -20,7 +20,7 @@ import time
 from typing import Dict, Optional
 
 from ..kernel.credentials import Capability
-from ..kernel.syscalls import MAY_EXEC, MAY_READ, MAY_WRITE
+from ..kernel.syscalls import MAY_READ, MAY_WRITE
 from ..kernel.vfs.file import OpenFile
 from ..lsm.module import LsmModule
 from .ape import AdaptivePolicyEnforcer
@@ -57,8 +57,8 @@ class SackModule(LsmModule):
     def current_state(self) -> Optional[str]:
         return self.ssm.current_name if self.ssm is not None else None
 
-    def _on_transition_bump_avc(self, _transition) -> None:
-        self.bump_avc("transition")
+    def _on_transition_bump_epoch(self, _transition) -> None:
+        self.bump_epoch("transition")
 
     # -- policy lifecycle ----------------------------------------------------
     def load_policy(self, policy: SackPolicy,
@@ -85,10 +85,10 @@ class SackModule(LsmModule):
             self.policy, self.ioctl_symbols = previous
             raise
         self.ssm = ssm
-        # After the variant's own listener, so a hit-after-bump can never
-        # see the old rules: by the time the epoch moves, the swap is done.
-        ssm.add_listener(self._on_transition_bump_avc)
-        self.bump_avc("policy-load")
+        # After the variant's own listener: by the time the epoch moves,
+        # the new state's rules are in force.
+        ssm.add_listener(self._on_transition_bump_epoch)
+        self.bump_epoch("policy-load")
         self.audit("sack_policy_loaded", self.loaded_audit.format(
             name=policy.name, states=len(compiled.rulesets)))
         obs = getattr(self.kernel, "obs", None)
@@ -153,79 +153,10 @@ class SackLsm(SackModule):
     backend = "independent"
     loaded_audit = "policy {name!r}, {states} states"
 
-    #: SACK decisions depend only on (comm, MAC-override bit), the path,
-    #: and the current situation — and every situation change flows
-    #: through the SSM, whose listener bumps the AVC epoch.
-    avc_cacheable = True
-
     def __init__(self):
         super().__init__()
         self.ape: Optional[AdaptivePolicyEnforcer] = None
         self.denial_count = 0
-
-    # -- stack-AVC participation ---------------------------------------------
-    def avc_subject_key(self, task):
-        return (task.comm,
-                task.cred.has_cap(Capability.CAP_MAC_OVERRIDE))
-
-    # -- decision-table participation ------------------------------------------
-    def table_subject_keys(self):
-        """Every live task's subject key, for table precompilation.
-
-        Forked tasks inherit comm and creds, so enumerating the live
-        process table covers every subject the file hooks can see; a
-        brand-new comm simply misses the table until the next rebuild
-        (and is answered by the AVC / module walk meanwhile).
-        """
-        kernel = self.kernel
-        if kernel is None:
-            return []
-        keys = {self.avc_subject_key(task)
-                for task in kernel.procs.tasks.values()
-                if task.is_alive}
-        return sorted(keys)
-
-    def table_paths(self):
-        """Every literal path the loaded policy names — rule path globs
-        and guard prefixes with no glob syntax.  Wildcard patterns match
-        unbounded path sets and stay the AVC's job."""
-        from ..lsm.dtable import is_literal_path
-        if self.ape is None:
-            return []
-        compiled = self.ape.compiled
-        paths = {g for g in compiled.policy.guards if is_literal_path(g)}
-        for ruleset in compiled.rulesets.values():
-            for table in (ruleset.allow_by_op, ruleset.deny_by_op):
-                for rules in table.values():
-                    paths.update(
-                        rule.source.path_glob for rule in rules
-                        if is_literal_path(rule.source.path_glob))
-        return sorted(paths)
-
-    def compute_av_for_subject(self, subject, path: str) -> int:
-        """The full file access vector for *subject* (an
-        :meth:`avc_subject_key` tuple) on *path* in the current state.
-
-        The decision table's precompilation and the verifier's P4 use
-        it; the AVC never does (its fills hold only the mask a walk
-        proved).  MAY_EXEC is always granted because neither file hook
-        checks exec (``bprm_check_security`` is its own hook).
-
-        Consults the current compiled ruleset directly — NOT
-        ``ape.check`` — so precompiling the table moves no enforcement
-        counters and a run with the table on stays bit-identical in
-        every observable the fingerprints hash.
-        """
-        comm, has_override = subject
-        if self.ape is None or has_override:
-            return MAY_READ | MAY_WRITE | MAY_EXEC
-        ruleset = self.ape.current_ruleset
-        av = MAY_EXEC
-        if ruleset.check(RuleOp.READ, path, comm):
-            av |= MAY_READ
-        if ruleset.check(RuleOp.WRITE, path, comm):
-            av |= MAY_WRITE
-        return av
 
     # -- policy lifecycle ----------------------------------------------------
     def _install(self, compiled: CompiledPolicy,

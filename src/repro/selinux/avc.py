@@ -1,24 +1,91 @@
-"""The SELinux access vector cache, refolded onto the stack AVC core.
+"""The SELinux access vector cache.
 
 Real SELinux answers most checks from a cache of recently computed access
-vectors; policy reloads flush it.  The SACK-SELinux bridge relies on the
-flush: after a situation transition rewrites the AV table, stale cached
-decisions must not survive.
+vectors (``security/selinux/avc.c``); policy reloads flush it.  The
+SACK-SELinux bridge relies on the flush: after a situation transition
+rewrites the AV table, stale cached decisions must not survive.
 
-Since the LSM framework grew its own epoch-stamped cache
-(:class:`repro.lsm.avc.AvcCore`), this module is a thin veneer over that
-core: a policy-revision change becomes an epoch bump (O(1), no walk) and
-capacity reclaim is the core's LRU instead of the old clear-everything
-heuristic.  The public surface — ``allowed()``, ``flush()``, the
-``hits``/``misses``/``flushes`` counters and ``stats()`` — is unchanged.
+:class:`AvcCore` is the cache proper, an epoch-stamped LRU: a
+policy-revision change becomes an epoch bump (O(1), no walk), stale
+entries are dropped by the lookup that trips over them, and capacity
+eviction reclaims the rest.  :class:`AccessVectorCache` is SELinux's
+interface over it: ``allowed()``, ``flush()``, the
+``hits``/``misses``/``flushes`` counters and ``stats()``.
+
+This is the simulator's only decision cache: the LSM stack itself has
+none (see ``docs/avc.md``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, Set, Tuple
 
-from ..lsm.avc import AvcCore
 from .policy import SelinuxPolicy
+
+
+class AvcCore:
+    """Epoch-stamped LRU mapping arbitrary hashable keys to values.
+
+    An entry is *live* iff its stamp equals the current epoch;
+    :meth:`bump_epoch` therefore invalidates the whole cache in O(1).
+    Stale entries are dropped lazily by the lookup that finds them.
+    """
+
+    def __init__(self, capacity: int = 8192):
+        if capacity < 1:
+            raise ValueError("AVC capacity must be >= 1")
+        self.capacity = capacity
+        self._entries: "OrderedDict[Any, Tuple[int, Any]]" = OrderedDict()
+        self.epoch = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.stale_drops = 0
+        self.flushes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    # -- invalidation --------------------------------------------------------
+    def bump_epoch(self) -> int:
+        """O(1) whole-cache invalidation; returns the new epoch."""
+        self.epoch += 1
+        return self.epoch
+
+    def flush(self) -> None:
+        """Eager invalidation: drop every entry now (frees the memory a
+        bump leaves behind; semantically equivalent)."""
+        self._entries.clear()
+        self.flushes += 1
+
+    # -- lookup/insert -------------------------------------------------------
+    def lookup(self, key) -> Tuple[bool, Any]:
+        """Returns ``(hit, value)``; a stale entry counts as a miss and is
+        dropped on the spot."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return False, None
+        epoch, value = entry
+        if epoch != self.epoch:
+            del self._entries[key]
+            self.stale_drops += 1
+            self.misses += 1
+            return False, None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return True, value
+
+    def insert(self, key, value) -> None:
+        """Stamp *value* with the current epoch; LRU-evict at capacity."""
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+        elif len(entries) >= self.capacity:
+            entries.popitem(last=False)
+            self.evictions += 1
+        entries[key] = (self.epoch, value)
 
 
 class AccessVectorCache:
@@ -56,7 +123,7 @@ class AccessVectorCache:
             self._policy_revision = self.policy.revision
 
     def flush(self) -> None:
-        self.core.bump_epoch("selinux-policy-reload")
+        self.core.bump_epoch()
         self.core.flush()
 
     def allowed(self, source: str, target: str, tclass: str,

@@ -38,17 +38,6 @@ class SelinuxLsm(LsmModule):
 
     name = MODULE_NAME
 
-    #: Folding the policy revision into the subject key makes every
-    #: policy mutation a new cache line — the stack AVC needs no flush
-    #: feed from SELinux.  Permissive mode vetoes caching per dispatch
-    #: (allows there carry an audit record per access).
-    avc_cacheable = True
-
-    def avc_subject_key(self, task):
-        if not self.enforcing:
-            return None
-        return (self.context_of(task).type, self.policy.revision)
-
     def __init__(self, policy: Optional[SelinuxPolicy] = None,
                  enforcing: bool = True,
                  unconfined_types: Set[str] = DEFAULT_UNCONFINED):

@@ -18,7 +18,7 @@ driver (:mod:`~repro.verify.replay`) executes against a live kernel
 instance to confirm the failure end to end.
 
 The same property registry also carries the runtime invariant definitions
-I1–I11 consumed by the chaos harness, so the static and dynamic layers can
+I1–I10 consumed by the chaos harness, so the static and dynamic layers can
 never drift; and the OTA proof gate (:mod:`~repro.verify.gate`) refuses
 any staged bundle whose policy violates a proof, before the canary wave.
 

@@ -3,7 +3,7 @@
 Single source of truth for what "safe" means, consumed by two layers:
 
 * the **runtime** side — the chaos harness's per-tick fail-closed checks
-  I1–I11 (:data:`RUNTIME_INVARIANTS`; the chaos checker imports its check
+  I1–I10 (:data:`RUNTIME_INVARIANTS`; the chaos checker imports its check
   functions from here, so the dynamic layer can never drift from this
   registry);
 * the **static** side — the safety properties P1–P5
@@ -14,7 +14,7 @@ Single source of truth for what "safe" means, consumed by two layers:
 Each runtime invariant names its static counterparts (``static_ids``) and
 vice versa (``runtime_ids``): I4's per-tick KOFFEE probe is the sampled
 shadow of P2's exhaustive proof, I5's consistency check of P5's
-equivalence proof, I6 of P3, I7/I11 of P4.  I2/I3 (counter accounting)
+equivalence proof, I6 of P3, I5/I7 of P4.  I2/I3 (counter accounting)
 and I8–I10 (fleet convergence, quarantine, restore fidelity) are
 inherently runtime and have no static analog.
 
@@ -158,74 +158,29 @@ def _check_failsafe_state(world, ctx) -> List[Tuple[str, str]]:
     return []
 
 
-def _check_avc_coherent(world, ctx) -> List[Tuple[str, str]]:
-    """I7: an epoch bump is never followed by a stale-epoch cache hit.
+def _check_epoch_advances(world, ctx) -> List[Tuple[str, str]]:
+    """I7: every committed transition advances the situation epoch.
 
-    The AVC core stamps every hit with (entry epoch, epoch at serve
-    time); under any interleaving of transitions, rollbacks, failsafe
-    settles and profile reloads these must match — a mismatch means a
-    pre-transition decision outlived its situation.  Every committed
-    transition must also move the epoch: if the SSM (the same machine as
-    at the previous check) committed more transitions since then than
-    the epoch advanced, old-state entries stayed live.
+    Transitions, rollbacks and failsafe settles all reach the SSM's
+    listeners, and the epoch bump rides the last of them.  If the SSM
+    (the same machine as at the previous check) committed more
+    transitions since then than the epoch advanced, a situation change
+    escaped the epoch, and with it every consumer that keys on it.
     """
     framework = getattr(world, "framework", None)
-    avc = getattr(framework, "avc", None)
-    if avc is None:
-        return []
-    failures: List[Tuple[str, str]] = []
-    core = avc.core
     ssm = _ssm_of(world)
-    if ssm is not None:
-        mark = ctx.get("avc_epoch_mark")
-        if mark is not None and mark[0] is ssm:
-            moved = ssm.transition_count - mark[1]
-            bumped = core.epoch - mark[2]
-            if moved > bumped:
-                failures.append(("I7:avc-stale-hit",
-                                 f"{moved} transition(s) committed but "
-                                 f"the epoch advanced {bumped}"))
-        ctx["avc_epoch_mark"] = (ssm, ssm.transition_count, core.epoch)
-    if core.stale_served:
-        failures.append(("I7:avc-stale-hit",
-                         f"{core.stale_served} stale entr(y/ies) served"))
-    if core.last_hit_entry_epoch != core.last_hit_at_epoch:
-        failures.append(("I7:avc-stale-hit",
-                         f"hit served an epoch-{core.last_hit_entry_epoch} "
-                         f"entry at epoch {core.last_hit_at_epoch}"))
-    return failures
-
-
-def _check_dtable_coherent(world, ctx) -> List[Tuple[str, str]]:
-    """I11: no stale-table hit — a precompiled decision table never
-    answers for an epoch it was not built against.
-
-    Same discipline as I7, one layer earlier: every table hit is stamped
-    with (epoch built, epoch at serve time); under any interleaving of
-    transitions, rollbacks and policy reloads these must match, and the
-    table must always be freshly built (or invalidated) whenever the AVC
-    epoch has moved.
-    """
-    framework = getattr(world, "framework", None)
-    dtable = getattr(framework, "dtable", None)
-    if dtable is None or not dtable.used:
+    if framework is None or ssm is None:
         return []
     failures: List[Tuple[str, str]] = []
-    if dtable.stale_served:
-        failures.append(("I11:dtable-stale-hit",
-                         f"{dtable.stale_served} stale table "
-                         f"answer(s) served"))
-    if dtable.last_hit_built_epoch != dtable.last_hit_at_epoch:
-        failures.append(("I11:dtable-stale-hit",
-                         f"hit served an epoch-"
-                         f"{dtable.last_hit_built_epoch} table at epoch "
-                         f"{dtable.last_hit_at_epoch}"))
-    if dtable.enabled and \
-            dtable.built_epoch != framework.avc.core.epoch:
-        failures.append(("I11:dtable-stale-hit",
-                         f"live table built for epoch "
-                         f"{dtable.built_epoch} but AVC epoch is "
-                         f"{framework.avc.core.epoch}"))
+    mark = ctx.get("epoch_mark")
+    if mark is not None and mark[0] is ssm:
+        moved = ssm.transition_count - mark[1]
+        bumped = framework.epoch - mark[2]
+        if moved > bumped:
+            failures.append(("I7:epoch-advances",
+                             f"{moved} transition(s) committed but "
+                             f"the epoch advanced {bumped}"))
+    ctx["epoch_mark"] = (ssm, ssm.transition_count, framework.epoch)
     return failures
 
 
@@ -272,7 +227,8 @@ RUNTIME_INVARIANTS: Tuple[RuntimeInvariant, ...] = (
         "I5", "I5:ape-agrees", "Enforcement follows tracking",
         "The APE's active ruleset (independent mode) or the live "
         "AppArmor profiles (bridge mode) agree with the SSM's current "
-        "state.", "chaos", static_ids=("P5:bridge-equivalence",),
+        "state.", "chaos",
+        static_ids=("P4:cache-coherence", "P5:bridge-equivalence"),
         check=_check_enforcement_agrees),
     RuntimeInvariant(
         "I6", "I6:failsafe-state", "Failsafe means failsafe",
@@ -281,11 +237,11 @@ RUNTIME_INVARIANTS: Tuple[RuntimeInvariant, ...] = (
         "chaos", static_ids=("P3:failsafe-reachable",),
         check=_check_failsafe_state),
     RuntimeInvariant(
-        "I7", "I7:avc-stale-hit", "No stale AVC hit",
-        "An epoch bump is never followed by a stale-epoch cache hit: no "
-        "pre-transition decision outlives its situation.",
+        "I7", "I7:epoch-advances", "Transitions advance the epoch",
+        "Every committed transition (rollbacks and failsafe settles "
+        "included) advances the LSM stack's situation epoch.",
         "chaos", static_ids=("P4:cache-coherence",),
-        check=_check_avc_coherent),
+        check=_check_epoch_advances),
     RuntimeInvariant(
         "I8", "I8:fleet-convergence", "Fleet convergence",
         "After a completed rollout every healthy vehicle runs the "
@@ -299,12 +255,6 @@ RUNTIME_INVARIANTS: Tuple[RuntimeInvariant, ...] = (
         "A vehicle restored from a checkpoint replays to exactly the "
         "checkpointed situation state and counters.",
         "supervisor", static_ids=()),
-    RuntimeInvariant(
-        "I11", "I11:dtable-stale-hit", "No stale decision-table hit",
-        "A precompiled decision table never answers for an epoch it was "
-        "not built against.", "chaos",
-        static_ids=("P4:cache-coherence",),
-        check=_check_dtable_coherent),
 )
 
 _RUNTIME_BY_ID: Dict[str, RuntimeInvariant] = {
@@ -432,60 +382,47 @@ def _p3_failsafe_reachable(model: PolicyModel) -> List[Counterexample]:
 
 
 def _p4_cache_coherence(model: PolicyModel) -> List[Counterexample]:
-    from ..kernel.syscalls import MAY_EXEC, MAY_READ, MAY_WRITE
+    """The APE, driven into each node's state through its SSM, enforces
+    exactly the model's decisions: ``MR_current = g(f(SS_current))``."""
     from ..sack.ape import AdaptivePolicyEnforcer
-    from ..sack.module import SackLsm
     from ..sack.policy.model import RuleOp
     violations: List[Counterexample] = []
-    full = MAY_READ | MAY_WRITE | MAY_EXEC
+    ops = [(op, None, None) for op in RuleOp if op is not RuleOp.IOCTL]
+    ops += [(RuleOp.IOCTL, name, num)
+            for name, num in sorted(model.ioctl_cmds.items())]
     for rev_id in model.rev_order:
         rev = model.revisions[rev_id]
         ssm = rev.policy.build_ssm()
-        lsm = SackLsm()
-        lsm.ssm = ssm
-        lsm.ape = AdaptivePolicyEnforcer(rev.compiled, ssm)
+        ape = AdaptivePolicyEnforcer(rev.compiled, ssm)
         for node in model.nodes_of(rev_id):
             if ssm.current_name != node.state:
                 ssm.force_state(node.state)
-            if ssm.current_name != node.state:
+            if ape.current_state != node.state:
                 violations.append(model.counterexample(
                     "P4:cache-coherence", node,
-                    expected=node.state, actual=ssm.current_name,
-                    detail=f"module SSM refused to enter {node.state!r}"))
+                    expected=node.state, actual=ape.current_state,
+                    detail=f"the APE did not follow its SSM into "
+                           f"{node.state!r}"))
                 continue
+            ruleset = ape.current_ruleset
             for comm in model.subjects:
-                override = lsm.compute_av_for_subject((comm, True),
-                                                      model.objects[0])
-                if override != full:
-                    violations.append(model.counterexample(
-                        "P4:cache-coherence", node,
-                        expected="full AV", actual=f"{override:#x}",
-                        detail=f"CAP_MAC_OVERRIDE subject {comm!r} did "
-                               f"not get the full access vector"))
                 for path in model.objects:
-                    av = lsm.compute_av_for_subject((comm, False), path)
-                    if not av & MAY_EXEC:
-                        violations.append(model.counterexample(
-                            "P4:cache-coherence", node,
-                            expected="MAY_EXEC set", actual=f"{av:#x}",
-                            detail=f"file AV for {comm!r} at {path} "
-                                   f"dropped MAY_EXEC (exec is mediated "
-                                   f"by the bprm hook, not file hooks)"))
-                    for op, bit in ((RuleOp.READ, MAY_READ),
-                                    (RuleOp.WRITE, MAY_WRITE)):
-                        want = model.decision(node, comm, path, op)
-                        got = bool(av & bit)
+                    for op, name, num in ops:
+                        want = model.decision(node, comm, path, op, num)
+                        got = ruleset.check(op, path, comm, num)
                         if want == got:
                             continue
                         violations.append(model.counterexample(
                             "P4:cache-coherence", node,
                             expected="allow" if want else "deny",
                             actual="allow" if got else "deny",
-                            detail=f"AVC/decision-table fill disagrees "
-                                   f"with uncached ruleset dispatch for "
-                                   f"({comm!r}, {path}, {op.value}) in "
-                                   f"state {node.state!r}",
-                            request=AccessRequest(comm, path, op.value)))
+                            detail=f"the APE's current ruleset disagrees "
+                                   f"with the model for ({comm!r}, "
+                                   f"{path}, {op.value}) in state "
+                                   f"{node.state!r}",
+                            request=AccessRequest(comm, path, op.value,
+                                                  cmd=num,
+                                                  cmd_name=name)))
     return violations
 
 
@@ -586,12 +523,12 @@ STATIC_PROPERTIES: Tuple[StaticProperty, ...] = (
         "and reachable from every reachable state via the degradation "
         "edge.", runtime_ids=("I6",), check=_p3_failsafe_reachable),
     StaticProperty(
-        "P4:cache-coherence", "Cache fills match uncached dispatch",
-        "Decision-table precompilation (compute_av_for_subject for "
-        "every modeled (state, subject, object, mask)) agrees with "
-        "uncached module dispatch through the compiled ruleset; AVC "
-        "fills hold only the mask an allowed walk proved.",
-        runtime_ids=("I7", "I11"), check=_p4_cache_coherence),
+        "P4:cache-coherence", "Enforced ruleset follows the state",
+        "Driven into every reachable state through its SSM, the APE's "
+        "current precompiled ruleset decides every modeled (subject, "
+        "object, operation, ioctl command) exactly as the model does: "
+        "the per-state ruleset swap is coherent with the situation.",
+        runtime_ids=("I5", "I7"), check=_p4_cache_coherence),
     StaticProperty(
         "P5:bridge-equivalence", "Bridge equivalent to independent SACK",
         "Independent SACK and SACK-enhanced AppArmor produce equivalent "

@@ -1,6 +1,6 @@
 """Chaos suite cells must move the situation state machine.
 
-Invariants I1-I11 checked over an SSM that never leaves its initial
+Invariants I1-I10 checked over an SSM that never leaves its initial
 state prove nothing about transitions, so a chaos cell that commits no
 transition fails instead of reporting a clean run.
 """

@@ -166,51 +166,6 @@ class TestBenchCli:
         assert "ABAC baseline" in capsys.readouterr().out
 
 
-class TestAvcCommand:
-    def test_repeated_access_shows_hits(self, good_policy, capsys):
-        rc = main(["avc", good_policy,
-                   "--access", "read:/tmp/probe",
-                   "--access", "read:/tmp/probe",
-                   "--access", "read:/tmp/probe"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.count("access read:/tmp/probe: ALLOWED") == 3
-        stats = dict(line.split(" ", 1) for line in out.splitlines()
-                     if " " in line and ":" not in line)
-        assert stats["enabled"] == "1"
-        assert int(stats["hits"]) > 0
-        assert int(stats["stale_served"]) == 0
-
-    def test_event_bumps_epoch_in_stats(self, good_policy, capsys):
-        rc = main(["avc", good_policy,
-                   "--access", "read:/tmp/probe",
-                   "-e", "crash_detected",
-                   "--access", "read:/tmp/probe"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "event crash_detected: delivered" in out
-        assert "epoch_bumps_transition 1" in out
-
-    def test_disable_runs_cache_off(self, good_policy, capsys):
-        rc = main(["avc", good_policy, "--disable",
-                   "--access", "read:/tmp/probe",
-                   "--access", "read:/tmp/probe"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "enabled 0" in out
-        assert "hits 0" in out
-
-    def test_flush_empties_cache(self, good_policy, capsys):
-        rc = main(["avc", good_policy,
-                   "--access", "read:/tmp/probe", "--flush"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        # Reading the stats pseudo-file itself repopulates a couple of
-        # entries, so assert on the flush counters rather than emptiness.
-        assert "flushes 1" in out
-        assert "epoch_bumps_tracefs-flush 1" in out
-
-
 class TestGraph:
     def test_dot_output(self, good_policy, capsys):
         assert main(["graph", good_policy]) == 0

@@ -87,7 +87,7 @@ class TestMutations:
             self, monkeypatch):
         from repro.sack.module import SackLsm
 
-        monkeypatch.setattr(SackLsm, "_on_transition_bump_avc",
+        monkeypatch.setattr(SackLsm, "_on_transition_bump_epoch",
                             lambda self, transition: None)
         report = chaos.run_chaos(seed=1, ticks=600)
         fired = [v for v in report.violations

@@ -186,9 +186,10 @@ class TestSloSpecs:
         assert slo.series == "lsm_denials_total"
 
     def test_parse_min_ratio(self):
-        slo = parse_slo("avc_hit_ratio>=0.2")
+        slo = parse_slo("event_accept_ratio>=0.9")
         assert slo.kind == "ratio" and slo.op == "min"
-        assert slo.numerator == "lsm_avc_lookups_total{result=hit}"
+        assert slo.numerator == "sackfs_events_accepted_total"
+        assert slo.denominator == "sackfs_events_received_total"
 
     def test_parse_rejects_unknown_alias(self):
         with pytest.raises(ValueError, match="unknown SLO alias"):

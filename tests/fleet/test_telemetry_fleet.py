@@ -18,13 +18,15 @@ KEY = b"sack-fleet-signing-key"
 #: Pre-telemetry fingerprints, hard-coded: a telemetry-disabled fleet
 #: (and chaos run) must stay byte-identical to builds that predate the
 #: pipeline.  If one of these moves, the feature leaked into the
-#: default path.
+#: default path.  Re-pinned once when the stack AVC and decision table
+#: were removed: their counters left the metrics and chaos reports and
+#: the epoch series were renamed; nothing else moved.
 BASELINE_FLEET_10x7 = \
-    "5ad3e6134060be43471b4f62c15470761c0353be0ac4ab97d793acda3eb4739b"
+    "ee3a35ef759d4965895eaf844af830cbf403495d04df8158eddd641472b4e044"
 BASELINE_FLEET_4x3_W2 = \
-    "d0d4fc921dad608fcd1eeebf6c948740d0dd17e345d321c76154a8bf58db2adf"
+    "ebb803531b6384916f0811768c3bbb37599403d2b346f0986ed5c8f113f0eb3b"
 BASELINE_CHAOS_1 = \
-    "25f07f11e07662c32b6963e157271bdfe45b3aaa5ed0ce713b965202177d8347"
+    "de8fff1bcf1ca3a9d132c8bf7756f89f4b52500ac43949aed055a8b7db609b3b"
 
 #: An objective a cruising fleet can never meet (it has no 1 MHz
 #: heartbeat): measured 0 -> clamped burn in every window -> the

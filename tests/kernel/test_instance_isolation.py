@@ -81,13 +81,13 @@ class TestDisjointObservability:
         b.kernel.obs.spans.enable()
 
         obs_b = b.kernel.obs
-        avc_b = b.framework.avc.core
+        framework_b = b.framework
 
         def snapshot_b():
             return (obs_b.spans.started, obs_b.spans._trace_seq,
                     [r.kind for r in obs_b.audit.records()],
                     obs_b.metrics.to_prometheus(),
-                    (avc_b.hits, avc_b.misses, avc_b.epoch),
+                    framework_b.epoch,
                     b.sackfs.events_received,
                     b.sack.ssm.events_processed)
 

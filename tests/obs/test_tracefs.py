@@ -95,50 +95,6 @@ class TestEventEnable:
         assert "entries: 0" in trace
 
 
-class TestAvcFiles:
-    def test_stats_renders_key_value_lines(self, world):
-        kernel, task, _ = world
-        kernel.security.avc.core.insert("k", 0b1)
-        kernel.security.avc.core.lookup("k")
-        stats = read(kernel, task, "SACK/avc/stats")
-        parsed = dict(line.split(" ", 1) for line in stats.splitlines())
-        assert parsed["enabled"] == "1"
-        assert parsed["hits"] == "1"
-        assert parsed["entries"] == "1"
-        assert "epoch" in parsed
-
-    def test_enable_defaults_on_and_toggles(self, world):
-        kernel, task, _ = world
-        assert read(kernel, task, "SACK/avc/enable") == "1\n"
-        write(kernel, task, "SACK/avc/enable", "0")
-        assert not kernel.security.avc.enabled
-        assert read(kernel, task, "SACK/avc/enable") == "0\n"
-        write(kernel, task, "SACK/avc/enable", "1\n")
-        assert kernel.security.avc.enabled
-
-    def test_enable_garbage_rejected(self, world):
-        kernel, task, _ = world
-        with pytest.raises(KernelError) as err:
-            write(kernel, task, "SACK/avc/enable", "sure")
-        assert err.value.errno == Errno.EINVAL
-
-    def test_flush_empties_and_bumps_epoch(self, world):
-        kernel, task, _ = world
-        core = kernel.security.avc.core
-        core.insert("k", 0b1)
-        epoch = core.epoch
-        write(kernel, task, "SACK/avc/flush", "1")
-        assert len(core) == 0
-        assert core.epoch > epoch
-        assert core.bump_reasons["tracefs-flush"] == 1
-
-    def test_flush_requires_one(self, world):
-        kernel, task, _ = world
-        with pytest.raises(KernelError) as err:
-            write(kernel, task, "SACK/avc/flush", "yes please")
-        assert err.value.errno == Errno.EINVAL
-
-
 class TestMetricsFiles:
     def test_metrics_json_parses(self, world):
         kernel, task, _ = world

@@ -219,7 +219,7 @@ class TestFailedReload:
         bridge.ssm.process_event(SituationEvent(name="crash_detected"))
         ssm, policy, watchdog = bridge.ssm, bridge.policy, \
             world.sackfs.watchdog
-        epoch = world.framework.avc.core.epoch
+        epoch = world.framework.epoch
 
         def sack_rules():
             return {p.name: sorted((r.glob, r.perms.value, r.deny)
@@ -239,7 +239,7 @@ class TestFailedReload:
         assert sack_rules() == rules
         assert bridge.verify_consistency() == []
         assert world.sackfs.watchdog is watchdog
-        assert world.framework.avc.core.epoch == epoch
+        assert world.framework.epoch == epoch
         # The old machine still drives the profiles.
         ssm.process_event(SituationEvent(name="emergency_cleared"))
         assert bridge.verify_consistency() == []

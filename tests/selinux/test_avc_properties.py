@@ -1,24 +1,23 @@
-"""Hypothesis properties for the AVC core.
+"""Hypothesis properties for the SELinux AVC core.
 
 The safety argument for caching access decisions rests on one property:
 under *any* interleaving of ``lookup``/``insert``/``bump_epoch``/``flush``,
 the cache never returns an entry whose epoch differs from the current
-one.  These tests drive :class:`repro.lsm.avc.AvcCore` with arbitrary
+one.  These tests drive :class:`repro.selinux.avc.AvcCore` with arbitrary
 operation sequences against a deliberately naive model and check that
 every hit is justified.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.lsm import AvcCore
+from repro.selinux.avc import AvcCore
 
 KEYS = st.integers(min_value=0, max_value=9)
-MASKS = st.integers(min_value=1, max_value=7)
+VALUES = st.integers(min_value=1, max_value=7)
 
 OPS = st.one_of(
-    st.tuples(st.just("insert"), KEYS, MASKS),
-    st.tuples(st.just("extend"), KEYS, MASKS),
-    st.tuples(st.just("lookup"), KEYS, MASKS),
+    st.tuples(st.just("insert"), KEYS, VALUES),
+    st.tuples(st.just("lookup"), KEYS, st.just(0)),
     st.tuples(st.just("bump"), st.just(0), st.just(0)),
     st.tuples(st.just("flush"), st.just(0), st.just(0)),
 )
@@ -27,44 +26,35 @@ OPS = st.one_of(
 @given(ops=st.lists(OPS, max_size=300),
        capacity=st.integers(min_value=1, max_value=16))
 @settings(max_examples=200, deadline=None)
-def test_hit_implies_current_epoch_coverage(ops, capacity):
-    """A hit is only ever served from a value written in the current
-    epoch whose vector covers the requested mask.
+def test_hit_is_the_current_epoch_value(ops, capacity):
+    """A hit only ever serves the value last written for its key, and
+    only when that write happened in the current epoch.
 
     The model ignores capacity (a superset of what the core may hold),
     so the implication is one-directional: every core hit must be
     justified by the model; a core miss is always legal (eviction).
     """
     core = AvcCore(capacity=capacity)
-    model = {}  # key -> (epoch_written, vector)
+    model = {}  # key -> (epoch_written, value)
     epoch = 0
-    for op, key, mask in ops:
+    for op, key, value in ops:
         if op == "insert":
-            core.insert(key, mask)
-            model[key] = (epoch, mask)
-        elif op == "extend":
-            core.extend_vector(key, mask)
-            prev_epoch, prev = model.get(key, (None, 0))
-            merged = (prev | mask) if prev_epoch == epoch else mask
-            model[key] = (epoch, merged)
+            core.insert(key, value)
+            model[key] = (epoch, value)
         elif op == "lookup":
-            hit = core.lookup_vector(key, mask)
+            hit, got = core.lookup(key)
             if hit:
-                model_epoch, vector = model.get(key, (None, 0))
+                model_epoch, written = model.get(key, (None, None))
                 assert model_epoch == epoch, \
                     f"hit on {key} from epoch {model_epoch}, now {epoch}"
-                assert mask & vector == mask, \
-                    f"hit on {key} with vector {vector:#x}, asked {mask:#x}"
+                assert got == written
         elif op == "bump":
-            core.bump_epoch("property")
+            core.bump_epoch()
             epoch += 1
         elif op == "flush":
             core.flush()
             model.clear()
-        # Global invariants, checked after every single operation.
         assert len(core) <= capacity
-        assert core.stale_served == 0
-        assert core.last_hit_entry_epoch == core.last_hit_at_epoch
 
 
 @given(ops=st.lists(OPS, max_size=300))
@@ -72,16 +62,14 @@ def test_hit_implies_current_epoch_coverage(ops, capacity):
 def test_counters_are_consistent(ops):
     core = AvcCore(capacity=8)
     lookups = 0
-    for op, key, mask in ops:
+    for op, key, value in ops:
         if op == "insert":
-            core.insert(key, mask)
-        elif op == "extend":
-            core.extend_vector(key, mask)
+            core.insert(key, value)
         elif op == "lookup":
-            core.lookup_vector(key, mask)
+            core.lookup(key)
             lookups += 1
         elif op == "bump":
-            core.bump_epoch("property")
+            core.bump_epoch()
         elif op == "flush":
             core.flush()
     assert core.hits + core.misses == lookups

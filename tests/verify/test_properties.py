@@ -9,9 +9,9 @@ from repro.verify.properties import (RUNTIME_INVARIANTS,
 
 
 class TestRuntimeRegistry:
-    def test_all_eleven_invariants_registered(self):
+    def test_all_ten_invariants_registered(self):
         assert [inv.inv_id for inv in RUNTIME_INVARIANTS] == [
-            f"I{i}" for i in range(1, 12)]
+            f"I{i}" for i in range(1, 11)]
 
     def test_chaos_checks_cover_the_chaos_invariants(self):
         chaos = [inv for inv in RUNTIME_INVARIANTS
@@ -59,6 +59,16 @@ class TestStaticRegistry:
         listed = static_properties()
         listed.clear()
         assert len(static_properties()) == 5
+
+    def test_p4_catches_an_ape_that_skips_the_remap(self, monkeypatch):
+        from repro.sack.ape import AdaptivePolicyEnforcer
+        from repro.vehicle.ivi import DEFAULT_SACK_POLICY
+        from repro.verify.checker import verify_policies
+
+        monkeypatch.setattr(AdaptivePolicyEnforcer, "_on_transition",
+                            lambda self, transition: None)
+        report = verify_policies(DEFAULT_SACK_POLICY)
+        assert report.failed_properties == ["P4:cache-coherence"]
 
 
 class TestChaosConsumesRegistry:
