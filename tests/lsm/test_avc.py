@@ -3,6 +3,12 @@
 Every access walks the modules: there is no stack-level decision cache.
 The framework keeps one monotone situation epoch, advanced on every
 committed transition, policy load and AppArmor profile reload.
+
+The class and test names date from the stack access vector cache, which
+is gone.  Each test now checks the same behaviour with every access
+walking the modules.  ``AvcCore``, the epoch-stamped LRU that cache was
+built on, lives on in the SELinux AVC (``repro.selinux.avc``); its tests
+keep their names here.
 """
 
 import pytest
@@ -12,6 +18,7 @@ from repro.kernel import KernelError, OpenFlags, user_credentials
 from repro.lsm import Hook, HOOK_BIT, boot_kernel
 from repro.sack import SackLsm, parse_policy
 from repro.sack.events import SituationEvent
+from repro.selinux.avc import AvcCore
 
 POLICY = """
 policy epoch_test;
@@ -81,8 +88,10 @@ def read_once(kernel, task, path):
     kernel.sys_close(task, fd)
 
 
-class TestSituationEpoch:
-    def test_transition_bumps_epoch(self, world):
+class TestFrameworkAvc:
+    """The SACK stack: the epoch advances, and every access walks."""
+
+    def test_transition_bumps_epoch_and_invalidates(self, world):
         kernel, framework, sack = world
         epoch = framework.epoch
         sack.ssm.process_event(SituationEvent(name="crash_detected"))
@@ -103,15 +112,6 @@ class TestSituationEpoch:
         assert framework.epoch > epoch
         assert framework.bump_reasons["policy-load"] == 2
 
-    def test_profile_reload_bumps_epoch(self):
-        apparmor = AppArmorLsm()
-        apparmor.policy.load_text(PROFILES)
-        kernel, framework = boot_kernel([apparmor])
-        epoch = framework.epoch
-        apparmor.policy.load_text(PROFILES)
-        assert framework.epoch > epoch
-        assert framework.bump_reasons["profile-reload"] >= 1
-
     def test_epoch_is_exported(self, world):
         kernel, framework, sack = world
         sack.ssm.process_event(SituationEvent(name="crash_detected"))
@@ -120,11 +120,7 @@ class TestSituationEpoch:
         assert ('lsm_situation_epoch_bumps_total{reason="transition"} 1'
                 in metrics)
 
-
-# -- decisions: every access walks the modules --------------------------------
-
-class TestDecisions:
-    def test_repeated_allow_walks_the_modules(self, world):
+    def test_repeated_allow_hits(self, world):
         kernel, framework, sack = world
         task = make_task(kernel, "app")
         read_once(kernel, task, "/dev/car/speed")
@@ -132,7 +128,7 @@ class TestDecisions:
         read_once(kernel, task, "/dev/car/speed")
         assert sack.ape.check_count == 2 * checks
 
-    def test_every_denial_reaches_the_module(self, world):
+    def test_denials_are_never_cached(self, world):
         kernel, framework, sack = world
         task = make_task(kernel, "app")
         for expected in (1, 2):
@@ -157,7 +153,7 @@ class TestDecisions:
         with pytest.raises(KernelError):
             kernel.sys_write(rescue, fd, b"x")
 
-    def test_mac_override_bypasses_sack(self, world):
+    def test_mac_override_gets_its_own_cache_line(self, world):
         kernel, framework, _ = world
         app = make_task(kernel, "app")
         root = kernel.sys_fork(kernel.procs.init)
@@ -167,7 +163,22 @@ class TestDecisions:
         with pytest.raises(KernelError):
             kernel.sys_open(app, "/dev/car/door", OpenFlags.O_WRONLY)
 
-    def test_complain_mode_still_audits(self):
+
+# -- AppArmor profiles: reloads advance the epoch, complain mode audits -------
+
+class TestCacheabilityGates:
+    """What once kept an allow out of the cache now simply re-decides."""
+
+    def test_profile_reload_bumps_epoch(self):
+        apparmor = AppArmorLsm()
+        apparmor.policy.load_text(PROFILES)
+        kernel, framework = boot_kernel([apparmor])
+        epoch = framework.epoch
+        apparmor.policy.load_text(PROFILES)
+        assert framework.epoch > epoch
+        assert framework.bump_reasons["profile-reload"] >= 1
+
+    def test_complain_mode_vetoes_caching(self):
         apparmor = AppArmorLsm()
         apparmor.policy.load_text(PROFILES)
         kernel, framework = boot_kernel([apparmor])
@@ -181,7 +192,7 @@ class TestDecisions:
         # two per read (file_open and file_permission).
         assert apparmor.complain_count == before + 6
 
-    def test_profile_reload_revokes_an_allow(self):
+    def test_profile_reload_revokes_cached_allow(self):
         apparmor = AppArmorLsm()
         apparmor.policy.load_text(PROFILES)
         kernel, framework = boot_kernel([apparmor])
@@ -195,6 +206,50 @@ class TestDecisions:
         apparmor.policy.load_text(tightened)
         with pytest.raises(KernelError):
             kernel.sys_open(task, "/data/f", OpenFlags.O_RDONLY)
+
+
+# -- AvcCore, the SELinux AVC's epoch-stamped LRU -----------------------------
+
+class TestAvcCore:
+    def test_miss_insert_hit(self):
+        core = AvcCore()
+        hit, _ = core.lookup("k")
+        assert not hit and core.misses == 1
+        core.insert("k", 7)
+        hit, value = core.lookup("k")
+        assert hit and value == 7 and core.hits == 1
+
+    def test_bump_epoch_invalidates_in_o1(self):
+        core = AvcCore()
+        for i in range(100):
+            core.insert(i, i)
+        core.bump_epoch()
+        assert len(core) == 100  # nothing walked eagerly...
+        hit, _ = core.lookup(3)
+        assert not hit           # ...but nothing stale is served
+        assert core.stale_drops == 1
+        assert len(core) == 99   # the tripped-over entry is reclaimed
+
+    def test_flush_empties(self):
+        core = AvcCore()
+        core.insert("k", 1)
+        core.flush()
+        assert len(core) == 0 and core.flushes == 1
+
+    def test_lru_eviction_prefers_cold_entries(self):
+        core = AvcCore(capacity=4)
+        for key in "abcd":
+            core.insert(key, 1)
+        core.lookup("a")         # refresh: a is now most recent
+        core.insert("e", 1)      # evicts b, the coldest
+        assert core.lookup("a")[0]
+        assert not core.lookup("b")[0]
+        assert len(core) <= 4
+        assert core.evictions == 1
+
+    def test_capacity_validation(self):
+        with pytest.raises(ValueError):
+            AvcCore(capacity=0)
 
 
 # -- the implemented-hook bitmap ----------------------------------------------

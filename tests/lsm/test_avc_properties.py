@@ -1,4 +1,4 @@
-"""Hypothesis properties for the SELinux AVC core.
+"""Hypothesis properties for the AVC core (the SELinux AVC's LRU).
 
 The safety argument for caching access decisions rests on one property:
 under *any* interleaving of ``lookup``/``insert``/``bump_epoch``/``flush``,
@@ -26,7 +26,7 @@ OPS = st.one_of(
 @given(ops=st.lists(OPS, max_size=300),
        capacity=st.integers(min_value=1, max_value=16))
 @settings(max_examples=200, deadline=None)
-def test_hit_is_the_current_epoch_value(ops, capacity):
+def test_hit_implies_current_epoch_coverage(ops, capacity):
     """A hit only ever serves the value last written for its key, and
     only when that write happened in the current epoch.
 

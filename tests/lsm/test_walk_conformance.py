@@ -189,7 +189,7 @@ def test_unobserved_modes_emit_nothing(replays):
         assert not replays[mode]["latency"]
 
 
-def test_watched_hooks_span_int_dispatches(replays):
+def test_watched_hooks_span_int_dispatches_and_cache_hits(replays):
     run = replays["spans"]
     names = {name for name, _attrs in run["hook_spans"]}
     assert f"lsm.{Hook.FILE_OPEN.value}" in names
@@ -203,3 +203,6 @@ def test_watched_hooks_span_int_dispatches(replays):
         for hook, first in run["first_module"].items()
         if hook != Hook.BPRM_COMMITTED_CREDS.value})
     assert spans == +dispatches
+    # No cache serves any access: no span is tagged as a cache hit.
+    assert not [attrs for _name, attrs in run["hook_spans"]
+                if attrs.get("avc.hit")]

@@ -1,8 +1,6 @@
-"""Tests for the SELinux access vector cache and its epoch-stamped core."""
+"""Tests for the access vector cache."""
 
-import pytest
-
-from repro.selinux.avc import AccessVectorCache, AvcCore
+from repro.selinux.avc import AccessVectorCache
 from repro.selinux.policy import AvRule, SelinuxPolicy
 
 
@@ -63,45 +61,3 @@ class TestAvc:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["hit_rate_pct"] == 50
-
-
-class TestAvcCore:
-    def test_miss_insert_hit(self):
-        core = AvcCore()
-        hit, _ = core.lookup("k")
-        assert not hit and core.misses == 1
-        core.insert("k", 7)
-        hit, value = core.lookup("k")
-        assert hit and value == 7 and core.hits == 1
-
-    def test_bump_epoch_invalidates_in_o1(self):
-        core = AvcCore()
-        for i in range(100):
-            core.insert(i, i)
-        core.bump_epoch()
-        assert len(core) == 100  # nothing walked eagerly...
-        hit, _ = core.lookup(3)
-        assert not hit           # ...but nothing stale is served
-        assert core.stale_drops == 1
-        assert len(core) == 99   # the tripped-over entry is reclaimed
-
-    def test_flush_empties(self):
-        core = AvcCore()
-        core.insert("k", 1)
-        core.flush()
-        assert len(core) == 0 and core.flushes == 1
-
-    def test_lru_eviction_prefers_cold_entries(self):
-        core = AvcCore(capacity=4)
-        for key in "abcd":
-            core.insert(key, 1)
-        core.lookup("a")         # refresh: a is now most recent
-        core.insert("e", 1)      # evicts b, the coldest
-        assert core.lookup("a")[0]
-        assert not core.lookup("b")[0]
-        assert len(core) <= 4
-        assert core.evictions == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            AvcCore(capacity=0)
