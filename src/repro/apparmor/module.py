@@ -40,7 +40,7 @@ class AppArmorLsm(LsmModule):
     name = MODULE_NAME
 
     def __init__(self, policy: Optional[PolicyDb] = None):
-        self.policy = policy or PolicyDb()
+        self.policy = policy if policy is not None else PolicyDb()
         self.denial_count = 0
         self.complain_count = 0
         self._policy_watched = False

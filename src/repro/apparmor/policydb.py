@@ -4,13 +4,17 @@ Profiles are loaded at boot but — crucially for SACK-enhanced AppArmor —
 can be *replaced at runtime*, the equivalent of ``apparmor_parser -r``.
 Every mutation bumps a revision counter; tasks hold profile *names*, so a
 replaced profile takes effect for running processes immediately, exactly
-the behaviour the SACK bridge needs at situation transitions.
+the behaviour the SACK bridge needs at situation transitions.  Like the
+kernel's ``aa_replace_profiles``, a multi-profile load (a profile text,
+or the bridge's per-transition set) is one swap: one revision bump and
+one notification, whatever the number of profiles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
+from ..lsm.policycache import PolicyCache
 from .globs import glob_match, literal_prefix_len
 from .parser import parse_profiles
 from .profile import Profile
@@ -19,8 +23,11 @@ from .profile import Profile
 class PolicyDb:
     """Name-indexed profile store with attachment resolution."""
 
-    def __init__(self):
+    def __init__(self, policy_cache: Optional[PolicyCache] = None):
         self._profiles: Dict[str, Profile] = {}
+        #: Parsed profile texts, shared with the other worlds on a host.
+        self.policy_cache = (policy_cache if policy_cache is not None
+                             else PolicyCache())
         self.revision = 0
         self.replace_count = 0
         # Attachment lookups are hot (every exec); AppArmor compiles them
@@ -42,24 +49,42 @@ class PolicyDb:
     # -- loading -------------------------------------------------------------
     def load_profile(self, profile: Profile) -> None:
         """Add or replace one profile."""
-        if profile.name in self._profiles:
-            self.replace_count += 1
-        self._profiles[profile.name] = profile
-        self.revision += 1
-        self._notify()
+        self._swap((profile,))
 
     def load_text(self, text: str) -> List[Profile]:
-        """Parse and load profile text; returns the loaded profiles."""
-        profiles = parse_profiles(text)
-        for profile in profiles:
-            self.load_profile(profile)
+        """Parse and load profile text in one swap; returns the loaded
+        profiles (fresh copies: the parsed text is shared)."""
+        parsed = self.policy_cache.get(("apparmor", text),
+                                       lambda: parse_profiles(text))
+        profiles = [profile.clone() for profile in parsed]
+        self._swap(profiles)
         return profiles
 
     def replace_profile(self, profile: Profile) -> None:
         """Replace an existing profile (it must already be loaded)."""
-        if profile.name not in self._profiles:
-            raise KeyError(f"no profile named {profile.name!r} to replace")
-        self.load_profile(profile)
+        self.replace_profiles((profile,))
+
+    def replace_profiles(self, profiles: Iterable[Profile]) -> None:
+        """Replace existing profiles in one swap: one revision, one
+        notification.  Every name is checked first, so a missing one
+        raises ``KeyError`` with nothing changed."""
+        profiles = list(profiles)
+        for profile in profiles:
+            if profile.name not in self._profiles:
+                raise KeyError(f"no profile named {profile.name!r} "
+                               f"to replace")
+        self._swap(profiles)
+
+    def _swap(self, profiles) -> None:
+        if not profiles:
+            return
+        live = self._profiles
+        for profile in profiles:
+            if profile.name in live:
+                self.replace_count += 1
+            live[profile.name] = profile
+        self.revision += 1
+        self._notify()
 
     def remove_profile(self, name: str) -> None:
         if name in self._profiles:

@@ -34,6 +34,7 @@ import multiprocessing
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..lsm.policycache import PolicyCache
 from ..obs.telemetry import snapshot_frame
 from .resilience import CheckpointStore, EpochRecord, replay_epoch
 from .vehicle import FleetVehicle, apply_driver_action
@@ -52,6 +53,10 @@ class InProcessHost:
     def __init__(self, config):
         self.config = config
         self.vehicles: Dict[str, FleetVehicle] = {}
+        #: Parsed and compiled policy texts, shared by this host's
+        #: vehicles (restored ones included): each bundle text is parsed
+        #: and compiled once per host.
+        self.policy_cache = PolicyCache()
         self._checkpoints = CheckpointStore()
 
     # -- lifecycle ---------------------------------------------------------
@@ -60,7 +65,7 @@ class InProcessHost:
         """Build one vehicle per constructor spec; boot health by id."""
         cfg = self.config
         for spec in specs:
-            vehicle = FleetVehicle(**spec)
+            vehicle = FleetVehicle(**spec, policy_cache=self.policy_cache)
             if cfg.start_moving:
                 dyn = vehicle.world.dynamics
                 dyn.start_engine()

@@ -12,7 +12,12 @@ assembles) and adds what fleet membership requires:
   commands, and sends no acks (the radio queues for it);
 * the **bundle lifecycle**: verify → apply (through the real SACKfs
   policy-load path) → ack, with the last committed bundle retained for
-  rollback.
+  rollback.  The apply is all-or-nothing: a bundle whose policy load
+  fails leaves the previous profiles, policy and SSM in force.
+
+The vehicles of one fleet host share one
+:class:`~repro.lsm.policycache.PolicyCache`, so each bundle text is
+parsed and compiled once per host, not once per vehicle.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from ..faults import points as fault_points
 from ..faults.plan import FaultPlan, random_plan
 from ..kernel.errors import KernelError
+from ..lsm.policycache import PolicyCache
 from ..sack import events as ev
 from ..sds.detectors import Detector
 from ..sds.sensors import Sensor
@@ -130,6 +136,17 @@ class V2xAlertDetector(Detector):
         self._raised = False
 
 
+def _restore_profiles(db, before: Dict[str, object]) -> None:
+    """Put *db* back to the profiles in *before* (name -> profile): the
+    changed ones return in one swap, profiles added since are dropped."""
+    changed = [profile for name, profile in before.items()
+               if db.get(name) is not profile]
+    db.replace_profiles(changed)
+    for name in db.profile_names():
+        if name not in before:
+            db.remove_profile(name)
+
+
 class FleetVehicle:
     """One vehicle in the fleet: world + V2X + connectivity + bundles."""
 
@@ -138,7 +155,8 @@ class FleetVehicle:
                  start_km: float = 0.0,
                  fault_intensity: float = 0.0,
                  policy_text: Optional[str] = None,
-                 alert_ttl_ticks: int = ALERT_TTL_TICKS):
+                 alert_ttl_ticks: int = ALERT_TTL_TICKS,
+                 policy_cache: Optional[PolicyCache] = None):
         config = MODE_CONFIGS.get(mode)
         if config is None:
             raise ValueError(
@@ -159,7 +177,7 @@ class FleetVehicle:
         if policy_text is not None:
             kwargs["policy_text"] = policy_text
         self.world = build_ivi_world(config, fault_plan=self.fault_plan,
-                                     **kwargs)
+                                     policy_cache=policy_cache, **kwargs)
         self.receiver = _V2xReceiverSensor()
         self.world.sds.sensors.append(self.receiver)
         self.world.sds.health[self.receiver.name] = SensorHealth()
@@ -255,7 +273,9 @@ class FleetVehicle:
         """Verify and apply *bundle*; returns the ack for the control
         plane.  A verification failure is a refusal (the bundle never
         touches the kernel); an apply failure after verification leaves
-        the previous policy enforcing (SACKfs loads transactionally)."""
+        the previous profiles and policy enforcing: SACKfs loads
+        transactionally, and the profiles the bundle replaced are
+        swapped back."""
         try:
             verify_bundle(bundle, key)
         except BundleVerificationError as exc:
@@ -273,18 +293,27 @@ class FleetVehicle:
                               version=bundle.version, ok=False,
                               detail="injected apply failure")
         kernel = self.world.kernel
+        db = (self.world.apparmor.policy
+              if bundle.apparmor_profiles and self.world.apparmor is not None
+              else None)
+        before = ({name: db.get(name) for name in db.profile_names()}
+                  if db is not None else {})
         try:
-            if bundle.apparmor_profiles and self.world.apparmor is not None:
+            if db is not None:
                 for text in bundle.apparmor_profiles.values():
-                    self.world.apparmor.policy.load_text(text)
+                    db.load_text(text)
             kernel.write_file(kernel.procs.init,
                               "/sys/kernel/security/SACK/policy",
                               bundle.policy_text.encode(), create=False)
         except (KernelError, ValueError) as exc:
             # A failed load — SACKfs reports a bridge profile reload
-            # dying mid load as EIO — leaves the previous policy and
-            # profiles enforcing; the control plane just sees a failed
-            # ack to re-offer.
+            # dying mid load as EIO — leaves the previous policy in
+            # force; swapping back the profiles the bundle's texts
+            # replaced (which lack the live state's bridged rules) keeps
+            # enforcement consistent with it.  The control plane just
+            # sees a failed ack to re-offer.
+            if db is not None:
+                _restore_profiles(db, before)
             self.apply_log.append((bundle.version, "apply_failed"))
             return VehicleAck(vehicle_id=self.vehicle_id,
                               version=bundle.version, ok=False,

@@ -6,7 +6,10 @@ original AppArmor" (§IV-B).  Instead, on every situation transition the
 bridge rewrites the AppArmor profiles of the target services: SACK MAC
 rules active in the new state are translated into AppArmor path rules
 (tagged ``origin='sack'``) and the profiles are replaced in the live policy
-store, the equivalent of ``apparmor_parser -r`` at transition time.
+store, the equivalent of ``apparmor_parser -r`` at transition time.  The
+translation of a (state, profile) pair depends only on the loaded policy,
+so it is done once per policy and kept; a transition then swaps every
+target profile in one :meth:`~repro.apparmor.policydb.PolicyDb.replace_profiles`.
 
 Fidelity note: AppArmor's file rules cannot filter individual ioctl
 commands, so an ioctl rule with a ``cmd=`` list becomes plain write access
@@ -17,7 +20,7 @@ ablation E10 measures its cost side.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..apparmor.module import AppArmorLsm
 from ..apparmor.profile import FilePerm, PathRule, Profile
@@ -92,17 +95,40 @@ class SackAppArmorBridge(SackModule):
         self.update_count = 0
         self.rules_injected = 0
         self.fault_plan = fault_plan
+        #: ``(state, profile name)`` -> that profile's sack rules in that
+        #: state, for the policy and symbols in :attr:`_translated_for`.
+        self._translated: Dict[Tuple[str, str], Tuple[PathRule, ...]] = {}
+        self._translated_for: tuple = (None, None)
 
     # -- transition handling ------------------------------------------------------
     def _target_profiles(self) -> List[Profile]:
         db = self.apparmor.policy
         names = self.policy.targets or db.profile_names()
-        return [db.get(n) for n in names if db.get(n) is not None]
+        profiles = [db.get(n) for n in names]
+        return [p for p in profiles if p is not None]
 
-    def _rule_applies_to(self, rule: MacRule, profile: Profile) -> bool:
+    def _rule_applies_to(self, rule: MacRule, profile_name: str) -> bool:
         if rule.subject is None:
             return True
-        return glob_match(rule.subject, profile.name)
+        return glob_match(rule.subject, profile_name)
+
+    def _sack_rules(self, state_name: str,
+                    profile_name: str) -> Tuple[PathRule, ...]:
+        """The path rules *state_name* injects into *profile_name*,
+        translated at most once per loaded policy."""
+        loaded = (self.policy, self.ioctl_symbols)
+        if self._translated_for != loaded:
+            self._translated = {}
+            self._translated_for = loaded
+        key = (state_name, profile_name)
+        rules = self._translated.get(key)
+        if rules is None:
+            rules = tuple(
+                mac_rule_to_path_rule(rule, self.ioctl_symbols)
+                for rule in self.policy.rules_for_state(state_name)
+                if self._rule_applies_to(rule, profile_name))
+            self._translated[key] = rules
+        return rules
 
     def _apply_state(self, state_name: str) -> None:
         """Rewrite every target profile for *state_name* and reload it.
@@ -124,22 +150,18 @@ class SackAppArmorBridge(SackModule):
         super()._apply_state(state_name)
 
     def _install_state(self, state_name: str) -> Dict[str, int]:
-        """All-or-nothing: every updated profile is computed first, then
-        the live policy store is swapped profile by profile."""
-        rules = self.policy.rules_for_state(state_name)
+        """All-or-nothing: every updated profile is staged first, then
+        the live policy store swaps them all in one step."""
         injected = 0
         staged: List[Profile] = []
         for profile in self._target_profiles():
+            rules = self._sack_rules(state_name, profile.name)
             updated = profile.clone()
             updated.remove_rules_by_origin(SACK_ORIGIN)
-            for rule in rules:
-                if self._rule_applies_to(rule, updated):
-                    updated.add_rule(
-                        mac_rule_to_path_rule(rule, self.ioctl_symbols))
-                    injected += 1
+            updated.path_rules.extend(rules)
+            injected += len(rules)
             staged.append(updated)
-        for updated in staged:
-            self.apparmor.policy.replace_profile(updated)
+        self.apparmor.policy.replace_profiles(staged)
         self.update_count += 1
         self.rules_injected = injected
         return {"profiles": len(staged), "rules": injected}
@@ -164,7 +186,7 @@ class SackAppArmorBridge(SackModule):
         for profile in self._target_profiles():
             expected = sorted(
                 key(mac_rule_to_path_rule(r, self.ioctl_symbols))
-                for r in rules if self._rule_applies_to(r, profile))
+                for r in rules if self._rule_applies_to(r, profile.name))
             live = sorted(key(r) for r in profile.path_rules
                           if r.origin == SACK_ORIGIN)
             if expected != live:

@@ -61,17 +61,21 @@ class SackModule(LsmModule):
         self.bump_epoch("transition")
 
     # -- policy lifecycle ----------------------------------------------------
-    def load_policy(self, policy: SackPolicy,
-                    ioctl_symbols=None) -> SituationStateMachine:
+    def load_policy(self, policy: SackPolicy, ioctl_symbols=None,
+                    compiled: Optional[CompiledPolicy] = None
+                    ) -> SituationStateMachine:
         """Compile, validate and activate *policy*; returns its SSM.
 
         Every variant compiles: independent SACK enforces the compiled
-        rulesets, the bridges compile only to validate.  A failed install
-        leaves the previous policy, SSM and enforcement state in force
-        and re-raises.
+        rulesets, the bridges compile only to validate.  *compiled* is
+        *policy* already compiled with *ioctl_symbols* (SACKfs passes its
+        host's shared compile); it is read, never changed.  A failed
+        install leaves the previous policy, SSM and enforcement state in
+        force and re-raises.
         """
         started_ns = time.perf_counter_ns()
-        compiled = compile_policy(policy, ioctl_symbols=ioctl_symbols)
+        if compiled is None:
+            compiled = compile_policy(policy, ioctl_symbols=ioctl_symbols)
         self._validate(policy)
         ssm = policy.build_ssm()
         previous = self.policy, self.ioctl_symbols

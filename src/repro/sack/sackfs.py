@@ -41,6 +41,8 @@ from ..lsm.securityfs import SecurityFs
 from ..obs.spans import TRACEPARENT_KEY
 from .events import (EventParseError, EventSequencer, HEARTBEAT,
                      parse_event_buffer)
+from ..lsm.policycache import PolicyCache
+from .policy.compiler import compile_policy
 from .policy.language import parse_policy
 from .watchdog import StalenessWatchdog
 
@@ -54,14 +56,19 @@ class SackFs:
 
     def __init__(self, kernel, module, securityfs: Optional[SecurityFs] = None,
                  authorized_event_uids: Optional[Set[int]] = None,
-                 ioctl_symbols=None, fault_plan=None):
+                 ioctl_symbols=None, fault_plan=None,
+                 policy_cache: Optional[PolicyCache] = None):
         """*module* is any :class:`~repro.sack.module.SackModule`:
-        independent SACK or either MAC bridge."""
+        independent SACK or either MAC bridge.  *policy_cache* holds the
+        parsed and compiled policy texts this kernel shares with the
+        other worlds on its host (a private one when not given)."""
         self.kernel = kernel
         self.module = module
         self.securityfs = securityfs or SecurityFs(kernel)
         self.authorized_event_uids = set(authorized_event_uids or ())
         self.ioctl_symbols = dict(ioctl_symbols or {})
+        self.policy_cache = (policy_cache if policy_cache is not None
+                             else PolicyCache())
         self.events_received = 0
         self.events_accepted = 0
         self.events_rejected = 0
@@ -209,9 +216,13 @@ class SackFs:
         # Parse, validate, and compile all happen before any live state
         # is replaced: a rejected policy leaves the old one enforcing.
         try:
-            policy = parse_policy(data.decode("utf-8"))
+            text = data.decode("utf-8")
+            policy, compiled = self.policy_cache.get(
+                ("sack", text, tuple(sorted(self.ioctl_symbols.items()))),
+                lambda: self._compile_text(text))
             self.module.load_policy(policy,
-                                    ioctl_symbols=self.ioctl_symbols)
+                                    ioctl_symbols=self.ioctl_symbols,
+                                    compiled=compiled)
         except (UnicodeDecodeError, ValueError) as exc:
             raise KernelError(Errno.EINVAL, f"policy: {exc}") from exc
         except InjectedFault as exc:
@@ -225,6 +236,11 @@ class SackFs:
         else:
             self.watchdog = None
         return len(data)
+
+    def _compile_text(self, text: str):
+        policy = parse_policy(text)
+        return policy, compile_policy(policy,
+                                      ioctl_symbols=self.ioctl_symbols)
 
     def _read_policy(self, task) -> bytes:
         policy = self.module.policy

@@ -16,11 +16,11 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional
 
-from ..apparmor import AppArmorLsm, load_ubuntu_defaults
+from ..apparmor import AppArmorLsm, PolicyDb, load_ubuntu_defaults
 from ..kernel import (Capability, Kernel, KernelError, OpenFlags,
                       user_credentials)
 from ..kernel.process import Task
-from ..lsm import LsmFramework, boot_kernel
+from ..lsm import LsmFramework, PolicyCache, boot_kernel
 from ..sack import SackAppArmorBridge, SackFs, SackLsm, parse_policy
 from ..sds import SituationDetectionService
 from .can import CanBus
@@ -333,13 +333,19 @@ def build_ivi_world(config: EnforcementConfig = EnforcementConfig.SACK_INDEPENDE
                     with_ubuntu_profiles: bool = False,
                     with_sds: bool = True,
                     initial_speed_kmh: float = 0.0,
-                    fault_plan=None) -> IviWorld:
+                    fault_plan=None,
+                    policy_cache: Optional[PolicyCache] = None) -> IviWorld:
     """Assemble and boot a complete IVI world.
 
     *fault_plan* (a :class:`~repro.faults.plan.FaultPlan`) is threaded to
     every layer that declares fault points: the SDS's sensors, the SACKfs
-    channel, and the AppArmor bridge's profile reload.
+    channel, and the AppArmor bridge's profile reload.  *policy_cache*
+    is the parsed-text cache the world's AppArmor store and SACKfs read
+    through; worlds on one host pass the same one, and a world given none
+    gets its own.
     """
+    if policy_cache is None:
+        policy_cache = PolicyCache()
     dynamics = VehicleDynamics(speed_kmh=initial_speed_kmh)
     bus = CanBus()
 
@@ -348,7 +354,7 @@ def build_ivi_world(config: EnforcementConfig = EnforcementConfig.SACK_INDEPENDE
     bridge = None
     modules = []
     if config in (EnforcementConfig.APPARMOR, EnforcementConfig.SACK_APPARMOR):
-        apparmor = AppArmorLsm()
+        apparmor = AppArmorLsm(PolicyDb(policy_cache))
         if with_ubuntu_profiles:
             load_ubuntu_defaults(apparmor.policy)
         apparmor.policy.load_text(IVI_APPARMOR_PROFILES)
@@ -406,7 +412,8 @@ def build_ivi_world(config: EnforcementConfig = EnforcementConfig.SACK_INDEPENDE
         sackfs = SackFs(kernel, module,
                         authorized_event_uids={SDS_UID},
                         ioctl_symbols=IOCTL_SYMBOLS,
-                        fault_plan=fault_plan)
+                        fault_plan=fault_plan,
+                        policy_cache=policy_cache)
         kernel.write_file(init, "/sys/kernel/security/SACK/policy",
                           policy_text.encode(), create=False)
 

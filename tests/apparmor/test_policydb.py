@@ -83,3 +83,95 @@ class TestAttachment:
                           path_rules=[PathRule("/new", FilePerm.READ)])
         db.replace_profile(updated)
         assert db.attach_for_exe("/usr/bin/app").rule_count() == 1
+
+
+class TestReplaceProfiles:
+    @pytest.fixture
+    def watched(self, db):
+        notes = []
+        db.load_profile(Profile("a"))
+        db.load_profile(Profile("b"))
+        db.subscribe(lambda: notes.append(db.revision))
+        return db, notes
+
+    def test_one_revision_and_one_notify_for_many(self, watched):
+        db, notes = watched
+        rev = db.revision
+        db.replace_profiles([
+            Profile("a", path_rules=[PathRule("/a", FilePerm.READ)]),
+            Profile("b", path_rules=[PathRule("/b", FilePerm.READ)])])
+        assert db.revision == rev + 1
+        assert notes == [rev + 1]
+        assert db.replace_count == 2
+        assert db.get("a").rule_count() == db.get("b").rule_count() == 1
+
+    def test_unknown_name_changes_nothing(self, watched):
+        db, notes = watched
+        rev, a = db.revision, db.get("a")
+        with pytest.raises(KeyError):
+            db.replace_profiles([
+                Profile("a", path_rules=[PathRule("/a", FilePerm.READ)]),
+                Profile("ghost")])
+        assert db.revision == rev
+        assert notes == []
+        assert db.get("a") is a
+        assert db.get("ghost") is None
+        assert db.replace_count == 0
+
+    def test_empty_swap_is_a_no_op(self, watched):
+        db, notes = watched
+        rev = db.revision
+        db.replace_profiles([])
+        assert db.revision == rev and notes == []
+
+    def test_load_text_is_one_swap(self, watched):
+        db, notes = watched
+        rev = db.revision
+        loaded = db.load_text("profile a /bin/a {\n  /etc/x r,\n}\n"
+                              "profile c /bin/c {\n  /etc/y r,\n}\n")
+        assert [p.name for p in loaded] == ["a", "c"]
+        assert db.revision == rev + 1
+        assert notes == [rev + 1]
+        assert db.replace_count == 1          # "a" replaced, "c" added
+
+
+class TestSharedTextCache:
+    TEXT = "profile a /bin/a {\n  /etc/x r,\n}\n"
+
+    def test_text_is_parsed_once_per_cache(self, monkeypatch):
+        from repro.apparmor import policydb as policydb_mod
+        from repro.lsm.policycache import PolicyCache
+        calls = []
+        original = policydb_mod.parse_profiles
+        monkeypatch.setattr(policydb_mod, "parse_profiles",
+                            lambda text: calls.append(text)
+                            or original(text))
+        cache = PolicyCache()
+        first, second = PolicyDb(cache), PolicyDb(cache)
+        first.load_text(self.TEXT)
+        second.load_text(self.TEXT)
+        assert len(calls) == 1
+        PolicyDb().load_text(self.TEXT)       # a private cache parses
+        assert len(calls) == 2
+
+    def test_loaded_profiles_are_private_copies(self):
+        from repro.lsm.policycache import PolicyCache
+        cache = PolicyCache()
+        first, second = PolicyDb(cache), PolicyDb(cache)
+        (mine,) = first.load_text(self.TEXT)
+        mine.add_rule(PathRule("/secret", FilePerm.WRITE))
+        (theirs,) = second.load_text(self.TEXT)
+        assert theirs is not mine
+        assert not theirs.allows_file("/secret", FilePerm.WRITE)
+        assert first.get("a").allows_file("/secret", FilePerm.WRITE)
+
+    def test_bad_text_is_not_cached(self):
+        from repro.apparmor.parser import AppArmorParseError
+        from repro.lsm.policycache import PolicyCache
+        cache = PolicyCache()
+        bad = "profile a /bin/a {\n  /x zz,\n}"
+        for _ in range(2):
+            db = PolicyDb(cache)
+            with pytest.raises(AppArmorParseError):
+                db.load_text(bad)
+            assert len(db) == 0 and db.revision == 0

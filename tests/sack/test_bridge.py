@@ -244,3 +244,165 @@ class TestFailedReload:
         ssm.process_event(SituationEvent(name="emergency_cleared"))
         assert bridge.verify_consistency() == []
         assert sack_rules() != rules
+
+
+def _legacy_install(bridge, state_name):
+    """The clone-and-translate install the bridge used before it kept
+    its translations: every rule of *state_name* translated afresh for
+    every target profile.  Kept here only as the differential oracle."""
+    from repro.apparmor.globs import glob_match
+    rules = bridge.policy.rules_for_state(state_name)
+    staged = {}
+    for profile in bridge._target_profiles():
+        updated = profile.clone()
+        updated.remove_rules_by_origin(SACK_ORIGIN)
+        for rule in rules:
+            if rule.subject is None or glob_match(rule.subject,
+                                                  updated.name):
+                updated.add_rule(
+                    mac_rule_to_path_rule(rule, bridge.ioctl_symbols))
+        staged[updated.name] = updated
+    return staged
+
+
+def _rule_keys(profile):
+    return [(r.glob, r.perms.value, r.deny, r.exec_mode, r.origin)
+            for r in profile.path_rules]
+
+
+def _differential_policies():
+    from pathlib import Path
+    from repro.bench.harness import make_synthetic_policy
+    from repro.vehicle.ivi import DEFAULT_SACK_POLICY
+    root = Path(__file__).resolve().parents[2]
+    policies = [("default", parse_policy(DEFAULT_SACK_POLICY)),
+                ("emergency", parse_policy(
+                    (root / "examples" / "emergency.sack").read_text()))]
+    policies += [(f"synthetic-{count}", make_synthetic_policy(count))
+                 for count in (10, 100, 500, 1000)]
+    return policies
+
+
+def _ivi_bridge(policy):
+    from repro.vehicle.devices import IOCTL_SYMBOLS
+    from repro.vehicle.ivi import IVI_APPARMOR_PROFILES
+    apparmor = AppArmorLsm()
+    apparmor.policy.load_text(IVI_APPARMOR_PROFILES)
+    bridge = SackAppArmorBridge(apparmor)
+    kernel, framework = boot_kernel([bridge, apparmor])
+    bridge.load_policy(policy, ioctl_symbols=IOCTL_SYMBOLS)
+    return apparmor, bridge, framework
+
+
+class TestPrecomputedInstall:
+    @pytest.mark.parametrize("label,policy", _differential_policies(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_matches_clone_and_translate(self, label, policy):
+        """Every state installs exactly the rules (and order) the old
+        per-transition translation produced, profile by profile."""
+        apparmor, bridge, _ = _ivi_bridge(policy)
+        for state in sorted(s.name for s in policy.states):
+            expected = _legacy_install(bridge, state)
+            bridge._install_state(state)
+            live = {p.name: _rule_keys(p)
+                    for p in bridge._target_profiles()}
+            assert live == {name: _rule_keys(p)
+                            for name, p in expected.items()}, state
+            assert set(live) == set(expected)
+
+    def test_repeated_state_translates_nothing(self, world, monkeypatch):
+        from repro.sack import apparmor_bridge
+        _, _, bridge = world
+        calls = []
+        original = apparmor_bridge.mac_rule_to_path_rule
+
+        def counting(rule, symbols=None):
+            calls.append(rule)
+            return original(rule, symbols)
+
+        monkeypatch.setattr(apparmor_bridge, "mac_rule_to_path_rule",
+                            counting)
+        ssm = bridge.ssm
+        ssm.process_event(SituationEvent(name="crash_detected"))
+        ssm.process_event(SituationEvent(name="emergency_cleared"))
+        first_visits = len(calls)
+        assert first_visits > 0      # a fresh load translates on demand
+        for _ in range(3):
+            ssm.process_event(SituationEvent(name="crash_detected"))
+            ssm.process_event(SituationEvent(name="emergency_cleared"))
+        assert len(calls) == first_visits
+        assert bridge.verify_consistency() == []
+
+    def test_reload_retranslates(self, world):
+        """A new policy load drops the kept translations: the next
+        transition installs the new policy's rules."""
+        _, apparmor, bridge = world
+        bridge.ssm.process_event(SituationEvent(name="crash_detected"))
+        narrowed = POLICY.replace(
+            "allow write /dev/car/door subject=rescue_daemon;\n", "")\
+            .replace("allow ioctl /dev/car/door cmd=DOOR_UNLOCK "
+                     "subject=rescue_daemon;\n", "")
+        bridge.load_policy(parse_policy(narrowed), ioctl_symbols=SYMBOLS)
+        bridge.ssm.process_event(SituationEvent(name="crash_detected"))
+        rescue = apparmor.policy.get("rescue_daemon")
+        assert not rescue.allows_file("/dev/car/door", FilePerm.WRITE)
+        assert bridge.verify_consistency() == []
+
+    def test_admin_reload_keeps_bridged_rules_on_next_transition(self,
+                                                                 world):
+        """An admin load of the base profiles between transitions is
+        picked up: the next transition layers the state's rules onto the
+        new base."""
+        _, apparmor, bridge = world
+        apparmor.policy.load_text(PROFILES.replace(
+            "/dev/car/audio r,", "/dev/car/audio r,\n  /var/media/** r,"))
+        bridge.ssm.process_event(SituationEvent(name="crash_detected"))
+        media = apparmor.policy.get("media_app")
+        assert media.allows_file("/var/media/song", FilePerm.READ)
+        assert bridge.verify_consistency() == []
+
+
+class TestAtomicSwap:
+    def test_one_transition_is_one_revision_and_two_bumps(self):
+        from repro.vehicle.ivi import DEFAULT_SACK_POLICY
+        apparmor, bridge, framework = _ivi_bridge(
+            parse_policy(DEFAULT_SACK_POLICY))
+        revision = apparmor.policy.revision
+        epoch = framework.epoch
+        reasons = dict(framework.bump_reasons)
+        assert bridge.ssm.process_event(
+            SituationEvent(name="vehicle_started")) is not None
+        assert apparmor.policy.revision == revision + 1
+        assert framework.epoch == epoch + 2
+        assert framework.bump_reasons["profile-reload"] == \
+            reasons["profile-reload"] + 1
+        assert framework.bump_reasons["transition"] == \
+            reasons.get("transition", 0) + 1
+        assert bridge.stats()["profile_updates"] == 2
+
+    def test_reload_fault_on_transition_keeps_old_profiles(self, world):
+        """``BRIDGE_RELOAD_FAIL`` on a transition: the SSM rolls back and
+        the profiles, revision and epoch are the old ones."""
+        from repro.faults import FaultPlan
+        from repro.faults import points as fp
+        kernel, apparmor, bridge = world
+        plan = FaultPlan()
+        plan.arm(fp.BRIDGE_RELOAD_FAIL, nth_calls=frozenset({1}))
+        bridge.fault_plan = plan
+        profiles = {name: apparmor.policy.get(name)
+                    for name in apparmor.policy.profile_names()}
+        revision = apparmor.policy.revision
+        epoch = kernel.security.epoch
+        assert bridge.ssm.process_event(
+            SituationEvent(name="crash_detected")) is None
+        assert plan.injected[fp.BRIDGE_RELOAD_FAIL] == 1
+        assert bridge.current_state == "normal"
+        assert {name: apparmor.policy.get(name)
+                for name in apparmor.policy.profile_names()} == profiles
+        assert apparmor.policy.revision == revision
+        assert kernel.security.epoch == epoch
+        assert bridge.verify_consistency() == []
+        # The next attempt goes through.
+        bridge.ssm.process_event(SituationEvent(name="crash_detected"))
+        assert bridge.current_state == "emergency"
+        assert bridge.verify_consistency() == []
