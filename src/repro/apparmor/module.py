@@ -12,7 +12,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..kernel.credentials import Capability
+from ..kernel.devices import ioctl_is_write
 from ..kernel.ipc import SocketFamily
+from ..kernel.memory import MapProt
 from ..kernel.syscalls import MAY_EXEC, MAY_READ, MAY_WRITE
 from ..kernel.vfs.file import OpenFile
 from ..lsm.blob import get_blob, set_blob
@@ -23,15 +25,22 @@ from .profile import ExecMode, FilePerm, Profile, ProfileMode
 MODULE_NAME = "apparmor"
 
 
-def _mask_to_perms(mask: int) -> FilePerm:
-    perms = FilePerm.NONE
-    if mask & MAY_READ:
-        perms |= FilePerm.READ
-    if mask & MAY_WRITE:
-        perms |= FilePerm.WRITE
-    if mask & MAY_EXEC:
-        perms |= FilePerm.EXEC
-    return perms
+# Requests are plain ints (``FilePerm`` bits): ``FilePerm`` arithmetic
+# runs enum.py code on every access.
+_READ = int(FilePerm.READ)
+_WRITE = int(FilePerm.WRITE)
+_EXEC = int(FilePerm.EXEC)
+_MMAP = int(FilePerm.MMAP)
+_PROT_EXEC = int(MapProt.PROT_EXEC)
+
+#: ``MAY_*`` mask (0..7) -> requested ``FilePerm`` bits.
+_MAY_TO_PERMS = tuple(
+    (_READ if mask & MAY_READ else 0) | (_WRITE if mask & MAY_WRITE else 0)
+    | (_EXEC if mask & MAY_EXEC else 0) for mask in range(8))
+
+
+def _mask_to_perms(mask: int) -> int:
+    return _MAY_TO_PERMS[mask & 0x7]
 
 
 class AppArmorLsm(LsmModule):
@@ -84,10 +93,9 @@ class AppArmorLsm(LsmModule):
         self.audit("apparmor_denied", detail, task)
         return self.EACCES
 
-    def _check_path(self, task, path: str, perms: FilePerm,
-                    what: str) -> int:
+    def _check_path(self, task, path: str, perms: int, what: str) -> int:
         profile = self.profile_of(task)
-        if profile is None or perms == FilePerm.NONE:
+        if profile is None or not perms:
             return 0
         ok = profile.allows_file(path, perms)
         return self._decide(profile, ok, task, f"{what} {path}")
@@ -121,11 +129,8 @@ class AppArmorLsm(LsmModule):
         # AppArmor proper this is a single label pointer compare.
         if task.security.get(MODULE_NAME) is None:
             return 0
-        perms = FilePerm.NONE
-        if file.wants_read:
-            perms |= FilePerm.READ
-        if file.wants_write:
-            perms |= FilePerm.WRITE
+        perms = ((_READ if file.wants_read else 0)
+                 | (_WRITE if file.wants_write else 0))
         return self._check_path(task, file.path, perms, "open")
 
     def file_permission(self, task, file: OpenFile, mask: int) -> int:
@@ -139,42 +144,42 @@ class AppArmorLsm(LsmModule):
             return 0
         # AppArmor mediates device ioctl through file access to the node:
         # read-direction commands need read access, everything else write.
-        from ..kernel.devices import ioctl_is_write
-        perm = FilePerm.WRITE if ioctl_is_write(cmd) else FilePerm.READ
+        perm = _WRITE if ioctl_is_write(cmd) else _READ
         return self._check_path(task, file.path, perm, f"ioctl[{cmd:#x}]")
 
     def mmap_file(self, task, file, prot: int) -> int:
         if file is None:
             return 0  # anonymous mappings are not path-mediated
-        from ..kernel.memory import MapProt
-        if prot & int(MapProt.PROT_EXEC):
-            return self._check_path(task, file.path, FilePerm.MMAP, "mmap")
+        if task.security.get(MODULE_NAME) is None:
+            return 0
+        if prot & _PROT_EXEC:
+            return self._check_path(task, file.path, _MMAP, "mmap")
         return 0
 
     # -- inode hooks ------------------------------------------------------------
     def inode_create(self, task, parent_inode, path: str, mode: int) -> int:
-        return self._check_path(task, path, FilePerm.WRITE, "create")
+        return self._check_path(task, path, _WRITE, "create")
 
     def inode_mkdir(self, task, parent_inode, path: str, mode: int) -> int:
-        return self._check_path(task, path, FilePerm.WRITE, "mkdir")
+        return self._check_path(task, path, _WRITE, "mkdir")
 
     def inode_mknod(self, task, parent_inode, path: str, mode: int) -> int:
-        return self._check_path(task, path, FilePerm.WRITE, "mknod")
+        return self._check_path(task, path, _WRITE, "mknod")
 
     def inode_unlink(self, task, inode, path: str) -> int:
-        return self._check_path(task, path, FilePerm.WRITE, "unlink")
+        return self._check_path(task, path, _WRITE, "unlink")
 
     def inode_rmdir(self, task, inode, path: str) -> int:
-        return self._check_path(task, path, FilePerm.WRITE, "rmdir")
+        return self._check_path(task, path, _WRITE, "rmdir")
 
     def inode_rename(self, task, old_path: str, new_path: str) -> int:
-        rc = self._check_path(task, old_path, FilePerm.WRITE, "rename-from")
+        rc = self._check_path(task, old_path, _WRITE, "rename-from")
         if rc != 0:
             return rc
-        return self._check_path(task, new_path, FilePerm.WRITE, "rename-to")
+        return self._check_path(task, new_path, _WRITE, "rename-to")
 
     def inode_setattr(self, task, path: str) -> int:
-        return self._check_path(task, path, FilePerm.WRITE, "setattr")
+        return self._check_path(task, path, _WRITE, "setattr")
 
     # -- capability & network ------------------------------------------------------
     def capable(self, task, cap: Capability) -> int:

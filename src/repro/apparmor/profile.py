@@ -41,6 +41,9 @@ _PERM_CHARS = {
 }
 
 
+_EXEC = int(FilePerm.EXEC)
+
+
 class ExecMode(enum.Enum):
     """How a permitted exec transitions the confinement."""
 
@@ -80,13 +83,17 @@ def perms_to_string(perms: FilePerm) -> str:
 class PathRule:
     """One file rule: glob, permissions, allow/deny."""
 
-    __slots__ = ("glob", "perms", "deny", "exec_mode", "matcher", "origin")
+    __slots__ = ("glob", "perms", "bits", "deny", "exec_mode", "matcher",
+                 "origin")
 
     def __init__(self, glob: str, perms: FilePerm, deny: bool = False,
                  exec_mode: Optional[ExecMode] = None,
                  origin: str = "static"):
         self.glob = glob
         self.perms = perms
+        #: ``perms`` as a plain int for the decision path, where each
+        #: ``FilePerm`` ``&``/``|`` would run enum.py code.
+        self.bits = int(perms)
         self.deny = deny
         self.exec_mode = exec_mode
         self.matcher = compile_glob(glob)
@@ -152,31 +159,36 @@ class Profile:
         return before - len(self.path_rules)
 
     # -- decisions ---------------------------------------------------------------
-    def effective_perms(self, path: str) -> FilePerm:
+    def _perm_bits(self, path: str) -> int:
         """Union of matching allows minus union of matching denies."""
-        allowed = FilePerm.NONE
-        denied = FilePerm.NONE
+        allowed = denied = 0
         for rule in self.path_rules:
-            if rule.matches(path):
+            if rule.matcher.match(path) is not None:
                 if rule.deny:
-                    denied |= rule.perms
+                    denied |= rule.bits
                 else:
-                    allowed |= rule.perms
+                    allowed |= rule.bits
         return allowed & ~denied
 
-    def allows_file(self, path: str, requested: FilePerm) -> bool:
-        if requested == FilePerm.NONE:
+    def effective_perms(self, path: str) -> FilePerm:
+        """The permissions the profile grants on *path*."""
+        return FilePerm(self._perm_bits(path))
+
+    def allows_file(self, path: str, requested: int) -> bool:
+        """Does the profile grant every bit of *requested* on *path*?"""
+        requested = int(requested)
+        if not requested:
             return True
-        return (self.effective_perms(path) & requested) == requested
+        return self._perm_bits(path) & requested == requested
 
     def exec_mode_for(self, path: str) -> Optional[ExecMode]:
         """Exec transition for *path*, or None when exec is not allowed."""
-        if not self.allows_file(path, FilePerm.EXEC):
+        if not self._perm_bits(path) & _EXEC:
             return None
         mode: Optional[ExecMode] = None
         for rule in self.path_rules:
-            if (not rule.deny and rule.matches(path)
-                    and rule.perms & FilePerm.EXEC):
+            if (not rule.deny and rule.bits & _EXEC
+                    and rule.matcher.match(path) is not None):
                 mode = rule.exec_mode or ExecMode.INHERIT
         return mode
 

@@ -34,6 +34,13 @@ MAY_EXEC = 0x1
 MAY_WRITE = 0x2
 MAY_READ = 0x4
 
+# ``open(2)`` flag bits as plain ints: ``int & OpenFlags`` would dispatch
+# to enum.py's Python-level ``Flag.__rand__`` on every open.
+_O_CREAT = int(OpenFlags.O_CREAT)
+_O_EXCL = int(OpenFlags.O_EXCL)
+_O_TRUNC = int(OpenFlags.O_TRUNC)
+_O_APPEND = int(OpenFlags.O_APPEND)
+
 
 class AuditRecord:
     """One security-relevant event (denials, state transitions, ...)."""
@@ -159,7 +166,7 @@ class Kernel:
     def _check(self, rc: int, task: Task, what: str) -> None:
         """Translate an LSM hook return code into a raised denial."""
         if rc != 0:
-            errno = Errno(-rc) if -rc in Errno._value2member_map_ else Errno.EACCES
+            errno = Errno._value2member_map_.get(-rc, Errno.EACCES)
             self.audit.emit(AuditRecord(self.clock.now_ns, "denied",
                                         what, task.pid, task.comm))
             raise KernelError(errno, what)
@@ -245,12 +252,11 @@ class Kernel:
                  mode: int = 0o644) -> int:
         """Open (optionally creating) *path*; returns an fd."""
         self._count("open")
-        if not isinstance(flags, OpenFlags):
-            flags = OpenFlags(flags)
+        raw = int(flags)
         norm = normalize(path, task.cwd)
         dentry = self.vfs.try_resolve(norm)
         if dentry is None:
-            if not flags & OpenFlags.O_CREAT:
+            if not raw & _O_CREAT:
                 raise KernelError(Errno.ENOENT, norm)
             parent = self.vfs.resolve(norm.rsplit("/", 1)[0] or "/")
             self._dac_permission(task, parent.inode, MAY_WRITE, norm)
@@ -260,11 +266,10 @@ class Kernel:
             dentry = self.vfs.create_file(norm, mode=mode,
                                           uid=task.cred.euid,
                                           gid=task.cred.egid)
-        elif flags & OpenFlags.O_CREAT and flags & OpenFlags.O_EXCL:
+        elif raw & _O_CREAT and raw & _O_EXCL:
             raise KernelError(Errno.EEXIST, norm)
 
         inode = dentry.inode
-        raw = int(flags)
         wants_write = bool(raw & 0x3)          # O_WRONLY or O_RDWR
         wants_read = (raw & 0x1) == 0          # not O_WRONLY
         if inode.is_dir and wants_write:
@@ -281,9 +286,9 @@ class Kernel:
         self._check(self.security.file_open(task, file), task, f"open {norm}")
         if driver is not None:
             driver.open(task, file)
-        if flags & OpenFlags.O_TRUNC and inode.is_regular and not inode.is_pseudo:
+        if raw & _O_TRUNC and inode.is_regular and not inode.is_pseudo:
             inode.truncate(0)
-        if flags & OpenFlags.O_APPEND and inode.is_regular and not inode.is_pseudo:
+        if raw & _O_APPEND and inode.is_regular and not inode.is_pseudo:
             file.pos = inode.size
         return task.install_fd(FdKind.FILE, file)
 

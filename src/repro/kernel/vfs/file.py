@@ -23,14 +23,6 @@ class OpenFlags(enum.IntFlag):
     O_APPEND = 0x400
     O_DIRECTORY = 0x10000
 
-    @property
-    def wants_read(self) -> bool:
-        return not (self & OpenFlags.O_WRONLY)
-
-    @property
-    def wants_write(self) -> bool:
-        return bool(self & (OpenFlags.O_WRONLY | OpenFlags.O_RDWR))
-
 
 class OpenFile:
     """A ``struct file``: an open instance of an inode.
@@ -44,7 +36,7 @@ class OpenFile:
     _id_counter = itertools.count(1)
 
     def __init__(self, dentry: Optional[Dentry], inode: Inode,
-                 flags: OpenFlags, driver: Optional[object] = None,
+                 flags: OpenFlags | int, driver: Optional[object] = None,
                  fid: Optional[int] = None):
         self.id = fid if fid is not None else next(OpenFile._id_counter)
         self.dentry = dentry
@@ -54,10 +46,12 @@ class OpenFile:
         self.driver = driver
         self.closed = False
         # Hot-path caches, fixed at open time (like f_mode / f_path):
-        # access-mode bools avoid enum-flag arithmetic per read/write, and
-        # the path string avoids a dentry walk per LSM check.
-        self.wants_read = flags.wants_read
-        self.wants_write = flags.wants_write
+        # access-mode bools avoid flag arithmetic per read/write, and the
+        # path string avoids a dentry walk per LSM check.  The bools come
+        # from the plain int, as ``OpenFlags`` bit tests run in enum.py.
+        raw = int(flags)
+        self.wants_read = not raw & 0x1             # not O_WRONLY
+        self.wants_write = bool(raw & 0x3)          # O_WRONLY or O_RDWR
         self.path = dentry.path() if dentry is not None else "<anon>"
         #: Per-LSM state, keyed by module name (``file->f_security``).
         self.security: Dict[str, object] = {}

@@ -74,6 +74,76 @@ class TestOpenReadWrite:
             kernel.sys_lseek(init, fd, -5)
 
 
+def _open_outcome(flags, *, existing=None, pseudo=False, path="/tmp/f"):
+    """Open *path* with *flags* on a fresh kernel and describe the result:
+    the errno, or the open file's position, access mode and stored flags
+    plus the inode's data afterwards.  A pseudo-file has no data pages,
+    so truncating one would fail with EINVAL."""
+    kernel = Kernel()
+    init = kernel.procs.init
+    if pseudo:
+        kernel.vfs.create_pseudo(path, PseudoFileOps(read=lambda t: b""),
+                                 mode=0o666)
+    elif existing is not None:
+        kernel.vfs.create_file(path).inode.data[:] = existing
+    try:
+        fd = kernel.sys_open(init, path, flags)
+    except KernelError as exc:
+        return ("error", exc.errno)
+    file = init.get_fd(fd).obj
+    data = kernel.vfs.resolve(path).inode.data
+    return ("open", file.pos, file.wants_read, file.wants_write,
+            file.flags, bytes(data) if data is not None else None)
+
+
+class TestOpenFlagsAsInt:
+    """``sys_open`` tests flag bits on the plain int: an ``int`` and the
+    equivalent ``OpenFlags`` take the same branch every time."""
+
+    O = OpenFlags
+
+    @pytest.mark.parametrize("flags,kwargs,expected", [
+        (O.O_CREAT | O.O_WRONLY, {},
+         ("open", 0, False, True, O.O_CREAT | O.O_WRONLY, b"")),
+        (O.O_CREAT | O.O_EXCL, {"existing": b"x"},
+         ("error", Errno.EEXIST)),
+        (O.O_CREAT | O.O_EXCL | O.O_RDWR, {},
+         ("open", 0, True, True, O.O_CREAT | O.O_EXCL | O.O_RDWR, b"")),
+        (O.O_RDONLY, {}, ("error", Errno.ENOENT)),
+        (O.O_WRONLY | O.O_TRUNC, {}, ("error", Errno.ENOENT)),
+        (O.O_WRONLY | O.O_TRUNC, {"existing": b"0123456789"},
+         ("open", 0, False, True, O.O_WRONLY | O.O_TRUNC, b"")),
+        (O.O_WRONLY | O.O_TRUNC, {"pseudo": True},
+         ("open", 0, False, True, O.O_WRONLY | O.O_TRUNC, None)),
+        (O.O_WRONLY | O.O_APPEND, {"existing": b"aaa"},
+         ("open", 3, False, True, O.O_WRONLY | O.O_APPEND, b"aaa")),
+        (O.O_RDWR | O.O_APPEND, {"pseudo": True},
+         ("open", 0, True, True, O.O_RDWR | O.O_APPEND, None)),
+        (O.O_WRONLY, {"path": "/tmp"}, ("error", Errno.EISDIR)),
+        (O.O_RDWR, {"path": "/tmp"}, ("error", Errno.EISDIR)),
+        (O.O_RDONLY, {"path": "/tmp"},
+         ("open", 0, True, False, O.O_RDONLY, None)),
+    ], ids=["creat", "creat-excl-existing", "creat-excl-missing", "enoent",
+            "enoent-trunc", "trunc-regular", "trunc-pseudo",
+            "append-regular", "append-pseudo", "eisdir-wronly",
+            "eisdir-rdwr", "dir-rdonly"])
+    def test_int_and_openflags_agree(self, flags, kwargs, expected):
+        as_enum = _open_outcome(flags, **kwargs)
+        as_int = _open_outcome(int(flags), **kwargs)
+        assert type(int(flags)) is int
+        assert as_enum == as_int == expected
+
+    def test_flags_stored_as_given(self, kernel, init):
+        kernel.vfs.create_file("/tmp/f")
+        for flags in (OpenFlags.O_WRONLY, 0x1):
+            fd = kernel.sys_open(init, "/tmp/f", flags)
+            file = init.get_fd(fd).obj
+            assert file.flags == OpenFlags.O_WRONLY
+            assert file.flags is flags
+            assert (file.wants_read, file.wants_write) == (False, True)
+            kernel.sys_close(init, fd)
+
+
 class TestDac:
     def test_other_user_cannot_read_0600(self, kernel, init):
         kernel.vfs.create_file("/tmp/secret", mode=0o600, uid=0)
