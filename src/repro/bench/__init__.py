@@ -1,9 +1,9 @@
 """Benchmark substrate: LMBench-style suite, harness, stats, reporting.
 
-The declarative scenario runner, trajectory store, and Pareto reports
-live in :mod:`repro.bench.suite`, :mod:`repro.bench.trajectory`, and
-:mod:`repro.bench.pareto`; they are imported lazily (not re-exported
-here) so ``import repro.bench`` stays light.
+The declarative scenario runner and the trajectory store (with its
+trend-table report) live in :mod:`repro.bench.suite` and
+:mod:`repro.bench.trajectory`; they are imported lazily (not
+re-exported here) so ``import repro.bench`` stays light.
 """
 
 from .harness import (CONFIG_APPARMOR, CONFIG_NO_LSM, CONFIG_SACK_APPARMOR,

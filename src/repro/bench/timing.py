@@ -9,15 +9,17 @@ runner (:mod:`repro.bench.suite`) all agree on the arithmetic.
 
 Noise discipline (see docs/benchmarking.md): interference on a shared
 host is additive, so *best-of-N* — the minimum over repetitions — is
-the noise-robust estimator for latencies.  Percentiles use the
-nearest-rank method on the sorted sample, matching what the LSM
-framework's histogram summaries report.
+the noise-robust estimator for latencies.  Percentiles are
+:func:`repro.obs.metrics.percentile`, the one nearest-rank rule the
+fleet telemetry rollups use too (re-exported here).
 """
 
 from __future__ import annotations
 
 import time
 from typing import Callable, Dict, Sequence
+
+from ..obs.metrics import percentile
 
 
 def best_of(fn: Callable[[], object], reps: int = 3) -> float:
@@ -44,17 +46,6 @@ def best_of_ns(fn: Callable[[], object], reps: int = 3) -> int:
         if best is None or elapsed < best:
             best = elapsed
     return best
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``0 <= q <= 1``) of an unsorted sample."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q} outside [0, 1]")
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, int(len(ordered) * q))
-    return ordered[rank]
 
 
 def summarize_ns(values: Sequence[float]) -> Dict[str, float]:

@@ -1,18 +1,15 @@
 """The persisted perf trajectory: append-only ``BENCH_*.json`` history.
 
-Until now the ``BENCH_*.json`` files existed only as CI artifacts —
-each run overwrote the last and nothing was committed, so there was no
-longitudinal record to defend the 15x AVC win or the 3.97x fleet
-scaling against regressions.  This module gives each *metric set*
-(``avc``, ``obs``, ``fleet``, ``chaos``) an append-only, schema-versioned
-history file committed under ``benchmarks/trajectory/``::
+Each *metric set* (``avc``, ``obs``, ``fleet``, ``chaos``, ``verify``)
+has an append-only, schema-versioned history file committed under
+``benchmarks/trajectory/``::
 
     {
       "schema": "sack-bench-trajectory/v1",
       "metric_set": "fleet",
       "records": [
         {"git_sha": ..., "timestamp": ..., "seed": ..., "source": ...,
-         "metrics": {"fleet_vehicles_per_second": 123.4, ...}},
+         "metrics": {"fleet_epoch_wall_ms": 61.2, ...}},
         ...
       ]
     }
@@ -20,9 +17,11 @@ history file committed under ``benchmarks/trajectory/``::
 Records are appended, never rewritten — the git history plus the record
 list *is* the trajectory.  :func:`check_metrics` compares a fresh run
 against the newest committed value of each metric, direction-aware
-(vehicles/sec up is good; ns/op up is bad), and reports every breach of
+(speedup up is good; ns/op up is bad), and reports every breach of
 its tolerance.  ``sack-bench suite check`` turns those breaches into a
 non-zero exit, which is what the CI regression gate keys on.
+:func:`render_report` renders the history as the markdown trend tables
+committed in ``docs/perf-trajectory.md``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ DEFAULT_TOLERANCE_PCT = 20.0
 #: matched here or in _HIGHER_SUFFIXES must be declared explicitly via
 #: a gate entry; :func:`direction_of` then refuses to guess.
 _LOWER_SUFFIXES = ("_ns", "_us", "_ms", "_ns_per_op", "_us_per_event",
-                   "_kb", "_bytes", "_makespan_ms", "_pct")
+                   "_kb", "_bytes", "_pct", "_crossings")
 
 #: Substrings that mean "bigger is better" (checked first, anywhere in
 #: the name, so per-axis variants like ``speedup_1_to_4`` still match).
@@ -195,6 +194,8 @@ def check_metrics(trajectory: Trajectory, metrics: Dict[str, float],
     gate still get recorded, they just never fail the build.  A gated
     metric with no committed baseline or no known direction is skipped:
     the first run *establishes* the baseline rather than failing it.
+    A zero baseline has no percentage scale: a lower-is-better metric
+    then regresses on any positive value, a higher-is-better one never.
     *source* scopes baseline lookup to same-source records first (see
     :meth:`Trajectory.latest_value`).
     """
@@ -205,15 +206,17 @@ def check_metrics(trajectory: Trajectory, metrics: Dict[str, float],
         if metric not in metrics:
             continue
         baseline = trajectory.latest_value(metric, source=source)
-        if baseline is None or baseline == 0:
-            continue
         direction = direction_of(metric)
-        if direction is None:
+        if baseline is None or direction is None:
             continue
         current = float(metrics[metric])
-        delta_pct = (current - baseline) / abs(baseline) * 100.0
-        regressed = delta_pct < -tol if direction == "higher" \
-            else delta_pct > tol
+        if baseline == 0:
+            delta_pct = float("inf") if current > 0 else 0.0
+            regressed = direction == "lower" and current > 0
+        else:
+            delta_pct = (current - baseline) / abs(baseline) * 100.0
+            regressed = delta_pct < -tol if direction == "higher" \
+                else delta_pct > tol
         if regressed:
             regressions.append(Regression(
                 metric_set=trajectory.metric_set, metric=metric,
@@ -232,8 +235,8 @@ def metrics_from_pytest_benchmark(doc: Dict[str, object]
     ``<name>_mean_ns`` plus every numeric scalar from ``extra_info``
     (prefixed with the benchmark name; nested dicts flatten with their
     key path).  That captures exactly the numbers the benchmark files
-    advertise — ``speedup``, ``vehicles_per_second`` per worker count,
-    per-op latencies — under stable, direction-inferable names.
+    advertise — ``speedup``, host vehicle-epochs per second per worker
+    count, per-op latencies — under stable, direction-inferable names.
     """
     out: Dict[str, float] = {}
 
@@ -259,7 +262,7 @@ def metrics_from_pytest_benchmark(doc: Dict[str, object]
         extra = bench.get("extra_info") or {}
         for key, value in extra.items():
             # extra_info keys already carry their own unit suffixes
-            # (speedup, *_ns_per_op, vehicles_per_second); nested dicts
+            # (speedup, *_ns_per_op, *_per_second); nested dicts
             # (per-worker maps, hook breakdowns) flatten by key path.
             flatten(f"{name}_{key}", value)
     return out
@@ -292,3 +295,67 @@ def load_all(trajectory_dir: str) -> List[Trajectory]:
             out.append(Trajectory.load(
                 os.path.join(trajectory_dir, name)))
     return out
+
+
+# -- markdown report ------------------------------------------------------------
+
+def render_trend_table(trajectory: Trajectory,
+                       max_metrics: int = 8) -> List[str]:
+    """Markdown trend table: one row per committed record."""
+    # Metrics the newest record still carries first (retired ones stay
+    # in the history but yield their columns), then ratio/throughput
+    # metrics (the headline gates), then the shortest latency names —
+    # flattened per-hook breakdown metrics are long, so they fall off
+    # the end of the column budget.
+    current = (trajectory.records[-1].get("metrics") or {}) \
+        if trajectory.records else {}
+    candidates = [n for n in trajectory.metric_names()
+                  if direction_of(n) is not None]
+    names = sorted(candidates,
+                   key=lambda n: (n not in current,
+                                  direction_of(n) != "higher",
+                                  len(n), n))[:max_metrics]
+    if not names or not trajectory.records:
+        return ["*(empty trajectory)*"]
+    header = "| commit | when | " + " | ".join(names) + " |"
+    rule = "|---" * (len(names) + 2) + "|"
+    lines = [header, rule]
+    previous: Dict[str, float] = {}
+    for record in trajectory.records:
+        metrics = record.get("metrics") or {}
+        cols = []
+        for name in names:
+            if name not in metrics:
+                cols.append("—")
+                continue
+            value = float(metrics[name])
+            cell = f"{value:g}"
+            if name in previous and previous[name]:
+                delta = (value - previous[name]) / abs(previous[name]) \
+                    * 100.0
+                cell += f" ({delta:+.1f}%)"
+            previous[name] = value
+            cols.append(cell)
+        sha = str(record.get("git_sha", "?"))[:10]
+        when = str(record.get("timestamp", "?"))[:10]
+        lines.append(f"| `{sha}` | {when} | " + " | ".join(cols) + " |")
+    return lines
+
+
+def render_report(trajectories: Sequence[Trajectory]) -> str:
+    """The full markdown report committed under ``docs/``."""
+    lines = [
+        "# Performance trajectory",
+        "",
+        "Generated by `sack-bench suite report` from the committed",
+        "`benchmarks/trajectory/BENCH_*.json` history — do not edit by",
+        "hand.  See [benchmarking.md](benchmarking.md) for how records",
+        "are appended and gated.",
+        "",
+    ]
+    for trajectory in trajectories:
+        lines.append(f"## Trend — `{trajectory.metric_set}`")
+        lines.append("")
+        lines.extend(render_trend_table(trajectory))
+        lines.append("")
+    return "\n".join(lines)

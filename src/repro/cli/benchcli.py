@@ -17,7 +17,7 @@ The declarative batch runner lives under ``suite``::
 
     sack-bench suite run config.yaml [--out DIR] [--dry-run]
     sack-bench suite check [--run DIR | --out DIR] [--trajectory DIR]
-    sack-bench suite report [--trajectory DIR] [--run DIR] [--out FILE]
+    sack-bench suite report [--trajectory DIR] [--out FILE]
     sack-bench suite ingest BENCH.json --set obs [--trajectory DIR]
 
 Every subcommand accepts ``--json PATH`` (``-`` for stdout) and emits
@@ -263,14 +263,9 @@ def cmd_suite_check(args) -> int:
 
 
 def cmd_suite_report(args) -> int:
-    from ..bench.pareto import render_report
-    from ..bench.suite import load_run_summary
-    from ..bench.trajectory import load_all
+    from ..bench.trajectory import load_all, render_report
     trajectories = load_all(args.trajectory)
-    run_summary = None
-    if args.run:
-        run_summary = load_run_summary(args.run)["data"]
-    text = render_report(trajectories, run_summary)
+    text = render_report(trajectories)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -367,10 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_suite_check)
 
     p = suite_sub.add_parser(
-        "report", help="render trend tables and the Pareto frontier")
+        "report", help="render the trajectory's trend tables")
     p.add_argument("--trajectory", default=DEFAULT_TRAJECTORY_DIR)
-    p.add_argument("--run", default=None,
-                   help="suite run directory for the Pareto section")
     p.add_argument("--out", default=None,
                    help="markdown output path (default: stdout)")
     _add_json_arg(p)

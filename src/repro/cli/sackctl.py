@@ -46,7 +46,7 @@ Subcommands::
     sackctl fleet rollback --vehicles 10 operator-initiated mid-rollout abort
     sackctl fleet bus --vehicles 6       crash one vehicle and tail the V2X
                                          bus (publish/deliver/drop/filter)
-    sackctl fleet top --vehicles 25      live fleet dashboard: throughput,
+    sackctl fleet top --vehicles 25      live fleet dashboard: epoch wall,
                                          per-state counts, SLO/burn-rate
                                          status, top denial series
     sackctl fleet metrics --vehicles 10  whole-fleet OpenMetrics dump from
@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional, Tuple
 
 from ..sack import (SituationEvent, check_policy, compile_policy,
@@ -522,20 +523,19 @@ def cmd_fleet_status(args) -> int:
         return 0 if result.ok else 1
 
 
-def _render_fleet_top(fleet, top_n: int) -> List[str]:
-    """One dashboard frame over a telemetry-enabled fleet."""
+def _render_fleet_top(fleet, top_n: int, wall_ns: int) -> List[str]:
+    """One dashboard frame over a telemetry-enabled fleet; *wall_ns* is
+    the host time spent in ``fleet.run`` so far."""
     tel = fleet.telemetry
     agg = tel.aggregator
     sup = fleet.supervisor
     epoch = fleet.epoch_index - 1
-    report_vps = (fleet.config.n_vehicles * fleet.epoch_index
-                  / (fleet.compute_makespan_ns / 1e9)
-                  if fleet.compute_makespan_ns else 0.0)
+    epoch_wall_ms = wall_ns / max(1, fleet.epoch_index) / 1e6
     lines = [
         f"sack fleet top — epoch {fleet.epoch_index}, seed "
         f"{fleet.config.seed}, {fleet.config.n_vehicles} vehicle(s), "
         f"{fleet.config.workers} worker(s)",
-        f"  throughput {report_vps:.0f} vehicle-epochs/s | telemetry "
+        f"  epoch wall {epoch_wall_ms:.1f} ms (host) | telemetry "
         f"{agg.frames_total} frame(s), {agg.series_tracked} series"
         + (f", {sum(agg.series_dropped.values())} dropped"
            if agg.series_dropped else ""),
@@ -590,13 +590,16 @@ def cmd_fleet_top(args) -> int:
                          **overrides)
     refresh = max(1, args.refresh)
     clear = sys.stdout.isatty() and not args.once
+    wall_ns = 0
     while fleet.epoch_index < args.epochs:
+        start = time.perf_counter_ns()
         fleet.run(min(refresh, args.epochs - fleet.epoch_index))
+        wall_ns += time.perf_counter_ns() - start
         if args.once and fleet.epoch_index < args.epochs:
             continue
         if clear:
             print("\x1b[2J\x1b[H", end="")
-        for line in _render_fleet_top(fleet, args.top):
+        for line in _render_fleet_top(fleet, args.top, wall_ns):
             print(line)
         print()
         _print_vehicle_rows(fleet)
@@ -950,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf_status.set_defaults(func=cmd_fleet_status)
 
     pf_top = fleet_sub.add_parser(
-        "top", help="live fleet dashboard: throughput, per-state "
+        "top", help="live fleet dashboard: host epoch wall, per-state "
                     "counts, SLO/burn status, top denial series")
     _add_fleet_common(pf_top)
     pf_top.add_argument("--refresh", type=int, default=4,

@@ -18,21 +18,15 @@ bit-identical :meth:`~repro.fleet.report.FleetReport.fingerprint`\\ s.
 
 Two backends exist, both routed through a **host**
 (:mod:`repro.fleet.backend`).  ``serial`` ticks every vehicle in this
-process; ``process`` shards vehicles across persistent worker processes,
-each running the same in-process host over its shard.  Throughput
-scaling is *modelled* on the virtual clock with a backend-aware cost
-model:
+process; ``process`` shards vehicles across ``workers`` persistent
+worker processes, each running the same in-process host over its
+shard.  ``workers`` only sizes that process pool; the serial backend
+ignores it.
 
-* ``serial`` — the idealized Amdahl split: the largest of ``workers``
-  shards ticks in parallel, the barrier is serial per-vehicle cost
-  (``workers`` shapes only this model; execution order is fixed);
-* ``process`` — the largest *owner* shard ticks in true parallel, and
-  every barrier payload crossing a process boundary adds
-  :data:`~repro.fleet.backend.IPC_COST_PER_CROSSING_NS`.
-
-``benchmarks/test_fleet.py`` measures vehicles/sec vs worker count on
-the serial model; the suite's ``fleet_mp_speedup`` metric gates the
-process backend against a serial shadow at ``workers=1``.
+The fleet keeps one clock, ``sim_now_ns``: simulated time, which drives
+every deadline, window and fingerprint.  Speed is measured in host
+time, outside the fleet — see "Measuring fleet speed" in
+docs/fleet.md.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..faults import points as fault_points
 from ..faults.plan import FaultPlan
 from ..obs.hub import Observability
-from .backend import IPC_COST_PER_CROSSING_NS, create_host
+from .backend import create_host
 from .bundle import PolicyBundle
 from .bus import V2xBus
 from .report import FleetReport, aggregate_metrics
@@ -53,14 +47,6 @@ from .telemetry import FleetTelemetry, SloSpec
 from .rollout import (RolloutController, RolloutPlan, RolloutState,
                       VehicleAck, default_rollout_plan)
 from .vehicle import DEFAULT_TOPICS, MODE_CONFIGS, FleetVehicle
-
-#: Modelled compute cost of one vehicle-tick on a worker (2 ms — the
-#: order of one simulated kernel's SDS sweep + LSM checks).
-TICK_COST_NS = 2_000_000
-
-#: Modelled serial control-plane cost per vehicle per barrier (bus
-#: fan-out, rollout bookkeeping, health roll-up — does not parallelise).
-BARRIER_COST_PER_VEHICLE_NS = 50_000
 
 #: Scenario-driver RNG domain separator.
 _DRIVER_SALT = 0xD21FE
@@ -136,7 +122,7 @@ class FleetConfig:
 
     n_vehicles: int = 10
     seed: int = 0
-    workers: int = 1
+    workers: int = 1                   # process-pool size; serial ignores it
     epoch_ticks: int = 10
     dt_s: float = 0.1
     mode: str = "independent"          # enforcement backend per vehicle
@@ -280,7 +266,6 @@ class Fleet:
         self.controller = RolloutController(plan, self.ids,
                                             proof_gate=self.proof_gate)
         self.sim_now_ns = 0
-        self.compute_makespan_ns = 0
         self.epoch_index = 0
         self.violations: List[str] = []
         self.offline_epochs: Dict[str, int] = {vid: 0 for vid in self.ids}
@@ -466,9 +451,6 @@ class Fleet:
         cfg = self.config
         sup = self.supervisor
         # Dead vehicles don't tick; stalled ones miss this phase only.
-        # The cost model's shard split covers *tickable* vehicles — keyed
-        # by sorted vehicle id, never by shard index, so crash/stall
-        # outcomes are identical at any worker count.
         live = [vid for vid in self.ids if not sup.is_dead(vid)]
         tickable = [vid for vid in live
                     if vid not in sup.stalled_this_epoch]
@@ -480,27 +462,6 @@ class Fleet:
                           self.sim_now_ns
                           + int(cfg.epoch_ticks * cfg.dt_s * 1e9))
         sup.absorb_tick_failures(self.host.tick(tickable, live, frame_spec))
-        # Cost model (see module docstring): tick parallelism per
-        # backend; the barrier is serial per-vehicle cost; control-plane
-        # timeout penalties (deadline + backoff) are serial barrier time;
-        # the process backend pays per barrier payload crossing a pipe.
-        if cfg.backend == "process":
-            index_of = {vid: i for i, vid in enumerate(self.ids)}
-            owner_load = [0] * cfg.workers
-            for vid in tickable:
-                owner_load[index_of[vid] % cfg.workers] += 1
-            shard_cost = max(owner_load) * cfg.epoch_ticks * TICK_COST_NS
-            ipc_cost = self.host.drain_crossings() \
-                * IPC_COST_PER_CROSSING_NS
-        else:
-            shards = [tickable[i::cfg.workers]
-                      for i in range(cfg.workers)]
-            shard_cost = max((len(shard) for shard in shards),
-                             default=0) * cfg.epoch_ticks * TICK_COST_NS
-            ipc_cost = 0
-        barrier_cost = cfg.n_vehicles * BARRIER_COST_PER_VEHICLE_NS
-        self.compute_makespan_ns += shard_cost + barrier_cost \
-            + ipc_cost + sup.guard.drain_penalty()
 
     def _publish_transitions(self) -> None:
         positions = self._positions()
@@ -548,14 +509,12 @@ class Fleet:
         """Barrier telemetry: snapshot kernels, run SLOs, feed gating.
 
         Runs after :meth:`_collect_health` so SLO alerts ride the same
-        health deltas the next epoch's rollout step consumes; the
-        modelled scrape cost is serial barrier time.
+        health deltas the next epoch's rollout step consumes.
         """
         tel = self.telemetry
         if tel is None:
             return
         alerts = tel.collect(self.epoch_index)
-        self.compute_makespan_ns += tel.virtual_cost_ns(tel.last_frames)
         per_vehicle = set()
         for alert in alerts:
             if alert.vehicle_id:
@@ -648,7 +607,6 @@ class Fleet:
             workers=self.config.workers,
             mode=self.config.mode,
             sim_duration_ns=self.sim_now_ns,
-            compute_makespan_ns=self.compute_makespan_ns,
             final_situations={vid: str(rows[vid]["situation"])
                               for vid in self.ids},
             transitions=transitions,

@@ -89,9 +89,6 @@ class FleetReport:
     mode: str
     #: Virtual wall-clock the fleet simulated (physical seconds × 1e9).
     sim_duration_ns: int
-    #: Virtual compute makespan across the worker pool — the scaling
-    #: denominator for vehicles/sec (see docs/fleet.md).
-    compute_makespan_ns: int
     final_situations: Dict[str, str]
     transitions: Dict[str, List[Tuple[str, str, str, int]]]
     bundle_versions: Dict[str, object]
@@ -130,13 +127,6 @@ class FleetReport:
     def total_transitions(self) -> int:
         return sum(len(t) for t in self.transitions.values())
 
-    def vehicles_per_second(self) -> float:
-        """Simulated vehicle-epochs per second of virtual compute."""
-        if self.compute_makespan_ns <= 0:
-            return 0.0
-        return (self.n_vehicles * self.epochs
-                / (self.compute_makespan_ns / 1e9))
-
     def fingerprint(self) -> str:
         """Deterministic digest: same seed ⇒ same value, any workers."""
         doc = {
@@ -173,9 +163,6 @@ class FleetReport:
             "workers": self.workers,
             "mode": self.mode,
             "sim_duration_ms": self.sim_duration_ns // 1_000_000,
-            "compute_makespan_ms":
-                self.compute_makespan_ns // 1_000_000,
-            "vehicles_per_second": round(self.vehicles_per_second(), 3),
             "transitions": self.total_transitions,
             "bus": self.bus_stats,
             "rollout_state": self.rollout.get("state"),
@@ -191,9 +178,7 @@ class FleetReport:
             f"fleet seed {self.seed}: {self.n_vehicles} vehicle(s), "
             f"{self.epochs} epoch(s), {self.workers} worker(s), "
             f"mode {self.mode}",
-            f"  virtual time {self.sim_duration_ns / 1e9:.1f}s, "
-            f"compute makespan {self.compute_makespan_ns / 1e9:.3f}s "
-            f"({self.vehicles_per_second():.0f} vehicle-epochs/s)",
+            f"  virtual time {self.sim_duration_ns / 1e9:.1f}s",
             f"  {self.total_transitions} situation transition(s); "
             f"bus: {self.bus_stats.get('published', 0)} published, "
             f"{self.bus_stats.get('copies_delivered', 0)} delivered, "

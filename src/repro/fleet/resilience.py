@@ -31,8 +31,8 @@ layers a **vehicle supervisor** on the epoch-barrier scheduler:
 
 * **Control-plane deadlines** — bus delivery, the rollout step, and the
   health poll run through :class:`ControlPlaneGuard`: a per-call virtual
-  deadline, bounded retries with exponential backoff (charged to the
-  serial barrier makespan), and a deterministic skip-this-epoch
+  deadline, bounded retries with exponential backoff (summed as
+  simulated ``penalty_ns``), and a deterministic skip-this-epoch
   degradation when retries are exhausted.
 
 Everything here runs on the fleet virtual clock and the fleet fault
@@ -215,8 +215,9 @@ class ControlPlaneGuard:
 
     Each call gets a virtual deadline; the ``fleet:control_timeout``
     fault point (arg = call name) decides deterministically whether an
-    attempt blows it.  A timed-out attempt charges deadline + backoff to
-    the serial barrier makespan and retries; when retries are exhausted
+    attempt blows it.  A timed-out attempt adds deadline + backoff to
+    ``penalty_ns`` (simulated time, fingerprinted under
+    ``resilience.control``) and retries; when retries are exhausted
     the call is *skipped* for this epoch — deliveries stay queued on the
     bus, rollout acks stay pending, health gating reuses nothing — and
     the fleet degrades instead of wedging.
@@ -230,18 +231,10 @@ class ControlPlaneGuard:
         self.retries = retries
         self.deadline_ns = deadline_ns
         self.backoff_base_ns = backoff_base_ns
-        #: Virtual ns of deadline+backoff charged to the barrier.
+        #: Simulated ns of deadline+backoff spent on timed-out attempts.
         self.penalty_ns = 0
-        self._undrained_penalty_ns = 0
         self.stats: Dict[str, int] = {
             "calls": 0, "timeouts": 0, "retries": 0, "exhausted": 0}
-
-    def drain_penalty(self) -> int:
-        """Penalty virtual-ns accrued since the last drain (the
-        orchestrator folds this into the serial barrier makespan)."""
-        pending = self._undrained_penalty_ns
-        self._undrained_penalty_ns = 0
-        return pending
 
     def call(self, name: str, now_ns: int, func: Callable[[], object],
              ) -> Tuple[bool, object]:
@@ -262,7 +255,6 @@ class ControlPlaneGuard:
             penalty = self.deadline_ns \
                 + self.backoff_base_ns * (1 << (attempt - 1))
             self.penalty_ns += penalty
-            self._undrained_penalty_ns += penalty
             if self.obs is not None:
                 self.obs.metrics.counter("fleet_control_timeouts",
                                          {"call": name}).inc()

@@ -46,14 +46,9 @@ import time
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, percentile
 from ..obs.telemetry import (TelemetryFrame, histogram_percentile,
                              merge_histograms, split_series_key)
-
-#: Modelled serial control-plane cost of scraping one vehicle frame at
-#: the barrier (virtual ns) — the deterministic denominator the
-#: telemetry-overhead benchmark gates on.
-TELEMETRY_COST_PER_FRAME_NS = 100_000
 
 #: Burn rates are clamped here so a `== 0` objective (any breach is an
 #: infinite burn) still serializes to JSON.
@@ -333,12 +328,11 @@ class TelemetryAggregator:
     def rate_percentile(self, matcher: str, epoch: int,
                         window_epochs: int, q: float) -> float:
         """Nearest-rank percentile of per-vehicle window rates."""
-        rates = sorted(self.per_vehicle_rates(matcher, epoch,
-                                              window_epochs).values())
+        rates = list(self.per_vehicle_rates(matcher, epoch,
+                                            window_epochs).values())
         if not rates:
             return 0.0
-        rank = max(1, int(round(len(rates) * q / 100.0)))
-        return rates[min(rank, len(rates)) - 1]
+        return percentile(rates, q / 100.0)
 
     def fleet_ratio(self, numerator: str, denominator: str, epoch: int,
                     window_epochs: int) -> Optional[float]:
@@ -644,9 +638,8 @@ class FleetTelemetry:
     def collect(self, epoch: int) -> List[SloAlert]:
         """Snapshot every live vehicle, ingest, evaluate SLOs.
 
-        Returns this barrier's alerts; the modelled serial cost
-        (frames x :data:`TELEMETRY_COST_PER_FRAME_NS`) is charged by
-        the orchestrator into the barrier makespan.
+        Returns this barrier's alerts.  The host CPU time of the whole
+        step is recorded in the ``telemetry_overhead_cpu_ns`` histogram.
         """
         fleet = self.fleet
         span = self.obs.spans.start_span("telemetry_overhead",
@@ -677,9 +670,6 @@ class FleetTelemetry:
         self.obs.spans.end_span(span)
         return alerts
 
-    def virtual_cost_ns(self, frames: int) -> int:
-        return frames * TELEMETRY_COST_PER_FRAME_NS
-
     def summary(self) -> Dict[str, object]:
         """The report's ``telemetry`` section.  Everything here is
         deterministic except the ``overhead`` key, which carries host
@@ -695,7 +685,6 @@ class FleetTelemetry:
             "rollups": agg.rollups(),
             "rollup_digest": agg.rollup_digest(),
             "slo": self.engine.summary(),
-            "virtual_cost_ns": self.virtual_cost_ns(agg.frames_total),
             "overhead": {
                 "cpu_ns_total": int(overhead_hist.total),
                 "cpu_ns_mean": int(overhead_hist.mean),

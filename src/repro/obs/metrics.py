@@ -63,6 +63,20 @@ def _label_str(labels: LabelPairs) -> str:
 DEFAULT_NS_BUCKETS: Tuple[int, ...] = tuple(1 << p for p in range(8, 31))
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (``0 <= q <= 1``) of an unsorted sample:
+    the value at index ``floor(n * q)`` of the sorted sample, clamped to
+    the last.  The one rule for exact samples (bench timings, fleet
+    telemetry rollups); :func:`bucket_percentile` is the bucket rule."""
+    if not values:
+        raise ValueError("percentile of empty sequence")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile {q} outside [0, 1]")
+    ordered = sorted(values)
+    rank = min(len(ordered) - 1, int(len(ordered) * q))
+    return ordered[rank]
+
+
 def bucket_percentile(bounds: Sequence[float], buckets: Sequence[int],
                       count: int, maximum: Optional[float],
                       q: float) -> float:

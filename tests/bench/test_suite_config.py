@@ -127,12 +127,12 @@ class TestGates:
     def test_gate_tolerance_must_be_positive(self):
         with pytest.raises(ConfigError, match="positive"):
             parse_suite_config(
-                minimal(gates={"fleet_vehicles_per_second": -5}))
+                minimal(gates={"fleet_epoch_wall_ms": -5}))
 
     def test_null_tolerance_means_default(self):
         config = parse_suite_config(
-            minimal(gates={"fleet_vehicles_per_second": None}))
-        assert config.gates == {"fleet_vehicles_per_second": None}
+            minimal(gates={"fleet_epoch_wall_ms": None}))
+        assert config.gates == {"fleet_epoch_wall_ms": None}
 
 
 class TestExpansion:
@@ -203,7 +203,7 @@ class TestConfigHash:
     def test_round_trips_through_to_dict(self):
         config = parse_suite_config(minimal(
             matrix={"workers": [1, 2]},
-            gates={"fleet_vehicles_per_second": 10}))
+            gates={"fleet_epoch_wall_ms": 10}))
         again = parse_suite_config(config.to_dict())
         assert isinstance(again, SuiteConfig)
         assert again.config_hash() == config.config_hash()
@@ -221,7 +221,7 @@ class TestRecoveryWorkload:
     def test_recovery_cell_measures_restore_latency(self):
         from repro.bench.suite import _run_recovery_cell
         metrics, obs = _run_recovery_cell({
-            "vehicles": 4, "workers": 1, "epochs": 8, "crash_epoch": 2,
+            "vehicles": 4, "epochs": 8, "crash_epoch": 2,
             "checkpoint_interval": 2, "crash_probability": 0.0,
             "seed": 7})
         assert metrics["recovery_crashes"] == 1.0

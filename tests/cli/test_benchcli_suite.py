@@ -22,13 +22,11 @@ scenarios:
   - name: mini
     workload: fleet
     matrix:
-      vehicles: 2
-      workers: [1, 2]
+      vehicles: [2, 3]
       epochs: 2
       seed: 3
-      measure_memory: false
 gates:
-  fleet_vehicles_per_second: 10
+  fleet_epoch_wall_ms: 10
 """
 
 
@@ -56,9 +54,9 @@ class TestDryRun:
         assert not out.exists()
         stdout = capsys.readouterr().out
         assert "2 cell(s)" in stdout
-        assert "mini__workers=1" in stdout
-        assert "mini__workers=2" in stdout
-        assert "vehicles=2" in stdout  # resolved params are shown
+        assert "mini__vehicles=2" in stdout
+        assert "mini__vehicles=3" in stdout
+        assert "epochs=2" in stdout  # resolved params are shown
 
     def test_invalid_config_raises_config_error(self, tmp_path):
         config = tmp_path / "bad.yaml"
@@ -75,7 +73,7 @@ class TestRunDirectory:
         for name in ("manifest.json", "config.json", "summary.json"):
             assert (run_dir / name).is_file()
         cells = sorted(p.name for p in (run_dir / "cells").iterdir())
-        assert cells == ["mini__workers=1.json", "mini__workers=2.json"]
+        assert cells == ["mini__vehicles=2.json", "mini__vehicles=3.json"]
 
     def test_manifest_envelope(self, suite_run):
         doc = json.loads((suite_run["run_dir"] / "manifest.json")
@@ -90,19 +88,19 @@ class TestRunDirectory:
 
     def test_cell_metrics_and_obs_capture(self, suite_run):
         cell = json.loads(
-            (suite_run["run_dir"] / "cells" / "mini__workers=2.json")
+            (suite_run["run_dir"] / "cells" / "mini__vehicles=3.json")
             .read_text())
         check_envelope(cell)
         data = cell["data"]
-        assert data["params"]["workers"] == 2
-        assert data["metrics"]["fleet_vehicles_per_second"] > 0
+        assert data["params"]["vehicles"] == 3
+        assert data["metrics"]["fleet_epoch_wall_ms"] > 0
         assert "counters" in data["observability"]
 
     def test_summary_carries_gate_metrics(self, suite_run):
         doc = json.loads((suite_run["run_dir"] / "summary.json")
                          .read_text())
         by_set = doc["data"]["by_metric_set"]
-        assert "fleet_vehicles_per_second" in by_set["fleet"]
+        assert "fleet_epoch_wall_ms" in by_set["fleet"]
 
 
 class TestCheck:
@@ -125,13 +123,13 @@ class TestCheck:
         trajectory_dir = tmp_path / "trajectory"
         trajectory_dir.mkdir()
         baseline = Trajectory("fleet")
-        baseline.append({"fleet_vehicles_per_second": 1e9}, sha="golden")
+        baseline.append({"fleet_epoch_wall_ms": 1e-6}, sha="golden")
         baseline.save(trajectory_path(str(trajectory_dir), "fleet"))
         rc = main(["suite", "check", "--run", str(suite_run["run_dir"]),
                    "--trajectory", str(trajectory_dir)])
         assert rc == 1
         stdout = capsys.readouterr().out
-        assert "REGRESSION fleet/fleet_vehicles_per_second" in stdout
+        assert "REGRESSION fleet/fleet_epoch_wall_ms" in stdout
 
     def test_resolves_newest_run_under_out(self, suite_run, tmp_path,
                                            capsys):
@@ -148,18 +146,23 @@ class TestReport:
         trajectory_dir = tmp_path / "trajectory"
         trajectory_dir.mkdir()
         baseline = Trajectory("fleet")
-        baseline.append({"fleet_vehicles_per_second": 100.0}, sha="abc")
+        baseline.append({"fleet_epoch_wall_ms": 100.0}, sha="abc")
         baseline.save(trajectory_path(str(trajectory_dir), "fleet"))
         out = tmp_path / "report.md"
         rc = main(["suite", "report",
                    "--trajectory", str(trajectory_dir),
-                   "--run", str(suite_run["run_dir"]),
                    "--out", str(out)])
         assert rc == 0
         text = out.read_text()
         assert "# Performance trajectory" in text
         assert "## Trend — `fleet`" in text
-        assert "## Pareto frontier" in text
+        assert "fleet_epoch_wall_ms" in text
+
+    def test_run_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["suite", "report", "--trajectory", str(tmp_path),
+                  "--run", str(tmp_path)])
+        assert "unrecognized arguments: --run" in capsys.readouterr().err
 
 
 class TestEnvelopeUniformity:

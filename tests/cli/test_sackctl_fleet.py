@@ -1,6 +1,7 @@
 """Tests for sackctl's fleet subcommands and the --kernel selector."""
 
 import json
+import re
 
 import pytest
 
@@ -46,6 +47,8 @@ class TestFleetStatus:
                      "--epochs", "4"]) == 0
         out = capsys.readouterr().out
         assert "fleet seed 0: 3 vehicle(s)" in out
+        assert "virtual time 4.0s" in out
+        assert "makespan" not in out
         assert "veh000" in out and "veh002" in out
         assert "fingerprint" in out
         assert "all fleet invariants held" in out
@@ -55,6 +58,7 @@ class TestFleetStatus:
                      "--epochs", "4", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["vehicles"] == 3
+        assert not [key for key in doc if "makespan" in key]
         assert doc["violations"] == []
         assert len(doc["fingerprint"]) == 64
 
@@ -238,6 +242,8 @@ class TestFleetTop:
                      "--epochs", "6", "--once"]) == 0
         out = capsys.readouterr().out
         assert "sack fleet top — epoch 6" in out
+        # Host time around the fleet.run calls, not a modelled rate.
+        assert re.search(r"epoch wall \d+\.\d ms \(host\)", out)
         assert "telemetry" in out and "series" in out
         assert "SLO" in out and "burn s/l" in out
         assert "denial_rate <= 200" in out

@@ -1,7 +1,7 @@
 """Host-level contracts shared by the serial and process backends: a
 failed boot surfaces the same error and leaves no worker behind, errors
-cross the worker pipe intact, and the process cost model's makespan
-stays pinned (its IPC-crossing count feeds the gated speedup)."""
+cross the worker pipe intact, and the process backend's payload
+crossing count (a gated suite metric) stays pinned."""
 
 import multiprocessing
 import pickle
@@ -10,8 +10,10 @@ import pytest
 
 from repro.faults.points import InjectedFault
 from repro.fleet.backend import WorkerTraceback
-from repro.fleet.orchestrator import Fleet, FleetConfig, TrafficDriver
+from repro.fleet.bundle import BundleSigner, make_bundle
+from repro.fleet.orchestrator import Fleet, FleetConfig, ScriptedDriver
 from repro.kernel.errors import Errno, KernelError
+from repro.vehicle.ivi import DEFAULT_SACK_POLICY
 
 
 @pytest.mark.parametrize("backend", ["serial", "process"])
@@ -41,13 +43,18 @@ def test_vehicle_errors_survive_pickling(exc):
     assert vars(clone) == vars(exc)
 
 
-def test_mp_scale_cell_makespan_is_pinned():
-    # The fleet-mp-scale suite cell: 8 vehicles on 4 process workers,
-    # 6 epochs of seeded traffic.  Makespan = owner-shard ticks +
-    # per-vehicle barrier + modelled IPC crossings.
+def test_mp_rich_cell_crossings_are_pinned():
+    # The fleet-mp-rich suite cell: 8 vehicles on 4 process workers,
+    # 10 epochs, veh000 crashing at epoch 1 and clearing at epoch 8,
+    # with a staged rollout.  Every delivered V2X copy, rollout command
+    # and telemetry frame that crosses a worker pipe counts once.
     config = FleetConfig(n_vehicles=8, seed=7, workers=4,
                          backend="process")
-    with Fleet(config, driver=TrafficDriver(7)) as fleet:
-        report = fleet.run(6).report
-    assert report.compute_makespan_ns == 242_400_000
-    assert report.vehicles_per_second() == 198.01980198019803
+    driver = ScriptedDriver().at(1, "veh000", "crash") \
+                             .at(8, "veh000", "clear")
+    with Fleet(config, driver=driver) as fleet:
+        fleet.stage_rollout(make_bundle(
+            1, DEFAULT_SACK_POLICY,
+            signer=BundleSigner(fleet.config.fleet_key)))
+        fleet.run(10)
+        assert fleet.host.crossings == 74

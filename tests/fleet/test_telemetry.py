@@ -62,8 +62,11 @@ class TestAggregatorWindows:
             vid = f"veh{i:03d}"
             a.ingest(frame(vid, 0, {"c": 0}))
             a.ingest(frame(vid, 1, {"c": delta}))
-        assert a.rate_percentile("c", 1, 1, 50) == pytest.approx(2.0)
+        # repro.obs.metrics.percentile: index floor(n * q) of the sorted
+        # rates, so p50 of four rates is the third.
+        assert a.rate_percentile("c", 1, 1, 50) == pytest.approx(3.0)
         assert a.rate_percentile("c", 1, 1, 99) == pytest.approx(100.0)
+        assert agg().rate_percentile("c", 1, 1, 50) == 0.0
 
     def test_top_series_ranked_by_window_delta(self):
         a = agg()

@@ -85,7 +85,6 @@ class TestWorkerIndependence:
         assert tel["frames"] == 24
         assert tel["series_tracked"] > 0
         assert len(tel["rollup_digest"]) == 64
-        assert tel["virtual_cost_ns"] == tel["frames"] * 100_000
         assert "cpu_ns_total" in tel["overhead"]
         json.dumps(report.to_dict())
 

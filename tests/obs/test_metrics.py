@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import (DEFAULT_NS_BUCKETS, Counter, Gauge, Histogram,
                        MetricsRegistry, sample)
+from repro.obs.metrics import percentile
 
 
 class TestInstruments:
@@ -137,3 +138,21 @@ class TestExport:
         assert reg.to_prometheus() == ""
         assert json.loads(reg.to_json()) == {
             "counters": [], "gauges": [], "histograms": []}
+
+
+class TestPercentile:
+    def test_index_is_floor_n_q_of_the_sorted_sample(self):
+        assert percentile([100, 1, 3, 2], 0.5) == 3
+        assert percentile([100, 1, 3, 2], 0.0) == 1
+        assert percentile([100, 1, 3, 2], 1.0) == 100
+        assert percentile([7], 0.99) == 7
+
+    def test_rejects_empty_and_out_of_range(self):
+        with pytest.raises(ValueError):
+            percentile([], 0.5)
+        with pytest.raises(ValueError):
+            percentile([1], 1.5)
+
+    def test_bench_timing_uses_the_same_rule(self):
+        from repro.bench import timing
+        assert timing.percentile is percentile
