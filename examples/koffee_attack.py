@@ -11,6 +11,7 @@ emergency.
 Run:  python examples/koffee_attack.py
 """
 
+from repro.obs import AUDIT_AVC
 from repro.vehicle import (EnforcementConfig, KoffeeAttack, VolumeMaxAttack,
                            build_ivi_world)
 
@@ -60,8 +61,9 @@ def main():
           f"(locked={world.devices['door'].all_locked}).")
 
     print("\nAudit trail of the blocked injections (last 3 records):")
-    for record in world.kernel.audit.by_kind("sack_denied")[-3:]:
-        print(f"  pid={record.pid} comm={record.comm}: {record.detail}")
+    denials = world.kernel.obs.audit.query(kind=AUDIT_AVC, module="sack")
+    for record in denials[-3:]:
+        print(f"  {record.to_text()}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from typing import Optional
 from ..kernel.syscalls import MAY_READ, MAY_WRITE
 from ..kernel.vfs.file import OpenFile
 from ..lsm.module import LsmModule
+from ..obs.audit import AUDIT_POLICY_LOAD
 from ..sack.policy.model import RuleOp
 from .attributes import EnvironmentAttributes, subject_attributes
 from .policy import AbacPolicy
@@ -27,7 +28,6 @@ class AbacLsm(LsmModule):
     def __init__(self, policy: Optional[AbacPolicy] = None):
         self.policy = policy
         self.environment: Optional[EnvironmentAttributes] = None
-        self.denial_count = 0
         self.evaluations = 0
 
     def registered(self, kernel) -> None:
@@ -36,8 +36,8 @@ class AbacLsm(LsmModule):
 
     def load_policy(self, policy: AbacPolicy) -> None:
         self.policy = policy
-        self.audit("abac_policy_loaded",
-                   f"{policy.name!r}, {policy.rule_count()} rules")
+        self.audit(AUDIT_POLICY_LOAD,
+                   f"policy={policy.name} rules={policy.rule_count()}")
 
     # -- the per-access evaluation (the architectural contrast) ---------------
     def _check(self, task, op: RuleOp, path: str) -> int:
@@ -48,9 +48,6 @@ class AbacLsm(LsmModule):
         environment = self.environment.snapshot()  # clock queried per access
         if self.policy.decide(op, path, subject, environment):
             return 0
-        self.denial_count += 1
-        self.audit("abac_denied", f"{op.value} {path} env={environment}",
-                   task)
         return self.EACCES
 
     # -- hooks ------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ..kernel.syscalls import MAY_EXEC, MAY_READ, MAY_WRITE
 from ..kernel.vfs.file import OpenFile
 from ..lsm.blob import get_blob, set_blob
 from ..lsm.module import LsmModule
+from ..obs.audit import AUDIT_COMPLAIN
 from .policydb import PolicyDb
 from .profile import ExecMode, FilePerm, Profile, ProfileMode
 
@@ -50,8 +51,6 @@ class AppArmorLsm(LsmModule):
 
     def __init__(self, policy: Optional[PolicyDb] = None):
         self.policy = policy if policy is not None else PolicyDb()
-        self.denial_count = 0
-        self.complain_count = 0
         self._policy_watched = False
 
     def registered(self, kernel) -> None:
@@ -80,17 +79,15 @@ class AppArmorLsm(LsmModule):
         if allowed:
             return 0
         if profile.mode is ProfileMode.COMPLAIN:
-            self.complain_count += 1
-            self.audit("complain", detail, task)
+            self.audit(AUDIT_COMPLAIN, detail, task)
             return 0
-        self.denial_count += 1
         obs = getattr(self.kernel, "obs", None)
         if obs is not None:
             # Attribution for post-transition hook spans: which profile,
-            # in which mode, denied this access.
+            # in which mode, denied this access.  The framework writes
+            # the denial's AVC record.
             obs.spans.annotate(profile=profile.name,
                                mode=profile.mode.value, detail=detail)
-        self.audit("apparmor_denied", detail, task)
         return self.EACCES
 
     def _check_path(self, task, path: str, perms: int, what: str) -> int:

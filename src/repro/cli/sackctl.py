@@ -105,7 +105,7 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     import json as _json
 
-    from ..verify import SolverUnavailable, verify_policy
+    from ..verify import verify_policy
 
     if args.policy:
         with open(args.policy, "r", encoding="utf-8") as handle:
@@ -115,13 +115,8 @@ def cmd_verify(args) -> int:
         from ..vehicle.ivi import DEFAULT_SACK_POLICY
         policy_text = DEFAULT_SACK_POLICY
         source = "built-in IVI policy"
-    try:
-        report = verify_policy(policy_text, ioctl_symbols=IOCTL_SYMBOLS,
-                               properties=args.property or None,
-                               solver=args.solver)
-    except SolverUnavailable as exc:
-        print(f"error: {exc}")
-        return 2
+    report = verify_policy(policy_text, ioctl_symbols=IOCTL_SYMBOLS,
+                           properties=args.property or None)
     if args.json:
         print(_json.dumps(report.to_dict(), indent=2))
     else:
@@ -828,8 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--property", action="append", metavar="ID",
                           help="check only this property (repeatable; "
                                "e.g. P2 or P2:koffee-unreachable)")
-    p_verify.add_argument("--solver", default="exhaustive",
-                          help="solver backend (default: exhaustive)")
     p_verify.add_argument("--json", action="store_true",
                           help="emit the full report as JSON")
     p_verify.add_argument("--export", metavar="FILE",

@@ -16,8 +16,7 @@ from .memory import AddressSpace, MapProt, PAGE_SIZE, VmArea
 from .process import FdKind, ProcessTable, Task, TaskState
 from .scheduler import SchedContext, Scheduler
 from .security import NullSecurity, SecurityHooks
-from .syscalls import (AuditLog, AuditRecord, Kernel, MAY_EXEC, MAY_READ,
-                       MAY_WRITE)
+from .syscalls import Kernel, MAY_EXEC, MAY_READ, MAY_WRITE
 from .vfs import OpenFlags, VirtualFileSystem
 
 __all__ = [
@@ -26,6 +25,6 @@ __all__ = [
     "Errno", "KernelError", "NetworkStack", "Pipe", "Socket", "SocketFamily",
     "AddressSpace", "MapProt", "PAGE_SIZE", "VmArea", "FdKind",
     "ProcessTable", "Task", "TaskState", "SchedContext", "Scheduler",
-    "NullSecurity", "SecurityHooks", "Kernel", "AuditLog", "AuditRecord",
-    "MAY_EXEC", "MAY_READ", "MAY_WRITE", "OpenFlags", "VirtualFileSystem",
+    "NullSecurity", "SecurityHooks", "Kernel", "MAY_EXEC", "MAY_READ",
+    "MAY_WRITE", "OpenFlags", "VirtualFileSystem",
 ]

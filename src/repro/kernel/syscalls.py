@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..obs.hub import Observability
 from ..obs.tracepoints import SYS_ENTER, SYS_EXIT
@@ -42,40 +42,6 @@ _O_TRUNC = int(OpenFlags.O_TRUNC)
 _O_APPEND = int(OpenFlags.O_APPEND)
 
 
-class AuditRecord:
-    """One security-relevant event (denials, state transitions, ...)."""
-
-    def __init__(self, when_ns: int, kind: str, detail: str,
-                 pid: int = 0, comm: str = ""):
-        self.when_ns = when_ns
-        self.kind = kind
-        self.detail = detail
-        self.pid = pid
-        self.comm = comm
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AuditRecord({self.kind}, {self.detail!r}, pid={self.pid})"
-
-
-class AuditLog:
-    """Ring buffer of audit records, queryable by kind."""
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self.records: List[AuditRecord] = []
-
-    def emit(self, record: AuditRecord) -> None:
-        self.records.append(record)
-        if len(self.records) > self.capacity:
-            del self.records[: len(self.records) - self.capacity]
-
-    def by_kind(self, kind: str) -> List[AuditRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def clear(self) -> None:
-        self.records.clear()
-
-
 class Kernel:
     """The assembled simulated kernel."""
 
@@ -88,7 +54,6 @@ class Kernel:
         self.devices = DeviceRegistry()
         self.net = NetworkStack()
         self.scheduler = Scheduler()
-        self.audit = AuditLog()
         self.obs = obs or Observability(clock=self.clock)
         self._tp_sys_enter = self.obs.tracepoints.get(SYS_ENTER)
         self._syscall_wrappers: Dict[str, object] = {}
@@ -163,12 +128,14 @@ class Kernel:
                 del self.__dict__[attr]
         self._syscall_wrappers.clear()
 
-    def _check(self, rc: int, task: Task, what: str) -> None:
-        """Translate an LSM hook return code into a raised denial."""
+    def _check(self, rc: int, what: str) -> None:
+        """Translate an LSM hook return code into a raised denial.
+
+        The kernel keeps no audit log of its own: the LSM framework has
+        already written the denial's one AVC record to ``obs.audit``.
+        """
         if rc != 0:
             errno = Errno._value2member_map_.get(-rc, Errno.EACCES)
-            self.audit.emit(AuditRecord(self.clock.now_ns, "denied",
-                                        what, task.pid, task.comm))
             raise KernelError(errno, what)
 
     def capable(self, task: Task, cap: Capability) -> bool:
@@ -210,7 +177,7 @@ class Kernel:
         if rc != 0:
             self.procs.exit(child, code=-rc)
             self.procs.reap(task)
-            self._check(rc, task, "task_alloc")
+            self._check(rc, "task_alloc")
         return child
 
     def sys_execve(self, task: Task, path: str,
@@ -223,7 +190,7 @@ class Kernel:
         self._dac_permission(task, dentry.inode, MAY_EXEC, path)
         exe_path = dentry.path()
         self._check(self.security.bprm_check_security(task, exe_path),
-                    task, f"exec {exe_path}")
+                    f"exec {exe_path}")
         task.exe_path = exe_path
         task.comm = comm or exe_path.rsplit("/", 1)[-1]
         task.mm.clear()
@@ -244,7 +211,7 @@ class Kernel:
         if (task.cred.euid != 0 and task.cred.euid != target.cred.uid
                 and not self.capable(task, Capability.CAP_KILL)):
             raise KernelError(Errno.EPERM, f"kill {pid}")
-        self._check(self.security.task_kill(task, target), task, f"kill {pid}")
+        self._check(self.security.task_kill(task, target), f"kill {pid}")
         self.procs.exit(target, code=-9)
 
     # -- filesystem syscalls -----------------------------------------------------
@@ -262,7 +229,7 @@ class Kernel:
             self._dac_permission(task, parent.inode, MAY_WRITE, norm)
             self._check(self.security.inode_create(task, parent.inode,
                                                    norm, mode),
-                        task, f"create {norm}")
+                        f"create {norm}")
             dentry = self.vfs.create_file(norm, mode=mode,
                                           uid=task.cred.euid,
                                           gid=task.cred.egid)
@@ -283,7 +250,7 @@ class Kernel:
             driver = self.devices.lookup(inode.rdev)
         file = OpenFile(dentry, inode, flags, driver=driver,
                         fid=next(self._file_ids))
-        self._check(self.security.file_open(task, file), task, f"open {norm}")
+        self._check(self.security.file_open(task, file), f"open {norm}")
         if driver is not None:
             driver.open(task, file)
         if raw & _O_TRUNC and inode.is_regular and not inode.is_pseudo:
@@ -321,7 +288,7 @@ class Kernel:
         file: OpenFile = entry.obj
         file.require_readable()
         self._check(self.security.file_permission(task, file, MAY_READ),
-                    task, f"read {file.path}")
+                    f"read {file.path}")
         inode = file.inode
         if inode.is_pseudo:
             if inode.pseudo_ops.read is None:
@@ -349,7 +316,7 @@ class Kernel:
         file: OpenFile = entry.obj
         file.require_writable()
         self._check(self.security.file_permission(task, file, MAY_WRITE),
-                    task, f"write {file.path}")
+                    f"write {file.path}")
         inode = file.inode
         if inode.is_pseudo:
             if inode.pseudo_ops.write is None:
@@ -370,7 +337,7 @@ class Kernel:
         file: OpenFile = entry.obj
         file.require_open()
         self._check(self.security.file_ioctl(task, file, cmd, arg),
-                    task, f"ioctl {file.path} cmd={cmd}")
+                    f"ioctl {file.path} cmd={cmd}")
         if file.driver is None:
             raise KernelError(Errno.ENOTTY, file.path)
         return file.driver.ioctl(task, file, cmd, arg)
@@ -379,7 +346,7 @@ class Kernel:
         self._count("stat")
         dentry = self.vfs.resolve(path, task.cwd)
         self._check(self.security.inode_getattr(task, dentry.path()),
-                    task, f"stat {path}")
+                    f"stat {path}")
         return dentry.inode.stat()
 
     def sys_mkdir(self, task: Task, path: str, mode: int = 0o755) -> None:
@@ -388,7 +355,7 @@ class Kernel:
         parent = self.vfs.resolve(norm.rsplit("/", 1)[0] or "/")
         self._dac_permission(task, parent.inode, MAY_WRITE, norm)
         self._check(self.security.inode_mkdir(task, parent.inode, norm, mode),
-                    task, f"mkdir {norm}")
+                    f"mkdir {norm}")
         self.vfs.mkdir(norm, mode=mode, uid=task.cred.euid, gid=task.cred.egid)
 
     def sys_rmdir(self, task: Task, path: str) -> None:
@@ -396,7 +363,7 @@ class Kernel:
         dentry = self.vfs.resolve(path, task.cwd, follow_symlinks=False)
         self._check(self.security.inode_rmdir(task, dentry.inode,
                                               dentry.path()),
-                    task, f"rmdir {path}")
+                    f"rmdir {path}")
         self.vfs.rmdir(dentry.path())
 
     def sys_unlink(self, task: Task, path: str) -> None:
@@ -407,7 +374,7 @@ class Kernel:
             self._dac_permission(task, parent.inode, MAY_WRITE, path)
         self._check(self.security.inode_unlink(task, dentry.inode,
                                                dentry.path()),
-                    task, f"unlink {path}")
+                    f"unlink {path}")
         self.vfs.unlink(dentry.path())
 
     def sys_rename(self, task: Task, old: str, new: str) -> None:
@@ -415,7 +382,7 @@ class Kernel:
         old_norm = normalize(old, task.cwd)
         new_norm = normalize(new, task.cwd)
         self._check(self.security.inode_rename(task, old_norm, new_norm),
-                    task, f"rename {old_norm} -> {new_norm}")
+                    f"rename {old_norm} -> {new_norm}")
         self.vfs.rename(old_norm, new_norm)
 
     def sys_mknod(self, task: Task, path: str, rdev: Tuple[int, int],
@@ -426,7 +393,7 @@ class Kernel:
         norm = normalize(path, task.cwd)
         parent = self.vfs.resolve(norm.rsplit("/", 1)[0] or "/")
         self._check(self.security.inode_mknod(task, parent.inode, norm, mode),
-                    task, f"mknod {norm}")
+                    f"mknod {norm}")
         self.vfs.mknod(norm, rdev, mode=mode, uid=task.cred.euid,
                        gid=task.cred.egid)
 
@@ -445,7 +412,7 @@ class Kernel:
                 and not self.capable(task, Capability.CAP_FOWNER)):
             raise KernelError(Errno.EPERM, f"chmod {path}")
         self._check(self.security.inode_setattr(task, dentry.path()),
-                    task, f"chmod {path}")
+                    f"chmod {path}")
         inode.mode = mode & 0o7777
 
     def sys_chown(self, task: Task, path: str, uid: int, gid: int) -> None:
@@ -454,7 +421,7 @@ class Kernel:
         if not self.capable(task, Capability.CAP_CHOWN):
             raise KernelError(Errno.EPERM, f"chown {path}")
         self._check(self.security.inode_setattr(task, dentry.path()),
-                    task, f"chown {path}")
+                    f"chown {path}")
         dentry.inode.uid = uid
         dentry.inode.gid = gid
 
@@ -481,7 +448,7 @@ class Kernel:
     def sys_socket(self, task: Task, family: SocketFamily) -> int:
         self._count("socket")
         self._check(self.security.socket_create(task, family),
-                    task, f"socket {family.value}")
+                    f"socket {family.value}")
         sock = self.net.socket(family)
         return task.install_fd(FdKind.SOCKET, sock)
 
@@ -495,28 +462,26 @@ class Kernel:
         self._count("bind")
         sock = self._sock_of(task, fd)
         self._check(self.security.socket_bind(task, sock, addr),
-                    task, f"bind {addr}")
+                    f"bind {addr}")
         self.net.bind(sock, addr)
 
     def sys_listen(self, task: Task, fd: int, backlog: int = 16) -> None:
         self._count("listen")
         sock = self._sock_of(task, fd)
-        self._check(self.security.socket_listen(task, sock),
-                    task, "listen")
+        self._check(self.security.socket_listen(task, sock), "listen")
         self.net.listen(sock, backlog)
 
     def sys_connect(self, task: Task, fd: int, addr: object) -> None:
         self._count("connect")
         sock = self._sock_of(task, fd)
         self._check(self.security.socket_connect(task, sock, addr),
-                    task, f"connect {addr}")
+                    f"connect {addr}")
         self.net.connect(sock, addr)
 
     def sys_accept(self, task: Task, fd: int) -> int:
         self._count("accept")
         listener = self._sock_of(task, fd)
-        self._check(self.security.socket_accept(task, listener),
-                    task, "accept")
+        self._check(self.security.socket_accept(task, listener), "accept")
         conn = self.net.accept(listener)
         return task.install_fd(FdKind.SOCKET, conn)
 
@@ -524,14 +489,13 @@ class Kernel:
         self._count("send")
         sock = self._sock_of(task, fd)
         self._check(self.security.socket_sendmsg(task, sock, len(data)),
-                    task, "send")
+                    "send")
         return sock.send(data)
 
     def sys_recv(self, task: Task, fd: int, count: int) -> bytes:
         self._count("recv")
         sock = self._sock_of(task, fd)
-        self._check(self.security.socket_recvmsg(task, sock, count),
-                    task, "recv")
+        self._check(self.security.socket_recvmsg(task, sock, count), "recv")
         return sock.recv(count)
 
     # -- memory ----------------------------------------------------------------
@@ -549,8 +513,7 @@ class Kernel:
             inode = file.inode
             if not inode.is_regular or inode.is_pseudo:
                 raise KernelError(Errno.ENODEV, file.path)
-        self._check(self.security.mmap_file(task, file, int(prot)),
-                    task, "mmap")
+        self._check(self.security.mmap_file(task, file, int(prot)), "mmap")
         return task.mm.add(VmArea(length, prot, inode=inode, offset=offset,
                                   area_id=next(self._vma_ids)))
 

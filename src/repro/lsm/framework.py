@@ -273,10 +273,13 @@ class LsmFramework(SecurityHooks):
     # -- dispatch core ---------------------------------------------------------
     @staticmethod
     def _object_path(args) -> str:
-        """Best-effort object path from a hook's arguments (for audit)."""
+        """Best-effort object path from a hook's arguments (for audit);
+        a ``capable`` record names the capability instead."""
         for arg in args[1:]:
             if isinstance(arg, str):
                 return arg
+            if isinstance(arg, Capability):
+                return arg.value
             path = getattr(arg, "path", None)
             if isinstance(path, str):
                 return path
@@ -286,12 +289,14 @@ class LsmFramework(SecurityHooks):
                        rc: int) -> None:
         """AVC audit record for one denied access (never for allows).
 
-        ``capable`` probes are excluded, as Linux routes them through the
-        noaudit variant: DAC fallbacks probe capabilities on every access
-        by unprivileged tasks and a 'denial' there is normal operation.
+        The capability module's refusals are excluded, as Linux routes
+        the DAC fallback's capability probes through the noaudit
+        variant: they run on every access by an unprivileged task and a
+        'denial' there is normal operation.  A MAC module refusing a
+        capability the task holds is a real denial and is recorded.
         """
         obs = self.obs
-        if obs is None or hook is Hook.CAPABLE:
+        if obs is None or module == CapabilityLsm.name:
             return
         task = args[0] if args else None
         obs.denial(module, hook.value, self._object_path(args), task, rc)

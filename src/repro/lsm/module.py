@@ -18,7 +18,7 @@ class LsmModule:
     name = "lsm"
 
     #: Set by the framework at registration time; lets modules reach the
-    #: kernel (audit log, clock, VFS) without global state.
+    #: kernel (audit ring, clock, VFS) without global state.
     kernel = None
 
     def registered(self, kernel) -> None:
@@ -42,13 +42,22 @@ class LsmModule:
     EPERM = -int(Errno.EPERM)
 
     def audit(self, kind: str, detail: str, task=None) -> None:
-        """Emit an audit record tagged with this module's name."""
-        if self.kernel is None:
+        """Write one record tagged with this module's name to the
+        kernel's audit ring, the one audit trail.
+
+        Denials are not written here: the framework records each one as
+        an AVC record.  This is for what has no AVC twin, such as an
+        access a complain-mode profile let through.
+        """
+        if self.kernel is None or not self.kernel.obs.audit.enabled:
             return
-        from ..kernel.syscalls import AuditRecord
-        self.kernel.audit.emit(AuditRecord(
-            self.kernel.clock.now_ns, kind, f"{self.name}: {detail}",
-            pid=getattr(task, "pid", 0), comm=getattr(task, "comm", "")))
+        obs = self.kernel.obs
+        cred = getattr(task, "cred", None)
+        obs.audit.emit(obs.now_ns, kind, module=self.name,
+                       pid=getattr(task, "pid", 0),
+                       comm=getattr(task, "comm", ""),
+                       uid=cred.euid if cred is not None else -1,
+                       situation=obs.situation(), detail=detail)
 
     # -- task hooks -----------------------------------------------------------
     def task_alloc(self, parent, child) -> int:

@@ -23,8 +23,9 @@ See ``docs/observability.md`` and ``docs/tracing.md`` for the full
 catalogue and formats.
 """
 
-from .audit import (AUDIT_AVC, AUDIT_EVENT_REJECTED, AUDIT_FAILSAFE,
-                    AUDIT_POLICY_LOAD, AUDIT_ROLLBACK,
+from .audit import (AUDIT_AVC, AUDIT_COMPLAIN, AUDIT_EVENT_REJECTED,
+                    AUDIT_FAILSAFE, AUDIT_PERMISSIVE, AUDIT_POLICY_LOAD,
+                    AUDIT_ROLLBACK,
                     AUDIT_STATE_TRANSITION, AuditEvent, AuditRing,
                     errno_name)
 from .hub import Observability
@@ -44,8 +45,8 @@ from .tracepoints import (CATALOGUE, FAULT_INJECT, LSM_HOOK_DISPATCH, Probe,
 from .tracefs import TRACEFS_ROOT, TraceFs, mount_tracefs
 
 __all__ = [
-    "AUDIT_AVC", "AUDIT_EVENT_REJECTED", "AUDIT_FAILSAFE",
-    "AUDIT_POLICY_LOAD", "AUDIT_ROLLBACK",
+    "AUDIT_AVC", "AUDIT_COMPLAIN", "AUDIT_EVENT_REJECTED", "AUDIT_FAILSAFE",
+    "AUDIT_PERMISSIVE", "AUDIT_POLICY_LOAD", "AUDIT_ROLLBACK",
     "AUDIT_STATE_TRANSITION", "AuditEvent", "AuditRing", "errno_name",
     "Observability", "Counter", "DEFAULT_NS_BUCKETS", "Gauge", "Histogram",
     "MetricsRegistry", "Sample", "sample", "CATALOGUE", "FAULT_INJECT",

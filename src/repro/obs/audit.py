@@ -1,24 +1,35 @@
 """Structured audit: AVC-style records in a bounded ring buffer.
 
 Linux pairs every MAC decision with an audit record (the SELinux AVC, the
-AppArmor ``apparmor="DENIED"`` messages); that trail is what makes policy
-analysis possible at scale.  This module reproduces that surface for the
-simulator, with one SACK-specific addition: every denial record carries the
-**situation state** current at the time of the decision — the paper's new
-security context — so a denial can be attributed not just to a subject and
-an object but to the environmental situation the vehicle was in.
+AppArmor ``apparmor="DENIED"`` messages) and queues them all on one audit
+trail; that trail is what makes policy analysis possible at scale.  This
+module reproduces that surface for the simulator: each kernel's ring
+(``kernel.obs.audit``) is its one audit trail, written by the LSM
+framework, the SACK layers and the modules alike.  One SACK-specific
+addition: every denial record carries the **situation state** current at
+the time of the decision — the paper's new security context — so a denial
+can be attributed not just to a subject and an object but to the
+environmental situation the vehicle was in.
 
 Record kinds:
 
 ``avc``
     One per denied access: task (pid/comm/uid), hook, object path, the
-    module that denied, errno, and the situation state.
+    module that denied, errno, and the situation state.  The capability
+    module's refusals are noaudit (see ``LsmFramework._report_denial``).
 ``state_transition``
     One per SSM transition: event name, from/to states.
 ``policy_load``
-    One per policy compile/activation: policy name, backend, sizes.
+    One per policy compile/activation: policy name, backend, sizes (and
+    one per ABAC policy load).
 ``event_rejected``
     One per malformed/unauthorised SACKfs event write.
+``transition_rollback`` / ``failsafe``
+    A transition undone by a failing listener; the SSM degrading to its
+    failsafe state.
+``complain`` / ``permissive``
+    An access an AppArmor complain-mode profile, or SELinux in permissive
+    mode, let through although the policy would deny it.
 
 The ring is bounded (oldest records drop first, as with
 ``audit_backlog_limit``) and supports field-match filtering both at emit
@@ -39,6 +50,8 @@ AUDIT_POLICY_LOAD = "policy_load"
 AUDIT_EVENT_REJECTED = "event_rejected"
 AUDIT_ROLLBACK = "transition_rollback"
 AUDIT_FAILSAFE = "failsafe"
+AUDIT_COMPLAIN = "complain"
+AUDIT_PERMISSIVE = "permissive"
 
 
 def errno_name(code: int) -> str:

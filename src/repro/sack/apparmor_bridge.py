@@ -86,8 +86,6 @@ class SackAppArmorBridge(SackModule):
     """
 
     backend = "apparmor"
-    loaded_audit = "bridge policy {name!r} -> AppArmor"
-    applied_audit = "sack_profiles_updated"
 
     def __init__(self, apparmor: AppArmorLsm, fault_plan=None):
         super().__init__()

@@ -43,10 +43,6 @@ class SackModule(LsmModule):
 
     #: Label on the policy-load and bridge-apply metrics.
     backend = ""
-    #: ``sack_policy_loaded`` audit detail (``name``, ``states``).
-    loaded_audit = ""
-    #: Audit kind of one bridge apply.
-    applied_audit = ""
 
     def __init__(self):
         self.policy: Optional[SackPolicy] = None
@@ -93,8 +89,6 @@ class SackModule(LsmModule):
         # the new state's rules are in force.
         ssm.add_listener(self._on_transition_bump_epoch)
         self.bump_epoch("policy-load")
-        self.audit("sack_policy_loaded", self.loaded_audit.format(
-            name=policy.name, states=len(compiled.rulesets)))
         obs = getattr(self.kernel, "obs", None)
         if obs is not None:
             obs.attach_ssm(ssm, provider=self)
@@ -141,13 +135,10 @@ class SackModule(LsmModule):
                 "sack_bridge_apply_ns", {"backend": self.backend}).record(
                     time.perf_counter_ns() - started_ns,
                     trace_id=span.trace_id if span is not None else None)
-        self.audit(self.applied_audit, " ".join(
-            [f"state={state_name}"]
-            + [f"{key}={value}" for key, value in applied.items()]))
 
     def _install_state(self, state_name: str) -> Dict[str, object]:
         """Translate and install *state_name*'s rules; returns the
-        counts the span and audit record carry.  Bridges only."""
+        counts the span carries.  Bridges only."""
         raise NotImplementedError
 
 
@@ -155,12 +146,10 @@ class SackLsm(SackModule):
     """The independent SACK security module."""
 
     backend = "independent"
-    loaded_audit = "policy {name!r}, {states} states"
 
     def __init__(self):
         super().__init__()
         self.ape: Optional[AdaptivePolicyEnforcer] = None
-        self.denial_count = 0
 
     # -- policy lifecycle ----------------------------------------------------
     def _install(self, compiled: CompiledPolicy,
@@ -176,17 +165,13 @@ class SackLsm(SackModule):
             return 0
         if self.ape.check(op, path, task.comm, cmd):
             return 0
-        self.denial_count += 1
         obs = getattr(self.kernel, "obs", None)
         if obs is not None:
             # When a post-transition hook span is open, record which
             # state's ruleset denied — the attribution the trace exists
-            # to provide.
+            # to provide.  The framework writes the AVC record.
             obs.spans.annotate(op=op.value, path=path,
                                state=self.ape.current_state)
-        self.audit("sack_denied",
-                   f"{op.value} {path} (state={self.ape.current_state})",
-                   task)
         return self.EACCES
 
     # -- hooks -------------------------------------------------------------------

@@ -63,8 +63,6 @@ class SackSelinuxBridge(SackModule):
     """SACK as a policy administrator for SELinux."""
 
     backend = "selinux"
-    loaded_audit = "bridge policy {name!r} -> SELinux"
-    applied_audit = "sack_av_table_updated"
 
     def __init__(self, selinux: SelinuxLsm,
                  subject_domains: Optional[Mapping[str, str]] = None):

@@ -23,6 +23,7 @@ from ..kernel.syscalls import MAY_READ, MAY_WRITE
 from ..kernel.vfs.file import OpenFile
 from ..lsm.blob import get_blob, set_blob
 from ..lsm.module import LsmModule
+from ..obs.audit import AUDIT_PERMISSIVE
 from .avc import AccessVectorCache
 from .context import INIT_CONTEXT, SecurityContext, UNLABELED
 from .policy import SelinuxPolicy
@@ -45,7 +46,6 @@ class SelinuxLsm(LsmModule):
         self.avc = AccessVectorCache(self.policy)
         self.enforcing = enforcing
         self.unconfined_types = set(unconfined_types)
-        self.denial_count = 0
 
     # -- labeling --------------------------------------------------------------
     def context_of(self, task) -> SecurityContext:
@@ -99,14 +99,10 @@ class SelinuxLsm(LsmModule):
         if self.avc.allowed(source, target_type, tclass, perm):
             return 0
         if not self.enforcing:
-            self.audit("selinux_permissive",
+            self.audit(AUDIT_PERMISSIVE,
                        f"{source} -> {target_type}:{tclass} {perm} "
                        f"({detail})", task)
             return 0
-        self.denial_count += 1
-        self.audit("selinux_denied",
-                   f"{source} -> {target_type}:{tclass} {perm} ({detail})",
-                   task)
         return self.EACCES
 
     def _check_file(self, task, file_or_inode, path: str,

@@ -7,9 +7,8 @@ the APE mapping, the failsafe degradation edges, and the AppArmor-bridge
 translation semantics into an explicit finite-state model
 (:mod:`~repro.verify.model`), and checks a declarative library of safety
 properties (:mod:`~repro.verify.properties`) over every reachable
-``(policy-revision, state)`` node with an exhaustive solver
-(:mod:`~repro.verify.solver`; the interface is pluggable so an SMT
-backend can be added later).
+``(policy-revision, state)`` node by exhaustive enumeration
+(:mod:`~repro.verify.checker`).
 
 Violations come back as concrete **counterexample traces**
 (:mod:`~repro.verify.counterexample`) — a transition sequence from the
@@ -25,7 +24,8 @@ any staged bundle whose policy violates a proof, before the canary wave.
 See ``docs/verification.md``.
 """
 
-from .checker import VerificationReport, verify_policies, verify_policy
+from .checker import (PropertyResult, VerificationReport, verify_policies,
+                      verify_policy)
 from .counterexample import AccessRequest, Counterexample, TraceStep
 from .gate import GateDecision, ProofGate
 from .model import ModelNode, PolicyModel, build_model
@@ -34,12 +34,10 @@ from .properties import (RUNTIME_INVARIANTS, STATIC_PROPERTIES,
                          runtime_invariant, static_properties,
                          static_property)
 from .replay import ReplayResult, replay_counterexample
-from .solver import (ExhaustiveSolver, PropertyResult, Solver,
-                     SolverUnavailable, get_solver, register_solver,
-                     solver_names)
 
 __all__ = [
-    "VerificationReport", "verify_policies", "verify_policy",
+    "PropertyResult", "VerificationReport", "verify_policies",
+    "verify_policy",
     "AccessRequest", "Counterexample", "TraceStep",
     "GateDecision", "ProofGate",
     "ModelNode", "PolicyModel", "build_model",
@@ -47,6 +45,4 @@ __all__ = [
     "StaticProperty", "runtime_checks", "runtime_invariant",
     "static_properties", "static_property",
     "ReplayResult", "replay_counterexample",
-    "ExhaustiveSolver", "PropertyResult", "Solver", "SolverUnavailable",
-    "get_solver", "register_solver", "solver_names",
 ]

@@ -3,12 +3,13 @@
 ``verify_policies`` is the one entry point everything else uses — the
 ``sackctl verify`` command, the OTA proof gate, the bench suite's
 ``verify`` workload, and the tests.  It builds the model (a revision
-chain when given several policies), runs the selected solver over the
-property library, and folds everything into a :class:`VerificationReport`
-with per-property results, model-size stats, and exportable
-counterexamples.
+chain when given several policies), checks every property of the library
+by exhaustive enumeration over the reachable product — complete here,
+since the model is small and finite by construction — and folds
+everything into a :class:`VerificationReport` with per-property results,
+model-size stats, and exportable counterexamples.
 
-A policy that fails to parse or compile never reaches the solver: that is
+A policy that fails to parse or compile is never checked: that is
 reported as the synthetic property ``P0:compilable`` failing, so callers
 (the proof gate above all) see exactly one shape of answer.
 """
@@ -16,14 +17,37 @@ reported as the synthetic property ``P0:compilable`` failing, so callers
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counterexample import Counterexample
 from .properties import StaticProperty, static_properties, static_property
-from .solver import PropertyResult, get_solver
 
 #: Synthetic property id for parse/compile failures.
 COMPILABLE_ID = "P0:compilable"
+
+
+@dataclasses.dataclass
+class PropertyResult:
+    """One property's verdict: pass/fail plus proof-effort accounting."""
+
+    prop_id: str
+    title: str
+    passed: bool
+    counterexamples: Tuple[Counterexample, ...] = ()
+    checks: int = 0          # decision-oracle invocations for this proof
+    elapsed_ns: int = 0
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "prop_id": self.prop_id,
+            "title": self.title,
+            "passed": self.passed,
+            "counterexamples": [c.to_dict()
+                                for c in self.counterexamples],
+            "checks": self.checks,
+            "elapsed_ns": self.elapsed_ns,
+        }
 
 
 @dataclasses.dataclass
@@ -31,7 +55,6 @@ class VerificationReport:
     """Everything one verification run produced."""
 
     policy_names: Tuple[str, ...]
-    solver: str
     model_stats: Dict[str, int]
     results: List[PropertyResult]
     error: Optional[str] = None      # parse/compile failure, when any
@@ -54,7 +77,6 @@ class VerificationReport:
     def to_dict(self) -> Dict[str, object]:
         return {
             "policies": list(self.policy_names),
-            "solver": self.solver,
             "ok": self.ok,
             "error": self.error,
             "model": dict(self.model_stats),
@@ -63,7 +85,7 @@ class VerificationReport:
 
     def summary_lines(self) -> List[str]:
         names = ", ".join(self.policy_names) or "<none>"
-        lines = [f"verify {names} (solver {self.solver})"]
+        lines = [f"verify {names}"]
         if self.error is not None:
             lines.append(f"  FAIL {COMPILABLE_ID}: {self.error}")
         for result in self.results:
@@ -103,7 +125,6 @@ def _property_set(properties) -> List[StaticProperty]:
 def verify_policies(policies,
                     ioctl_symbols=None,
                     properties: Optional[Sequence] = None,
-                    solver: str = "exhaustive",
                     extra_subjects: Sequence[str] = (),
                     extra_objects: Sequence[str] = ()
                     ) -> VerificationReport:
@@ -115,7 +136,6 @@ def verify_policies(policies,
     as a failing ``P0:compilable`` report.
     """
     from .model import build_model
-    backend = get_solver(solver)
     props = _property_set(properties)
     try:
         model = build_model(policies, ioctl_symbols=ioctl_symbols,
@@ -127,16 +147,24 @@ def verify_policies(policies,
             names = [getattr(p, "name", f"policy{i}")
                      for i, p in enumerate(policies)]
         return VerificationReport(
-            policy_names=tuple(names), solver=backend.name,
-            model_stats={}, results=[],
+            policy_names=tuple(names), model_stats={}, results=[],
             error=f"policy does not compile: {exc}")
-    report = VerificationReport(
+    # Each property is checked over the whole model and charged the
+    # decision-oracle calls and host time its proof took.
+    results: List[PropertyResult] = []
+    for prop in props:
+        before = model.checks
+        started = time.perf_counter_ns()
+        counterexamples = tuple(prop.check(model))
+        results.append(PropertyResult(
+            prop_id=prop.prop_id, title=prop.title,
+            passed=not counterexamples, counterexamples=counterexamples,
+            checks=model.checks - before,
+            elapsed_ns=time.perf_counter_ns() - started))
+    return VerificationReport(
         policy_names=tuple(model.revisions[r].policy.name
                            for r in model.rev_order),
-        solver=backend.name, model_stats={},
-        results=backend.run(model, props))
-    report.model_stats = model.stats()
-    return report
+        model_stats=model.stats(), results=results)
 
 
 def verify_policy(policy, **kwargs) -> VerificationReport:

@@ -37,10 +37,8 @@ class ProofGate:
     """Policy-revision admission control backed by the model checker."""
 
     def __init__(self, properties: Optional[Sequence] = None,
-                 solver: str = "exhaustive",
                  ioctl_symbols=None, enabled: bool = True):
         self.properties = properties
-        self.solver = solver
         self.ioctl_symbols = ioctl_symbols
         self.enabled = enabled
         self.evaluations = 0
@@ -50,7 +48,7 @@ class ProofGate:
     def _verify(self, policy_text: str) -> GateDecision:
         report = verify_policies(
             policy_text, ioctl_symbols=self.ioctl_symbols,
-            properties=self.properties, solver=self.solver)
+            properties=self.properties)
         failed = tuple(report.failed_properties)
         if report.ok:
             summary = (f"proof gate: all "

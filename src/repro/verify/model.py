@@ -23,7 +23,8 @@ command the policy or the probe symbols name.
 
 The space is small and enumerable by construction (states × revisions is
 bounded by the policy, and the grid by its rules), which is what makes
-the exhaustive solver complete; see ``docs/verification.md``.
+the checker's exhaustive enumeration complete; see
+``docs/verification.md``.
 """
 
 from __future__ import annotations

@@ -146,7 +146,9 @@ class TestAbacLsmEndToEnd:
         with pytest.raises(KernelError):
             kernel.write_file(task, "/etc/vehicle/conf", b"x",
                               create=False)
-        assert abac.denial_count == 1
+        assert kernel.obs.metrics.counter(
+            "lsm_denials_total",
+            {"module": "abac", "hook": "file_open"}).value == 1
 
     def test_subject_gated(self, world):
         kernel, abac, task = world

@@ -112,13 +112,19 @@ class TestFileMediation:
         with pytest.raises(KernelError):
             kernel.sys_unlink(task, "/etc/other")
 
-    def test_denial_count_increments(self, world):
-        kernel, aa = world
+    def test_one_denial_one_count_one_record(self, world):
+        kernel, _ = world
         task = spawn_confined(kernel)
-        before = aa.denial_count
+        denials = kernel.obs.metrics.counter(
+            "lsm_denials_total", {"module": "apparmor", "hook": "file_open"})
+        before, records = denials.value, len(kernel.obs.audit)
         with pytest.raises(KernelError):
             kernel.read_file(task, "/etc/other")
-        assert aa.denial_count == before + 1
+        assert denials.value == before + 1
+        assert len(kernel.obs.audit) == records + 1
+        record = kernel.obs.audit.tail(1)[0]
+        assert (record.kind, record.module, record.path) == \
+            ("avc", "apparmor", "/etc/other")
 
 
 class TestExecTransitions:
@@ -186,7 +192,8 @@ class TestComplainMode:
         kernel, aa = world
         task = spawn_confined(kernel, "noisy")
         assert aa.profile_of(task).mode is ProfileMode.COMPLAIN
-        before = aa.complain_count
         kernel.read_file(task, "/etc/other")  # would be denied in enforce
-        assert aa.complain_count > before
-        assert kernel.audit.by_kind("complain")
+        complaints = kernel.obs.audit.query(kind="complain",
+                                            module="apparmor")
+        assert any("/etc/other" in r.detail for r in complaints)
+        assert not kernel.obs.audit.by_kind("avc")

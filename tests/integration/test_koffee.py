@@ -44,8 +44,9 @@ class TestAttackMatrix:
     def test_attack_leaves_audit_trail(self):
         world = build_ivi_world(EnforcementConfig.SACK_INDEPENDENT)
         KoffeeAttack(world).run()
-        denials = world.kernel.audit.by_kind("sack_denied")
-        assert any("door" in r.detail for r in denials)
+        denials = world.kernel.obs.audit.query(kind="avc", module="sack")
+        assert any(r.path == "/dev/car/door" and r.comm == "media_app"
+                   for r in denials)
 
     def test_attacker_cannot_write_sack_events(self):
         """An attacker must not be able to forge situation events."""

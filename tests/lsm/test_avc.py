@@ -134,8 +134,9 @@ class TestFrameworkAvc:
         for expected in (1, 2):
             with pytest.raises(KernelError):
                 kernel.sys_open(task, "/dev/car/door", OpenFlags.O_WRONLY)
-            # Every denial reached the module (side effects intact).
-            assert sack.denial_count == expected
+            # Every denial reached the module's ruleset (side effects
+            # intact).
+            assert sack.ape.deny_count == expected
 
     def test_decisions_identical_after_transition(self, world):
         kernel, framework, sack = world
@@ -185,12 +186,12 @@ class TestCacheabilityGates:
         kernel.vfs.create_file("/data", mode=0o666)
         task = make_task(kernel, "noisy")
         apparmor.confine(task, "noisy")
-        before = apparmor.complain_count
+        before = len(kernel.obs.audit.by_kind("complain"))
         for _ in range(3):
             read_once(kernel, task, "/data")
         # Every complain-mode access produced its audit side effect —
         # two per read (file_open and file_permission).
-        assert apparmor.complain_count == before + 6
+        assert len(kernel.obs.audit.by_kind("complain")) == before + 6
 
     def test_profile_reload_revokes_cached_allow(self):
         apparmor = AppArmorLsm()

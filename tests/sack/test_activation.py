@@ -137,7 +137,7 @@ def test_one_activation_through_sackfs(backend):
     assert loads == {"sack_policy_loads_total": 1}
     assert obs.metrics.counter("sack_policy_loads_total",
                                {"backend": backend}).value == 1
-    assert len(kernel.audit.by_kind("sack_policy_loaded")) == 1
+    assert len(obs.audit.by_kind("policy_load")) == 1
 
     applies = obs.metrics.histograms_named("sack_bridge_apply_ns")
     if backend == "independent":

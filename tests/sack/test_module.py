@@ -80,7 +80,9 @@ class TestEnforcement:
             kernel.write_file(task, "/dev/car/door", b"unlock",
                               create=False)
         assert exc.value.errno is Errno.EACCES
-        assert sack.denial_count == 1
+        assert kernel.obs.metrics.counter(
+            "lsm_denials_total",
+            {"module": "sack", "hook": "file_open"}).value == 1
 
     def test_write_allowed_in_emergency_for_subject(self, world):
         kernel, sack = world
@@ -128,9 +130,9 @@ class TestEnforcement:
         task = make_task(kernel, "media_app")
         with pytest.raises(KernelError):
             kernel.write_file(task, "/dev/car/door", b"x", create=False)
-        records = kernel.audit.by_kind("sack_denied")
-        assert records
-        assert "state=normal" in records[0].detail
+        records = kernel.obs.audit.by_kind("avc")
+        assert [(r.module, r.path, r.situation) for r in records] == \
+            [("sack", "/dev/car/door", "normal")]
 
 
 class TestMacOverride:
@@ -159,4 +161,4 @@ class TestPolicyReload:
 
     def test_load_audited(self, world):
         kernel, _ = world
-        assert kernel.audit.by_kind("sack_policy_loaded")
+        assert kernel.obs.audit.query(kind="policy_load", module="sack")

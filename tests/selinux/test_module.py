@@ -90,7 +90,9 @@ class TestTeEnforcement:
         with pytest.raises(KernelError) as exc:
             kernel.read_file(task, "/etc/other")
         assert exc.value.errno is Errno.EACCES
-        assert selinux.denial_count >= 1
+        assert kernel.obs.metrics.counter(
+            "lsm_denials_total",
+            {"module": "selinux", "hook": "file_open"}).value == 1
 
     def test_write_denied_where_only_read_allowed(self, world):
         kernel, selinux = world
@@ -115,8 +117,9 @@ class TestTeEnforcement:
         task = confined(kernel, selinux)
         with pytest.raises(KernelError):
             kernel.read_file(task, "/etc/other")
-        records = kernel.audit.by_kind("selinux_denied")
-        assert any("media_t" in r.detail for r in records)
+        records = kernel.obs.audit.query(kind="avc", module="selinux")
+        assert [(r.comm, r.path) for r in records] == \
+            [(task.comm, "/etc/other")]
 
 
 class TestPermissiveMode:
@@ -125,7 +128,10 @@ class TestPermissiveMode:
         selinux.enforcing = False
         task = confined(kernel, selinux)
         kernel.read_file(task, "/etc/other")  # would be denied enforcing
-        assert kernel.audit.by_kind("selinux_permissive")
+        permitted = kernel.obs.audit.query(kind="permissive",
+                                           module="selinux")
+        assert any("media_t" in r.detail for r in permitted)
+        assert not kernel.obs.audit.by_kind("avc")
 
 
 class TestLabeling:

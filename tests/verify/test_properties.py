@@ -70,6 +70,40 @@ class TestStaticRegistry:
         report = verify_policies(DEFAULT_SACK_POLICY)
         assert report.failed_properties == ["P4:cache-coherence"]
 
+    def test_p4_catches_a_ruleset_from_another_compile(self, monkeypatch):
+        # The APE follows the state, but installs that state's ruleset
+        # from a different compile (the policy minus one rule): the
+        # state name is right and the ruleset is not.
+        from repro.sack.ape import AdaptivePolicyEnforcer
+        from repro.sack.policy import compile_policy, parse_policy
+        from repro.vehicle.devices import IOCTL_SYMBOLS
+        from repro.vehicle.ivi import DEFAULT_SACK_POLICY
+        from repro.verify.checker import verify_policies
+
+        dropped = "    allow ioctl /dev/car/window cmd=WINDOW_UP," \
+            "WINDOW_DOWN,WINDOW_SET subject=rescue_daemon;\n"
+        assert dropped in DEFAULT_SACK_POLICY
+        other = compile_policy(parse_policy(
+            DEFAULT_SACK_POLICY.replace(dropped, "")),
+            ioctl_symbols=IOCTL_SYMBOLS)
+        remap = AdaptivePolicyEnforcer._on_transition
+
+        def remap_from_other(self, transition):
+            remap(self, transition)
+            self._current = other.ruleset_for(transition.to_state)
+
+        monkeypatch.setattr(AdaptivePolicyEnforcer, "_on_transition",
+                            remap_from_other)
+        report = verify_policies(DEFAULT_SACK_POLICY)
+        assert report.failed_properties == ["P4:cache-coherence"]
+        p4 = next(r for r in report.results
+                  if r.prop_id == "P4:cache-coherence")
+        # Every node but the initial one (the APE's constructor compiled
+        # nothing of its own) is caught by the identity check.
+        assert len(p4.counterexamples) == len(report.counterexamples) == 3
+        assert {c.actual for c in p4.counterexamples} == \
+            {"a ruleset from another compile"}
+
 
 class TestChaosConsumesRegistry:
     def test_chaos_checker_uses_registry_functions(self):

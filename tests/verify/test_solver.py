@@ -1,53 +1,6 @@
-"""The pluggable solver interface."""
+"""Proof-effort accounting of the checker's exhaustive loop."""
 
-import pytest
-
-from repro.verify import SolverUnavailable, verify_policy
-from repro.verify.solver import (ExhaustiveSolver, PropertyResult, Solver,
-                                 get_solver, register_solver,
-                                 solver_names)
-
-
-class TestRegistry:
-    def test_shipped_names(self):
-        names = solver_names()
-        assert "exhaustive" in names
-        assert "smt" in names
-
-    def test_exhaustive_resolves(self):
-        assert isinstance(get_solver("exhaustive"), ExhaustiveSolver)
-
-    def test_smt_is_a_registration_point(self):
-        with pytest.raises(SolverUnavailable) as exc:
-            get_solver("smt")
-        assert "register_solver" in str(exc.value)
-
-    def test_unknown_name_lists_the_registry(self):
-        with pytest.raises(SolverUnavailable) as exc:
-            get_solver("z3-magic")
-        assert "exhaustive" in str(exc.value)
-
-
-class TestCustomBackend:
-    def test_registered_backend_is_used_by_the_checker(
-            self, default_policy_text):
-        class VacuousSolver(Solver):
-            name = "vacuous"
-
-            def run(self, model, properties):
-                return [PropertyResult(p.prop_id, p.title, True)
-                        for p in properties]
-
-        register_solver("vacuous", VacuousSolver)
-        try:
-            report = verify_policy(default_policy_text,
-                                   solver="vacuous")
-            assert report.ok
-            assert all(r.checks == 0 for r in report.results)
-        finally:
-            import repro.verify.solver as mod
-            del mod._SOLVERS["vacuous"]
-        assert "vacuous" not in solver_names()
+from repro.verify import verify_policy
 
 
 class TestExhaustiveAccounting:
