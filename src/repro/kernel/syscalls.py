@@ -144,9 +144,13 @@ class Kernel:
 
     def _dac_permission(self, task: Task, inode, mask: int,
                         path: str) -> None:
-        """Classic UNIX mode-bit check with CAP_DAC_OVERRIDE escape."""
+        """Classic UNIX mode-bit check with CAP_DAC_OVERRIDE escape.
+
+        As in Linux's ``generic_permission()``, the mode bits come first:
+        ``capable(CAP_DAC_OVERRIDE)`` is asked only when they refuse.
+        """
         cred = task.cred
-        if cred.euid == 0 or self.capable(task, Capability.CAP_DAC_OVERRIDE):
+        if cred.euid == 0:
             return
         if cred.euid == inode.uid:
             bits = (inode.mode >> 6) & 0o7
@@ -161,7 +165,8 @@ class Kernel:
             want |= 0o2
         if mask & MAY_EXEC:
             want |= 0o1
-        if (bits & want) != want:
+        if (bits & want) != want and not self.capable(
+                task, Capability.CAP_DAC_OVERRIDE):
             raise KernelError(Errno.EACCES, f"dac: {path}")
 
     # -- process syscalls -------------------------------------------------------

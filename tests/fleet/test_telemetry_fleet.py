@@ -20,13 +20,15 @@ KEY = b"sack-fleet-signing-key"
 #: pipeline.  If one of these moves, the feature leaked into the
 #: default path.  Re-pinned once when the stack AVC and decision table
 #: were removed: their counters left the metrics and chaos reports and
-#: the epoch series were renamed; nothing else moved.
+#: the epoch series were renamed; nothing else moved.  The chaos pin
+#: moved again when the DAC check started asking ``capable`` only when
+#: the mode bits refuse: only its hook-span summaries changed.
 BASELINE_FLEET_10x7 = \
     "ee3a35ef759d4965895eaf844af830cbf403495d04df8158eddd641472b4e044"
 BASELINE_FLEET_4x3_W2 = \
     "ebb803531b6384916f0811768c3bbb37599403d2b346f0986ed5c8f113f0eb3b"
 BASELINE_CHAOS_1 = \
-    "de8fff1bcf1ca3a9d132c8bf7756f89f4b52500ac43949aed055a8b7db609b3b"
+    "f563bd4e7b20ca709d02a7974682af73ab1600c044743bebb4d851d814b1ce45"
 
 #: An objective a cruising fleet can never meet (it has no 1 MHz
 #: heartbeat): measured 0 -> clamped burn in every window -> the

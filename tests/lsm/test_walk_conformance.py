@@ -26,6 +26,9 @@ from repro.vehicle.scenarios import crash_on_highway, urban_commute
 APPS = ["media_app", "nav_app", "volume_service", "ignition_service",
         "rescue_daemon"]
 DEVICES = ["door", "window", "audio", "engine", "speedometer"]
+#: Root-owned 0600: the mode bits refuse every app, so the DAC check asks
+#: ``capable(CAP_DAC_OVERRIDE)`` (the ``/dev/car`` nodes are 0666).
+PRIVATE = "/var/lib/ivi/private"
 IOCTL_CMDS = sorted(IOCTL_SYMBOLS.values())
 PER_PHASE = 40
 SEED = 1313
@@ -39,7 +42,7 @@ def _one_access(world, rng):
     kernel = world.kernel
     app = rng.choice(APPS)
     task = world.task(app)
-    op = rng.choice(["read", "write", "ioctl", "exec"])
+    op = rng.choice(["read", "write", "ioctl", "exec", "private"])
     path = f"/dev/car/{rng.choice(DEVICES)}"
     fd = None
     outcome = "ok"
@@ -50,6 +53,9 @@ def _one_access(world, rng):
             child = kernel.sys_fork(kernel.procs.init)
             kernel.sys_execve(child, f"/usr/bin/{app}", comm=app)
             kernel.sys_exit(child)
+        elif op == "private":
+            path = PRIVATE
+            fd = kernel.sys_open(task, path, OpenFlags.O_RDONLY)
         elif op == "read":
             fd = kernel.sys_open(task, path, OpenFlags.O_RDONLY)
             kernel.sys_read(task, fd, 8)
@@ -84,6 +90,8 @@ def _count_module_calls(framework, real_calls):
 
 def _replay(config, mode):
     world = build_ivi_world(config)
+    world.kernel.vfs.makedirs(PRIVATE.rsplit("/", 1)[0])
+    world.kernel.vfs.create_file(PRIVATE, mode=0o600, uid=0)
     framework = world.framework
     obs = world.kernel.obs
     framework.stats = HookStats()
@@ -151,6 +159,9 @@ def test_trace_exercises_every_dispatch_shape(replays):
     assert len(base["verdicts"]) >= 500
     assert base["transitions"] >= 3
     assert any(v[3] != "ok" for v in base["verdicts"])
+    # The mode bits refuse the private file to the unprivileged apps, so
+    # the DAC check reached ``capable``, which refused too.
+    assert "err:13" in {v[3] for v in base["verdicts"] if v[1] == "private"}
     sites = {site.split(".", 1)[1] for site in base["calls"]}
     assert {Hook.FILE_OPEN.value, Hook.FILE_IOCTL.value,
             Hook.BPRM_CHECK_SECURITY.value, Hook.CAPABLE.value} <= sites
