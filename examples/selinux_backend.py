@@ -5,8 +5,8 @@ The paper's policy design "separates policy and implementation to be
 compatible with different enforcement approaches" (§III-D).  This example
 proves the claim: the *same* SACK policy drives a completely different
 MAC model — SELinux-style type enforcement — through the SELinux bridge,
-which rewrites the access-vector table at every situation transition
-(and the AVC flush makes it atomic).
+which swaps the state's whole rule set into the access-vector table at
+every situation transition, as one policy revision.
 
 Run:  python examples/selinux_backend.py
 """
@@ -121,7 +121,7 @@ def main():
     bridge.ssm.process_event(SituationEvent(name="emergency_cleared"))
     attempt(kernel, rescue, "rescue_daemon")
 
-    print(f"\nAVC statistics: {selinux.avc.stats()}")
+    print(f"\nbridge: {bridge.stats()}")
     print("Same SACK policy text would drive AppArmor or independent")
     print("SACK unchanged — the State->Permission->MAC indirection is")
     print("what buys the backend independence.")

@@ -6,8 +6,10 @@ Every mutation bumps a revision counter; tasks hold profile *names*, so a
 replaced profile takes effect for running processes immediately, exactly
 the behaviour the SACK bridge needs at situation transitions.  Like the
 kernel's ``aa_replace_profiles``, a multi-profile load (a profile text,
-or the bridge's per-transition set) is one swap: one revision bump and
-one notification, whatever the number of profiles.
+or the bridge's per-transition set) is one swap: one revision bump,
+whatever the number of profiles.  An admin load notifies the
+subscribers once; the bridge's swap notifies no one, because the
+situation transition that asked for it makes the one epoch bump.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class PolicyDb:
     # -- loading -------------------------------------------------------------
     def load_profile(self, profile: Profile) -> None:
         """Add or replace one profile."""
-        self._swap((profile,))
+        self._load((profile,))
 
     def load_text(self, text: str) -> List[Profile]:
         """Parse and load profile text in one swap; returns the loaded
@@ -57,7 +59,7 @@ class PolicyDb:
         parsed = self.policy_cache.get(("apparmor", text),
                                        lambda: parse_profiles(text))
         profiles = [profile.clone() for profile in parsed]
-        self._swap(profiles)
+        self._load(profiles)
         return profiles
 
     def replace_profile(self, profile: Profile) -> None:
@@ -68,23 +70,36 @@ class PolicyDb:
         """Replace existing profiles in one swap: one revision, one
         notification.  Every name is checked first, so a missing one
         raises ``KeyError`` with nothing changed."""
+        self._load(self._existing(profiles))
+
+    def swap_profiles(self, profiles: Iterable[Profile]) -> None:
+        """:meth:`replace_profiles` without the notification, for the
+        SACK bridge: the situation transition that asked for the swap
+        is its one epoch bump."""
+        self._swap(self._existing(profiles))
+
+    def _existing(self, profiles: Iterable[Profile]) -> List[Profile]:
         profiles = list(profiles)
         for profile in profiles:
             if profile.name not in self._profiles:
                 raise KeyError(f"no profile named {profile.name!r} "
                                f"to replace")
-        self._swap(profiles)
+        return profiles
 
-    def _swap(self, profiles) -> None:
+    def _load(self, profiles) -> None:
+        if self._swap(profiles):
+            self._notify()
+
+    def _swap(self, profiles) -> bool:
         if not profiles:
-            return
+            return False
         live = self._profiles
         for profile in profiles:
             if profile.name in live:
                 self.replace_count += 1
             live[profile.name] = profile
         self.revision += 1
-        self._notify()
+        return True
 
     def remove_profile(self, name: str) -> None:
         if name in self._profiles:

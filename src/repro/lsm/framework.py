@@ -102,7 +102,7 @@ class LsmFramework(SecurityHooks):
                 self.hook_bitmap |= HOOK_BIT[hook]
         #: The situation epoch: advanced by :meth:`bump_epoch` on every
         #: committed transition (rollbacks and failsafe settles included),
-        #: policy load and AppArmor profile reload.
+        #: SACK policy load and admin AppArmor profile reload — once each.
         self.epoch = 0
         self.bump_reasons: Counter = Counter()
 

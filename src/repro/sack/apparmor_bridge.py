@@ -9,7 +9,9 @@ rules active in the new state are translated into AppArmor path rules
 store, the equivalent of ``apparmor_parser -r`` at transition time.  The
 translation of a (state, profile) pair depends only on the loaded policy,
 so it is done once per policy and kept; a transition then swaps every
-target profile in one :meth:`~repro.apparmor.policydb.PolicyDb.replace_profiles`.
+target profile in one :meth:`~repro.apparmor.policydb.PolicyDb.swap_profiles`:
+one policy revision, and no ``profile-reload`` epoch bump of its own —
+the SACK front end's ``transition`` bump is the transition's one bump.
 
 Fidelity note: AppArmor's file rules cannot filter individual ioctl
 commands, so an ioctl rule with a ``cmd=`` list becomes plain write access
@@ -159,7 +161,7 @@ class SackAppArmorBridge(SackModule):
             updated.path_rules.extend(rules)
             injected += len(rules)
             staged.append(updated)
-        self.apparmor.policy.replace_profiles(staged)
+        self.apparmor.policy.swap_profiles(staged)
         self.update_count += 1
         self.rules_injected = injected
         return {"profiles": len(staged), "rules": injected}

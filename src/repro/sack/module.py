@@ -54,6 +54,8 @@ class SackModule(LsmModule):
         return self.ssm.current_name if self.ssm is not None else None
 
     def _on_transition_bump_epoch(self, _transition) -> None:
+        # A committed transition's one epoch bump, in every variant: the
+        # bridges' backend swaps make none of their own.
         self.bump_epoch("transition")
 
     # -- policy lifecycle ----------------------------------------------------

@@ -4,10 +4,12 @@ bridge.
 The paper's policy design explicitly "separates policy and implementation
 to be compatible with different enforcement approaches" (§III-D).  This
 bridge demonstrates that claim against a type-enforcement backend: on
-every situation transition it rewrites the SELinux access-vector table —
-SACK MAC rules active in the new state become ``allow`` rules (tagged and
-retractable), and the AVC flush triggered by the policy-revision bump
-makes the change take effect atomically for subsequent checks.
+every situation transition it rewrites the SELinux access-vector table:
+the SACK MAC rules active in the new state are translated into ``allow``
+rules (tagged ``origin='sack'``) and swapped in as one
+:meth:`~repro.selinux.policy.SelinuxPolicy.replace_origin`, one policy
+revision that is checked whole before anything changes.  The next check
+reads the new table.
 
 Translation notes (fidelity):
 
@@ -114,16 +116,16 @@ class SackSelinuxBridge(SackModule):
 
     # -- transition handling ------------------------------------------------------
     def _install_state(self, state_name: str) -> Dict[str, int]:
+        """All-or-nothing: the state's whole rule set is translated,
+        then swapped in as one policy revision."""
         te_policy = self.selinux.policy
-        te_policy.remove_rules_by_origin(SACK_ORIGIN)
-        injected = 0
-        for rule in self.policy.rules_for_state(state_name):
-            for av_rule in self.translate(rule):
-                te_policy.add_rule(av_rule)
-                injected += 1
+        rules = [av_rule
+                 for rule in self.policy.rules_for_state(state_name)
+                 for av_rule in self.translate(rule)]
+        te_policy.replace_origin(SACK_ORIGIN, rules)
         self.update_count += 1
-        self.rules_injected = injected
-        return {"av_rules": injected, "revision": te_policy.revision}
+        self.rules_injected = len(rules)
+        return {"av_rules": len(rules), "revision": te_policy.revision}
 
     def stats(self) -> dict:
         return {
@@ -131,5 +133,4 @@ class SackSelinuxBridge(SackModule):
             "av_updates": self.update_count,
             "rules_injected": self.rules_injected,
             "selinux_revision": self.selinux.policy.revision,
-            "avc": self.selinux.avc.stats(),
         }

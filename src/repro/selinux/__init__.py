@@ -1,6 +1,5 @@
 """SELinux-style type enforcement for the simulated kernel."""
 
-from .avc import AccessVectorCache
 from .context import (ContextError, DEFAULT_FILE_CONTEXT, INIT_CONTEXT,
                       KERNEL_CONTEXT, SecurityContext, UNLABELED,
                       parse_context)
@@ -10,7 +9,7 @@ from .policy import (AvRule, CLASS_PERMS, FileContext, SelinuxPolicy,
                      SelinuxPolicyError, TypeTransition)
 
 __all__ = [
-    "AccessVectorCache", "ContextError", "DEFAULT_FILE_CONTEXT",
+    "ContextError", "DEFAULT_FILE_CONTEXT",
     "INIT_CONTEXT", "KERNEL_CONTEXT", "SecurityContext", "UNLABELED",
     "parse_context", "DEFAULT_UNCONFINED", "SelinuxLsm",
     "SelinuxParseError", "parse_te_policy", "AvRule", "CLASS_PERMS",

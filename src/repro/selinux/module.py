@@ -11,8 +11,11 @@ Labeling model:
   system works without a thousand-rule base policy, exactly like a
   distro's targeted policy.
 
-Decisions come from the AVC; policy mutations bump the policy revision
-which flushes the cache — the property the SACK bridge depends on.
+Decisions come straight from the policy's access-vector table, one dict
+lookup per check; there is no AVC in front of it (a cache cannot beat
+the lookup it would cache, see ``docs/architecture.md``).  A policy
+change takes effect for the next check — the property the SACK bridge
+depends on.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from ..kernel.vfs.file import OpenFile
 from ..lsm.blob import get_blob, set_blob
 from ..lsm.module import LsmModule
 from ..obs.audit import AUDIT_PERMISSIVE
-from .avc import AccessVectorCache
 from .context import INIT_CONTEXT, SecurityContext, UNLABELED
 from .policy import SelinuxPolicy
 
@@ -43,7 +45,6 @@ class SelinuxLsm(LsmModule):
                  enforcing: bool = True,
                  unconfined_types: Set[str] = DEFAULT_UNCONFINED):
         self.policy = policy or SelinuxPolicy()
-        self.avc = AccessVectorCache(self.policy)
         self.enforcing = enforcing
         self.unconfined_types = set(unconfined_types)
 
@@ -96,7 +97,7 @@ class SelinuxLsm(LsmModule):
         source = self.context_of(task).type
         if source in self.unconfined_types:
             return 0
-        if self.avc.allowed(source, target_type, tclass, perm):
+        if self.policy.allows(source, target_type, tclass, perm):
             return 0
         if not self.enforcing:
             self.audit(AUDIT_PERMISSIVE,

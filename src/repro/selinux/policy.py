@@ -79,6 +79,10 @@ class SelinuxPolicy:
         self.types: Set[str] = {"kernel_t", "init_t", "unlabeled_t",
                                 "file_t"}
         self._av: Dict[Tuple[str, str, str], Set[str]] = {}
+        #: Per-key, per-origin permission sets, so an origin's rules can
+        #: be replaced without touching the others'.
+        self._av_origins: Dict[Tuple[str, str, str],
+                               Dict[str, Set[str]]] = {}
         self._neverallow: List[AvRule] = []
         self._transitions: Dict[Tuple[str, str], str] = {}
         self.file_contexts: List[FileContext] = []
@@ -90,7 +94,7 @@ class SelinuxPolicy:
         self.types.add(name)
         self.revision += 1
 
-    def add_rule(self, rule: AvRule) -> None:
+    def _check_rule(self, rule: AvRule) -> None:
         for t in (rule.source, rule.target):
             if t not in self.types:
                 raise SelinuxPolicyError(f"undeclared type {t!r}")
@@ -100,18 +104,14 @@ class SelinuxPolicy:
                     and never.perms & rule.perms):
                 raise SelinuxPolicyError(
                     f"rule {rule} violates neverallow {never}")
+
+    def add_rule(self, rule: AvRule) -> None:
+        self._check_rule(rule)
         key = (rule.source, rule.target, rule.tclass)
         self._av.setdefault(key, set()).update(rule.perms)
         self._av_origins.setdefault(key, {}).setdefault(
             rule.origin, set()).update(rule.perms)
         self.revision += 1
-
-    #: per-key, per-origin permission sets, so bridge rules are retractable.
-    @property
-    def _av_origins(self) -> Dict:
-        if not hasattr(self, "_av_origins_store"):
-            self._av_origins_store = {}
-        return self._av_origins_store
 
     def add_neverallow(self, rule: AvRule) -> None:
         existing = self._av.get((rule.source, rule.target, rule.tclass),
@@ -122,26 +122,36 @@ class SelinuxPolicy:
         self._neverallow.append(rule)
         self.revision += 1
 
-    def remove_rules_by_origin(self, origin: str) -> int:
-        """Retract every AV rule tagged *origin*; returns perms removed."""
-        removed = 0
-        for key, origins in list(self._av_origins.items()):
-            perms = origins.pop(origin, None)
-            if not perms:
-                continue
-            # Rebuild the effective vector from the surviving origins.
-            survivors = set()
-            for other in origins.values():
-                survivors |= other
-            dropped = self._av.get(key, set()) - survivors
-            removed += len(dropped)
-            if survivors:
-                self._av[key] = survivors
+    def replace_origin(self, origin: str, rules: Iterable[AvRule]) -> None:
+        """Make *rules* the whole of *origin*'s AV rules, in one revision.
+
+        Every rule is checked (declared types, ``neverallow``) before
+        anything changes, so a refused set leaves the table as it was.
+        Only the keys *origin* had or gains are rebuilt.
+        """
+        rules = list(rules)
+        for rule in rules:
+            self._check_rule(rule)
+        wanted: Dict[Tuple[str, str, str], Set[str]] = {}
+        for rule in rules:
+            wanted.setdefault((rule.source, rule.target, rule.tclass),
+                              set()).update(rule.perms)
+        affected = set(wanted)
+        affected.update(key for key, origins in self._av_origins.items()
+                        if origin in origins)
+        for key in affected:
+            origins = self._av_origins.setdefault(key, {})
+            if key in wanted:
+                origins[origin] = wanted[key]
+            else:
+                origins.pop(origin, None)
+            vector = set().union(*origins.values())
+            if vector:
+                self._av[key] = vector
             else:
                 self._av.pop(key, None)
-        if removed:
-            self.revision += 1
-        return removed
+                del self._av_origins[key]
+        self.revision += 1
 
     def add_transition(self, transition: TypeTransition) -> None:
         key = (transition.source, transition.exec_type)

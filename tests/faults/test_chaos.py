@@ -85,12 +85,25 @@ class TestRegressions:
 class TestMutations:
     def test_i7_catches_a_transition_that_skips_the_epoch_bump(
             self, monkeypatch):
-        from repro.sack.module import SackLsm
+        from repro.sack.module import SackModule
 
-        monkeypatch.setattr(SackLsm, "_on_transition_bump_epoch",
+        monkeypatch.setattr(SackModule, "_on_transition_bump_epoch",
                             lambda self, transition: None)
         report = chaos.run_chaos(seed=1, ticks=600)
         fired = [v for v in report.violations
                  if v.invariant.startswith("I7:")]
         assert fired, "I7 must flag transitions that leave the epoch"
+        assert report.transitions
+
+    def test_i7_catches_a_bridged_transition_that_skips_the_epoch_bump(
+            self, monkeypatch):
+        # The front end's transition bump is a bridged transition's only
+        # one: the AppArmor bridge's profile swap makes none of its own.
+        from repro.sack.module import SackModule
+
+        monkeypatch.setattr(SackModule, "_on_transition_bump_epoch",
+                            lambda self, transition: None)
+        report = chaos.run_chaos(seed=1, ticks=600, mode="apparmor")
+        assert [v for v in report.violations
+                if v.invariant.startswith("I7:")]
         assert report.transitions

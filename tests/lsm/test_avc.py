@@ -1,14 +1,12 @@
 """The LSM stack's situation epoch, and decisions with no cache behind them.
 
 Every access walks the modules: there is no stack-level decision cache.
-The framework keeps one monotone situation epoch, advanced on every
-committed transition, policy load and AppArmor profile reload.
+The framework keeps one monotone situation epoch, advanced once on every
+committed transition, SACK policy load and admin AppArmor profile reload.
 
 The class and test names date from the stack access vector cache, which
 is gone.  Each test now checks the same behaviour with every access
-walking the modules.  ``AvcCore``, the epoch-stamped LRU that cache was
-built on, lives on in the SELinux AVC (``repro.selinux.avc``); its tests
-keep their names here.
+walking the modules.
 """
 
 import pytest
@@ -18,7 +16,6 @@ from repro.kernel import KernelError, OpenFlags, user_credentials
 from repro.lsm import Hook, HOOK_BIT, boot_kernel
 from repro.sack import SackLsm, parse_policy
 from repro.sack.events import SituationEvent
-from repro.selinux.avc import AvcCore
 
 POLICY = """
 policy epoch_test;
@@ -207,50 +204,6 @@ class TestCacheabilityGates:
         apparmor.policy.load_text(tightened)
         with pytest.raises(KernelError):
             kernel.sys_open(task, "/data/f", OpenFlags.O_RDONLY)
-
-
-# -- AvcCore, the SELinux AVC's epoch-stamped LRU -----------------------------
-
-class TestAvcCore:
-    def test_miss_insert_hit(self):
-        core = AvcCore()
-        hit, _ = core.lookup("k")
-        assert not hit and core.misses == 1
-        core.insert("k", 7)
-        hit, value = core.lookup("k")
-        assert hit and value == 7 and core.hits == 1
-
-    def test_bump_epoch_invalidates_in_o1(self):
-        core = AvcCore()
-        for i in range(100):
-            core.insert(i, i)
-        core.bump_epoch()
-        assert len(core) == 100  # nothing walked eagerly...
-        hit, _ = core.lookup(3)
-        assert not hit           # ...but nothing stale is served
-        assert core.stale_drops == 1
-        assert len(core) == 99   # the tripped-over entry is reclaimed
-
-    def test_flush_empties(self):
-        core = AvcCore()
-        core.insert("k", 1)
-        core.flush()
-        assert len(core) == 0 and core.flushes == 1
-
-    def test_lru_eviction_prefers_cold_entries(self):
-        core = AvcCore(capacity=4)
-        for key in "abcd":
-            core.insert(key, 1)
-        core.lookup("a")         # refresh: a is now most recent
-        core.insert("e", 1)      # evicts b, the coldest
-        assert core.lookup("a")[0]
-        assert not core.lookup("b")[0]
-        assert len(core) <= 4
-        assert core.evictions == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            AvcCore(capacity=0)
 
 
 # -- the implemented-hook bitmap ----------------------------------------------

@@ -1,5 +1,9 @@
 """Tests for SACK-enhanced SELinux (the TE-backend bridge)."""
 
+import copy
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.kernel import KernelError, user_credentials
@@ -7,7 +11,7 @@ from repro.lsm import boot_kernel
 from repro.sack import SituationEvent, parse_policy
 from repro.sack.selinux_bridge import (SACK_ORIGIN, SackSelinuxBridge,
                                        SackSelinuxBridgeError)
-from repro.selinux import SelinuxLsm, parse_te_policy
+from repro.selinux import SelinuxLsm, SelinuxPolicyError, parse_te_policy
 
 TE_BASE = """
 type rescue_t;
@@ -144,17 +148,14 @@ class TestTransitions:
         assert selinux.policy.allows("rescue_t", "car_door_t",
                                      "chr_file", "read")
 
-    def test_avc_flushed_on_transition(self, world):
+    def test_next_check_sees_the_transition(self, world):
         kernel, selinux, bridge = world
         rescue = confined(kernel, "rescue_daemon")
-        # Prime a negative AVC entry.
         with pytest.raises(KernelError):
             kernel.write_file(rescue, "/dev/car/door", b"x", create=False)
-        flushes_before = selinux.avc.flushes
         bridge.ssm.process_event(SituationEvent(name="crash_detected"))
         kernel.write_file(rescue, "/dev/car/door", b"unlock",
                           create=False)
-        assert selinux.avc.flushes > flushes_before
 
     def test_update_stats(self, world):
         _, _, bridge = world
@@ -188,3 +189,118 @@ class TestEndToEnd:
         with pytest.raises(KernelError):
             kernel.write_file(rescue, "/dev/car/door", b"unlock",
                               create=False)
+
+
+# -- one swap per state ----------------------------------------------------------
+
+#: Loaded after the fixture policy: its initial state grants every domain
+#: door writes, then trips the base policy's ``neverallow`` on the rescue
+#: domain's audio writes — partway through the translated rule list.
+TE_NEVERALLOW = TE_BASE + """
+neverallow rescue_t car_audio_t : chr_file { write };
+"""
+
+REFUSED_POLICY = SACK_POLICY.replace(
+    "allow ioctl /dev/car/audio;",
+    "allow ioctl /dev/car/audio;\n    allow write /dev/car/door;\n"
+    "    allow write /dev/car/audio subject=rescue_daemon;")
+
+
+def _world(te_text, sack_text):
+    selinux = SelinuxLsm(parse_te_policy(te_text))
+    bridge = SackSelinuxBridge(selinux, subject_domains=DOMAINS)
+    _, framework = boot_kernel([bridge, selinux])
+    bridge.load_policy(parse_policy(sack_text))
+    return selinux, bridge, framework
+
+
+class TestAtomicInstall:
+    def test_refused_load_changes_nothing(self):
+        selinux, bridge, framework = _world(TE_NEVERALLOW, SACK_POLICY)
+        te_policy = selinux.policy
+        before = (copy.deepcopy(te_policy._av),
+                  copy.deepcopy(te_policy._av_origins), te_policy.revision,
+                  bridge.policy, bridge.ssm, bridge.current_state,
+                  framework.epoch)
+        with pytest.raises(SelinuxPolicyError):
+            bridge.load_policy(parse_policy(REFUSED_POLICY))
+        assert (te_policy._av, te_policy._av_origins, te_policy.revision,
+                bridge.policy, bridge.ssm, bridge.current_state,
+                framework.epoch) == before
+        # The refused policy's door grant never reached the table.
+        assert not te_policy.allows("media_t", "car_door_t", "file",
+                                    "write")
+
+    def test_one_transition_is_one_revision_and_one_bump(self):
+        selinux, bridge, framework = _world(TE_BASE, SACK_POLICY)
+        revision = selinux.policy.revision
+        epoch = framework.epoch
+        reasons = dict(framework.bump_reasons)
+        assert bridge.ssm.process_event(
+            SituationEvent(name="crash_detected")) is not None
+        assert selinux.policy.revision == revision + 1
+        assert framework.epoch == epoch + 1
+        assert framework.bump_reasons["transition"] == \
+            reasons.get("transition", 0) + 1
+
+    def test_replace_origin_is_one_revision_even_when_empty(self):
+        selinux, _, _ = _world(TE_BASE, SACK_POLICY)
+        te_policy = selinux.policy
+        revision = te_policy.revision
+        te_policy.replace_origin(SACK_ORIGIN, [])
+        assert te_policy.revision == revision + 1
+        assert not any(SACK_ORIGIN in origins
+                       for origins in te_policy._av_origins.values())
+        # The static grants are untouched.
+        assert te_policy.allows("rescue_t", "car_door_t", "chr_file",
+                                "read")
+
+
+class RemoveThenAddBridge(SackSelinuxBridge):
+    """The install before the one-swap change, kept for the differential
+    test: retract every sack-origin permission, then add the state's
+    rules one at a time."""
+
+    def _install_state(self, state_name):
+        te_policy = self.selinux.policy
+        for key, origins in list(te_policy._av_origins.items()):
+            if not origins.pop(SACK_ORIGIN, None):
+                continue
+            survivors = set().union(*origins.values())
+            if survivors:
+                te_policy._av[key] = survivors
+            else:
+                te_policy._av.pop(key, None)
+        for rule in self.policy.rules_for_state(state_name):
+            for av_rule in self.translate(rule):
+                te_policy.add_rule(av_rule)
+        return {}
+
+
+def _example_policies():
+    path = Path(__file__).resolve().parents[2] / "examples" / \
+        "selinux_backend.py"
+    spec = importlib.util.spec_from_file_location("selinux_backend", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    return example.TE_BASE, example.SACK_POLICY
+
+
+@pytest.mark.parametrize("source", ["fixture", "example"])
+def test_one_swap_matches_remove_then_add(source):
+    te_text, sack_text = ((TE_BASE, SACK_POLICY) if source == "fixture"
+                          else _example_policies())
+    installs = []
+    for bridge_type in (SackSelinuxBridge, RemoveThenAddBridge):
+        selinux = SelinuxLsm(parse_te_policy(te_text))
+        bridge = bridge_type(selinux, subject_domains=DOMAINS)
+        boot_kernel([bridge, selinux])
+        bridge.load_policy(parse_policy(sack_text))
+        installs.append((selinux.policy, bridge))
+    (new_policy, new), (old_policy, old) = installs
+    names = list(new.policy.states.names())
+    # Every state, entered from every state (and itself).
+    for state in names + names[::-1] + [n for n in names for _ in "ab"]:
+        new._install_state(state)
+        old._install_state(state)
+        assert new_policy._av == old_policy._av, state

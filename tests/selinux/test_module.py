@@ -5,7 +5,7 @@ import pytest
 from repro.kernel import (Errno, KernelError, OpenFlags, SocketFamily,
                           user_credentials)
 from repro.lsm import boot_kernel
-from repro.selinux import SelinuxLsm, parse_te_policy
+from repro.selinux import AvRule, SelinuxLsm, parse_te_policy
 
 TE_POLICY = """
 type media_t;
@@ -154,3 +154,28 @@ class TestLabeling:
         assert changed == 1
         dentry = kernel.vfs.resolve("/var/media/song.mp3")
         assert dentry.inode.security["selinux"].type == "car_door_t"
+
+
+class TestPolicyChanges:
+    """Every check reads the live AV table: a change applies to the very
+    next access, with no cache to flush."""
+
+    DOOR_WRITE = AvRule("media_t", "car_door_t", "file",
+                        frozenset({"write"}), origin="sack")
+
+    def test_policy_change_applies_to_next_check(self, world):
+        kernel, selinux = world
+        task = confined(kernel, selinux)
+        with pytest.raises(KernelError):
+            kernel.write_file(task, "/dev/car/door", b"x", create=False)
+        selinux.policy.add_rule(self.DOOR_WRITE)
+        kernel.write_file(task, "/dev/car/door", b"x", create=False)
+
+    def test_retraction_applies_to_next_check(self, world):
+        kernel, selinux = world
+        task = confined(kernel, selinux)
+        selinux.policy.replace_origin("sack", [self.DOOR_WRITE])
+        kernel.write_file(task, "/dev/car/door", b"x", create=False)
+        selinux.policy.replace_origin("sack", [])
+        with pytest.raises(KernelError):
+            kernel.write_file(task, "/dev/car/door", b"x", create=False)

@@ -83,8 +83,7 @@ class TestOriginRetraction:
                                frozenset({"read"})))
         policy.add_rule(AvRule("media_t", "audio_t", "chr_file",
                                frozenset({"write"}), origin="sack"))
-        removed = policy.remove_rules_by_origin("sack")
-        assert removed == 1
+        policy.replace_origin("sack", [])
         assert policy.allows("media_t", "audio_t", "chr_file", "read")
         assert not policy.allows("media_t", "audio_t", "chr_file", "write")
 
@@ -93,11 +92,50 @@ class TestOriginRetraction:
                                frozenset({"read"})))
         policy.add_rule(AvRule("media_t", "audio_t", "chr_file",
                                frozenset({"read"}), origin="sack"))
-        policy.remove_rules_by_origin("sack")
+        policy.replace_origin("sack", [])
         assert policy.allows("media_t", "audio_t", "chr_file", "read")
 
     def test_remove_absent_origin_is_noop(self, policy):
-        assert policy.remove_rules_by_origin("ghost") == 0
+        policy.add_rule(AvRule("media_t", "audio_t", "chr_file",
+                               frozenset({"read"})))
+        table = {key: set(perms) for key, perms in policy._av.items()}
+        policy.replace_origin("ghost", [])
+        assert policy._av == table
+
+    def test_replace_swaps_one_origin_in_one_revision(self, policy):
+        policy.add_rule(AvRule("media_t", "audio_t", "chr_file",
+                               frozenset({"read"})))
+        policy.add_rule(AvRule("media_t", "audio_t", "chr_file",
+                               frozenset({"write"}), origin="sack"))
+        revision = policy.revision
+        policy.replace_origin("sack", [
+            AvRule("media_t", "audio_t", "chr_file", frozenset({"ioctl"}),
+                   origin="sack"),
+            AvRule("media_t", "audio_t", "file", frozenset({"read"}),
+                   origin="sack")])
+        assert policy.revision == revision + 1
+        assert policy.allowed_perms("media_t", "audio_t", "chr_file") == \
+            {"read", "ioctl"}
+        assert policy.allowed_perms("media_t", "audio_t", "file") == \
+            {"read"}
+
+    def test_refused_rule_leaves_the_table(self, policy):
+        policy.add_neverallow(AvRule("media_t", "audio_t", "chr_file",
+                                     frozenset({"write"})))
+        policy.add_rule(AvRule("media_t", "audio_t", "chr_file",
+                               frozenset({"read"}), origin="sack"))
+        table = {key: set(perms) for key, perms in policy._av.items()}
+        revision = policy.revision
+        for refused in (AvRule("media_t", "audio_t", "chr_file",
+                               frozenset({"write"}), origin="sack"),
+                        AvRule("media_t", "ghost_t", "chr_file",
+                               frozenset({"read"}), origin="sack")):
+            with pytest.raises(SelinuxPolicyError):
+                policy.replace_origin("sack", [
+                    AvRule("media_t", "audio_t", "file",
+                           frozenset({"read"}), origin="sack"), refused])
+            assert policy._av == table
+            assert policy.revision == revision
 
 
 class TestTransitions:
