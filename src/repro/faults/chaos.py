@@ -25,9 +25,8 @@ I7  every committed transition advances the LSM stack's situation epoch.
 Everything — fault decisions, scenario actions, event timing — runs on
 seeded RNGs and the virtual clock, so one seed replays bit-for-bit:
 :meth:`ChaosReport.fingerprint` hashes the transition history, the final
-counters, and the audit trail (minus policy-load records, whose durations
-come from the host's performance counter) and must be identical across
-runs of the same seed.
+counters, and the audit trail, and must be identical across runs of the
+same seed.
 """
 
 from __future__ import annotations
@@ -50,11 +49,6 @@ _SCENARIO_SALT = 0xC4A05
 
 #: World builds tried before a boot-time policy-load fault is fatal.
 BOOT_ATTEMPTS = 3
-
-#: Audit kinds excluded from the fingerprint: their detail embeds
-#: perf-counter durations, which vary run to run.
-_NONDETERMINISTIC_AUDIT_KINDS = ("policy_load",)
-
 
 @dataclasses.dataclass(frozen=True)
 class Violation:
@@ -308,9 +302,7 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
     span_summaries: List[Tuple[str, str, int]] = []
     obs = getattr(world.kernel, "obs", None)
     if obs is not None:
-        records = [r for r in obs.audit.records()
-                   if r.kind not in _NONDETERMINISTIC_AUDIT_KINDS]
-        audit_text = obs.audit.to_text(records)
+        audit_text = obs.audit.to_text()
         span_summaries = obs.spans.span_summaries()
 
     return ChaosReport(

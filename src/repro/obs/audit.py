@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import errno as _errno
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
 
 AUDIT_AVC = "avc"
 AUDIT_STATE_TRANSITION = "state_transition"
@@ -182,9 +182,8 @@ class AuditRing:
             return []
         return list(self._records)[-n:]
 
-    def to_text(self, records: Optional[Iterable[AuditEvent]] = None) -> str:
-        lines = [r.to_text() for r in (self._records if records is None
-                                       else records)]
+    def to_text(self) -> str:
+        lines = [r.to_text() for r in self._records]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def clear(self) -> None:

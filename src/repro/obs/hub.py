@@ -308,7 +308,11 @@ class Observability:
     # -- policy lifecycle --------------------------------------------------
     def policy_load(self, compiled, backend: str, duration_ns: int) -> None:
         """One compile+activate cycle (any backend) of *compiled*, a
-        :class:`~repro.sack.policy.compiler.CompiledPolicy`."""
+        :class:`~repro.sack.policy.compiler.CompiledPolicy`.
+
+        The host-timed *duration_ns* goes to the histogram and the
+        tracepoint, never the audit record: the audit trail of a run
+        depends on its input alone."""
         policy_name = compiled.policy.name
         n_states = len(compiled.rulesets)
         n_rules = compiled.total_rules()
@@ -330,5 +334,4 @@ class Observability:
                 self.now_ns, AUDIT_POLICY_LOAD, module="sack",
                 situation=self.situation(),
                 detail=(f"policy={policy_name} backend={backend} "
-                        f"states={n_states} rules={n_rules} "
-                        f"duration_ns={duration_ns}"))
+                        f"states={n_states} rules={n_rules}"))

@@ -22,13 +22,15 @@ KEY = b"sack-fleet-signing-key"
 #: were removed: their counters left the metrics and chaos reports and
 #: the epoch series were renamed; nothing else moved.  The chaos pin
 #: moved again when the DAC check started asking ``capable`` only when
-#: the mode bits refuse: only its hook-span summaries changed.
+#: the mode bits refuse: only its hook-span summaries changed.  It moved
+#: once more when policy-load audit records lost their host-timed
+#: duration and joined the fingerprint: only those two records were added.
 BASELINE_FLEET_10x7 = \
     "ee3a35ef759d4965895eaf844af830cbf403495d04df8158eddd641472b4e044"
 BASELINE_FLEET_4x3_W2 = \
     "ebb803531b6384916f0811768c3bbb37599403d2b346f0986ed5c8f113f0eb3b"
 BASELINE_CHAOS_1 = \
-    "f563bd4e7b20ca709d02a7974682af73ab1600c044743bebb4d851d814b1ce45"
+    "c7f28adc6f756d8a7817c6f6092bbc7ed00381aa54ec4a8604f6480f51869feb"
 
 #: An objective a cruising fleet can never meet (it has no 1 MHz
 #: heartbeat): measured 0 -> clamped burn in every window -> the

@@ -183,3 +183,19 @@ def test_abac_policy_load_is_recorded():
     kernel, _ = abac()
     loads = kernel.obs.audit.query(kind="policy_load", module="abac")
     assert [r.detail for r in loads] == ["policy=abac-policy rules=1"]
+
+
+@pytest.mark.parametrize("world", [independent_sack, apparmor_bridge])
+def test_identical_worlds_leave_identical_trails(world):
+    """The trail depends on the input alone: no host-timed field (such as
+    a policy load's duration) reaches a record."""
+    trails = []
+    for _ in range(2):
+        kernel, _module = world()
+        with pytest.raises(KernelError):
+            kernel.write_file(spawn(kernel), "/dev/car/audio", b"x",
+                              create=False)
+        trails.append(kernel.obs.audit.to_text())
+    assert "type=MAC_POLICY_LOAD" in trails[0]
+    assert "duration_ns" not in trails[0]
+    assert trails[0] == trails[1]
