@@ -129,11 +129,9 @@ class SelinuxPolicy:
         anything changes, so a refused set leaves the table as it was.
         Only the keys *origin* had or gains are rebuilt.
         """
-        rules = list(rules)
-        for rule in rules:
-            self._check_rule(rule)
         wanted: Dict[Tuple[str, str, str], Set[str]] = {}
         for rule in rules:
+            self._check_rule(rule)
             wanted.setdefault((rule.source, rule.target, rule.tclass),
                               set()).update(rule.perms)
         affected = set(wanted)

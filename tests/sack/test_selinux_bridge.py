@@ -191,7 +191,7 @@ class TestEndToEnd:
                               create=False)
 
 
-# -- one swap per state ----------------------------------------------------------
+# -- one swap per state -----------------------------------------------------
 
 #: Loaded after the fixture policy: its initial state grants every domain
 #: door writes, then trips the base policy's ``neverallow`` on the rescue
