@@ -9,8 +9,8 @@ targets are (i) microsecond-order latency, (ii) 100% accuracy, and
 
 import pytest
 
-from repro.bench import (CONFIG_SACK_INDEPENDENT, LATENCY_EVENTS,
-                         build_world, run_event_latency)
+from repro.bench import LATENCY_EVENTS, run_event_latency
+from repro.vehicle.ivi import EnforcementConfig, build_stack
 
 
 def test_event_latency_table(benchmark, show):
@@ -43,7 +43,7 @@ def test_event_latency_table(benchmark, show):
 
 def test_single_event_write(benchmark):
     """The raw SACKfs event write as a pytest-benchmark metric."""
-    world = build_world(CONFIG_SACK_INDEPENDENT)
+    world = build_stack(EnforcementConfig.SACK_INDEPENDENT)
     kernel = world.kernel
     init = kernel.procs.init
 

@@ -8,9 +8,9 @@ SACKfs), and a TCP relay.
 
 import pytest
 
-from repro.bench import (CONFIG_SACK_INDEPENDENT, build_world,
-                         run_transport_ablation)
+from repro.bench import run_transport_ablation
 from repro.kernel import SocketFamily
+from repro.vehicle.ivi import EnforcementConfig, build_stack
 
 
 def test_transport_comparison(benchmark, show):
@@ -39,7 +39,7 @@ def test_transport_comparison(benchmark, show):
 
 
 def test_sackfs_channel(benchmark):
-    world = build_world(CONFIG_SACK_INDEPENDENT)
+    world = build_stack(EnforcementConfig.SACK_INDEPENDENT)
     kernel = world.kernel
     init = kernel.procs.init
     benchmark(lambda: kernel.write_file(
@@ -48,7 +48,7 @@ def test_sackfs_channel(benchmark):
 
 
 def test_af_unix_relay_channel(benchmark):
-    world = build_world(CONFIG_SACK_INDEPENDENT)
+    world = build_stack(EnforcementConfig.SACK_INDEPENDENT)
     kernel = world.kernel
     init = kernel.procs.init
     server = kernel.sys_socket(init, SocketFamily.AF_UNIX)

@@ -13,9 +13,9 @@ Two questions the paper's Table II cannot answer on its own:
    the detached/attached pair below bounds that overhead directly.
 """
 
-from repro.bench import (CONFIG_SACK_INDEPENDENT, TABLE2_CONFIGS,
-                         build_world, run_hook_latency_breakdown)
+from repro.bench import TABLE2_STACKS, run_hook_latency_breakdown
 from repro.kernel import OpenFlags
+from repro.vehicle.ivi import EnforcementConfig, build_stack
 from conftest import SCALE
 
 
@@ -47,15 +47,15 @@ def test_hook_latency_breakdown(benchmark, show):
 
     # Shape: every security-enabled config saw file hooks fire, and each
     # summary row carries the percentile fields the JSON consumers expect.
-    for config in TABLE2_CONFIGS:
-        assert breakdown[config], f"no hooks recorded for {config}"
-        for row in breakdown[config].values():
+    for config in TABLE2_STACKS:
+        assert breakdown[config.value], f"no hooks recorded for {config}"
+        for row in breakdown[config.value].values():
             assert row["count"] > 0
             # p50/p99 are geometric-bucket upper bounds, so p99 may sit
             # just above the observed max — only ordering is guaranteed.
             assert row["p50_ns"] <= row["p99_ns"]
             assert row["mean_ns"] <= row["max_ns"]
-    assert "file_open" in breakdown[CONFIG_SACK_INDEPENDENT]
+    assert "file_open" in breakdown["sack-independent"]
 
 
 def _open_close_loop(kernel, task, path, n=2000):
@@ -66,7 +66,7 @@ def _open_close_loop(kernel, task, path, n=2000):
 
 def test_obs_detached_overhead(benchmark):
     """Hot path with tracepoints detached and audit disabled (default)."""
-    world = build_world(CONFIG_SACK_INDEPENDENT)
+    world = build_stack(EnforcementConfig.SACK_INDEPENDENT)
     kernel = world.kernel
     kernel.obs.audit.enabled = False
     task = kernel.procs.init
@@ -77,7 +77,7 @@ def test_obs_detached_overhead(benchmark):
 def test_obs_enabled_overhead(benchmark):
     """Same loop with every tracepoint recording and latency histograms
     on — the price of full observability, for comparison."""
-    world = build_world(CONFIG_SACK_INDEPENDENT)
+    world = build_stack(EnforcementConfig.SACK_INDEPENDENT)
     kernel = world.kernel
     kernel.obs.enable_all_recording()
     kernel.security.enable_hook_latency()
@@ -93,7 +93,7 @@ def test_spans_disabled_overhead(benchmark):
     must stay within noise of :func:`test_obs_detached_overhead` (the
     acceptance bound is <5% regression vs. the no-span baseline).
     """
-    world = build_world(CONFIG_SACK_INDEPENDENT)
+    world = build_stack(EnforcementConfig.SACK_INDEPENDENT)
     kernel = world.kernel
     kernel.obs.audit.enabled = False
     assert not kernel.obs.spans.enabled
@@ -107,7 +107,7 @@ def test_spans_enabled_overhead(benchmark):
     """Same loop with tracing on and the hook link-window permanently
     armed — every dispatch takes the spanned path and records a root hook
     span.  The worst case, for comparison against the disabled cost."""
-    world = build_world(CONFIG_SACK_INDEPENDENT)
+    world = build_stack(EnforcementConfig.SACK_INDEPENDENT)
     kernel = world.kernel
     spans = kernel.obs.spans
     spans.enable()

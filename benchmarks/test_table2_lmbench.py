@@ -8,10 +8,12 @@ identical to vanilla AppArmor.
 
 import pytest
 
-from repro.bench import (CONFIG_APPARMOR, TABLE2_CONFIGS, LmbenchSuite,
-                         build_world, mean_abs_overhead_pct,
+from repro.bench import (TABLE2_STACKS, LmbenchSuite, mean_abs_overhead_pct,
                          render_comparison_table, run_lmbench)
+from repro.vehicle.ivi import build_stack
 from conftest import REPS, SCALE
+
+BASELINE = TABLE2_STACKS[0].value
 
 
 def test_table2_full(benchmark, show):
@@ -24,21 +26,22 @@ def test_table2_full(benchmark, show):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     results = holder["results"]
-    show(render_comparison_table(results, CONFIG_APPARMOR,
+    show(render_comparison_table(results, BASELINE,
                                  "Table II: LMBench results of SACK"))
     lines = ["", "mean |overhead| vs AppArmor baseline:"]
-    for config in TABLE2_CONFIGS[1:]:
-        pct = mean_abs_overhead_pct(results, CONFIG_APPARMOR, config)
-        lines.append(f"  {config}: {pct:.2f}%")
+    for config in TABLE2_STACKS[1:]:
+        pct = mean_abs_overhead_pct(results, BASELINE, config.value)
+        lines.append(f"  {config.value}: {pct:.2f}%")
     show("\n".join(lines))
     # Shape check: the suite ran every row for every configuration.
-    assert all(len(results[c]) == 17 for c in TABLE2_CONFIGS)
+    assert all(len(results[c.value]) == 17 for c in TABLE2_STACKS)
 
 
-@pytest.mark.parametrize("config", TABLE2_CONFIGS)
+@pytest.mark.parametrize("config", TABLE2_STACKS, ids=lambda c: c.value)
 def test_open_close_latency(benchmark, config):
     """Per-config open/close fd latency as a pytest-benchmark metric."""
-    suite = LmbenchSuite(build_world(config).kernel, scale=SCALE)
+    suite = LmbenchSuite(build_stack(config, with_ubuntu_profiles=True)
+                         .kernel, scale=SCALE)
     kernel, task = suite.kernel, suite.task
     kernel.vfs.create_file("/tmp/lmbench/probe")
     from repro.kernel import OpenFlags
@@ -51,8 +54,9 @@ def test_open_close_latency(benchmark, config):
     benchmark(op)
 
 
-@pytest.mark.parametrize("config", TABLE2_CONFIGS)
+@pytest.mark.parametrize("config", TABLE2_STACKS, ids=lambda c: c.value)
 def test_null_syscall_latency(benchmark, config):
-    suite = LmbenchSuite(build_world(config).kernel, scale=SCALE)
+    suite = LmbenchSuite(build_stack(config, with_ubuntu_profiles=True)
+                         .kernel, scale=SCALE)
     kernel, task = suite.kernel, suite.task
     benchmark(lambda: kernel.sys_getpid(task))

@@ -6,10 +6,8 @@ trend-table report) live in :mod:`repro.bench.suite` and
 re-exported here) so ``import repro.bench`` stays light.
 """
 
-from .harness import (CONFIG_APPARMOR, CONFIG_NO_LSM, CONFIG_SACK_APPARMOR,
-                      CONFIG_SACK_INDEPENDENT, LATENCY_EVENTS, SPEED_POLICY,
-                      TABLE2_CONFIGS, World, build_rule_count_world,
-                      build_state_count_world, build_world,
+from .harness import (LATENCY_EVENTS, SPEED_POLICY, TABLE2_STACKS,
+                      build_rule_count_world, build_state_count_world,
                       make_synthetic_policy, run_baseline_comparison,
                       run_event_latency, run_frequency_sweep,
                       run_hook_census, run_hook_latency_breakdown,
@@ -20,15 +18,14 @@ from .lmbench import (BenchResult, FILE_OP_BENCHES, LmbenchSuite,
 from .reporting import (TABLE2_ROWS, format_delta, format_value,
                         mean_abs_overhead_pct, render_comparison_table,
                         render_sweep_table)
-from .stats import mean, mean_results, median, pct_delta, stdev
+from .stats import best_result, mean, median, pct_delta, stdev
 from .timing import (best_of, best_of_ns, latency_summary_us, percentile,
                      summarize_ns)
 
 __all__ = [
-    "CONFIG_APPARMOR", "CONFIG_NO_LSM", "CONFIG_SACK_APPARMOR",
-    "CONFIG_SACK_INDEPENDENT", "LATENCY_EVENTS", "SPEED_POLICY",
-    "TABLE2_CONFIGS", "World", "build_rule_count_world",
-    "build_state_count_world", "build_world", "make_synthetic_policy",
+    "LATENCY_EVENTS", "SPEED_POLICY", "TABLE2_STACKS",
+    "build_rule_count_world", "build_state_count_world",
+    "make_synthetic_policy",
     "run_baseline_comparison", "run_event_latency", "run_frequency_sweep",
     "run_hook_census", "run_hook_latency_breakdown", "run_lmbench",
     "run_rule_sweep", "run_state_sweep",
@@ -36,7 +33,7 @@ __all__ = [
     "BenchResult", "FILE_OP_BENCHES",
     "LmbenchSuite", "TABLE2_BENCHES", "TABLE2_ROWS", "format_delta",
     "format_value", "mean_abs_overhead_pct", "render_comparison_table",
-    "render_sweep_table", "mean", "mean_results", "median", "pct_delta",
+    "render_sweep_table", "best_result", "mean", "median", "pct_delta",
     "stdev", "best_of", "best_of_ns", "latency_summary_us", "percentile",
     "summarize_ns",
 ]

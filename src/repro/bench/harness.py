@@ -1,149 +1,90 @@
-"""Benchmark harness: world builders and the paper's parameter sweeps.
+"""Benchmark harness: the paper's parameter sweeps.
 
-Builds the four kernel configurations the evaluation compares and drives
-the sweeps behind Table II, Table III, Fig. 3(a), Fig. 3(b), the situation
-awareness latency measurement, and our two ablations (E9/E10).
+Drives the sweeps behind Table II, Table III, Fig. 3(a), Fig. 3(b), the
+situation awareness latency measurement, and our ablations (E9-E11).
+Every world is :func:`~repro.vehicle.ivi.build_stack`'s: a booted kernel
+with one :class:`~repro.vehicle.ivi.EnforcementConfig`'s stack and its
+SACK policy written through SACKfs, without the IVI car.  The LMBench
+sweeps share one loop, :func:`_best_of_sweep`.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..apparmor import AppArmorLsm, load_ubuntu_defaults
-from ..kernel import Kernel, OpenFlags, SocketFamily
-from ..lsm import boot_kernel
-from ..sack import (SackAppArmorBridge, SackFs, SackLsm, SituationEvent,
-                    parse_policy)
+from ..kernel import OpenFlags, SocketFamily
+from ..sack import SituationEvent, format_policy
 from ..sack.policy.model import (MacRule, RuleDecision, RuleOp,
                                  SackPermission, SackPolicy)
 from ..sack.ssm import TransitionRule
 from ..sack.states import SituationState, StateSpace
-from ..vehicle.devices import IOCTL_SYMBOLS
-from ..vehicle.ivi import DEFAULT_SACK_POLICY, IVI_APPARMOR_PROFILES
-from .lmbench import BenchResult, LmbenchSuite
+from ..vehicle.ivi import EnforcementConfig, SecurityStack, build_stack
+from .lmbench import (FILE_OP_BENCHES, TABLE2_BENCHES, BenchResult,
+                      LmbenchSuite)
+from .stats import best_result
 from .timing import latency_summary_us
 
-# Configuration names used across benches and reports.
-CONFIG_NO_LSM = "no-lsm"
-CONFIG_APPARMOR = "apparmor"
-CONFIG_SACK_APPARMOR = "sack-apparmor"
-CONFIG_SACK_INDEPENDENT = "sack-independent"
-
-TABLE2_CONFIGS = [CONFIG_APPARMOR, CONFIG_SACK_APPARMOR,
-                  CONFIG_SACK_INDEPENDENT]
+#: Table II's stacks, the AppArmor baseline first.
+TABLE2_STACKS = (EnforcementConfig.APPARMOR,
+                 EnforcementConfig.SACK_APPARMOR,
+                 EnforcementConfig.SACK_INDEPENDENT)
 
 
-@dataclasses.dataclass
-class World:
-    """A booted kernel plus handles to its security machinery."""
+def _best_of_sweep(builders: Dict[Hashable, Callable[[], SecurityStack]],
+                   benches: Sequence[str], scale: float, repetitions: int
+                   ) -> Dict[Hashable, Dict[str, BenchResult]]:
+    """The one LMBench sweep loop: ``{key: {bench: best result}}``.
 
-    name: str
-    kernel: Kernel
-    apparmor: Optional[AppArmorLsm] = None
-    sack: Optional[SackLsm] = None
-    bridge: Optional[SackAppArmorBridge] = None
-    sackfs: Optional[SackFs] = None
-
-
-def build_world(config: str,
-                policy_text: str = DEFAULT_SACK_POLICY,
-                with_ubuntu_profiles: bool = True,
-                collect_stats: bool = False) -> World:
-    """Boot a kernel in one of the four evaluation configurations."""
-    if config == CONFIG_NO_LSM:
-        return World(config, Kernel())
-
-    apparmor = None
-    sack = None
-    bridge = None
-    if config in (CONFIG_APPARMOR, CONFIG_SACK_APPARMOR):
-        apparmor = AppArmorLsm()
-        if with_ubuntu_profiles:
-            load_ubuntu_defaults(apparmor.policy)
-        apparmor.policy.load_text(IVI_APPARMOR_PROFILES)
-    if config == CONFIG_APPARMOR:
-        modules = [apparmor]
-    elif config == CONFIG_SACK_APPARMOR:
-        bridge = SackAppArmorBridge(apparmor)
-        modules = [bridge, apparmor]
-    elif config == CONFIG_SACK_INDEPENDENT:
-        sack = SackLsm()
-        modules = [sack]
-    else:
-        raise ValueError(f"unknown configuration {config!r}")
-
-    kernel, _ = boot_kernel(modules, collect_stats=collect_stats)
-    sackfs = None
-    module = sack or bridge
-    if module is not None:
-        sackfs = SackFs(kernel, module, authorized_event_uids={990},
-                        ioctl_symbols=IOCTL_SYMBOLS)
-        kernel.write_file(kernel.procs.init,
-                          "/sys/kernel/security/SACK/policy",
-                          policy_text.encode(), create=False)
-    return World(config, kernel, apparmor=apparmor, sack=sack,
-                 bridge=bridge, sackfs=sackfs)
+    Every repetition builds a fresh world per key (a kernel instance's
+    memory layout is fixed at build time, so reusing one would bake its
+    allocation luck into every sample) and runs each bench on every
+    world before the next bench, so drift (frequency scaling, GC, page
+    cache) hits every column alike.  The key order rotates per
+    repetition so no column always runs first (cold) or last (warm).
+    Interference on a shared host is additive, so the best run is the
+    noise-robust estimate: min for latencies, max for bandwidths, as
+    LMBench itself reports.
+    """
+    keys = list(builders)
+    samples: Dict[Hashable, Dict[str, List[BenchResult]]] = {
+        key: {bench: [] for bench in benches} for key in keys}
+    for rep in range(max(1, repetitions)):
+        suites = {key: LmbenchSuite(build().kernel, scale=scale)
+                  for key, build in builders.items()}
+        shift = rep % len(keys)
+        order = keys[shift:] + keys[:shift]
+        for bench in benches:
+            for key in order:
+                samples[key][bench].append(
+                    getattr(suites[key], f"bench_{bench}")())
+    return {key: {bench: best_result(runs) for bench, runs in row.items()}
+            for key, row in samples.items()}
 
 
 # -- Table II -------------------------------------------------------------------
 
-def run_lmbench(configs: Sequence[str] = TABLE2_CONFIGS,
+def run_lmbench(configs: Sequence[EnforcementConfig] = TABLE2_STACKS,
                 benches: Optional[List[str]] = None,
                 scale: float = 1.0, repetitions: int = 5
                 ) -> Dict[str, Dict[str, BenchResult]]:
-    """LMBench across configurations (Table II's data).
-
-    Repetitions are *interleaved* across configurations and reduced with
-    the per-bench median, so drift (frequency scaling, GC, page cache)
-    hits every configuration equally instead of biasing whichever ran
-    last — the same discipline LMBench itself applies.
-    """
-    from .lmbench import TABLE2_BENCHES
-    benches = benches or TABLE2_BENCHES
-    samples: Dict[str, Dict[str, List[BenchResult]]] = {
-        c: {b: [] for b in benches} for c in configs}
-    reps = max(1, repetitions)
-    for rep in range(reps):
-        # Fresh worlds every repetition: a kernel instance's memory layout
-        # is fixed at build time, so reusing one would bake its allocation
-        # luck into every sample.  Rotate the config order so no
-        # configuration systematically runs first (cold) or last (warm).
-        suites = {config: LmbenchSuite(build_world(config).kernel,
-                                       scale=scale)
-                  for config in configs}
-        order = list(configs[rep % len(configs):]) + \
-            list(configs[:rep % len(configs)])
-        for bench in benches:
-            for config in order:
-                result = getattr(suites[config], f"bench_{bench}")()
-                samples[config][bench].append(result)
-    # Interference on a shared host is strictly additive, so best-of-N is
-    # the noise-robust estimator: min for latencies, max for bandwidths
-    # (the classic microbenchmark discipline; LMBench itself reports
-    # minima for latencies).
-    merged: Dict[str, Dict[str, BenchResult]] = {c: {} for c in configs}
-    for config in configs:
-        for bench in benches:
-            runs = samples[config][bench]
-            values = [r.value for r in runs]
-            best = min(values) if runs[0].smaller_is_better else max(values)
-            merged[config][bench] = BenchResult(
-                name=bench, value=best, unit=runs[0].unit,
-                iterations=runs[0].iterations,
-                smaller_is_better=runs[0].smaller_is_better)
-    return merged
+    """LMBench across stacks (Table II's data), keyed by config value."""
+    return _best_of_sweep(
+        {config.value: functools.partial(build_stack, config,
+                                         with_ubuntu_profiles=True)
+         for config in configs},
+        benches or TABLE2_BENCHES, scale, repetitions)
 
 
-def run_hook_latency_breakdown(configs: Sequence[str] = TABLE2_CONFIGS,
-                               benches: Optional[List[str]] = None,
-                               scale: float = 0.1
-                               ) -> Dict[str, Dict[str, Dict[str, float]]]:
+def run_hook_latency_breakdown(
+        configs: Sequence[EnforcementConfig] = TABLE2_STACKS,
+        benches: Optional[List[str]] = None, scale: float = 0.1
+        ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Per-hook latency histograms under the LMBench workload.
 
-    Runs the suite once per configuration with hook-latency collection
-    enabled and reports, per configuration and per LSM hook, the merged
+    Runs the suite once per stack with hook-latency collection enabled
+    and reports, per stack and per LSM hook, the merged
     ``{count, mean_ns, p50_ns, p99_ns, max_ns}`` summary from the
     framework's latency histograms.  This is the observability
     counterpart of :func:`run_hook_census`: the census says how often
@@ -151,40 +92,38 @@ def run_hook_latency_breakdown(configs: Sequence[str] = TABLE2_CONFIGS,
     """
     breakdown: Dict[str, Dict[str, Dict[str, float]]] = {}
     for config in configs:
-        world = build_world(config)
-        security = world.kernel.security
-        if not hasattr(security, "enable_hook_latency"):
-            breakdown[config] = {}
+        stack = build_stack(config, with_ubuntu_profiles=True)
+        if stack.framework is None:
+            breakdown[config.value] = {}
             continue
-        security.enable_hook_latency()
-        LmbenchSuite(world.kernel, scale=scale).run(benches)
-        breakdown[config] = security.hook_latency_summary()
+        stack.framework.enable_hook_latency()
+        LmbenchSuite(stack.kernel, scale=scale).run(benches)
+        breakdown[config.value] = stack.framework.hook_latency_summary()
     return breakdown
 
 
-def run_hook_census(configs: Sequence[str] = TABLE2_CONFIGS,
+def run_hook_census(configs: Sequence[EnforcementConfig] = TABLE2_STACKS,
                     benches: Optional[List[str]] = None,
                     scale: float = 0.1) -> Dict[str, Dict[str, int]]:
     """Deterministic complement to the wall-clock tables.
 
-    Runs the suite once per configuration with hook statistics enabled and
-    reports, per configuration: total syscalls issued, total LSM hook
+    Runs the suite once per stack with hook statistics enabled and
+    reports, per stack: total syscalls issued, total LSM hook
     invocations, and hook invocations attributable to the SACK module.
     These counts are exact and noise-free — they explain *why* the
     wall-clock deltas are small (how much extra code actually runs).
     """
     census: Dict[str, Dict[str, int]] = {}
     for config in configs:
-        world = build_world(config, collect_stats=True)
-        suite = LmbenchSuite(world.kernel, scale=scale)
-        suite.run(benches)
-        stats = world.kernel.security.stats \
-            if hasattr(world.kernel.security, "stats") else None
-        syscalls = sum(world.kernel.syscall_counts.values())
+        stack = build_stack(config, with_ubuntu_profiles=True,
+                            collect_stats=True)
+        LmbenchSuite(stack.kernel, scale=scale).run(benches)
+        stats = stack.framework.stats if stack.framework else None
+        syscalls = sum(stack.kernel.syscall_counts.values())
         hook_calls = stats.total_calls() if stats else 0
         sack_calls = sum(v for k, v in (stats.calls if stats else {}).items()
                          if k.startswith("sack."))
-        census[config] = {
+        census[config.value] = {
             "syscalls": syscalls,
             "hook_calls": hook_calls,
             "sack_hook_calls": sack_calls,
@@ -228,58 +167,43 @@ def make_synthetic_policy(n_rules: int, n_states: int = 2,
                       name=name)
 
 
-def build_rule_count_world(n_rules: int) -> World:
+def build_rule_count_world(n_rules: int) -> SecurityStack:
     """SACK-enhanced-AppArmor world carrying *n_rules* SACK rules.
 
     ``n_rules == 0`` is the baseline: AppArmor with no SACK module at all
     (Table III's '0' column)."""
     if n_rules == 0:
-        return build_world(CONFIG_APPARMOR)
-    apparmor = AppArmorLsm()
-    load_ubuntu_defaults(apparmor.policy)
-    apparmor.policy.load_text(IVI_APPARMOR_PROFILES)
-    bridge = SackAppArmorBridge(apparmor)
-    kernel, _ = boot_kernel([bridge, apparmor])
-    policy = make_synthetic_policy(n_rules)
-    bridge.load_policy(policy, ioctl_symbols=IOCTL_SYMBOLS)
-    return World(f"sack-apparmor-{n_rules}-rules", kernel,
-                 apparmor=apparmor, bridge=bridge)
+        return build_stack(EnforcementConfig.APPARMOR,
+                           with_ubuntu_profiles=True)
+    return build_stack(EnforcementConfig.SACK_APPARMOR,
+                       policy_text=format_policy(
+                           make_synthetic_policy(n_rules)),
+                       with_ubuntu_profiles=True)
 
 
 def run_rule_sweep(rule_counts: Sequence[int] = (0, 10, 100, 500, 1000),
                    benches: Optional[List[str]] = None,
                    repetitions: int = 3, scale: float = 1.0
                    ) -> Dict[int, Dict[str, BenchResult]]:
-    """Table III: LMBench at several SACK policy sizes.
-
-    Each cell is the median over *repetitions* fresh-world runs (the
-    paper averages 30 runs; the median resists the load bursts a shared
-    host injects into small samples).
-    """
-    from .stats import median_results
-    sweep: Dict[int, Dict[str, BenchResult]] = {}
-    for count in rule_counts:
-        runs = []
-        for _ in range(repetitions):
-            world = build_rule_count_world(count)
-            suite = LmbenchSuite(world.kernel, scale=scale)
-            runs.append(suite.run(benches))
-        sweep[count] = median_results(runs)
-    return sweep
+    """Table III: LMBench at several SACK policy sizes (the paper
+    averages 30 runs; best-of over interleaved runs resists the load
+    bursts a shared host injects into small samples)."""
+    return _best_of_sweep(
+        {count: functools.partial(build_rule_count_world, count)
+         for count in rule_counts},
+        benches or TABLE2_BENCHES, scale, repetitions)
 
 
 # -- Fig. 3(a): situation-state count sweep ------------------------------------------
 
 def build_state_count_world(n_states: int, n_rules_per_state: int = 2
-                            ) -> World:
+                            ) -> SecurityStack:
     """Independent SACK with an *n_states* policy (Fig. 3(a) setup)."""
-    sack = SackLsm()
-    kernel, _ = boot_kernel([sack])
     policy = make_synthetic_policy(n_states * n_rules_per_state,
                                    n_states=n_states,
                                    name=f"states-{n_states}")
-    sack.load_policy(policy, ioctl_symbols=IOCTL_SYMBOLS)
-    return World(f"sack-independent-{n_states}-states", kernel, sack=sack)
+    return build_stack(EnforcementConfig.SACK_INDEPENDENT,
+                       policy_text=format_policy(policy))
 
 
 def run_state_sweep(state_counts: Sequence[int] = (2, 5, 10, 25, 50, 100),
@@ -288,34 +212,13 @@ def run_state_sweep(state_counts: Sequence[int] = (2, 5, 10, 25, 50, 100),
     """Fig. 3(a): file-operation overhead vs number of situation states.
 
     Returns results for the no-LSM baseline (key ``"baseline"``) and each
-    state count.  Repetitions use fresh worlds with best-of reduction,
-    matching :func:`run_lmbench`'s noise discipline.
+    state count.
     """
-    from .lmbench import FILE_OP_BENCHES
-    keys: List[object] = ["baseline", *state_counts]
-    samples: Dict[object, List[Dict[str, BenchResult]]] = \
-        {k: [] for k in keys}
-    for _ in range(max(1, repetitions)):
-        for key in keys:
-            if key == "baseline":
-                world = build_world(CONFIG_NO_LSM)
-            else:
-                world = build_state_count_world(key)
-            samples[key].append(LmbenchSuite(world.kernel,
-                                             scale=scale).run(FILE_OP_BENCHES))
-    results: Dict[object, Dict[str, BenchResult]] = {}
-    for key in keys:
-        merged: Dict[str, BenchResult] = {}
-        for bench in samples[key][0]:
-            runs = [r[bench] for r in samples[key]]
-            values = [r.value for r in runs]
-            best = min(values) if runs[0].smaller_is_better else max(values)
-            merged[bench] = BenchResult(
-                name=bench, value=best, unit=runs[0].unit,
-                iterations=runs[0].iterations,
-                smaller_is_better=runs[0].smaller_is_better)
-        results[key] = merged
-    return results
+    builders: Dict[Hashable, Callable[[], SecurityStack]] = {
+        "baseline": functools.partial(build_stack, EnforcementConfig.NO_LSM)}
+    for count in state_counts:
+        builders[count] = functools.partial(build_state_count_world, count)
+    return _best_of_sweep(builders, FILE_OP_BENCHES, scale, repetitions)
 
 
 # -- Fig. 3(b): transition-frequency sweep ---------------------------------------------
@@ -377,20 +280,16 @@ def run_frequency_sweep(periods_ms: Sequence[float] = (1, 10, 100, 1000),
     results: Dict[object, Dict[str, float]] = {}
 
     def build():
-        sack = SackLsm()
-        kernel, _ = boot_kernel([sack])
-        sackfs = SackFs(kernel, sack, authorized_event_uids={990},
-                        ioctl_symbols=IOCTL_SYMBOLS)
-        kernel.write_file(kernel.procs.init,
-                          "/sys/kernel/security/SACK/policy",
-                          SPEED_POLICY.encode(), create=False)
+        stack = build_stack(EnforcementConfig.SACK_INDEPENDENT,
+                            policy_text=SPEED_POLICY)
+        kernel = stack.kernel
         kernel.vfs.makedirs("/etc/vehicle")
         kernel.vfs.create_file("/etc/vehicle/critical.conf")
         kernel.write_file(kernel.procs.init, "/etc/vehicle/critical.conf",
                           b"threshold=1\n")
         kernel.vfs.makedirs("/dev/car")
         kernel.vfs.create_file("/dev/car/telemetry")
-        return kernel, sack
+        return kernel, stack.sack
 
     def run(kernel, sack, period_ms: Optional[float]) -> Tuple[float, int]:
         task = kernel.procs.init
@@ -459,10 +358,10 @@ LATENCY_EVENTS = ["crash_detected", "emergency_cleared", "vehicle_started",
 def run_event_latency(samples_per_event: int = 200
                       ) -> Dict[str, Dict[str, float]]:
     """Per-event-type user→kernel latency through SACKfs + accuracy."""
-    world = build_world(CONFIG_SACK_INDEPENDENT)
-    kernel = world.kernel
+    stack = build_stack(EnforcementConfig.SACK_INDEPENDENT)
+    kernel = stack.kernel
     task = kernel.procs.init
-    ssm = world.sack.ssm
+    ssm = stack.sack.ssm
     out: Dict[str, Dict[str, float]] = {}
     for event_name in LATENCY_EVENTS:
         latencies = []
@@ -492,8 +391,7 @@ def run_transport_ablation(samples: int = 500) -> Dict[str, float]:
     still has to inject it into the kernel — an extra hop and two extra
     copies per event.
     """
-    world = build_world(CONFIG_SACK_INDEPENDENT)
-    kernel = world.kernel
+    kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT).kernel
     task = kernel.procs.init
     event_line = b"speed_high\n"
     results: Dict[str, float] = {}
@@ -544,7 +442,7 @@ def run_baseline_comparison(rule_counts: Sequence[int] = (10, 100, 500),
     measured best-of-3.
     """
     from ..abac import AbacEffect, AbacLsm, AbacPolicy, AbacRule
-    from ..sack.policy.model import RuleOp
+    from ..lsm import boot_kernel
 
     def measure(build) -> float:
         best = None
@@ -581,17 +479,14 @@ def run_baseline_comparison(rule_counts: Sequence[int] = (10, 100, 500),
             return kernel, kernel.procs.init, "/dev/car/probe"
 
         def build_sack(count=count):
-            sack = SackLsm()
-            kernel, _ = boot_kernel([sack])
             policy = make_synthetic_policy(count, n_states=2)
             # Ensure the probe path is readable in the initial state.
-            from ..sack.policy.model import (MacRule, RuleDecision,
-                                             SackPermission)
             policy.permissions["PROBE"] = SackPermission("PROBE")
             policy.per_rules["PROBE"] = [MacRule(
                 RuleDecision.ALLOW, RuleOp.READ, "/dev/car/probe")]
             policy.state_per["s0"].add("PROBE")
-            sack.load_policy(policy, ioctl_symbols=IOCTL_SYMBOLS)
+            kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT,
+                                 policy_text=format_policy(policy)).kernel
             kernel.vfs.makedirs("/dev/car")
             kernel.vfs.create_file("/dev/car/probe", mode=0o666)
             return kernel, kernel.procs.init, "/dev/car/probe"
@@ -618,34 +513,21 @@ def run_transition_cost_ablation(rule_counts: Sequence[int] = (10, 100, 500,
     """
     out: Dict[int, Dict[str, float]] = {}
     for count in rule_counts:
-        policy = make_synthetic_policy(count)
-
-        # Independent: APE pointer swap.
-        sack = SackLsm()
-        kernel, _ = boot_kernel([sack])
-        sack.load_policy(policy, ioctl_symbols=IOCTL_SYMBOLS)
-        ssm = sack.ssm
-        start = time.perf_counter_ns()
-        for i in range(transitions):
-            target = f"s{(i + 1) % 2}"
-            ssm.process_event(SituationEvent(name=f"go_{target}"),
-                              now_ns=kernel.clock.now_ns)
-        independent_us = (time.perf_counter_ns() - start) / transitions / 1e3
-
-        # Bridge: profile rewrite + reload.
-        apparmor = AppArmorLsm()
-        apparmor.policy.load_text(IVI_APPARMOR_PROFILES)
-        bridge = SackAppArmorBridge(apparmor)
-        kernel, _ = boot_kernel([bridge, apparmor])
-        bridge.load_policy(policy, ioctl_symbols=IOCTL_SYMBOLS)
-        ssm = bridge.ssm
-        start = time.perf_counter_ns()
-        for i in range(transitions):
-            target = f"s{(i + 1) % 2}"
-            ssm.process_event(SituationEvent(name=f"go_{target}"),
-                              now_ns=kernel.clock.now_ns)
-        bridge_us = (time.perf_counter_ns() - start) / transitions / 1e3
-
+        text = format_policy(make_synthetic_policy(count))
+        cost_us = {}
+        for config in (EnforcementConfig.SACK_INDEPENDENT,
+                       EnforcementConfig.SACK_APPARMOR):
+            stack = build_stack(config, policy_text=text)
+            ssm = stack.module.ssm
+            start = time.perf_counter_ns()
+            for i in range(transitions):
+                target = f"s{(i + 1) % 2}"
+                ssm.process_event(SituationEvent(name=f"go_{target}"),
+                                  now_ns=stack.kernel.clock.now_ns)
+            cost_us[config] = \
+                (time.perf_counter_ns() - start) / transitions / 1e3
+        independent_us = cost_us[EnforcementConfig.SACK_INDEPENDENT]
+        bridge_us = cost_us[EnforcementConfig.SACK_APPARMOR]
         out[count] = {"independent_us": independent_us,
                       "bridge_us": bridge_us,
                       "ratio": bridge_us / independent_us

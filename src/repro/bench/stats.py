@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from .lmbench import BenchResult
 
@@ -38,27 +39,12 @@ def pct_delta(baseline: float, value: float) -> float:
     return (value - baseline) / baseline * 100.0
 
 
-def mean_results(runs: List[Dict[str, BenchResult]]
-                 ) -> Dict[str, BenchResult]:
-    """Average several benchmark runs bench-by-bench."""
-    return _merge_results(runs, mean)
-
-
-def median_results(runs: List[Dict[str, BenchResult]]
-                   ) -> Dict[str, BenchResult]:
-    """Bench-by-bench median — robust to scheduler/GC outliers."""
-    return _merge_results(runs, median)
-
-
-def _merge_results(runs: List[Dict[str, BenchResult]],
-                   reduce_fn) -> Dict[str, BenchResult]:
+def best_result(runs: List[BenchResult]) -> BenchResult:
+    """The best of repeated runs of one bench: the minimum latency or
+    the maximum bandwidth (interference on a shared host only adds)."""
     if not runs:
-        raise ValueError("no runs to merge")
-    merged: Dict[str, BenchResult] = {}
-    for name, first in runs[0].items():
-        values = [run[name].value for run in runs]
-        merged[name] = BenchResult(
-            name=name, value=reduce_fn(values), unit=first.unit,
-            iterations=first.iterations,
-            smaller_is_better=first.smaller_is_better)
-    return merged
+        raise ValueError("no runs to reduce")
+    values = [run.value for run in runs]
+    first = runs[0]
+    best = min(values) if first.smaller_is_better else max(values)
+    return dataclasses.replace(first, value=best)

@@ -53,6 +53,7 @@ import time
 import tracemalloc
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..vehicle.ivi import SACK_MODES
 from .envelope import make_envelope, utc_now_iso
 from .timing import best_of
 
@@ -123,8 +124,7 @@ WORKLOAD_AXES: Dict[str, Dict[str, Axis]] = {
         Axis("backend", "choice", "serial",
              choices=("serial", "process")),
         Axis("epochs", "int", 6, minimum=1),
-        Axis("mode", "choice", "independent",
-             choices=("independent", "apparmor")),
+        Axis("mode", "choice", "independent", choices=tuple(SACK_MODES)),
         Axis("fault_intensity", "float", 0.0, minimum=0.0, maximum=1.0),
         Axis("drive_cycle", "choice", "traffic",
              choices=("traffic", "calm", "crash")),
@@ -134,8 +134,7 @@ WORKLOAD_AXES: Dict[str, Dict[str, Axis]] = {
     ),
     "chaos": _axes(
         Axis("ticks", "int", 200, minimum=1),
-        Axis("mode", "choice", "independent",
-             choices=("independent", "apparmor")),
+        Axis("mode", "choice", "independent", choices=tuple(SACK_MODES)),
         Axis("fault_intensity", "float", 0.05, minimum=0.0, maximum=1.0),
         _SEED, _MEASURE_MEMORY_ON,
     ),

@@ -33,8 +33,8 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from ..bench import (CONFIG_APPARMOR, FILE_OP_BENCHES, LATENCY_EVENTS,
-                     TABLE2_CONFIGS, mean_abs_overhead_pct, pct_delta,
+from ..bench import (FILE_OP_BENCHES, LATENCY_EVENTS, TABLE2_STACKS,
+                     mean_abs_overhead_pct, pct_delta,
                      render_comparison_table, render_sweep_table,
                      run_baseline_comparison, run_event_latency,
                      run_frequency_sweep, run_hook_census,
@@ -72,13 +72,14 @@ def _results_dict(results) -> Dict[str, Dict[str, object]]:
 
 def cmd_table2(args) -> int:
     results = run_lmbench(scale=args.scale, repetitions=args.reps)
-    print(render_comparison_table(results, CONFIG_APPARMOR,
+    baseline = TABLE2_STACKS[0].value
+    print(render_comparison_table(results, baseline,
                                   "Table II: LMBench results of SACK"))
     overheads = {}
-    for config in TABLE2_CONFIGS[1:]:
-        pct = mean_abs_overhead_pct(results, CONFIG_APPARMOR, config)
-        overheads[config] = pct
-        print(f"{config}: mean |overhead| {pct:.2f}%")
+    for config in TABLE2_STACKS[1:]:
+        pct = mean_abs_overhead_pct(results, baseline, config.value)
+        overheads[config.value] = pct
+        print(f"{config.value}: mean |overhead| {pct:.2f}%")
     _emit(args, "table2", {"results": _results_dict(results),
                            "mean_abs_overhead_pct": overheads})
     return 0

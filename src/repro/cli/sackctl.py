@@ -81,6 +81,7 @@ from ..sack import (SituationEvent, check_policy, compile_policy,
                     format_policy, has_errors, parse_policy)
 from ..sack.policy.model import RuleOp
 from ..vehicle.devices import IOCTL_SYMBOLS
+from ..vehicle.ivi import SACK_MODES
 
 
 def _load(path: str):
@@ -225,19 +226,14 @@ def cmd_query(args) -> int:
 def _boot_observed_world(policy_path: str):
     """Boot independent SACK + SACKfs + tracefs for the obs subcommands."""
     from ..kernel import user_credentials
-    from ..lsm import boot_kernel
     from ..obs import mount_tracefs
-    from ..sack import SackFs, SackLsm
+    from ..vehicle.ivi import EnforcementConfig, build_stack
 
-    sack = SackLsm()
-    kernel, _ = boot_kernel([sack])
-    sackfs = SackFs(kernel, sack, authorized_event_uids={990},
-                    ioctl_symbols=IOCTL_SYMBOLS)
     with open(policy_path, "r", encoding="utf-8") as handle:
         policy_text = handle.read()
-    kernel.write_file(kernel.procs.init,
-                      "/sys/kernel/security/SACK/policy",
-                      policy_text.encode(), create=False)
+    stack = build_stack(EnforcementConfig.SACK_INDEPENDENT,
+                        policy_text=policy_text)
+    kernel, sack = stack.kernel, stack.sack
     mount_tracefs(kernel)
 
     sds = kernel.sys_fork(kernel.procs.init)
@@ -915,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--ticks", type=int, default=200,
                          help="scenario length in ticks (default: 200)")
     p_chaos.add_argument("--mode", default="independent",
-                         choices=["independent", "apparmor"],
+                         choices=list(SACK_MODES),
                          help="enforcement backend (default: independent)")
     p_chaos.add_argument("--intensity", type=float, default=0.05,
                          help="max per-point fault probability "

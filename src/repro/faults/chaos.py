@@ -185,15 +185,9 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
     *mode* selects the enforcement backend: ``independent`` (SACK's own
     LSM + APE) or ``apparmor`` (the SACK-enhanced-AppArmor bridge).
     """
-    from ..vehicle.ivi import EnforcementConfig, DEFAULT_SACK_POLICY, \
-        build_ivi_world
-    config = {
-        "independent": EnforcementConfig.SACK_INDEPENDENT,
-        "apparmor": EnforcementConfig.SACK_APPARMOR,
-    }.get(mode)
-    if config is None:
-        raise ValueError(f"unknown chaos mode {mode!r}; "
-                         f"use 'independent' or 'apparmor'")
+    from ..vehicle.ivi import DEFAULT_SACK_POLICY, build_ivi_world, \
+        sack_mode
+    config = sack_mode(mode)
     if plan is None:
         plan = random_plan(seed, intensity=intensity)
     scenario = random.Random(seed ^ _SCENARIO_SALT)

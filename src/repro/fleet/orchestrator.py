@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..faults import points as fault_points
 from ..faults.plan import FaultPlan
 from ..obs.hub import Observability
+from ..vehicle.ivi import sack_mode
 from .backend import create_host
 from .bundle import PolicyBundle
 from .bus import V2xBus
@@ -46,7 +47,7 @@ from .resilience import RestartPolicy, VehicleSupervisor
 from .telemetry import FleetTelemetry, SloSpec
 from .rollout import (RolloutController, RolloutPlan, RolloutState,
                       VehicleAck, default_rollout_plan)
-from .vehicle import DEFAULT_TOPICS, MODE_CONFIGS, FleetVehicle
+from .vehicle import DEFAULT_TOPICS, FleetVehicle
 
 #: Scenario-driver RNG domain separator.
 _DRIVER_SALT = 0xD21FE
@@ -188,10 +189,7 @@ class FleetConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; accepted backends: "
                 f"{', '.join(self.ACCEPTED_BACKENDS)}")
-        if self.mode not in MODE_CONFIGS:
-            raise ValueError(
-                f"unknown fleet mode {self.mode!r}; accepted modes: "
-                f"{', '.join(sorted(MODE_CONFIGS))}")
+        sack_mode(self.mode)
         if self.checkpoint_interval_epochs < 1:
             raise ValueError("checkpoint_interval_epochs must be >= 1")
         if self.journal_capacity_epochs < 1:

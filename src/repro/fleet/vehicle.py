@@ -34,7 +34,7 @@ from ..sack import events as ev
 from ..sds.detectors import Detector
 from ..sds.sensors import Sensor
 from ..sds.service import SensorHealth
-from ..vehicle.ivi import EnforcementConfig, build_ivi_world
+from ..vehicle.ivi import build_ivi_world, sack_mode
 from .bundle import BundleVerificationError, PolicyBundle, verify_bundle
 from .rollout import VehicleAck
 
@@ -47,12 +47,6 @@ ALERT_TTL_TICKS = 80
 
 #: Braking applied on a crash alert from the platoon ahead (m/s²).
 ALERT_BRAKE_MS2 = -6.0
-
-#: Enforcement backend per fleet mode name.
-MODE_CONFIGS: Dict[str, EnforcementConfig] = {
-    "independent": EnforcementConfig.SACK_INDEPENDENT,
-    "apparmor": EnforcementConfig.SACK_APPARMOR,
-}
 
 
 def apply_driver_action(vehicle: "FleetVehicle", action: str,
@@ -157,11 +151,7 @@ class FleetVehicle:
                  policy_text: Optional[str] = None,
                  alert_ttl_ticks: int = ALERT_TTL_TICKS,
                  policy_cache: Optional[PolicyCache] = None):
-        config = MODE_CONFIGS.get(mode)
-        if config is None:
-            raise ValueError(
-                f"unknown fleet mode {mode!r}; accepted modes: "
-                f"{', '.join(sorted(MODE_CONFIGS))}")
+        config = sack_mode(mode)
         self.vehicle_id = vehicle_id
         self.index = index
         self.seed = seed

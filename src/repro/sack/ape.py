@@ -9,7 +9,7 @@ then consult only the current ruleset.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .policy.compiler import CompiledPolicy, CompiledRuleset
 from .policy.model import RuleOp
@@ -28,8 +28,6 @@ class AdaptivePolicyEnforcer:
         self.remap_count = 0
         self.check_count = 0
         self.deny_count = 0
-        #: (from_state, to_state, at_ns) of every remap, for the ablations.
-        self.remap_log: List[tuple] = []
         ssm.add_listener(self._on_transition)
 
     # -- Algorithm 1: the mapping update -------------------------------------
@@ -54,8 +52,6 @@ class AdaptivePolicyEnforcer:
             if spans is not None:
                 spans.end_span(span)
         self.remap_count += 1
-        self.remap_log.append((transition.from_state, transition.to_state,
-                               transition.at_ns))
 
     @property
     def current_ruleset(self) -> CompiledRuleset:

@@ -44,12 +44,12 @@ class CompiledRule:
 class CompiledRuleset:
     """All rules active in one situation state, indexed by operation."""
 
-    def __init__(self, state_name: str, guards: List[object],
+    def __init__(self, state_name: str,
                  guard_matcher: Optional[object] = None):
         self.state_name = state_name
-        self.guards = guards
-        # All guards combined into one automaton: the common case (access
-        # to an ungoverned path) costs a single regex match.
+        # All guards combined into one automaton (None: the policy has
+        # none): the common case, an access to an ungoverned path, costs
+        # a single regex match.
         self._guard_matcher = guard_matcher
         self.deny_by_op: Dict[RuleOp, List[CompiledRule]] = {}
         self.allow_by_op: Dict[RuleOp, List[CompiledRule]] = {}
@@ -64,9 +64,8 @@ class CompiledRuleset:
 
     def governs(self, path: str) -> bool:
         """Does any guard cover *path*?  Ungoverned paths are allowed."""
-        if self._guard_matcher is not None:
-            return self._guard_matcher.match(path) is not None
-        return any(g.match(path) is not None for g in self.guards)
+        matcher = self._guard_matcher
+        return matcher is not None and matcher.match(path) is not None
 
     def check(self, op: RuleOp, path: str, comm: str,
               cmd: Optional[int] = None) -> bool:
@@ -143,10 +142,9 @@ def compile_policy(policy: SackPolicy,
         raise PolicyCompileError(f"policy {policy.name!r} has errors: "
                                  f"{errors}")
     symbols = dict(ioctl_symbols or {})
-    guards = [compile_glob(g) for g in policy.guards]
     guard_matcher = None
     if len(policy.guards) == 1:
-        guard_matcher = guards[0]
+        guard_matcher = compile_glob(policy.guards[0])
     elif policy.guards:
         # Brace alternation fuses all guards into a single automaton.
         guard_matcher = compile_glob("{" + ",".join(policy.guards) + "}")
@@ -155,7 +153,7 @@ def compile_policy(policy: SackPolicy,
     # Compile each distinct rule once, then share across states.
     cache: Dict[Tuple[str, str], CompiledRule] = {}
     for state in policy.states:
-        ruleset = CompiledRuleset(state.name, guards, guard_matcher)
+        ruleset = CompiledRuleset(state.name, guard_matcher)
         for perm in sorted(policy.permissions_for_state(state.name)):
             for rule in policy.rules_for_permission(perm):
                 key = (perm, rule.to_text())

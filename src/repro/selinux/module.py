@@ -15,7 +15,10 @@ Decisions come straight from the policy's access-vector table, one dict
 lookup per check; there is no AVC in front of it (a cache cannot beat
 the lookup it would cache, see ``docs/architecture.md``).  A policy
 change takes effect for the next check — the property the SACK bridge
-depends on.
+depends on.  An admin edit after boot (a rule, ``neverallow``, type,
+transition or file context) bumps the situation epoch once, reason
+``te-policy-edit``; the bridge's ``replace_origin`` swap bumps nothing,
+because its transition makes the one bump.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ class SelinuxLsm(LsmModule):
         self.policy = policy or SelinuxPolicy()
         self.enforcing = enforcing
         self.unconfined_types = set(unconfined_types)
+
+    def registered(self, kernel) -> None:
+        super().registered(kernel)
+        self.policy.subscribe(self._on_policy_change)
+
+    def _on_policy_change(self) -> None:
+        self.bump_epoch("te-policy-edit")
 
     # -- labeling --------------------------------------------------------------
     def context_of(self, task) -> SecurityContext:

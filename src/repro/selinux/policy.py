@@ -88,11 +88,26 @@ class SelinuxPolicy:
         self.file_contexts: List[FileContext] = []
         self._fc_matchers: List[Tuple[object, FileContext]] = []
         self.revision = 0
+        self._subscribers: List = []
+
+    def subscribe(self, callback) -> None:
+        """Call *callback* () after every admin edit — the feed that
+        advances the LSM stack's situation epoch.  :meth:`replace_origin`
+        notifies no one: the situation transition that asked for it makes
+        the one epoch bump."""
+        if callback not in self._subscribers:
+            self._subscribers.append(callback)
+
+    def _edited(self) -> None:
+        """One admin edit: one revision, one notification."""
+        self.revision += 1
+        for callback in list(self._subscribers):
+            callback()
 
     # -- loading ------------------------------------------------------------
     def declare_type(self, name: str) -> None:
         self.types.add(name)
-        self.revision += 1
+        self._edited()
 
     def _check_rule(self, rule: AvRule) -> None:
         for t in (rule.source, rule.target):
@@ -111,7 +126,7 @@ class SelinuxPolicy:
         self._av.setdefault(key, set()).update(rule.perms)
         self._av_origins.setdefault(key, {}).setdefault(
             rule.origin, set()).update(rule.perms)
-        self.revision += 1
+        self._edited()
 
     def add_neverallow(self, rule: AvRule) -> None:
         existing = self._av.get((rule.source, rule.target, rule.tclass),
@@ -120,7 +135,7 @@ class SelinuxPolicy:
             raise SelinuxPolicyError(
                 f"neverallow {rule} conflicts with existing allow rules")
         self._neverallow.append(rule)
-        self.revision += 1
+        self._edited()
 
     def replace_origin(self, origin: str, rules: Iterable[AvRule]) -> None:
         """Make *rules* the whole of *origin*'s AV rules, in one revision.
@@ -158,12 +173,12 @@ class SelinuxPolicy:
             raise SelinuxPolicyError(
                 f"conflicting type_transition for {key}")
         self._transitions[key] = transition.new_type
-        self.revision += 1
+        self._edited()
 
     def add_file_context(self, spec: FileContext) -> None:
         self.file_contexts.append(spec)
         self._fc_matchers.append((compile_glob(spec.glob), spec))
-        self.revision += 1
+        self._edited()
 
     # -- queries -----------------------------------------------------------
     def allowed_perms(self, source: str, target: str,

@@ -13,6 +13,7 @@ This is the shared substrate for the case study (E6), the KOFFEE attack
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from typing import Dict, Optional
 
@@ -36,6 +37,23 @@ class EnforcementConfig(enum.Enum):
     APPARMOR = "apparmor"                # Table II baseline
     SACK_INDEPENDENT = "sack-independent"
     SACK_APPARMOR = "sack-apparmor"      # SACK-enhanced AppArmor
+
+
+#: The SACK stack behind each ``mode`` name the fleet, chaos, replay and
+#: suite surfaces accept.
+SACK_MODES: Dict[str, EnforcementConfig] = {
+    "independent": EnforcementConfig.SACK_INDEPENDENT,
+    "apparmor": EnforcementConfig.SACK_APPARMOR,
+}
+
+
+def sack_mode(mode: str) -> EnforcementConfig:
+    """The stack for *mode*; ``ValueError`` naming the accepted modes."""
+    config = SACK_MODES.get(mode)
+    if config is None:
+        raise ValueError(f"unknown mode {mode!r}; accepted modes: "
+                         f"{', '.join(sorted(SACK_MODES))}")
+    return config
 
 
 #: uid of the SDS daemon (authorised to write SACK events).
@@ -173,6 +191,93 @@ profile sds /usr/bin/sds {
 """
 
 
+@dataclasses.dataclass(eq=False)
+class SecurityStack:
+    """A booted kernel and its enforcement modules: no devices, no apps."""
+
+    config: EnforcementConfig
+    kernel: Kernel
+    framework: Optional[LsmFramework] = None
+    apparmor: Optional[AppArmorLsm] = None
+    sack: Optional[SackLsm] = None
+    bridge: Optional[SackAppArmorBridge] = None
+    sackfs: Optional[SackFs] = None
+    fault_plan: object = None
+    policy_cache: Optional[PolicyCache] = None
+
+    @property
+    def module(self):
+        """The SACK module (independent or bridge), or None."""
+        return self.sack or self.bridge
+
+    def activate(self, policy_text: str) -> None:
+        """Mount SACKfs and write *policy_text* through it, the one SACK
+        activation path.  A stack without a SACK module stays as it is."""
+        module = self.module
+        if module is None:
+            return
+        self.sackfs = SackFs(self.kernel, module,
+                             authorized_event_uids={SDS_UID},
+                             ioctl_symbols=IOCTL_SYMBOLS,
+                             fault_plan=self.fault_plan,
+                             policy_cache=self.policy_cache)
+        self.kernel.write_file(self.kernel.procs.init,
+                               "/sys/kernel/security/SACK/policy",
+                               policy_text.encode(), create=False)
+
+
+def build_stack(config: EnforcementConfig,
+                policy_text: Optional[str] = DEFAULT_SACK_POLICY,
+                with_ubuntu_profiles: bool = False,
+                collect_stats: bool = False,
+                fault_plan=None,
+                policy_cache: Optional[PolicyCache] = None
+                ) -> SecurityStack:
+    """Boot a kernel with *config*'s enforcement stack.
+
+    The AppArmor store (with the IVI profiles, and Ubuntu's on request)
+    backs AppArmor and the bridge; then the kernel boots with the SACK
+    module or bridge, and *policy_text* goes in through SACKfs.  With
+    ``policy_text=None`` SACK stays inactive until the caller runs
+    :meth:`SecurityStack.activate`, as :func:`build_ivi_world` does once
+    its apps have exec'd.  *fault_plan* reaches the bridge's profile
+    reload and the SACKfs channel; *policy_cache* is the parsed-text
+    cache the AppArmor store and SACKfs read through (a private one when
+    not given).
+    """
+    config = EnforcementConfig(config)
+    if policy_cache is None:
+        policy_cache = PolicyCache()
+    apparmor = None
+    sack = None
+    bridge = None
+    modules = []
+    if config in (EnforcementConfig.APPARMOR, EnforcementConfig.SACK_APPARMOR):
+        apparmor = AppArmorLsm(PolicyDb(policy_cache))
+        if with_ubuntu_profiles:
+            load_ubuntu_defaults(apparmor.policy)
+        apparmor.policy.load_text(IVI_APPARMOR_PROFILES)
+    if config is EnforcementConfig.SACK_INDEPENDENT:
+        sack = SackLsm()
+        modules = [sack]
+    elif config is EnforcementConfig.SACK_APPARMOR:
+        bridge = SackAppArmorBridge(apparmor, fault_plan=fault_plan)
+        modules = [bridge, apparmor]
+    elif config is EnforcementConfig.APPARMOR:
+        modules = [apparmor]
+
+    if modules:
+        kernel, framework = boot_kernel(modules, collect_stats=collect_stats)
+    else:
+        kernel, framework = Kernel(), None
+    stack = SecurityStack(config, kernel, framework, apparmor=apparmor,
+                          sack=sack, bridge=bridge, fault_plan=fault_plan,
+                          policy_cache=policy_cache)
+    if policy_text is not None:
+        stack.activate(policy_text)
+    return stack
+
+
 class PermissionDenied(Exception):
     """User-space permission framework denial (the bypassable layer)."""
 
@@ -208,37 +313,26 @@ class PermissionFramework:
         self.grants.get(app, set()).discard(permission)
 
 
-class IviWorld:
-    """A fully assembled IVI system."""
+class IviWorld(SecurityStack):
+    """A fully assembled IVI system: a security stack plus the car."""
 
-    def __init__(self, config: EnforcementConfig, kernel: Kernel,
-                 framework: Optional[LsmFramework],
-                 dynamics: VehicleDynamics, bus: CanBus,
-                 devices: Dict[str, object], tasks: Dict[str, Task],
+    def __init__(self, stack: SecurityStack, dynamics: VehicleDynamics,
+                 bus: CanBus, devices: Dict[str, object],
+                 tasks: Dict[str, Task],
                  permission_framework: PermissionFramework,
-                 apparmor: Optional[AppArmorLsm] = None,
-                 sack: Optional[SackLsm] = None,
-                 bridge: Optional[SackAppArmorBridge] = None,
-                 sackfs: Optional[SackFs] = None,
                  sds: Optional[SituationDetectionService] = None):
-        self.config = config
-        self.kernel = kernel
-        self.framework = framework
+        super().__init__(**vars(stack))
         self.dynamics = dynamics
         self.bus = bus
         self.devices = devices
         self.tasks = tasks
         self.permissions = permission_framework
-        self.apparmor = apparmor
-        self.sack = sack
-        self.bridge = bridge
-        self.sackfs = sackfs
         self.sds = sds
 
     # -- situation helpers ------------------------------------------------------
     @property
     def situation(self) -> Optional[str]:
-        module = self.sack or self.bridge
+        module = self.module
         if module is None or module.ssm is None:
             return None
         return module.ssm.current_name
@@ -344,33 +438,12 @@ def build_ivi_world(config: EnforcementConfig = EnforcementConfig.SACK_INDEPENDE
     through; worlds on one host pass the same one, and a world given none
     gets its own.
     """
-    if policy_cache is None:
-        policy_cache = PolicyCache()
     dynamics = VehicleDynamics(speed_kmh=initial_speed_kmh)
     bus = CanBus()
-
-    apparmor = None
-    sack = None
-    bridge = None
-    modules = []
-    if config in (EnforcementConfig.APPARMOR, EnforcementConfig.SACK_APPARMOR):
-        apparmor = AppArmorLsm(PolicyDb(policy_cache))
-        if with_ubuntu_profiles:
-            load_ubuntu_defaults(apparmor.policy)
-        apparmor.policy.load_text(IVI_APPARMOR_PROFILES)
-    if config is EnforcementConfig.SACK_INDEPENDENT:
-        sack = SackLsm()
-        modules = [sack]
-    elif config is EnforcementConfig.SACK_APPARMOR:
-        bridge = SackAppArmorBridge(apparmor, fault_plan=fault_plan)
-        modules = [bridge, apparmor]
-    elif config is EnforcementConfig.APPARMOR:
-        modules = [apparmor]
-
-    if modules:
-        kernel, framework = boot_kernel(modules)
-    else:
-        kernel, framework = Kernel(), None
+    stack = build_stack(config, policy_text=None,
+                        with_ubuntu_profiles=with_ubuntu_profiles,
+                        fault_plan=fault_plan, policy_cache=policy_cache)
+    kernel = stack.kernel
 
     # Device nodes.
     devices = {
@@ -405,25 +478,14 @@ def build_ivi_world(config: EnforcementConfig = EnforcementConfig.SACK_INDEPENDE
         kernel.sys_execve(task, exe, comm=name)
         tasks[name] = task
 
-    # SACK policy + SACKfs.
-    sackfs = None
-    module = sack or bridge
-    if module is not None:
-        sackfs = SackFs(kernel, module,
-                        authorized_event_uids={SDS_UID},
-                        ioctl_symbols=IOCTL_SYMBOLS,
-                        fault_plan=fault_plan,
-                        policy_cache=policy_cache)
-        kernel.write_file(init, "/sys/kernel/security/SACK/policy",
-                          policy_text.encode(), create=False)
+    # The SACK policy goes in once the apps run.
+    stack.activate(policy_text)
 
     sds = None
-    if with_sds and module is not None:
+    if with_sds and stack.module is not None:
         sds = SituationDetectionService(kernel, tasks["sds"], dynamics,
                                         fault_plan=fault_plan)
 
-    return IviWorld(config=config, kernel=kernel, framework=framework,
-                    dynamics=dynamics, bus=bus, devices=devices,
+    return IviWorld(stack, dynamics=dynamics, bus=bus, devices=devices,
                     tasks=tasks, permission_framework=PermissionFramework(),
-                    apparmor=apparmor, sack=sack, bridge=bridge,
-                    sackfs=sackfs, sds=sds)
+                    sds=sds)

@@ -142,14 +142,8 @@ def replay_counterexample(cex: Counterexample, policies,
     bridge.  Confirmed means: the trace reached the predicted state AND
     the live access decision matches the counterexample's ``actual``.
     """
-    from ..vehicle.ivi import EnforcementConfig, build_ivi_world
-    config = {
-        "independent": EnforcementConfig.SACK_INDEPENDENT,
-        "apparmor": EnforcementConfig.SACK_APPARMOR,
-    }.get(mode)
-    if config is None:
-        raise ValueError(f"unknown replay mode {mode!r}; "
-                         f"use 'independent' or 'apparmor'")
+    from ..vehicle.ivi import build_ivi_world, sack_mode
+    config = sack_mode(mode)
     policy_text = _select_policy(cex, policies)
     world = build_ivi_world(config, policy_text=policy_text,
                             with_sds=False)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.bench.lmbench import BenchResult
-from repro.bench.stats import (mean, mean_results, median, median_results,
-                               pct_delta, stdev)
+from repro.bench.stats import best_result, mean, median, pct_delta, stdev
 
 
 class TestScalars:
@@ -31,20 +30,19 @@ class TestScalars:
 
 
 class TestResultMerging:
-    def _runs(self):
-        def res(v):
-            return {"b": BenchResult("b", v, "ns/op", 10, True)}
-        return [res(10.0), res(20.0), res(90.0)]
+    @staticmethod
+    def _runs(unit, smaller_is_better):
+        return [BenchResult("b", v, unit, 10, smaller_is_better)
+                for v in (20.0, 10.0, 90.0)]
 
-    def test_mean_results(self):
-        merged = mean_results(self._runs())
-        assert merged["b"].value == pytest.approx(40.0)
-        assert merged["b"].unit == "ns/op"
+    def test_best_latency_is_the_minimum(self):
+        best = best_result(self._runs("ns/op", True))
+        assert best.value == 10.0
+        assert best.unit == "ns/op" and best.iterations == 10
 
-    def test_median_results_robust_to_outlier(self):
-        merged = median_results(self._runs())
-        assert merged["b"].value == 20.0
+    def test_best_bandwidth_is_the_maximum(self):
+        assert best_result(self._runs("MB/s", False)).value == 90.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean_results([])
+            best_result([])

@@ -279,7 +279,7 @@ class TestConfigValidation:
          "unknown backend 'mpi'; accepted backends: "
          "serial, process"),
         ("mode", "selinux",
-         "unknown fleet mode 'selinux'; accepted modes: "
+         "unknown mode 'selinux'; accepted modes: "
          "apparmor, independent"),
     ])
     def test_bad_choice_lists_accepted_values(self, field, value,

@@ -83,10 +83,6 @@ class TestApe:
         assert stats["denials"] == 1
         assert stats["state"] == "normal"
 
-    def test_remap_log_records_transitions(self, ape):
-        ape.ssm.process_event(ev("crash_detected"), now_ns=7)
-        assert ape.remap_log == [("normal", "emergency", 7)]
-
     def test_algorithm1_composition(self, ape):
         """MR_current always equals g(f(SS_current))."""
         policy = ape.compiled.policy

@@ -6,6 +6,8 @@ from repro.kernel import (Errno, KernelError, OpenFlags, SocketFamily,
                           user_credentials)
 from repro.lsm import boot_kernel
 from repro.selinux import AvRule, SelinuxLsm, parse_te_policy
+from repro.selinux.context import parse_context
+from repro.selinux.policy import FileContext
 
 TE_POLICY = """
 type media_t;
@@ -179,3 +181,36 @@ class TestPolicyChanges:
         selinux.policy.replace_origin("sack", [])
         with pytest.raises(KernelError):
             kernel.write_file(task, "/dev/car/door", b"x", create=False)
+
+
+class TestAdminEditsMoveTheEpoch:
+    """An admin TE edit after boot is one situation-epoch bump, as an
+    admin AppArmor load is; the bridge's origin swap is none."""
+
+    DOOR_WRITE = TestPolicyChanges.DOOR_WRITE
+
+    def test_add_rule_bumps_once(self, world):
+        kernel, selinux = world
+        framework = kernel.security
+        epoch, revision = framework.epoch, selinux.policy.revision
+        selinux.policy.add_rule(self.DOOR_WRITE)
+        assert selinux.policy.revision == revision + 1
+        assert framework.epoch == epoch + 1
+        assert framework.bump_reasons["te-policy-edit"] == 1
+
+    def test_neverallow_and_file_context_bump_once_each(self, world):
+        kernel, selinux = world
+        framework = kernel.security
+        epoch = framework.epoch
+        selinux.policy.add_neverallow(AvRule(
+            "media_t", "car_door_t", "file", frozenset({"execute"})))
+        selinux.policy.add_file_context(FileContext(
+            "/dev/car/window",
+            parse_context("system_u:object_r:car_door_t")))
+        assert framework.epoch == epoch + 2
+
+    def test_replace_origin_bumps_nothing(self, world):
+        kernel, selinux = world
+        epoch = kernel.security.epoch
+        selinux.policy.replace_origin("sack", [self.DOOR_WRITE])
+        assert kernel.security.epoch == epoch
