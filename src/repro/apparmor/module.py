@@ -121,36 +121,68 @@ class AppArmorLsm(LsmModule):
         # INHERIT (or denied-but-complain): keep the current profile.
 
     # -- file hooks ------------------------------------------------------------
+    # The file context (``file->f_security``, as Linux's ``aa_file_ctx``):
+    # ``file_open`` stores ``(profile, policy revision, bits)``, the
+    # permissions the task's profile grants on the file's path.  Later
+    # checks on the same file decide from those bits while the task is
+    # still under that very profile object and the revision has not
+    # moved, like ``aa_file_perm()`` skipping the DFA walk when
+    # ``fctx->allow`` covers the request under an unchanged label.
+    # Profiles are replaced, never edited in place, so an unchanged
+    # (profile, revision) pair means unchanged bits.  Any other check
+    # recomputes and stores the fresh context.  ``_decide`` runs for
+    # every check either way, so audits and span annotations match a
+    # fresh lookup.
+    def _file_perm(self, name: str, task, file: OpenFile, perms: int,
+                   what: str) -> int:
+        """Decide *perms* on *file* for *task*, confined by profile *name*."""
+        profile = self.policy.get(name)
+        if profile is None or not perms:
+            return 0
+        revision = self.policy.revision
+        ctx = file.security.get(MODULE_NAME)
+        if ctx is not None and ctx[0] is profile and ctx[1] == revision:
+            bits = ctx[2]
+        else:
+            bits = profile._perm_bits(file.path)
+            file.security[MODULE_NAME] = (profile, revision, bits)
+        return self._decide(profile, bits & perms == perms, task,
+                            f"{what} {file.path}")
+
     def file_open(self, task, file: OpenFile) -> int:
         # Unconfined tasks short-circuit before any flag arithmetic — in
         # AppArmor proper this is a single label pointer compare.
-        if task.security.get(MODULE_NAME) is None:
+        name = task.security.get(MODULE_NAME)
+        if name is None:
             return 0
         perms = ((_READ if file.wants_read else 0)
                  | (_WRITE if file.wants_write else 0))
-        return self._check_path(task, file.path, perms, "open")
+        return self._file_perm(name, task, file, perms, "open")
 
     def file_permission(self, task, file: OpenFile, mask: int) -> int:
-        if task.security.get(MODULE_NAME) is None:
+        name = task.security.get(MODULE_NAME)
+        if name is None:
             return 0
-        return self._check_path(task, file.path, _mask_to_perms(mask),
-                                "access")
+        return self._file_perm(name, task, file, _mask_to_perms(mask),
+                               "access")
 
     def file_ioctl(self, task, file: OpenFile, cmd: int, arg: int) -> int:
-        if task.security.get(MODULE_NAME) is None:
+        name = task.security.get(MODULE_NAME)
+        if name is None:
             return 0
         # AppArmor mediates device ioctl through file access to the node:
         # read-direction commands need read access, everything else write.
         perm = _WRITE if ioctl_is_write(cmd) else _READ
-        return self._check_path(task, file.path, perm, f"ioctl[{cmd:#x}]")
+        return self._file_perm(name, task, file, perm, f"ioctl[{cmd:#x}]")
 
     def mmap_file(self, task, file, prot: int) -> int:
         if file is None:
             return 0  # anonymous mappings are not path-mediated
-        if task.security.get(MODULE_NAME) is None:
+        name = task.security.get(MODULE_NAME)
+        if name is None:
             return 0
         if prot & _PROT_EXEC:
-            return self._check_path(task, file.path, _MMAP, "mmap")
+            return self._file_perm(name, task, file, _MMAP, "mmap")
         return 0
 
     # -- inode hooks ------------------------------------------------------------

@@ -146,8 +146,16 @@ class InProcessHost:
     # -- faults ------------------------------------------------------------
     def arm_fault(self, vid: str, point: str,
                   knobs: Dict[str, object]) -> None:
+        """Arm *point* on *vid*'s own plan (creating one); a point that
+        plan can never fire raises ``ValueError`` instead of arming a
+        rule nothing reads."""
         from ..faults.plan import FaultPlan
         vehicle = self.vehicles[vid]
+        reachable = vehicle.fault_points()
+        if point not in reachable:
+            raise ValueError(
+                f"{vid}'s fault plan cannot fire {point!r}; it reaches "
+                f"only {', '.join(reachable)}")
         if vehicle.fault_plan is None:
             vehicle.fault_plan = FaultPlan(vehicle.seed)
         vehicle.fault_plan.arm(point, **knobs)

@@ -353,7 +353,10 @@ class Fleet:
 
     def arm_vehicle_fault(self, vehicle_id: str, point: str,
                           **knobs) -> None:
-        """Arm a fault rule on one vehicle's own plan (creating one)."""
+        """Arm a fault rule on one vehicle's own plan (creating one).
+
+        Raises ``ValueError`` for a point that plan can never fire
+        (:meth:`FleetVehicle.fault_points` lists the ones it can)."""
         if vehicle_id not in self.offline_epochs:
             raise KeyError(vehicle_id)
         self.host.arm_fault(vehicle_id, point, knobs)

@@ -200,16 +200,39 @@ class FleetVehicle:
     def position_km(self) -> float:
         return self.start_km + self.world.dynamics.position_km
 
+    # -- faults ------------------------------------------------------------
+    def fault_points(self) -> List[str]:
+        """The fault points this vehicle's own plan can fire, sorted.
+
+        The bundle apply reads the vehicle's plan whenever it runs.  The
+        world's SDS, SACKfs channel and AppArmor bridge were handed the
+        plan at boot, so they read one only when the vehicle booted with
+        it.  Fleet-level points (V2X, connectivity, crashes, the control
+        plane) are read from the fleet's plan, never a vehicle's.
+        """
+        points = {fault_points.FLEET_BUNDLE_APPLY_FAIL}
+        if self.world.fault_plan is not None:
+            points.update((fault_points.SDS_SENSOR_DROPOUT,
+                           fault_points.SDS_SENSOR_STUCK,
+                           fault_points.SDS_SENSOR_SPIKE,
+                           fault_points.SACKFS_WRITE_EIO,
+                           fault_points.SACKFS_WRITE_EAGAIN,
+                           fault_points.SACKFS_SHORT_WRITE,
+                           fault_points.SACKFS_CORRUPT,
+                           fault_points.POLICY_LOAD_FAIL))
+            if self.world.bridge is not None:
+                points.add(fault_points.BRIDGE_RELOAD_FAIL)
+        return sorted(points)
+
     # -- time --------------------------------------------------------------
     def tick(self, dt_s: float = 0.1) -> List[str]:
-        """One vehicle tick: dynamics + SDS + watchdog + alert TTL."""
+        """One vehicle tick: alert TTL, then dynamics + SDS, whose sweep
+        checks the staleness watchdog once at the tick's virtual time."""
         self.tick_count += 1
         if (self._alert_expires_at is not None
                 and self.tick_count >= self._alert_expires_at):
             self.clear_alert()
-        sent = self.world.run_sds(1, dt_s=dt_s)
-        self.world.check_watchdog()
-        return sent
+        return self.world.run_sds(1, dt_s=dt_s)
 
     def drain_transitions(self) -> List[Tuple[str, str, str, int]]:
         """SSM transitions since the last drain (event, from, to, at_ns).

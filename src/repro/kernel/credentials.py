@@ -13,7 +13,13 @@ from typing import FrozenSet, Iterable
 
 
 class Capability(enum.Enum):
-    """Subset of Linux capabilities relevant to the simulation."""
+    """Subset of Linux capabilities relevant to the simulation.
+
+    Hashed by identity, in C, as :class:`~repro.lsm.hooks.Hook` is:
+    every ``capable()`` tests membership in a credential's set.
+    """
+
+    __hash__ = object.__hash__
 
     CAP_CHOWN = "CAP_CHOWN"
     CAP_DAC_OVERRIDE = "CAP_DAC_OVERRIDE"

@@ -27,7 +27,8 @@ from .memory import MapProt, VmArea
 from .process import FdKind, ProcessTable, Task
 from .scheduler import Scheduler
 from .security import NullSecurity, SecurityHooks
-from .vfs import (OpenFile, OpenFlags, VirtualFileSystem, normalize)
+from .vfs import (OpenFile, OpenFlags, VirtualFileSystem, normalize,
+                  split_parent)
 
 # Access masks used by file_permission / DAC checks (Linux MAY_*).
 MAY_EXEC = 0x1
@@ -189,11 +190,10 @@ class Kernel:
                    comm: Optional[str] = None) -> None:
         """Replace the task image with *path* (must be an executable file)."""
         self._count("execve")
-        dentry = self.vfs.resolve(path, task.cwd)
+        dentry, exe_path = self.vfs.lookup(path, task.cwd)
         if dentry.inode.is_dir:
             raise KernelError(Errno.EISDIR, path)
         self._dac_permission(task, dentry.inode, MAY_EXEC, path)
-        exe_path = dentry.path()
         self._check(self.security.bprm_check_security(task, exe_path),
                     f"exec {exe_path}")
         task.exe_path = exe_path
@@ -226,11 +226,12 @@ class Kernel:
         self._count("open")
         raw = int(flags)
         norm = normalize(path, task.cwd)
-        dentry = self.vfs.try_resolve(norm)
+        dentry, fpath = self.vfs.walk(norm)
         if dentry is None:
             if not raw & _O_CREAT:
                 raise KernelError(Errno.ENOENT, norm)
-            parent = self.vfs.resolve(norm.rsplit("/", 1)[0] or "/")
+            parent_norm, name = split_parent(norm)
+            parent, parent_path = self.vfs.lookup(parent_norm)
             self._dac_permission(task, parent.inode, MAY_WRITE, norm)
             self._check(self.security.inode_create(task, parent.inode,
                                                    norm, mode),
@@ -238,6 +239,7 @@ class Kernel:
             dentry = self.vfs.create_file(norm, mode=mode,
                                           uid=task.cred.euid,
                                           gid=task.cred.egid)
+            fpath = parent_path.rstrip("/") + "/" + name
         elif raw & _O_CREAT and raw & _O_EXCL:
             raise KernelError(Errno.EEXIST, norm)
 
@@ -253,7 +255,7 @@ class Kernel:
         driver = None
         if inode.is_chardev:
             driver = self.devices.lookup(inode.rdev)
-        file = OpenFile(dentry, inode, flags, driver=driver,
+        file = OpenFile(dentry, inode, flags, fpath, driver=driver,
                         fid=next(self._file_ids))
         self._check(self.security.file_open(task, file), f"open {norm}")
         if driver is not None:
@@ -349,8 +351,8 @@ class Kernel:
 
     def sys_stat(self, task: Task, path: str) -> Dict[str, object]:
         self._count("stat")
-        dentry = self.vfs.resolve(path, task.cwd)
-        self._check(self.security.inode_getattr(task, dentry.path()),
+        dentry, resolved = self.vfs.lookup(path, task.cwd)
+        self._check(self.security.inode_getattr(task, resolved),
                     f"stat {path}")
         return dentry.inode.stat()
 
@@ -365,22 +367,22 @@ class Kernel:
 
     def sys_rmdir(self, task: Task, path: str) -> None:
         self._count("rmdir")
-        dentry = self.vfs.resolve(path, task.cwd, follow_symlinks=False)
-        self._check(self.security.inode_rmdir(task, dentry.inode,
-                                              dentry.path()),
+        dentry, resolved = self.vfs.lookup(path, task.cwd,
+                                           follow_symlinks=False)
+        self._check(self.security.inode_rmdir(task, dentry.inode, resolved),
                     f"rmdir {path}")
-        self.vfs.rmdir(dentry.path())
+        self.vfs.rmdir(resolved)
 
     def sys_unlink(self, task: Task, path: str) -> None:
         self._count("unlink")
-        dentry = self.vfs.resolve(path, task.cwd, follow_symlinks=False)
+        dentry, resolved = self.vfs.lookup(path, task.cwd,
+                                           follow_symlinks=False)
         parent = dentry.parent
         if parent is not None:
             self._dac_permission(task, parent.inode, MAY_WRITE, path)
-        self._check(self.security.inode_unlink(task, dentry.inode,
-                                               dentry.path()),
+        self._check(self.security.inode_unlink(task, dentry.inode, resolved),
                     f"unlink {path}")
-        self.vfs.unlink(dentry.path())
+        self.vfs.unlink(resolved)
 
     def sys_rename(self, task: Task, old: str, new: str) -> None:
         self._count("rename")
@@ -404,28 +406,28 @@ class Kernel:
 
     def sys_chdir(self, task: Task, path: str) -> None:
         self._count("chdir")
-        dentry = self.vfs.resolve(path, task.cwd)
+        dentry, resolved = self.vfs.lookup(path, task.cwd)
         if not dentry.inode.is_dir:
             raise KernelError(Errno.ENOTDIR, path)
-        task.cwd = dentry.path()
+        task.cwd = resolved
 
     def sys_chmod(self, task: Task, path: str, mode: int) -> None:
         self._count("chmod")
-        dentry = self.vfs.resolve(path, task.cwd)
+        dentry, resolved = self.vfs.lookup(path, task.cwd)
         inode = dentry.inode
         if (task.cred.euid != inode.uid
                 and not self.capable(task, Capability.CAP_FOWNER)):
             raise KernelError(Errno.EPERM, f"chmod {path}")
-        self._check(self.security.inode_setattr(task, dentry.path()),
+        self._check(self.security.inode_setattr(task, resolved),
                     f"chmod {path}")
         inode.mode = mode & 0o7777
 
     def sys_chown(self, task: Task, path: str, uid: int, gid: int) -> None:
         self._count("chown")
-        dentry = self.vfs.resolve(path, task.cwd)
+        dentry, resolved = self.vfs.lookup(path, task.cwd)
         if not self.capable(task, Capability.CAP_CHOWN):
             raise KernelError(Errno.EPERM, f"chown {path}")
-        self._check(self.security.inode_setattr(task, dentry.path()),
+        self._check(self.security.inode_setattr(task, resolved),
                     f"chown {path}")
         dentry.inode.uid = uid
         dentry.inode.gid = gid

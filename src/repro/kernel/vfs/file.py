@@ -36,7 +36,8 @@ class OpenFile:
     _id_counter = itertools.count(1)
 
     def __init__(self, dentry: Optional[Dentry], inode: Inode,
-                 flags: OpenFlags | int, driver: Optional[object] = None,
+                 flags: OpenFlags | int, path: str,
+                 driver: Optional[object] = None,
                  fid: Optional[int] = None):
         self.id = fid if fid is not None else next(OpenFile._id_counter)
         self.dentry = dentry
@@ -47,12 +48,13 @@ class OpenFile:
         self.closed = False
         # Hot-path caches, fixed at open time (like f_mode / f_path):
         # access-mode bools avoid flag arithmetic per read/write, and the
-        # path string avoids a dentry walk per LSM check.  The bools come
-        # from the plain int, as ``OpenFlags`` bit tests run in enum.py.
+        # path string, the one the open's path walk resolved, avoids a
+        # dentry walk per LSM check.  The bools come from the plain int,
+        # as ``OpenFlags`` bit tests run in enum.py.
         raw = int(flags)
         self.wants_read = not raw & 0x1             # not O_WRONLY
         self.wants_write = bool(raw & 0x3)          # O_WRONLY or O_RDWR
-        self.path = dentry.path() if dentry is not None else "<anon>"
+        self.path = path
         #: Per-LSM state, keyed by module name (``file->f_security``).
         self.security: Dict[str, object] = {}
         #: Device-driver private state (``file->private_data``).

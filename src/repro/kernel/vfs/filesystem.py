@@ -17,6 +17,11 @@ from .inode import FileType, Inode, PseudoFileOps
 from .mount import Mount, MountTable
 from .path import normalize, split_components, split_parent
 
+# File types the walk loop tests directly: the ``Inode.is_*`` properties
+# are a Python call per component.
+_DIRECTORY = FileType.DIRECTORY
+_SYMLINK = FileType.SYMLINK
+
 #: Maximum symlink traversals during one resolution (Linux: 40).
 MAX_SYMLINK_DEPTH = 40
 
@@ -37,42 +42,68 @@ class VirtualFileSystem:
         self.mounts.add(Mount(fstype="ramfs", mountpoint="/"))
 
     # -- resolution ---------------------------------------------------------
+    def walk(self, norm_path: str, follow_symlinks: bool = True
+             ) -> Tuple[Optional[Dentry], str]:
+        """The one path walk: ``(dentry, path)`` for a normalised path.
+
+        *path* is the dentry's absolute path, which is *norm_path* itself
+        unless a symlink was crossed, so callers never rebuild it from
+        the dentry tree.  A missing component (or a symlink with an
+        empty target) gives ``(None, path)`` without raising; ``ENOTDIR``
+        (a non-final component is not a directory) and ``ELOOP`` (more
+        than :data:`MAX_SYMLINK_DEPTH` symlinks crossed) raise.  A final
+        symlink is followed only with *follow_symlinks*; a non-final one
+        always is.
+        """
+        path = norm_path
+        depth = 0
+        while True:
+            comps = path[1:].split("/") if len(path) > 1 else []
+            last = len(comps) - 1
+            node = self.root
+            for i, comp in enumerate(comps):
+                if node.inode.file_type is not _DIRECTORY:
+                    raise KernelError(Errno.ENOTDIR,
+                                      "/" + "/".join(comps[:i]))
+                node = node.children.get(comp)
+                if node is None:
+                    return None, path
+                inode = node.inode
+                if inode.file_type is _SYMLINK and (follow_symlinks
+                                                    or i != last):
+                    if not inode.symlink_target:
+                        return None, path
+                    target = normalize(inode.symlink_target,
+                                       cwd="/" + "/".join(comps[:i]))
+                    rest = "/".join(comps[i + 1:])
+                    path = normalize(target if not rest
+                                     else target.rstrip("/") + "/" + rest)
+                    depth += 1
+                    if depth > MAX_SYMLINK_DEPTH:
+                        raise KernelError(Errno.ELOOP, path)
+                    break
+            else:
+                return node, path
+
+    def lookup(self, path: str, cwd: str = "/",
+               follow_symlinks: bool = True) -> Tuple[Dentry, str]:
+        """``(dentry, resolved path)`` for *path*; raises ``ENOENT`` for a
+        missing component, and ``ENOTDIR``/``ELOOP`` as :meth:`walk`."""
+        dentry, resolved = self.walk(normalize(path, cwd), follow_symlinks)
+        if dentry is None:
+            raise KernelError(Errno.ENOENT, resolved)
+        return dentry, resolved
+
     def resolve(self, path: str, cwd: str = "/",
                 follow_symlinks: bool = True) -> Dentry:
-        """Walk the tree and return the dentry for *path*.
-
-        Raises ``ENOENT`` for missing components, ``ENOTDIR`` when a
-        non-final component is not a directory, and ``ELOOP`` on symlink
-        cycles.
-        """
-        return self._walk(normalize(path, cwd), follow_symlinks, depth=0)
-
-    def _walk(self, norm_path: str, follow: bool, depth: int) -> Dentry:
-        if depth > MAX_SYMLINK_DEPTH:
-            raise KernelError(Errno.ELOOP, norm_path)
-        node = self.root
-        comps = split_components(norm_path)
-        for i, comp in enumerate(comps):
-            if not node.inode.is_dir:
-                raise KernelError(Errno.ENOTDIR, node.path())
-            node = node.lookup(comp)
-            is_final = i == len(comps) - 1
-            if node.inode.is_symlink and (follow or not is_final):
-                target = normalize(node.inode.symlink_target or "",
-                                   cwd=node.parent.path())
-                rest = "/".join(comps[i + 1:])
-                combined = target if not rest else target.rstrip("/") + "/" + rest
-                return self._walk(normalize(combined), follow, depth + 1)
-        return node
+        """The dentry for *path* (errors as :meth:`lookup`)."""
+        return self.lookup(path, cwd, follow_symlinks)[0]
 
     def try_resolve(self, path: str, cwd: str = "/") -> Optional[Dentry]:
         """Like :meth:`resolve` but returns ``None`` on ``ENOENT``."""
-        try:
-            return self.resolve(path, cwd)
-        except KernelError as err:
-            if err.errno is Errno.ENOENT:
-                return None
-            raise
+        if not path:
+            return None          # the empty path names nothing
+        return self.walk(normalize(path, cwd))[0]
 
     def exists(self, path: str, cwd: str = "/") -> bool:
         return self.try_resolve(path, cwd) is not None

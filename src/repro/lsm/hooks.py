@@ -12,7 +12,15 @@ import enum
 
 
 class Hook(enum.Enum):
-    """Hook identifiers, named after their Linux counterparts."""
+    """Hook identifiers, named after their Linux counterparts.
+
+    Members hash by identity, in C: every dispatch looks its hook up in
+    the framework's tables, and ``Enum.__hash__`` (``hash(self._name_)``)
+    is a Python call each time.  Members are singletons compared by
+    identity, so the two hashes agree on equality.
+    """
+
+    __hash__ = object.__hash__
 
     TASK_ALLOC = "task_alloc"
     BPRM_CHECK_SECURITY = "bprm_check_security"

@@ -25,7 +25,13 @@ class RuleDecision(enum.Enum):
 
 
 class RuleOp(enum.Enum):
-    """Operations a MAC rule can mediate."""
+    """Operations a MAC rule can mediate.
+
+    Hashed by identity, in C, as :class:`~repro.lsm.hooks.Hook` is: the
+    APE keys its per-op rule tables on it at every check.
+    """
+
+    __hash__ = object.__hash__
 
     READ = "read"
     WRITE = "write"

@@ -1,11 +1,21 @@
-"""Regression guard: the file access path does no ``enum.Flag`` arithmetic.
+"""Regression guard: the file access path runs no enum.py code.
 
 On the interpreters this project supports, ``&``, ``|``, ``^`` and ``~``
 on an ``IntFlag`` (``OpenFlags``, ``FilePerm``) run as Python code in
 enum.py and build a new member, which made them the largest cost of a
 single access.  Masks are plain ints from ``sys_open`` to the AppArmor
-verdict; this test counts calls into those operators while a mixed batch
-of allowed and denied accesses runs, and requires none.
+verdict; the first guard counts calls into those operators while a mixed
+batch of allowed and denied accesses runs, and requires none.
+
+The second guard holds allowed accesses to one lookup each: the open's
+one path walk hands the resolved path to the open file (no
+``Dentry.path()`` rebuild), and the hook tables, the APE's per-op tables
+and the capability sets hash their enum keys in C (no ``Enum.__hash__``
+frame).  It counts every Python frame from enum.py and from
+``Dentry.path`` while an AppArmor-confined task and an independent-SACK
+task make allowed open → read/write/ioctl → close sequences, and requires
+none.  Denials are outside it: building the ``KernelError`` and the audit
+record still reads enum members.
 """
 
 import enum
@@ -14,6 +24,9 @@ import sys
 import pytest
 
 from repro.kernel import Errno, KernelError, OpenFlags
+from repro.kernel.vfs import VirtualFileSystem
+from repro.kernel.vfs.dentry import Dentry
+from repro.kernel.vfs.inode import FileType
 from repro.vehicle import EnforcementConfig, build_ivi_world
 from repro.vehicle.devices import DOOR_LOCK, VOLUME_GET, VOLUME_SET
 
@@ -112,3 +125,59 @@ def test_access_batch_does_no_flag_arithmetic(config):
     assert True in verdicts and False in verdicts
     actions = {entry[3] for entry, ok in zip(batch * 3, verdicts) if ok}
     assert actions == {READ, WRITE, IOCTL}
+
+
+class LookupFrameCounter:
+    """Counts Python-level calls into enum.py and ``Dentry.path``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def _profile(self, frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename == enum.__file__ or code is Dentry.path.__code__:
+            self.calls.append(code.co_name)
+
+    def __enter__(self):
+        self._previous = sys.getprofile()
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(self._previous)
+        return False
+
+
+def test_counter_sees_enum_hash_and_path_rebuild():
+    root = VirtualFileSystem().root
+    with LookupFrameCounter() as counter:
+        {FileType.REGULAR: 1}.get(FileType.DIRECTORY)
+        root.path()
+    assert "__hash__" in counter.calls and "path" in counter.calls
+
+
+@pytest.mark.parametrize("config", [EnforcementConfig.SACK_APPARMOR,
+                                    EnforcementConfig.SACK_INDEPENDENT],
+                         ids=lambda c: c.value)
+def test_allowed_accesses_do_one_lookup_each(config):
+    world = build_ivi_world(config)
+    kernel = world.kernel
+    kernel.vfs.makedirs(MEDIA.rsplit("/", 1)[0])
+    kernel.vfs.create_file(MEDIA, mode=0o666)
+    volume = world.tasks["volume_service"]
+    media = world.tasks["media_app"]
+    if config is EnforcementConfig.SACK_APPARMOR:
+        assert world.apparmor.profile_of(volume).name == "volume_service"
+    with LookupFrameCounter() as counter:
+        for _ in range(3):
+            fd = kernel.sys_open(volume, "/dev/car/audio", OpenFlags.O_RDONLY)
+            kernel.sys_read(volume, fd, 8)
+            kernel.sys_ioctl(volume, fd, VOLUME_GET)
+            kernel.sys_close(volume, fd)
+            fd = kernel.sys_open(media, MEDIA, OpenFlags.O_RDWR)
+            kernel.sys_write(media, fd, b"frame")
+            kernel.sys_read(media, fd, 8)
+            kernel.sys_close(media, fd)
+    assert counter.calls == []
