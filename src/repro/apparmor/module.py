@@ -23,6 +23,10 @@ from ..obs.audit import AUDIT_COMPLAIN
 from .policydb import PolicyDb
 from .profile import ExecMode, FilePerm, Profile, ProfileMode
 
+#: The mode of every profile that denies (complain-mode profiles only
+#: audit), read instead of ``profile.mode.value``.
+_ENFORCE = ProfileMode.ENFORCE.value
+
 MODULE_NAME = "apparmor"
 
 
@@ -86,8 +90,8 @@ class AppArmorLsm(LsmModule):
             # Attribution for post-transition hook spans: which profile,
             # in which mode, denied this access.  The framework writes
             # the denial's AVC record.
-            obs.spans.annotate(profile=profile.name,
-                               mode=profile.mode.value, detail=detail)
+            obs.spans.annotate(profile=profile.name, mode=_ENFORCE,
+                               detail=detail)
         return self.EACCES
 
     def _check_path(self, task, path: str, perms: int, what: str) -> int:

@@ -120,9 +120,6 @@ _MEASURE_MEMORY_OFF = Axis("measure_memory", "bool", False)
 WORKLOAD_AXES: Dict[str, Dict[str, Axis]] = {
     "fleet": _axes(
         Axis("vehicles", "int", 8, minimum=1),
-        Axis("workers", "int", 1, minimum=1),
-        Axis("backend", "choice", "serial",
-             choices=("serial", "process")),
         Axis("epochs", "int", 6, minimum=1),
         Axis("mode", "choice", "independent", choices=tuple(SACK_MODES)),
         Axis("fault_intensity", "float", 0.0, minimum=0.0, maximum=1.0),
@@ -398,12 +395,7 @@ def _timed_epochs_ns(fleet, epochs: int) -> int:
 
 def _run_fleet_cell(params: Dict[str, object]
                     ) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Fleet cell: the best epoch wall of :data:`HOST_REPS` fresh fleets.
-
-    A process cell also runs as many serial shadow fleets, interleaved
-    with its own runs: the shadow/process wall ratio is the host
-    speedup, and the fingerprint pair is an in-suite conformance bit.
-    """
+    """Fleet cell: the best epoch wall of :data:`HOST_REPS` fresh fleets."""
     from ..fleet.bundle import BundleSigner, make_bundle
     from ..fleet.orchestrator import (Fleet, FleetConfig, ScriptedDriver,
                                       TrafficDriver)
@@ -424,42 +416,29 @@ def _run_fleet_cell(params: Dict[str, object]
             driver.at(epochs - 2, "veh000", "clear")
         return driver
 
-    def run_once(backend: str, hook_latency: bool = False):
-        """One fresh fleet: ``(ns per epoch, fleet, report)``; the fleet
-        is closed, but its in-process vehicles stay readable."""
+    hook_latency = bool(params["hook_latency"])
+
+    def run_once():
+        """One fresh fleet: ``(ns per epoch, fleet, report)``."""
         fleet = Fleet(FleetConfig(
             n_vehicles=int(params["vehicles"]), seed=int(params["seed"]),
-            workers=int(params["workers"]), mode=str(params["mode"]),
-            backend=backend,
+            mode=str(params["mode"]),
             vehicle_fault_intensity=float(params["fault_intensity"])),
             driver=make_driver())
-        try:
-            if hook_latency:
-                for vehicle in fleet.vehicles.values():
-                    vehicle.world.kernel.security.enable_hook_latency()
-            if params["rollout"]:
-                # Identical workload on the shadow: only the backend
-                # differs.
-                fleet.stage_rollout(make_bundle(
-                    1, DEFAULT_SACK_POLICY,
-                    signer=BundleSigner(fleet.config.fleet_key)))
-            wall_ns = _timed_epochs_ns(fleet, epochs) / epochs
-            return wall_ns, fleet, fleet.report()
-        finally:
-            fleet.close()
+        if hook_latency:
+            for vehicle in fleet.vehicles.values():
+                vehicle.world.kernel.security.enable_hook_latency()
+        if params["rollout"]:
+            fleet.stage_rollout(make_bundle(
+                1, DEFAULT_SACK_POLICY,
+                signer=BundleSigner(fleet.config.fleet_key)))
+        wall_ns = _timed_epochs_ns(fleet, epochs) / epochs
+        return wall_ns, fleet, fleet.report()
 
-    backend = str(params["backend"])
-    # Under the process backend the vehicles live in worker processes, so
-    # the coordinator cannot reach into their kernels for the per-hook
-    # latency histograms; the knob is in-process-only.
-    hook_latency = bool(params["hook_latency"]) and backend != "process"
-    walls, shadow_walls = [], []
+    walls = []
     for _ in range(HOST_REPS):
-        wall_ns, fleet, report = run_once(backend, hook_latency)
+        wall_ns, fleet, report = run_once()
         walls.append(wall_ns)
-        if backend == "process":
-            shadow_wall_ns, _, shadow_report = run_once("serial")
-            shadow_walls.append(shadow_wall_ns)
     wall_ns = min(walls)
 
     metrics: Dict[str, float] = {
@@ -489,12 +468,6 @@ def _run_fleet_cell(params: Dict[str, object]
         obs["hook_latency"] = {
             vid: v.world.kernel.security.hook_latency_summary()
             for vid, v in sorted(fleet.vehicles.items())}
-    if shadow_walls:
-        metrics["fleet_mp_host_speedup"] = min(shadow_walls) / wall_ns
-        metrics["fleet_ipc_crossings"] = float(fleet.host.crossings)
-        obs["shadow_fingerprint"] = shadow_report.fingerprint()
-        obs["mp_bit_identical"] = (report.fingerprint()
-                                   == shadow_report.fingerprint())
     return metrics, obs
 
 
@@ -555,8 +528,7 @@ def _run_recovery_cell(params: Dict[str, object]
         return fleet, fleet.run(epochs).report
 
     fleet, report = run_once()
-    second_fleet, second = run_once()
-    second_fleet.close()
+    _, second = run_once()
     resilience = report.resilience
     metrics: Dict[str, float] = {
         "recovery_restore_latency_ns":
@@ -572,9 +544,8 @@ def _run_recovery_cell(params: Dict[str, object]
         "resilience": resilience,
         "fingerprint": report.fingerprint(),
         "violations": list(report.violations),
-        "checkpoints": fleet.host.checkpoint_rows(),
+        "checkpoints": fleet.host.checkpoints.to_rows(),
     }
-    fleet.close()
     return metrics, obs
 
 
@@ -614,11 +585,8 @@ def _run_telemetry_cell(params: Dict[str, object]
             telemetry=True,
             telemetry_short_window_epochs=int(params["short_window"]),
             telemetry_long_window_epochs=int(params["long_window"])))
-        try:
-            wall_ns = _timed_epochs_ns(fleet, epochs)
-            report = fleet.report()
-        finally:
-            fleet.close()
+        wall_ns = _timed_epochs_ns(fleet, epochs)
+        report = fleet.report()
         cpu_ns = int(report.telemetry["overhead"]["cpu_ns_total"])
         return cpu_ns / max(1, wall_ns - cpu_ns) * 100.0, report
 
@@ -902,7 +870,7 @@ def check_run(run_dir: str, trajectory_dir: str):
 def _suite_source(summary_data: Dict[str, object]) -> str:
     """The trajectory ``source`` tag for a suite run's records.
 
-    Baselines are suite-scoped (``suite:smoke`` vs ``suite:mp``): two
+    Baselines are suite-scoped (``suite:smoke`` vs ``suite:nightly``): two
     suites folding the same metric over different cell populations must
     not serve as each other's baselines.
     """

@@ -142,8 +142,8 @@ class Trajectory:
 
         With *source*, records from that exact source are preferred —
         two suites may legitimately report the same metric over
-        different cell populations (smoke's fleet sweep includes a
-        1-worker cell; the mp suite is all 4-worker cells), and a gate
+        different cell populations (smoke's one fleet cell, nightly's
+        sweep of fleet sizes), and a gate
         must compare a run against its own lineage, not whichever suite
         appended last.  If no same-source record carries the metric the
         scan falls back to any source, so the first run of a renamed or
@@ -235,8 +235,8 @@ def metrics_from_pytest_benchmark(doc: Dict[str, object]
     ``<name>_mean_ns`` plus every numeric scalar from ``extra_info``
     (prefixed with the benchmark name; nested dicts flatten with their
     key path).  That captures exactly the numbers the benchmark files
-    advertise — ``speedup``, host vehicle-epochs per second per worker
-    count, per-op latencies — under stable, direction-inferable names.
+    advertise — ``speedup``, host vehicle-epochs per second, per-op
+    latencies — under stable, direction-inferable names.
     """
     out: Dict[str, float] = {}
 
@@ -263,7 +263,7 @@ def metrics_from_pytest_benchmark(doc: Dict[str, object]
         for key, value in extra.items():
             # extra_info keys already carry their own unit suffixes
             # (speedup, *_ns_per_op, *_per_second); nested dicts
-            # (per-worker maps, hook breakdowns) flatten by key path.
+            # (nested maps, hook breakdowns) flatten by key path.
             flatten(f"{name}_{key}", value)
     return out
 

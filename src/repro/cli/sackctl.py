@@ -254,8 +254,6 @@ def _build_fleet(args, policy_text: Optional[str] = None, **overrides):
         seed=getattr(args, "fleet_seed", None)
         if getattr(args, "fleet_seed", None) is not None
         else getattr(args, "seed", 0),
-        workers=getattr(args, "workers", 1),
-        backend=getattr(args, "backend", None) or "serial",
         policy_text=policy_text,
         **overrides)
     return Fleet(config)
@@ -465,8 +463,6 @@ def _print_vehicle_rows(fleet, only: Optional[str] = None) -> None:
     for vid in fleet.ids:
         if only is not None and vid != only:
             continue
-        # Route through the host so the rows work no matter where the
-        # vehicle lives (coordinator thread or a worker process).
         health = fleet.host.health_snapshot(vid)
         bundle = health["bundle_version"]
         status = sup.status[vid]
@@ -487,31 +483,31 @@ def cmd_fleet_status(args) -> int:
     overrides = {}
     if getattr(args, "telemetry", False):
         overrides["telemetry"] = True
-    with _build_fleet(args, policy_text=_fleet_policy_text(args),
-                      **overrides) as fleet:
-        if args.kernel is not None and args.kernel not in fleet.ids:
-            raise ValueError(f"no vehicle {args.kernel!r}; "
-                             f"ids: {', '.join(fleet.ids)}")
-        result = fleet.run(args.epochs)
-        if getattr(args, "format", None) == "json":
-            # The uniform bench envelope (schema sack-bench/v1)
-            # dashboards and CI already parse.
-            import json as _json
-            from ..bench.envelope import make_envelope
-            print(_json.dumps(make_envelope("fleet-status",
-                                            result.report.to_dict(),
-                                            seed=fleet.config.seed),
-                              indent=2))
-            return 0 if result.ok else 1
-        if args.json:
-            import json as _json
-            print(_json.dumps(result.report.to_dict(), indent=2))
-            return 0 if result.ok else 1
-        for line in result.report.summary_lines():
-            print(line)
-        print()
-        _print_vehicle_rows(fleet, only=args.kernel)
+    fleet = _build_fleet(args, policy_text=_fleet_policy_text(args),
+                         **overrides)
+    if args.kernel is not None and args.kernel not in fleet.ids:
+        raise ValueError(f"no vehicle {args.kernel!r}; "
+                         f"ids: {', '.join(fleet.ids)}")
+    result = fleet.run(args.epochs)
+    if getattr(args, "format", None) == "json":
+        # The uniform bench envelope (schema sack-bench/v1)
+        # dashboards and CI already parse.
+        import json as _json
+        from ..bench.envelope import make_envelope
+        print(_json.dumps(make_envelope("fleet-status",
+                                        result.report.to_dict(),
+                                        seed=fleet.config.seed),
+                          indent=2))
         return 0 if result.ok else 1
+    if args.json:
+        import json as _json
+        print(_json.dumps(result.report.to_dict(), indent=2))
+        return 0 if result.ok else 1
+    for line in result.report.summary_lines():
+        print(line)
+    print()
+    _print_vehicle_rows(fleet, only=args.kernel)
+    return 0 if result.ok else 1
 
 
 def _render_fleet_top(fleet, top_n: int, wall_ns: int) -> List[str]:
@@ -524,8 +520,7 @@ def _render_fleet_top(fleet, top_n: int, wall_ns: int) -> List[str]:
     epoch_wall_ms = wall_ns / max(1, fleet.epoch_index) / 1e6
     lines = [
         f"sack fleet top — epoch {fleet.epoch_index}, seed "
-        f"{fleet.config.seed}, {fleet.config.n_vehicles} vehicle(s), "
-        f"{fleet.config.workers} worker(s)",
+        f"{fleet.config.seed}, {fleet.config.n_vehicles} vehicle(s)",
         f"  epoch wall {epoch_wall_ms:.1f} ms (host) | telemetry "
         f"{agg.frames_total} frame(s), {agg.series_tracked} series"
         + (f", {sum(agg.series_dropped.values())} dropped"
@@ -709,7 +704,7 @@ def cmd_fleet_checkpoint(args) -> int:
         always_checkpoint=True,
         checkpoint_interval_epochs=args.interval)
     result = fleet.run(args.epochs)
-    rows = fleet.host.checkpoint_rows()
+    rows = fleet.host.checkpoints.to_rows()
     print(f"{len(rows)} vehicle checkpoint(s) after {args.epochs} "
           f"epoch(s), interval {args.interval} "
           f"(epoch -1 = boot baseline)")
@@ -787,13 +782,6 @@ def _add_fleet_common(parser: argparse.ArgumentParser) -> None:
                         help="fleet size (default: 10)")
     parser.add_argument("--seed", type=int, default=0,
                         help="fleet seed (default: 0)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker pool size (default: 1)")
-    parser.add_argument("--backend",
-                        choices=["serial", "process"],
-                        default="serial",
-                        help="epoch scheduler backend (default: serial; "
-                             "both are bit-identical)")
     parser.add_argument("--epochs", type=int, default=12,
                         help="epochs to run (default: 12)")
     parser.add_argument("--policy", help="policy file for every vehicle "

@@ -256,10 +256,10 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
         else:
             act("cruise")
         world.run_sds(1)
-        # A second check at the instant run_sds just checked: it cannot
-        # fire, but the watchdog's check count is part of the pinned
-        # chaos fingerprint (BASELINE_CHAOS_1), so it stays.
-        world.check_watchdog()
+        if world.sds is None:
+            # A killed SDS: run_sds skipped the watchdog, so check it
+            # here, where it engages the failsafe.
+            world.check_watchdog()
         checker.check(tick)
 
     module = world.sack or world.bridge

@@ -62,8 +62,8 @@ FLEET_ACK_DROP = "fleet:ack_drop"
 #: A vehicle's kernel dies at the epoch barrier (panic / ECU brownout);
 #: the supervisor must restore it from a checkpoint or quarantine it.
 FLEET_VEHICLE_CRASH = "fleet:vehicle_crash"
-#: A vehicle's shard worker stalls past the barrier deadline; the vehicle
-#: misses its tick phase this epoch but keeps its barrier interactions.
+#: A vehicle's tick phase stalls past the barrier deadline; the vehicle
+#: misses its ticks this epoch but keeps its barrier interactions.
 FLEET_SHARD_STALL = "fleet:shard_stall"
 #: A control-plane call (bus delivery, rollout step, health poll) blows
 #: its per-call deadline; the supervisor retries with backoff.
@@ -117,7 +117,7 @@ CATALOGUE: Dict[str, FaultPoint] = {
         FaultPoint(FLEET_VEHICLE_CRASH, "fleet",
                    "vehicle kernel dies at the barrier; needs restore"),
         FaultPoint(FLEET_SHARD_STALL, "fleet",
-                   "shard worker stalls; vehicle misses one tick phase"),
+                   "tick phase stalls; vehicle misses one epoch's ticks"),
         FaultPoint(FLEET_CONTROL_TIMEOUT, "fleet",
                    "control-plane call exceeds its per-call deadline"),
     )
@@ -140,10 +140,5 @@ class InjectedFault(RuntimeError):
 
     def __init__(self, point: str, detail: str = ""):
         self.point = point
-        self._detail = detail
         super().__init__(f"injected fault at {point}"
                          + (f": {detail}" if detail else ""))
-
-    def __reduce__(self):
-        # Pickle the constructor's arguments (see KernelError.__reduce__).
-        return type(self), (self.point, self._detail)

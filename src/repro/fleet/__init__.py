@@ -3,8 +3,8 @@
 The paper evaluates SACK on one vehicle; this package opens the
 fleet-scale workload its deployment story implies.  It runs **N
 independent vehicle kernels** (each a full ``repro.kernel`` + LSM stack +
-SDS/SSM/APE pipeline) concurrently, sharded across a worker pool, under a
-fleet-side control plane:
+SDS/SSM/APE pipeline) on one virtual clock, under a fleet-side control
+plane:
 
 * :mod:`repro.fleet.bundle` — signed OTA policy bundles (SACK policy +
   bridged AppArmor profiles under one signature).
@@ -19,8 +19,9 @@ fleet-side control plane:
 * :mod:`repro.fleet.vehicle` — one fleet member: an IVI world plus its
   V2X receiver, connectivity state, and bundle lifecycle.
 * :mod:`repro.fleet.orchestrator` — the deterministic virtual-clock
-  scheduler and worker pool; a seeded 100-vehicle run is bit-for-bit
-  reproducible at any worker count.
+  scheduler; a seeded 100-vehicle run is bit-for-bit reproducible.
+* :mod:`repro.fleet.backend` — the host that owns the vehicles, their
+  shared policy cache and their checkpoints.
 * :mod:`repro.fleet.report` — fleet-wide aggregation of ``repro.obs``
   metrics, audit records, and per-vehicle fingerprints.
 * :mod:`repro.fleet.resilience` — the vehicle supervisor: checkpoint /

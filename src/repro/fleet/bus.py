@@ -11,8 +11,7 @@ for an extra delay (:data:`~repro.faults.points.V2X_DELAY`).
 
 Everything runs on the fleet's virtual clock and seeded RNGs derived from
 ``(seed, msg_id, subscriber)`` — never from wall time or dict order — so
-a seeded run delivers bit-identical messages at bit-identical times
-regardless of worker count.
+a seeded run delivers bit-identical messages at bit-identical times.
 """
 
 from __future__ import annotations

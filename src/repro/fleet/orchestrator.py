@@ -2,26 +2,19 @@
 
 The fleet advances in **epochs**.  Within an epoch every vehicle is
 independent — its kernel, LSM stack, and SDS tick with no cross-vehicle
-interaction — so the per-vehicle work shards freely across a worker
-pool.  Every cross-vehicle effect happens at the **epoch barrier**, in
-sorted vehicle order, on the fleet's own virtual clock:
+interaction.  Every cross-vehicle effect happens at the **epoch
+barrier**, in sorted vehicle order, on the fleet's own virtual clock:
 
 * connectivity decisions (the ``fleet:vehicle_offline`` fault point),
 * V2X bus deliveries into vehicles' SDS sensor streams,
 * rollout commands, bundle applies, and ack collection,
 * scenario driver actions (crashes, recoveries, driver changes).
 
-Because nothing a vehicle does mid-epoch can observe another vehicle,
-and every barrier resolution is ordered and seeded, a run's outcome is
-**independent of worker count**: `workers=1` and `workers=8` produce
+Because every barrier resolution is ordered and seeded, a run's outcome
+is a function of its config and driver: two runs of one seed produce
 bit-identical :meth:`~repro.fleet.report.FleetReport.fingerprint`\\ s.
-
-Two backends exist, both routed through a **host**
-(:mod:`repro.fleet.backend`).  ``serial`` ticks every vehicle in this
-process; ``process`` shards vehicles across ``workers`` persistent
-worker processes, each running the same in-process host over its
-shard.  ``workers`` only sizes that process pool; the serial backend
-ignores it.
+The vehicles live on one **host** (:mod:`repro.fleet.backend`), in this
+process, with their shared policy cache and their checkpoints.
 
 The fleet keeps one clock, ``sim_now_ns``: simulated time, which drives
 every deadline, window and fingerprint.  Speed is measured in host
@@ -39,7 +32,7 @@ from ..faults import points as fault_points
 from ..faults.plan import FaultPlan
 from ..obs.hub import Observability
 from ..vehicle.ivi import sack_mode
-from .backend import create_host
+from .backend import InProcessHost
 from .bundle import PolicyBundle
 from .bus import V2xBus
 from .report import FleetReport, aggregate_metrics
@@ -47,10 +40,15 @@ from .resilience import RestartPolicy, VehicleSupervisor
 from .telemetry import FleetTelemetry, SloSpec
 from .rollout import (RolloutController, RolloutPlan, RolloutState,
                       VehicleAck, default_rollout_plan)
-from .vehicle import DEFAULT_TOPICS, FleetVehicle
+from .vehicle import DEFAULT_TOPICS, FleetVehicle, apply_driver_action
 
 #: Scenario-driver RNG domain separator.
 _DRIVER_SALT = 0xD21FE
+
+#: :class:`TrafficDriver`'s per-barrier chance that a vehicle crashes,
+#: and that a crashed one clears.
+CRASH_PROBABILITY = 0.004
+CLEAR_PROBABILITY = 0.15
 
 #: How many consecutive settled barriers a connected vehicle may diverge
 #: from the committed bundle before I8 flags it (apply/ack needs one
@@ -84,16 +82,11 @@ class TrafficDriver:
     """Seeded random traffic: rare crashes, eventual recoveries.
 
     One RNG, advanced in sorted vehicle order at each barrier — the
-    draw sequence never depends on worker count or dict order.
+    draw sequence never depends on dict order.
     """
 
-    def __init__(self, seed: int, crash_probability: float = 0.004,
-                 clear_probability: float = 0.15,
-                 driver_change_probability: float = 0.0):
+    def __init__(self, seed: int):
         self.rng = random.Random(seed ^ _DRIVER_SALT)
-        self.crash_probability = crash_probability
-        self.clear_probability = clear_probability
-        self.driver_change_probability = driver_change_probability
         self._crashed: Dict[str, bool] = {}
 
     def actions(self, epoch: int,
@@ -102,18 +95,13 @@ class TrafficDriver:
         for vid in sorted(vehicle_ids):
             roll = self.rng.random()
             if self._crashed.get(vid):
-                if roll < self.clear_probability:
+                if roll < CLEAR_PROBABILITY:
                     self._crashed[vid] = False
                     acts.append((vid, "clear"))
                 continue
-            if roll < self.crash_probability:
+            if roll < CRASH_PROBABILITY:
                 self._crashed[vid] = True
                 acts.append((vid, "crash"))
-            elif self.driver_change_probability and \
-                    roll < (self.crash_probability
-                            + self.driver_change_probability):
-                acts.append((vid, "driver_leaves" if roll * 1e6 % 2 < 1
-                             else "driver_returns"))
         return acts
 
 
@@ -123,18 +111,11 @@ class FleetConfig:
 
     n_vehicles: int = 10
     seed: int = 0
-    workers: int = 1                   # process-pool size; serial ignores it
     epoch_ticks: int = 10
     dt_s: float = 0.1
     mode: str = "independent"          # enforcement backend per vehicle
     spacing_km: float = 0.15           # platoon gap at boot
-    cruise_accel_ms2: float = 3.0
     start_moving: bool = True
-    topics: Tuple[str, ...] = DEFAULT_TOPICS
-    bus_range_km: float = 0.5
-    bus_latency_ms: Tuple[float, float] = (20.0, 80.0)
-    #: Max overdue V2X copies held per offline subscriber (drop-oldest).
-    v2x_offline_queue_limit: int = 64
     vehicle_fault_intensity: float = 0.0
     policy_text: Optional[str] = None  # None = DEFAULT_SACK_POLICY
     rollout_plan: Optional[RolloutPlan] = None
@@ -145,7 +126,11 @@ class FleetConfig:
     #: recorded in the rollout history.  Decisions are digest-cached, so
     #: re-staging the same policy costs nothing.
     proof_gate: bool = True
-    backend: str = "serial"            # "serial" | "process"
+    #: Frozen benchmark surface: the host benchmark (hostbench/, frozen
+    #: with BENCHMARK.json) passes ``backend="serial"``, the only value
+    #: accepted.  Nothing in src/ reads it; it goes with the next
+    #: benchmark change.
+    backend: str = "serial"
     # -- crash resilience (see repro.fleet.resilience) ----------------------
     #: Completed epochs between copy-on-write vehicle checkpoints.
     checkpoint_interval_epochs: int = 4
@@ -153,12 +138,10 @@ class FleetConfig:
     max_restarts: int = 3
     #: Virtual-clock backoff before restart attempt N: base * 2^(N-1).
     restart_backoff_epochs: int = 1
-    restart_backoff_cap_epochs: int = 8
     #: Epoch records retained for restore replay.
     journal_capacity_epochs: int = 64
-    #: Control-plane call deadline/retry knobs (virtual ns).
+    #: Retries of a control-plane call that blew its virtual deadline.
     control_retries: int = 2
-    control_deadline_ns: int = 20_000_000
     #: Checkpoint even with no crash faults armed (``sackctl fleet
     #: checkpoint`` uses this; it does not change the fingerprint).
     always_checkpoint: bool = False
@@ -169,26 +152,18 @@ class FleetConfig:
     telemetry: bool = False
     telemetry_short_window_epochs: int = 3
     telemetry_long_window_epochs: int = 12
-    #: Aggregator cardinality budget: max (vehicle, series) pairs
-    #: tracked fleet-wide; beyond it, drop-and-count.
-    telemetry_max_series: int = 4096
     #: Armed objectives; empty = :func:`repro.fleet.telemetry.default_slos`.
     slos: Tuple[SloSpec, ...] = ()
     #: Consecutive alerted epochs before a per-vehicle SLO breach
     #: quarantines the vehicle (0 = never quarantine on SLO).
     slo_quarantine_epochs: int = 0
 
-    ACCEPTED_BACKENDS = ("serial", "process")
-
     def __post_init__(self):
         if self.n_vehicles < 1:
             raise ValueError("n_vehicles must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.backend not in self.ACCEPTED_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; accepted backends: "
-                f"{', '.join(self.ACCEPTED_BACKENDS)}")
+        if self.backend != "serial":
+            raise ValueError(f"unknown backend {self.backend!r}; "
+                             f"accepted backends: serial")
         sack_mode(self.mode)
         if self.checkpoint_interval_epochs < 1:
             raise ValueError("checkpoint_interval_epochs must be >= 1")
@@ -202,10 +177,13 @@ class FleetConfig:
             raise ValueError(
                 "need 1 <= telemetry_short_window_epochs "
                 "<= telemetry_long_window_epochs")
-        if self.telemetry_max_series < 1:
-            raise ValueError("telemetry_max_series must be >= 1")
         if self.slo_quarantine_epochs < 0:
             raise ValueError("slo_quarantine_epochs must be >= 0")
+
+    @property
+    def epoch_ns(self) -> int:
+        """Virtual nanoseconds one epoch advances the fleet clock."""
+        return int(self.epoch_ticks * self.dt_s * 1e9)
 
 
 @dataclasses.dataclass
@@ -233,27 +211,20 @@ class Fleet:
             else TrafficDriver(config.seed)
         #: Fleet-level fault plan: connectivity, ack loss, V2X drops.
         self.fleet_plan = FaultPlan(config.seed ^ 0xF1EE7)
-        self.bus = V2xBus(seed=config.seed,
-                          range_km=config.bus_range_km,
-                          latency_bounds_ms=config.bus_latency_ms,
-                          fault_plan=self.fleet_plan,
-                          offline_queue_limit=
-                          config.v2x_offline_queue_limit)
-        #: Deterministic constructor specs; the host builds the actual
-        #: vehicle objects (in this process, or in its workers).
-        self._vehicle_specs: List[Dict[str, object]] = []
+        self.bus = V2xBus(seed=config.seed, fault_plan=self.fleet_plan)
+        #: Deterministic constructor specs; the host builds the vehicles.
+        specs: List[Dict[str, object]] = []
         for index in range(config.n_vehicles):
             vid = f"veh{index:03d}"
-            self._vehicle_specs.append(dict(
+            specs.append(dict(
                 vehicle_id=vid, index=index,
                 seed=(config.seed * 1_000_003) ^ (index + 1),
                 mode=config.mode,
                 start_km=index * config.spacing_km,
                 fault_intensity=config.vehicle_fault_intensity,
                 policy_text=config.policy_text))
-            self.bus.subscribe(vid, config.topics)
-        self.ids: List[str] = [str(spec["vehicle_id"])
-                               for spec in self._vehicle_specs]
+            self.bus.subscribe(vid, DEFAULT_TOPICS)
+        self.ids: List[str] = [str(spec["vehicle_id"]) for spec in specs]
         plan = config.rollout_plan or default_rollout_plan()
         #: Proof gate for OTA admission (None when disabled).  Imported
         #: lazily: a gate-free fleet never pulls in the checker stack.
@@ -270,15 +241,13 @@ class Fleet:
         self._forced_offline: Dict[str, int] = {}    # vid -> until epoch
         self._pending_acks: List[VehicleAck] = []
         self._health_deltas: Dict[str, Dict[str, object]] = {}
-        #: Execution backend: owns the vehicles (and, for ``process``,
-        #: the worker pool + per-vehicle read mirrors).
-        self.host = create_host(config)
-        try:
-            self._last_health: Dict[str, Dict[str, object]] = \
-                self.host.boot(self._vehicle_specs)
-        except BaseException:
-            self.host.close()       # reap any workers already forked
-            raise
+        #: Owns the vehicles, their policy cache and their checkpoints.
+        self.host = InProcessHost(config)
+        self._last_health: Dict[str, Dict[str, object]] = \
+            self.host.boot(specs)
+        #: The vehicle objects by id: the host's own dict, so a restore
+        #: that swaps a vehicle in shows here too.
+        self.vehicles: Dict[str, FleetVehicle] = self.host.vehicles
         self._i8_strikes: Dict[str, int] = {vid: 0 for vid in self.ids}
         #: Fleet-level observability (metrics, spans, tracepoints) shared
         #: by the supervisor and the telemetry pipeline, stamped on the
@@ -292,12 +261,10 @@ class Fleet:
             self,
             policy=RestartPolicy(
                 max_restarts=config.max_restarts,
-                backoff_base_epochs=config.restart_backoff_epochs,
-                backoff_cap_epochs=config.restart_backoff_cap_epochs),
+                backoff_base_epochs=config.restart_backoff_epochs),
             checkpoint_interval_epochs=config.checkpoint_interval_epochs,
             journal_capacity=config.journal_capacity_epochs,
-            control_retries=config.control_retries,
-            control_deadline_ns=config.control_deadline_ns)
+            control_retries=config.control_retries)
         #: Streaming telemetry pipeline (None unless enabled, so a
         #: disabled fleet is byte-identical to pre-telemetry builds).
         self.telemetry: Optional[FleetTelemetry] = \
@@ -308,27 +275,10 @@ class Fleet:
         """The fleet virtual clock, as the fleet obs hub reads it."""
         return self.sim_now_ns
 
-    @property
-    def vehicles(self) -> Dict[str, FleetVehicle]:
-        """The vehicle objects by id — empty under ``process``, whose
-        vehicles live in the workers."""
-        return self.host.vehicles
-
-    # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (the process backend's workers).
-
-        Idempotent; a no-op for the in-process backends.  Daemon workers
-        die with the interpreter anyway, so a missed close leaks nothing
-        past process exit — but a long-lived caller should close (or use
-        the fleet as a context manager)."""
-        self.host.close()
-
-    def __enter__(self) -> "Fleet":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        """Frozen benchmark surface: the host benchmark calls it after
+        each round.  A fleet holds nothing to release; it goes with the
+        next benchmark change."""
 
     # -- scenario hooks ----------------------------------------------------
     def stage_rollout(self, bundle: PolicyBundle) -> None:
@@ -357,9 +307,15 @@ class Fleet:
 
         Raises ``ValueError`` for a point that plan can never fire
         (:meth:`FleetVehicle.fault_points` lists the ones it can)."""
-        if vehicle_id not in self.offline_epochs:
-            raise KeyError(vehicle_id)
-        self.host.arm_fault(vehicle_id, point, knobs)
+        vehicle = self.vehicles[vehicle_id]
+        reachable = vehicle.fault_points()
+        if point not in reachable:
+            raise ValueError(
+                f"{vehicle_id}'s fault plan cannot fire {point!r}; it "
+                f"reaches only {', '.join(reachable)}")
+        if vehicle.fault_plan is None:
+            vehicle.fault_plan = FaultPlan(vehicle.seed)
+        vehicle.fault_plan.arm(point, **knobs)
 
     # -- barrier pieces ----------------------------------------------------
     def _connectivity(self) -> Dict[str, bool]:
@@ -368,7 +324,7 @@ class Fleet:
             if self.supervisor.is_dead(vid):
                 # Crashed/quarantined: off the air, and no offline-fault
                 # draw (a dead radio cannot also flake).
-                online[vid] = False
+                online[vid] = self.vehicles[vid].online = False
                 self.offline_epochs[vid] += 1
                 continue
             down = False
@@ -382,14 +338,14 @@ class Fleet:
                 down = self.fleet_plan.should_fail(
                     fault_points.FLEET_VEHICLE_OFFLINE,
                     self.sim_now_ns, arg=vid)
-            online[vid] = not down
+            online[vid] = self.vehicles[vid].online = not down
             if down:
                 self.offline_epochs[vid] += 1
-        self.host.set_online(online)
         return online
 
     def _positions(self) -> Dict[str, float]:
-        return self.host.positions()
+        return {vid: vehicle.position_km
+                for vid, vehicle in self.vehicles.items()}
 
     def _deliver_bus(self, online: Dict[str, bool],
                      record=None) -> None:
@@ -403,15 +359,10 @@ class Fleet:
             for vid, messages in due.items():
                 if messages:
                     record.deliveries[vid] = list(messages)
-        # Always call the host, even with nothing due: the process
-        # backend's delivery round trip also carries the held online
-        # flags and driver actions.  Delivery itself draws no RNG, so
-        # emitting the follow-on publishes after the host returns is
-        # bit-identical to the old interleaved loop.
-        reactions = self.host.deliver(due)
         for vid, messages in due.items():
-            for message, reaction in zip(messages, reactions[vid]):
-                if reaction == "braked":
+            vehicle = self.vehicles[vid]
+            for message in messages:
+                if vehicle.deliver(message) == "braked":
                     # Follow-on event: hard braking is itself a
                     # situation neighbours may care about.
                     self.bus.publish("emergency_brake", vid,
@@ -430,14 +381,12 @@ class Fleet:
         if not ok:
             return        # acks stay pending and are re-fed next epoch
         self._pending_acks = []
-        applicable = [command for command in commands
-                      if online.get(command.vehicle_id, True)]
-        # All applies go to the host in one batch; the ack-drop draws
-        # come from the fleet plan's RNG *after* the applies, in command
-        # order — the applies themselves draw nothing from it, so the
-        # fleet-plan draw sequence matches the old interleaved loop.
-        applied = self.host.apply_commands(applicable, self.sim_now_ns)
-        for command, ack in zip(applicable, applied):
+        for command in commands:
+            if not online.get(command.vehicle_id, True):
+                continue
+            ack = self.vehicles[command.vehicle_id].apply_bundle(
+                command.bundle, self.config.fleet_key,
+                now_ns=self.sim_now_ns)
             if record is not None:
                 record.commands.setdefault(
                     command.vehicle_id, []).append(
@@ -449,20 +398,22 @@ class Fleet:
             self._pending_acks.append(ack)
 
     def _tick_vehicles(self) -> None:
+        """Run the epoch's ticks; a vehicle whose kernel raises mid-tick
+        is handed to the supervisor as a crash."""
         cfg = self.config
         sup = self.supervisor
-        # Dead vehicles don't tick; stalled ones miss this phase only.
-        live = [vid for vid in self.ids if not sup.is_dead(vid)]
-        tickable = [vid for vid in live
-                    if vid not in sup.stalled_this_epoch]
-        frame_spec = None
-        if self.telemetry is not None:
-            # The frame the collector will want *after* the clock
-            # advances: this epoch's index, end-of-epoch timestamp.
-            frame_spec = (self.epoch_index,
-                          self.sim_now_ns
-                          + int(cfg.epoch_ticks * cfg.dt_s * 1e9))
-        sup.absorb_tick_failures(self.host.tick(tickable, live, frame_spec))
+        failures: Dict[str, str] = {}
+        for vid in self.ids:
+            # Dead vehicles don't tick; stalled ones miss this phase only.
+            if sup.is_dead(vid) or vid in sup.stalled_this_epoch:
+                continue
+            vehicle = self.vehicles[vid]
+            try:
+                for _ in range(cfg.epoch_ticks):
+                    vehicle.tick(dt_s=cfg.dt_s)
+            except Exception as exc:   # a vehicle kernel died mid-tick
+                failures[vid] = f"{type(exc).__name__}: {exc}"
+        sup.absorb_tick_failures(failures)
 
     def _publish_transitions(self) -> None:
         positions = self._positions()
@@ -471,7 +422,7 @@ class Fleet:
                 continue        # a wreck publishes nothing
             for event, from_state, to_state in [
                     (t[0], t[1], t[2])
-                    for t in self.host.drain_transitions(vid)]:
+                    for t in self.vehicles[vid].drain_transitions()]:
                 if to_state == "emergency" and from_state != "emergency":
                     self.bus.publish("crash", vid, positions[vid],
                                      self.sim_now_ns,
@@ -537,7 +488,7 @@ class Fleet:
         for vid in self.ids:
             if self.supervisor.is_dead(vid):
                 continue        # I8 applies to live vehicles; I9 covers
-            version = self.host.bundle_version(vid)
+            version = self.vehicles[vid].bundle_version
             if version is not None and version > ctl.max_offered_version:
                 self.violations.append(
                     f"epoch {self.epoch_index}: I8:version-ahead: {vid} "
@@ -572,14 +523,14 @@ class Fleet:
         actions = [(vid, action) for vid, action
                    in self.driver.actions(self.epoch_index, self.ids)
                    if not sup.is_dead(vid)]  # the wreck takes no input
-        self.host.apply_actions(actions)
+        for vid, action in actions:
+            apply_driver_action(self.vehicles[vid], action)
         if record is not None:
             record.actions.extend(actions)
         self._deliver_bus(online, record)
         self._dispatch_rollout(online, record)
         self._tick_vehicles()
-        self.sim_now_ns += int(self.config.epoch_ticks
-                               * self.config.dt_s * 1e9)
+        self.sim_now_ns += self.config.epoch_ns
         self._publish_transitions()
         self._collect_health()
         self._telemetry_step()
@@ -596,25 +547,25 @@ class Fleet:
 
     # -- roll-up -----------------------------------------------------------
     def report(self) -> FleetReport:
-        rows = self.host.report_rows()
-        transitions: Dict[str, List[Tuple[str, str, str, int]]] = {
-            vid: list(rows[vid]["transitions"]) for vid in self.ids}
-        metrics = aggregate_metrics(rows[vid]["metrics"]
-                                    for vid in self.ids)
+        vehicles = [self.vehicles[vid] for vid in self.ids]
+        for vehicle in vehicles:
+            vehicle.drain_transitions()     # flush stragglers
+        metrics = aggregate_metrics(vehicle.world.kernel.obs.metrics
+                                    .to_dict() for vehicle in vehicles)
         return FleetReport(
             seed=self.config.seed,
             n_vehicles=self.config.n_vehicles,
             epochs=self.epoch_index,
-            workers=self.config.workers,
             mode=self.config.mode,
             sim_duration_ns=self.sim_now_ns,
-            final_situations={vid: str(rows[vid]["situation"])
-                              for vid in self.ids},
-            transitions=transitions,
-            bundle_versions={vid: rows[vid]["bundle_version"]
-                             for vid in self.ids},
-            apply_logs={vid: list(rows[vid]["apply_log"])
-                        for vid in self.ids},
+            final_situations={v.vehicle_id: v.situation or ""
+                              for v in vehicles},
+            transitions={v.vehicle_id: list(v.transition_log)
+                         for v in vehicles},
+            bundle_versions={v.vehicle_id: v.bundle_version
+                             for v in vehicles},
+            apply_logs={v.vehicle_id: list(v.apply_log)
+                        for v in vehicles},
             health={vid: self._last_health[vid] for vid in self.ids},
             counters=metrics["counters"],
             bus_stats=self.bus.stats_dict(),

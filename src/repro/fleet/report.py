@@ -5,8 +5,8 @@ spans).  The fleet report folds those per-kernel views into one place —
 summed counters, per-vehicle transition histories, bus and rollout
 outcomes, chaos-style violations — and exposes the same
 :meth:`FleetReport.fingerprint` discipline as the single-vehicle chaos
-harness: a seeded run hashes to the same value every time, at any worker
-count, or the scheduler is broken.
+harness: a seeded run hashes to the same value every time, or the
+scheduler is broken.
 
 Host-timing values (latency histograms, policy-load durations) never
 enter the fingerprint; only virtual-clock timestamps and counters do.
@@ -85,7 +85,6 @@ class FleetReport:
     seed: int
     n_vehicles: int
     epochs: int
-    workers: int
     mode: str
     #: Virtual wall-clock the fleet simulated (physical seconds × 1e9).
     sim_duration_ns: int
@@ -128,7 +127,7 @@ class FleetReport:
         return sum(len(t) for t in self.transitions.values())
 
     def fingerprint(self) -> str:
-        """Deterministic digest: same seed ⇒ same value, any workers."""
+        """Deterministic digest: same seed ⇒ same value."""
         doc = {
             "seed": self.seed,
             "n_vehicles": self.n_vehicles,
@@ -160,7 +159,6 @@ class FleetReport:
             "seed": self.seed,
             "vehicles": self.n_vehicles,
             "epochs": self.epochs,
-            "workers": self.workers,
             "mode": self.mode,
             "sim_duration_ms": self.sim_duration_ns // 1_000_000,
             "transitions": self.total_transitions,
@@ -176,8 +174,7 @@ class FleetReport:
     def summary_lines(self) -> List[str]:
         lines = [
             f"fleet seed {self.seed}: {self.n_vehicles} vehicle(s), "
-            f"{self.epochs} epoch(s), {self.workers} worker(s), "
-            f"mode {self.mode}",
+            f"{self.epochs} epoch(s), mode {self.mode}",
             f"  virtual time {self.sim_duration_ns / 1e9:.1f}s",
             f"  {self.total_transitions} situation transition(s); "
             f"bus: {self.bus_stats.get('published', 0)} published, "

@@ -6,10 +6,9 @@ layers a **vehicle supervisor** on the epoch-barrier scheduler:
 * **Crash detection** — the deterministic fault points
   :data:`~repro.faults.points.FLEET_VEHICLE_CRASH` and
   :data:`~repro.faults.points.FLEET_SHARD_STALL` are decided at the
-  barrier in sorted vehicle order (never by shard index, so the outcome
-  is worker-count independent), and any unhandled exception a vehicle
-  tick raises is caught by the host and converted into a crash
-  instead of aborting :meth:`~repro.fleet.orchestrator.Fleet.run`.
+  barrier in sorted vehicle order, and any unhandled exception a
+  vehicle tick raises is caught by the tick phase and converted into a
+  crash instead of aborting :meth:`~repro.fleet.orchestrator.Fleet.run`.
 
 * **Checkpoint/restore** — while armed, the supervisor snapshots each
   vehicle (kernel + SSM + situation epoch + SDS state, one ``deepcopy`` of
@@ -80,7 +79,7 @@ class EpochRecord:
 
 def replay_epoch(vehicle, record: Optional[EpochRecord],
                  epoch_ticks: int, dt_s: float, fleet_key: bytes,
-                 cruise_accel_ms2: float, with_ticks: bool) -> None:
+                 with_ticks: bool) -> None:
     """Re-execute one journaled epoch against *vehicle*.
 
     Mirrors the barrier order in ``Fleet.run_epoch`` exactly — actions,
@@ -93,7 +92,7 @@ def replay_epoch(vehicle, record: Optional[EpochRecord],
     from .vehicle import apply_driver_action
     for vid, action in record.actions:
         if vid == vehicle.vehicle_id:
-            apply_driver_action(vehicle, action, cruise_accel_ms2)
+            apply_driver_action(vehicle, action)
     for message in record.deliveries.get(vehicle.vehicle_id, ()):
         vehicle.deliver(message)
     for bundle, now_ns in record.commands.get(vehicle.vehicle_id, ()):
@@ -315,8 +314,7 @@ class VehicleSupervisor:
 
     Owned by :class:`~repro.fleet.orchestrator.Fleet`; every decision is
     made at the epoch barrier in sorted vehicle order, from the fleet
-    fault plan's seeded RNG — nothing here depends on worker count or
-    wall time.
+    fault plan's seeded RNG — nothing here depends on wall time.
     """
 
     def __init__(self, fleet, policy: Optional[RestartPolicy] = None,
@@ -403,7 +401,7 @@ class VehicleSupervisor:
         # baseline snapshot before anything can kill it this epoch.
         for vid in fleet.ids:
             if self.status[vid].state == RUNNING \
-                    and fleet.host.checkpoint_meta(vid) is None:
+                    and fleet.host.checkpoints.get(vid) is None:
                 self._checkpoint(vid, epoch - 1)
         for vid in self.crashed_ids():
             st = self.status[vid]
@@ -436,8 +434,7 @@ class VehicleSupervisor:
     # -- mid-tick exceptions -----------------------------------------------
     def absorb_tick_failures(self, failures: Dict[str, str]) -> None:
         """Convert the tick phase's failures — ``{vehicle_id: "Type:
-        message"}`` as every host reports them — into crashes, in sorted
-        vehicle order."""
+        message"}`` — into crashes, in sorted vehicle order."""
         if not failures:
             return
         self._ever_active = True
@@ -465,7 +462,8 @@ class VehicleSupervisor:
                                          attributes={"vehicle": vehicle_id,
                                                      "epoch": epoch})
         t0 = time.perf_counter_ns()
-        self.fleet.host.checkpoint_take(vehicle_id, epoch)
+        host = self.fleet.host
+        host.checkpoints.take(host.vehicles[vehicle_id], epoch)
         self.obs.metrics.histogram("fleet_checkpoint_cpu_ns").record(
             time.perf_counter_ns() - t0)
         self.obs.metrics.counter("fleet_checkpoints").inc()
@@ -497,11 +495,11 @@ class VehicleSupervisor:
 
     def _restore(self, vehicle_id: str, epoch: int) -> None:
         st = self.status[vehicle_id]
-        meta = self.fleet.host.checkpoint_meta(vehicle_id)
-        if meta is None:
+        ckpt = self.fleet.host.checkpoints.get(vehicle_id)
+        if ckpt is None:
             self._quarantine(vehicle_id, epoch, "no checkpoint available")
             return
-        ckpt_epoch = meta[0]
+        ckpt_epoch = ckpt.epoch
         assert st.crash_epoch is not None
         # Full replay: every complete epoch after the checkpoint and
         # before the crash.  A mid-tick crash additionally replays the
@@ -548,9 +546,7 @@ class VehicleSupervisor:
                     f"{result['restored_digest'][:16]} but the wreck "
                     f"digests to {result['wreck_digest'][:16]}")
         self.fleet._last_health[vehicle_id] = result["health"]
-        epoch_duration_ns = int(self.fleet.config.epoch_ticks
-                                * self.fleet.config.dt_s * 1e9)
-        downtime_ns = (epoch - st.crash_epoch) * epoch_duration_ns
+        downtime_ns = (epoch - st.crash_epoch) * self.fleet.config.epoch_ns
         self.obs.metrics.histogram("fleet_restore_latency_ns").record(
             downtime_ns)
         self.obs.metrics.histogram("fleet_restore_cpu_ns").record(
@@ -599,7 +595,7 @@ class VehicleSupervisor:
         st.state = QUARANTINED
         st.quarantine_epoch = epoch
         st.quarantine_reason = reason
-        st.frozen_version = self.fleet.host.bundle_version(vehicle_id)
+        st.frozen_version = self.fleet.vehicles[vehicle_id].bundle_version
         st.restore_due_epoch = None
         self.fleet.controller.exclude(vehicle_id)
         self.obs.metrics.counter("fleet_quarantined").inc()
@@ -614,7 +610,7 @@ class VehicleSupervisor:
         fleet = self.fleet
         for vid in self.quarantined_ids():
             st = self.status[vid]
-            version = fleet.host.bundle_version(vid)
+            version = fleet.vehicles[vid].bundle_version
             if version != st.frozen_version:
                 fleet.violations.append(
                     f"epoch {fleet.epoch_index}: I9:quarantine-regressed: "
@@ -637,9 +633,8 @@ class VehicleSupervisor:
 
     def mean_restore_latency_ns(self) -> float:
         """Mean crash-to-restore downtime on the virtual clock."""
-        epoch_duration_ns = int(self.fleet.config.epoch_ticks
-                                * self.fleet.config.dt_s * 1e9)
-        latencies = [(restore - crash) * epoch_duration_ns
+        epoch_ns = self.fleet.config.epoch_ns
+        latencies = [(restore - crash) * epoch_ns
                      for st in self.status.values()
                      for crash, restore in st.restores]
         if not latencies:
@@ -655,7 +650,7 @@ class VehicleSupervisor:
             return {}
         out: Dict[str, object] = dict(counts)
         out["quarantined_ids"] = self.quarantined_ids()
-        out["checkpoints"] = self.fleet.host.checkpoints_taken
+        out["checkpoints"] = self.fleet.host.checkpoints.taken
         out["i10_checked"] = self.i10_checked
         out["i10_skipped"] = self.i10_skipped
         out["mean_restore_latency_ns"] = int(

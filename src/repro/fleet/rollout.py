@@ -77,16 +77,21 @@ class Wave:
             raise ValueError("soak_epochs/error_budget must be >= 0")
 
 
+#: Per-vehicle denial-count increase per epoch above which an applied
+#: vehicle counts against the wave's error budget.
+MAX_DENIAL_DELTA = 25
+
+
 @dataclasses.dataclass(frozen=True)
 class RolloutPlan:
-    """Wave schedule plus the health gate thresholds."""
+    """Wave schedule plus the SLO gate switch.
+
+    The health gate always counts a denial-rate spike
+    (:data:`MAX_DENIAL_DELTA`), an engaged watchdog and a failsafe entry
+    against the wave's error budget.
+    """
 
     waves: Tuple[Wave, ...]
-    #: Per-vehicle denial-count increase per epoch above which an applied
-    #: vehicle counts against the wave's error budget.
-    max_denial_delta: int = 25
-    gate_on_watchdog: bool = True
-    gate_on_failsafe: bool = True
     #: Count SLO burn-rate alerts (``slo_alerts`` in the health deltas,
     #: fed by the fleet telemetry pipeline) as gate breaches.
     gate_on_slo: bool = True
@@ -334,17 +339,16 @@ class RolloutController:
             h = health.get(vid)
             if not h:
                 continue
-            if int(h.get("denial_delta", 0)) > self.plan.max_denial_delta:
+            if int(h.get("denial_delta", 0)) > MAX_DENIAL_DELTA:
                 breaches += 1
                 self._log(f"{vid} denial-rate breach "
                           f"({h.get('denial_delta')} > "
-                          f"{self.plan.max_denial_delta})")
-            elif self.plan.gate_on_watchdog and h.get("watchdog_engaged"):
+                          f"{MAX_DENIAL_DELTA})")
+            elif h.get("watchdog_engaged"):
                 breaches += 1
                 self._log(f"{vid} watchdog engaged under v"
                           f"{self.target_version}")
-            elif self.plan.gate_on_failsafe and \
-                    int(h.get("failsafe_delta", 0)) > 0:
+            elif int(h.get("failsafe_delta", 0)) > 0:
                 breaches += 1
                 self._log(f"{vid} failsafe engaged under v"
                           f"{self.target_version}")

@@ -8,8 +8,8 @@ sorted vehicle order, on the fleet virtual clock — into the
 * **Windowed rollups.**  Per-metric fleet rates and cross-vehicle
   p50/p99 over sliding virtual-time windows (a short and a long window,
   in epochs).  Rollups are computed from counter deltas and gauges
-  only — deterministic, seed-stable, identical at any worker count —
-  and hash into :meth:`TelemetryAggregator.rollup_digest`.
+  only — deterministic and seed-stable — and hash into
+  :meth:`TelemetryAggregator.rollup_digest`.
 
 * **Cardinality budget.**  The aggregator tracks at most
   ``max_series`` per-vehicle series; beyond that, new series are
@@ -31,10 +31,10 @@ health deltas; see :class:`~repro.fleet.rollout.RolloutPlan.gate_on_slo`)
 and the supervisor's quarantine decisions.
 
 :class:`FleetTelemetry` is the orchestrator-facing facade: it owns the
-aggregator, the engine, and its own fleet-level observability hub for
-self-accounting (``telemetry_overhead`` span, CPU-cost histogram) —
-kept out of the per-vehicle kernels so per-kernel roll-ups and
-pre-existing fingerprints are untouched.
+aggregator and the engine, and accounts for itself
+(``telemetry_overhead`` span, CPU-cost histogram) on the fleet's own
+observability hub, ``Fleet.obs`` — kept out of the per-vehicle kernels
+so per-kernel roll-ups and pre-existing fingerprints are untouched.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry, percentile
 from ..obs.telemetry import (TelemetryFrame, histogram_percentile,
-                             merge_histograms, split_series_key)
+                             merge_histograms, snapshot_frame,
+                             split_series_key)
 
 #: Burn rates are clamped here so a `== 0` objective (any breach is an
 #: infinite burn) still serializes to JSON.
@@ -65,7 +66,7 @@ class SloSpec:
     virtual second over the window), ``gauge`` (latest values summed),
     ``ratio`` (numerator/denominator counter deltas over the window),
     or ``p99_ms`` (bucket-merged histogram p99, in milliseconds —
-    host-timing, so alerts from it are not worker-count deterministic;
+    host-timing, so alerts from it are not deterministic;
     the built-in defaults avoid it).
 
     *op* ``max`` means the measurement must stay <= *threshold*;
@@ -622,12 +623,10 @@ class FleetTelemetry:
     def __init__(self, fleet):
         self.fleet = fleet
         cfg = fleet.config
-        epoch_duration_ns = int(cfg.epoch_ticks * cfg.dt_s * 1e9)
         self.aggregator = TelemetryAggregator(
-            epoch_duration_ns=epoch_duration_ns,
+            epoch_duration_ns=cfg.epoch_ns,
             short_window_epochs=cfg.telemetry_short_window_epochs,
-            long_window_epochs=cfg.telemetry_long_window_epochs,
-            max_series=cfg.telemetry_max_series)
+            long_window_epochs=cfg.telemetry_long_window_epochs)
         slos = tuple(cfg.slos) if cfg.slos else default_slos()
         self.engine = SloEngine(slos, self.aggregator)
         self.epochs_collected = 0
@@ -651,8 +650,8 @@ class FleetTelemetry:
         for vid in fleet.ids:
             if fleet.supervisor.is_dead(vid):
                 continue            # retention: last series stay exported
-            frame = fleet.host.telemetry_frame(vid, epoch,
-                                               fleet.sim_now_ns)
+            frame = snapshot_frame(fleet.vehicles[vid].world.kernel.obs,
+                                   vid, epoch, fleet.sim_now_ns)
             self.aggregator.ingest(frame)
             frames += 1
             live.append(vid)

@@ -48,9 +48,11 @@ ALERT_TTL_TICKS = 80
 #: Braking applied on a crash alert from the platoon ahead (m/s²).
 ALERT_BRAKE_MS2 = -6.0
 
+#: Acceleration of a vehicle pulling away: at boot, and on ``start``.
+CRUISE_ACCEL_MS2 = 3.0
 
-def apply_driver_action(vehicle: "FleetVehicle", action: str,
-                        cruise_accel_ms2: float = 3.0) -> None:
+
+def apply_driver_action(vehicle: "FleetVehicle", action: str) -> None:
     """Apply one scenario-driver action to a vehicle's dynamics.
 
     Module-level (not a host method) so both the barrier and a replayed
@@ -59,7 +61,7 @@ def apply_driver_action(vehicle: "FleetVehicle", action: str,
     dyn = vehicle.world.dynamics
     if action == "start":
         dyn.start_engine()
-        dyn.accelerate(cruise_accel_ms2)
+        dyn.accelerate(CRUISE_ACCEL_MS2)
     elif action == "cruise":
         dyn.cruise()
     elif action == "brake":

@@ -63,20 +63,21 @@ class Errno(enum.IntEnum):
     EINPROGRESS = 115
 
 
+#: ``(member, name)`` by errno value: every denial builds a
+#: :class:`KernelError`, and ``Errno(n)`` and ``.name`` run Python code
+#: in enum.py where this is one dict lookup.
+_ERRNOS = {int(errno): (errno, errno.name) for errno in Errno}
+
+
 class KernelError(Exception):
     """Raised by kernel internals when an operation fails with an errno."""
 
     def __init__(self, errno: Errno, message: str = ""):
-        self.errno = Errno(errno)
-        self._message = message
-        detail = message or self.errno.name
-        super().__init__(f"[{self.errno.name}] {detail}")
-
-    def __reduce__(self):
-        # Rebuild from the constructor's arguments, not the formatted
-        # text, so the error survives pickling (a fleet worker ships it
-        # back to the coordinator).
-        return type(self), (self.errno, self._message)
+        entry = _ERRNOS.get(errno)
+        if entry is None:
+            entry = _ERRNOS[Errno(errno)]   # ValueError for an unknown errno
+        self.errno, name = entry
+        super().__init__(f"[{name}] {message or name}")
 
     def __int__(self) -> int:
         return -int(self.errno)

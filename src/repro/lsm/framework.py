@@ -20,7 +20,7 @@ from ..kernel.security import SecurityHooks
 from ..obs.metrics import sample
 from ..obs.tracepoints import LSM_HOOK_DISPATCH
 from .capability import CapabilityLsm
-from .hooks import HOOK_BIT, Hook
+from .hooks import HOOK_BIT, HOOK_NAME, Hook
 from .module import LsmModule
 
 
@@ -299,7 +299,7 @@ class LsmFramework(SecurityHooks):
         if obs is None or module == CapabilityLsm.name:
             return
         task = args[0] if args else None
-        obs.denial(module, hook.value, self._object_path(args), task, rc)
+        obs.denial(module, HOOK_NAME[hook], self._object_path(args), task, rc)
 
     def _call_int(self, hook: Hook, *args) -> int:
         """Dispatch an int hook; first nonzero module return wins (deny).

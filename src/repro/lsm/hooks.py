@@ -62,3 +62,7 @@ HOT_PATH_HOOKS = frozenset({Hook.FILE_PERMISSION, Hook.FILE_OPEN,
 #: bitmap (one ``and`` decides "does anyone implement this?" before any
 #: dispatch bookkeeping runs).
 HOOK_BIT = {hook: 1 << index for index, hook in enumerate(Hook)}
+
+#: Each hook's name, read by the denial path instead of ``hook.value``
+#: (a Python-level property in enum.py).
+HOOK_NAME = {hook: hook.value for hook in Hook}

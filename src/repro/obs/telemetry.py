@@ -9,12 +9,11 @@ latency histograms — snapshotted at an epoch barrier and stamped with
 the **virtual** clock.
 
 Determinism contract: counters and gauges in this codebase are driven
-by simulated work on the virtual clock, so they are seed-stable and
-worker-count independent.  Histograms record *host* ``perf_counter``
-timings and are not; a frame therefore keeps them in a separate field
-and :meth:`TelemetryFrame.deterministic_dict` excludes them — anything
-fingerprinted or compared across worker counts must come from that
-view only.
+by simulated work on the virtual clock, so they are seed-stable.
+Histograms record *host* ``perf_counter`` timings and are not; a frame
+therefore keeps them in a separate field and
+:meth:`TelemetryFrame.deterministic_dict` excludes them — anything
+fingerprinted or compared across runs must come from that view only.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from ..kernel.vfs.file import OpenFile
 from ..lsm.module import LsmModule
 from .ape import AdaptivePolicyEnforcer
 from .policy.compiler import CompiledPolicy, compile_policy
-from .policy.model import RuleOp, SackPolicy
+from .policy.model import RULE_OP_NAME, RuleOp, SackPolicy
 from .ssm import SituationStateMachine, Transition
 
 
@@ -172,7 +172,7 @@ class SackLsm(SackModule):
             # When a post-transition hook span is open, record which
             # state's ruleset denied — the attribution the trace exists
             # to provide.  The framework writes the AVC record.
-            obs.spans.annotate(op=op.value, path=path,
+            obs.spans.annotate(op=RULE_OP_NAME[op], path=path,
                                state=self.ape.current_state)
         return self.EACCES
 

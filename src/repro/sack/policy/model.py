@@ -42,6 +42,10 @@ class RuleOp(enum.Enum):
     MMAP = "mmap"
 
 
+#: Each op's name, read by the denial path instead of ``op.value``.
+RULE_OP_NAME = {op: op.value for op in RuleOp}
+
+
 @dataclasses.dataclass(frozen=True)
 class SackPermission:
     """A user-space-comprehensible permission (``CONTROL_CAR_DOORS``...)."""

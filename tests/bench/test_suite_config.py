@@ -68,8 +68,8 @@ class TestAxes:
             parse_suite_config(minimal(matrix={"warp_factor": 9}))
 
     def test_bad_choice_rejected(self):
-        with pytest.raises(ConfigError, match="backend.*one of"):
-            parse_suite_config(minimal(matrix={"backend": "gpu"}))
+        with pytest.raises(ConfigError, match="drive_cycle.*one of"):
+            parse_suite_config(minimal(matrix={"drive_cycle": "gpu"}))
 
     def test_non_integer_vehicles_rejected(self):
         with pytest.raises(ConfigError, match="vehicles.*integer"):
@@ -93,15 +93,15 @@ class TestAxes:
 
     def test_empty_sweep_list_rejected(self):
         with pytest.raises(ConfigError, match="sweep list is empty"):
-            parse_suite_config(minimal(matrix={"workers": []}))
+            parse_suite_config(minimal(matrix={"vehicles": []}))
 
     def test_repeated_sweep_values_rejected(self):
         with pytest.raises(ConfigError, match="repeat"):
-            parse_suite_config(minimal(matrix={"workers": [2, 2]}))
+            parse_suite_config(minimal(matrix={"vehicles": [2, 2]}))
 
     def test_sweep_element_validated(self):
-        with pytest.raises(ConfigError, match=r"workers\[1\]"):
-            parse_suite_config(minimal(matrix={"workers": [1, "x"]}))
+        with pytest.raises(ConfigError, match=r"vehicles\[1\]"):
+            parse_suite_config(minimal(matrix={"vehicles": [1, "x"]}))
 
     def test_defaults_merge_into_matching_axes_only(self):
         doc = {
@@ -138,13 +138,14 @@ class TestGates:
 class TestExpansion:
     def test_cross_product_order_and_ids(self):
         config = parse_suite_config(minimal(
-            matrix={"workers": [1, 2], "backend": ["serial", "process"]}))
+            matrix={"vehicles": [1, 2],
+                    "mode": ["independent", "apparmor"]}))
         cells = expand_cells(config)
         assert [c.cell_id for c in cells] == [
-            "s__workers=1,backend=serial",
-            "s__workers=1,backend=process",
-            "s__workers=2,backend=serial",
-            "s__workers=2,backend=process",
+            "s__vehicles=1,mode=independent",
+            "s__vehicles=1,mode=apparmor",
+            "s__vehicles=2,mode=independent",
+            "s__vehicles=2,mode=apparmor",
         ]
 
     def test_unswept_scenario_uses_bare_name(self):
@@ -179,12 +180,12 @@ class TestDryRun:
 
         monkeypatch.setattr(suite_mod, "run_cell", boom)
         config = parse_suite_config(minimal(
-            matrix={"workers": [1, 2, 4]}))
+            matrix={"vehicles": [1, 2, 4]}))
         run = run_suite(config, dry_run=True)
         assert run.run_dir is None
         assert run.results == []
         assert [c.cell_id for c in run.cells] == [
-            "s__workers=1", "s__workers=2", "s__workers=4"]
+            "s__vehicles=1", "s__vehicles=2", "s__vehicles=4"]
 
     def test_dry_run_writes_nothing(self, tmp_path):
         config = parse_suite_config(minimal())
@@ -194,15 +195,15 @@ class TestDryRun:
 
 class TestConfigHash:
     def test_hash_stable_and_content_sensitive(self):
-        a = parse_suite_config(minimal(matrix={"workers": 2}))
-        b = parse_suite_config(minimal(matrix={"workers": 2}))
-        c = parse_suite_config(minimal(matrix={"workers": 4}))
+        a = parse_suite_config(minimal(matrix={"vehicles": 2}))
+        b = parse_suite_config(minimal(matrix={"vehicles": 2}))
+        c = parse_suite_config(minimal(matrix={"vehicles": 4}))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
     def test_round_trips_through_to_dict(self):
         config = parse_suite_config(minimal(
-            matrix={"workers": [1, 2]},
+            matrix={"vehicles": [1, 2]},
             gates={"fleet_epoch_wall_ms": 10}))
         again = parse_suite_config(config.to_dict())
         assert isinstance(again, SuiteConfig)

@@ -46,7 +46,8 @@ class TestGateWiring:
         assert _METRIC_SET_ALIASES["telemetry"] == "obs"
 
     def test_workers_axis_is_gone(self):
-        # The scrape runs serially at the barrier; worker count only
-        # sized the deleted cost model.
-        assert "workers" not in WORKLOAD_AXES["telemetry"]
-        assert "workers" not in WORKLOAD_AXES["recovery"]
+        # Every fleet runs on the one in-process host: no workload has a
+        # worker count or a backend to sweep.
+        for workload in ("fleet", "telemetry", "recovery"):
+            assert "workers" not in WORKLOAD_AXES[workload]
+            assert "backend" not in WORKLOAD_AXES[workload]

@@ -28,25 +28,20 @@ def _bundle(version, fields=None, key=KEY):
     return make_bundle(version, DEFAULT_SACK_POLICY, **kwargs)
 
 
-def _fleet(n=6, seed=7, workers=1, backend="serial", driver=None,
-           **overrides):
-    config = FleetConfig(n_vehicles=n, seed=seed, workers=workers,
-                         backend=backend, **overrides)
+def _fleet(n=6, seed=7, driver=None, **overrides):
+    config = FleetConfig(n_vehicles=n, seed=seed, **overrides)
     return Fleet(config, driver=driver or ScriptedDriver())
 
 
 class TestDeterminism:
-    def test_fingerprint_worker_count_independent(self):
+    def test_double_run_fingerprints_identically(self):
         prints = set()
-        for workers, backend in ((1, "serial"), (4, "serial"),
-                                 (4, "process")):
-            fleet = _fleet(workers=workers, backend=backend,
-                           driver=ScriptedDriver()
+        for _ in range(2):
+            fleet = _fleet(driver=ScriptedDriver()
                            .at(2, "veh001", "crash")
                            .at(8, "veh001", "clear"))
             fleet.stage_rollout(_bundle(1))
-            with fleet:
-                result = fleet.run(epochs=16)
+            result = fleet.run(epochs=16)
             assert result.ok, result.report.violations
             prints.add(result.fingerprint)
         assert len(prints) == 1
@@ -57,10 +52,19 @@ class TestDeterminism:
             for seed in (1, 2)}
         assert len(prints) == 2
 
-    def test_serial_workers_do_not_perturb_fingerprint(self):
-        one = _fleet(n=8, workers=1).run(epochs=4).report
-        four = _fleet(n=8, workers=4).run(epochs=4).report
-        assert one.fingerprint() == four.fingerprint()
+    def test_canary_rollback_fingerprint_is_deterministic(self):
+        def run():
+            fleet = _fleet()
+            fleet.stage_rollout(_bundle(1))
+            fleet.run(epochs=14)
+            fleet.arm_vehicle_fault(fleet.ids[0],
+                                    fp.FLEET_BUNDLE_APPLY_FAIL,
+                                    probability=1.0, times=1)
+            fleet.stage_rollout(_bundle(2))
+            result = fleet.run(epochs=10)
+            assert fleet.controller.state is RolloutState.ROLLED_BACK
+            return result.fingerprint
+        assert run() == run()
 
     def test_report_round_trips_json(self):
         report = _fleet(n=3).run(epochs=4).report
@@ -240,14 +244,13 @@ class TestReconnectI8:
         assert not i8, i8
 
 
-def _soak(workers, backend="serial"):
+def _soak():
     """The acceptance scenario: 100 vehicles, a mid-platoon crash, a
     completed 3-wave rollout, then a canary failure that walks the
     fleet back — all on one seed."""
     driver = ScriptedDriver().at(2, "veh050", "crash") \
                              .at(9, "veh050", "clear")
-    fleet = _fleet(n=100, seed=42, workers=workers, backend=backend,
-                   driver=driver)
+    fleet = _fleet(n=100, seed=42, driver=driver)
     fleet.stage_rollout(_bundle(1))
     fleet.run(epochs=14)
     fleet.arm_vehicle_fault(fleet.ids[0], fp.FLEET_BUNDLE_APPLY_FAIL,
@@ -260,9 +263,8 @@ def _soak(workers, backend="serial"):
 @pytest.mark.slow
 class TestHundredVehicleSoak:
     def test_soak_is_bit_identical_and_converges(self):
-        first = _soak(workers=4)
-        with _soak(workers=4, backend="process") as second:
-            ra, rb = first.report(), second.report()
+        first, second = _soak(), _soak()
+        ra, rb = first.report(), second.report()
         assert ra.fingerprint() == rb.fingerprint()
         assert ra.ok, ra.violations
         # Rollout: completed v1, then rolled back off v2.

@@ -2,8 +2,8 @@
 
 Every fleet host owns one :class:`~repro.lsm.policycache.PolicyCache`
 that its vehicles read their policy texts through.  These tests pin its
-scope (per host, never per process: two fleets built one after the other
-do identical work), the sharing it must not leak through (one vehicle's
+scope (per host: two fleets built one after the other do identical
+work), the sharing it must not leak through (one vehicle's
 profile edits are its own), and the bundle apply it serves: a bundle
 whose policy load fails leaves the vehicle's previous profiles, bridged
 rules included, in force.
@@ -62,9 +62,8 @@ def counts(monkeypatch):
                                   "parse_profiles")}
 
 
-def _ota_fleet(backend="serial", workers=1, n=4, seed=5):
+def _ota_fleet(n=4, seed=5):
     config = FleetConfig(n_vehicles=n, seed=seed, mode="apparmor",
-                         backend=backend, workers=workers,
                          checkpoint_interval_epochs=2)
     fleet = Fleet(config, driver=ScriptedDriver()
                   .at(2, "veh001", "crash").at(6, "veh001", "clear"))
@@ -91,8 +90,7 @@ class TestCacheScope:
         for _ in range(2):
             before = {key: len(calls) for key, calls in counts.items()}
             fleet = _ota_fleet()
-            with fleet:
-                fingerprint = _run_two_bundles(fleet).fingerprint()
+            fingerprint = _run_two_bundles(fleet).fingerprint()
             seen.append(({key: len(calls) - before[key]
                           for key, calls in counts.items()}, fingerprint))
         assert seen[0] == seen[1]
@@ -111,9 +109,8 @@ class TestCacheScope:
             policydb, "parse_profiles", lambda text:
             parsed.append(text) or parse_profiles(text))
         fleet = _ota_fleet(n=6)
-        with fleet:
-            _run_two_bundles(fleet)
-            versions = {v.bundle_version for v in fleet.vehicles.values()}
+        _run_two_bundles(fleet)
+        versions = {v.bundle_version for v in fleet.vehicles.values()}
         assert versions == {2}
         # Six vehicles booted on the default policy and took two bundles;
         # bundle 1 carries the boot text, so there are two distinct
@@ -123,42 +120,42 @@ class TestCacheScope:
 
     def test_one_vehicles_profile_edits_stay_its_own(self):
         fleet = _ota_fleet(n=3)
-        with fleet:
-            fleet.run_epoch()
-            first, second, third = (fleet.vehicles[vid].world
-                                    for vid in sorted(fleet.vehicles))
+        fleet.run_epoch()
+        first, second, third = (fleet.vehicles[vid].world
+                                for vid in sorted(fleet.vehicles))
 
-            def rules(world):
-                db = world.apparmor.policy
-                return {name: [(r.glob, r.perms.value, r.deny, r.origin)
-                               for r in db.get(name).path_rules]
-                        for name in db.profile_names()}
+        def rules(world):
+            db = world.apparmor.policy
+            return {name: [(r.glob, r.perms.value, r.deny, r.origin)
+                           for r in db.get(name).path_rules]
+                    for name in db.profile_names()}
 
-            others = rules(second), rules(third)
-            db = first.apparmor.policy
-            media = db.load_text(IVI_APPARMOR_PROFILES)[0]
-            assert media.name == "media_app"
-            media.add_rule(PathRule("/dev/car/door", FilePerm.WRITE))
-            edited = db.get("nav_app").clone()
-            edited.add_rule(PathRule("/var/secret/**", FilePerm.READ))
-            db.replace_profile(edited)
-            assert (rules(second), rules(third)) == others
-            assert db.get("media_app").allows_file("/dev/car/door",
-                                                   FilePerm.WRITE)
-            # A later load of the same text on another vehicle comes
-            # from the shared parse, untouched by the edits above.
-            fresh = third.apparmor.policy.load_text(IVI_APPARMOR_PROFILES)[0]
-            assert not fresh.allows_file("/dev/car/door", FilePerm.WRITE)
-            assert not third.apparmor.policy.get("nav_app").allows_file(
-                "/var/secret/x", FilePerm.READ)
+        others = rules(second), rules(third)
+        db = first.apparmor.policy
+        media = db.load_text(IVI_APPARMOR_PROFILES)[0]
+        assert media.name == "media_app"
+        media.add_rule(PathRule("/dev/car/door", FilePerm.WRITE))
+        edited = db.get("nav_app").clone()
+        edited.add_rule(PathRule("/var/secret/**", FilePerm.READ))
+        db.replace_profile(edited)
+        assert (rules(second), rules(third)) == others
+        assert db.get("media_app").allows_file("/dev/car/door",
+                                               FilePerm.WRITE)
+        # A later load of the same text on another vehicle comes
+        # from the shared parse, untouched by the edits above.
+        fresh = third.apparmor.policy.load_text(IVI_APPARMOR_PROFILES)[0]
+        assert not fresh.allows_file("/dev/car/door", FilePerm.WRITE)
+        assert not third.apparmor.policy.get("nav_app").allows_file(
+            "/var/secret/x", FilePerm.READ)
 
-    def test_serial_and_process_backends_agree(self):
+    def test_restored_vehicles_replay_identically(self):
+        # A vehicle restored from its checkpoint reads its policy texts
+        # through the same host cache; two runs must agree.
         prints = []
-        for backend, workers in (("serial", 1), ("process", 2)):
-            fleet = _ota_fleet(backend=backend, workers=workers)
+        for _ in range(2):
+            fleet = _ota_fleet()
             fleet.force_crash("veh002", epoch=4)
-            with fleet:
-                report = _run_two_bundles(fleet)
+            report = _run_two_bundles(fleet)
             assert report.resilience["restores"] >= 1
             prints.append(report.fingerprint())
         assert prints[0] == prints[1]

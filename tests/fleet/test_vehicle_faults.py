@@ -27,9 +27,8 @@ def test_one_watchdog_check_per_tick(mode):
     assert watchdog.checks == 25
 
 
-def _fleet(mode="apparmor", intensity=0.0, backend="serial", workers=1):
+def _fleet(mode="apparmor", intensity=0.0):
     return Fleet(FleetConfig(n_vehicles=3, seed=5, mode=mode,
-                             backend=backend, workers=workers,
                              vehicle_fault_intensity=intensity),
                  driver=ScriptedDriver())
 
@@ -76,10 +75,3 @@ def test_independent_vehicle_has_no_bridge_to_fail():
         fleet.arm_vehicle_fault(fleet.ids[0], fp.BRIDGE_RELOAD_FAIL,
                                 probability=1.0)
 
-
-def test_process_backend_refuses_alike():
-    with _fleet(backend="process", workers=2) as fleet:
-        with pytest.raises(ValueError) as err:
-            fleet.arm_vehicle_fault(fleet.ids[1], fp.BRIDGE_RELOAD_FAIL,
-                                    probability=1.0)
-        assert fp.FLEET_BUNDLE_APPLY_FAIL in str(err.value)

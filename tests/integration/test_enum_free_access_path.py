@@ -14,8 +14,12 @@ and the capability sets hash their enum keys in C (no ``Enum.__hash__``
 frame).  It counts every Python frame from enum.py and from
 ``Dentry.path`` while an AppArmor-confined task and an independent-SACK
 task make allowed open → read/write/ioctl → close sequences, and requires
-none.  Denials are outside it: building the ``KernelError`` and the audit
-record still reads enum members.
+none.
+
+The third guard holds denied accesses to the same rule: building the
+``KernelError``, the AVC audit record and the span annotation reads
+precomputed names, so a batch of denials by an AppArmor-confined task
+and by an independent-SACK task runs no enum.py frame either.
 """
 
 import enum
@@ -181,3 +185,29 @@ def test_allowed_accesses_do_one_lookup_each(config):
             kernel.sys_read(media, fd, 8)
             kernel.sys_close(media, fd)
     assert counter.calls == []
+
+
+#: The accesses in :data:`BATCH` that every SACK configuration denies.
+DENIED = [
+    ("media_app", "/dev/car/door", OpenFlags.O_WRONLY, WRITE, 0),
+    ("media_app", "/dev/car/door", 0, IOCTL, DOOR_LOCK),
+    ("media_app", "/dev/car/audio", OpenFlags.O_RDONLY, IOCTL, VOLUME_SET),
+    ("rescue_daemon", "/dev/car/door", 0x1, WRITE, 0),
+]
+
+
+@pytest.mark.parametrize("config", [EnforcementConfig.SACK_APPARMOR,
+                                    EnforcementConfig.SACK_INDEPENDENT],
+                         ids=lambda c: c.value)
+def test_denied_accesses_run_no_enum_code(config):
+    world = build_ivi_world(config)
+    kernel = world.kernel
+    batch = [(world.tasks[name], path, flags, action, cmd)
+             for name, path, flags, action, cmd in DENIED]
+    records = len(kernel.obs.audit.records())
+    with LookupFrameCounter() as counter:
+        verdicts = [access(kernel, *entry) for entry in batch * 3]
+    assert verdicts == [False] * len(verdicts)
+    assert counter.calls == [], sorted(set(counter.calls))
+    # Each denial still wrote its one AVC record.
+    assert len(kernel.obs.audit.records()) - records == len(verdicts)
