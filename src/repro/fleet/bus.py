@@ -94,7 +94,9 @@ class V2xBus:
         self._subscribers: Dict[str, List[str]] = {}
         self._pending: List[_PendingDelivery] = []
         self._msg_ids = 0
-        self.tail_ring: Deque[BusRecord] = deque(maxlen=tail_capacity)
+        #: The last bus decisions as ``BusRecord`` field tuples; most are
+        #: "filtered" copies, so :meth:`tail` builds records only on read.
+        self._tail: Deque[tuple] = deque(maxlen=tail_capacity)
         self.stats: Dict[str, int] = {
             "published": 0,
             "publish_dropped": 0,
@@ -141,10 +143,11 @@ class V2xBus:
                          detail="publish lost (radio shadow)")
             return None
         self._record(now_ns, "published", message)
+        positions = positions or {}
         for subscriber in self._subscribers.get(topic, ()):
             if subscriber == origin:
                 continue
-            sub_pos = (positions or {}).get(subscriber)
+            sub_pos = positions.get(subscriber)
             if sub_pos is None or abs(sub_pos - position_km) > self.range_km:
                 self.stats["copies_filtered_range"] += 1
                 self._record(now_ns, "filtered", message, subscriber,
@@ -246,14 +249,11 @@ class V2xBus:
     # -- observability -----------------------------------------------------
     def _record(self, now_ns: int, action: str, message: V2xMessage,
                 subscriber: str = "", detail: str = "") -> None:
-        self.tail_ring.append(BusRecord(when_ns=now_ns, action=action,
-                                        message=message,
-                                        subscriber=subscriber,
-                                        detail=detail))
+        self._tail.append((now_ns, action, message, subscriber, detail))
 
     def tail(self, n: int = 50) -> List[BusRecord]:
         """The last *n* bus decisions (publish/deliver/drop/filter)."""
-        return list(self.tail_ring)[-n:]
+        return [BusRecord(*fields) for fields in list(self._tail)[-n:]]
 
     def stats_dict(self) -> Dict[str, int]:
         return dict(self.stats, pending=len(self._pending))

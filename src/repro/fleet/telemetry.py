@@ -266,33 +266,50 @@ class TelemetryAggregator:
 
     def ingest(self, frame: TelemetryFrame) -> None:
         """Fold one frame in.  Callers must ingest frames of one epoch
-        in sorted vehicle order — that, plus sorted series iteration,
-        is what makes budget drops and rollups order-deterministic.
-        Only a series not yet tracked is charged against the budget."""
+        in sorted vehicle order — that, plus sorted admission of new
+        series, is what makes budget drops and rollups
+        order-deterministic.  Only a series not yet tracked is charged
+        against the budget.
+
+        A counter's ``(epoch, delta)`` is stored only when the counter
+        moved up: a window sum never needed the zero deltas.  With at
+        most one frame per vehicle per epoch (as
+        :meth:`FleetTelemetry.collect` ingests), the
+        ``long_window``-deep history still holds every nonzero delta of
+        the long window, so every window sum is what it was with them.
+        """
         self.frames_total += 1
         self.last_epoch = max(self.last_epoch, frame.epoch)
         vid, epoch = frame.vehicle_id, frame.epoch
         self.last_seen[vid] = epoch
         counter_last, counter_hist = self._counter_last, self._counter_hist
-        counters = frame.counters
-        for key in sorted(counters):
-            series = (vid, key)
-            hist = counter_hist.get(series)
-            if hist is None:
-                if not self._admit(vid, key):
-                    continue
-                hist = counter_hist[series] = deque(maxlen=self.long_window)
-                prev = 0.0
-            else:
-                prev = counter_last[series]
-            value = counter_last[series] = counters[key]
-            hist.append((epoch, value - prev if value > prev else 0.0))
+        fresh: List[str] = []
+        for key, value in frame.counters.items():
+            prev = counter_last.get((vid, key))
+            if prev is None:
+                fresh.append(key)
+            elif value != prev:
+                counter_last[(vid, key)] = value
+                if value > prev:
+                    counter_hist[(vid, key)].append((epoch, value - prev))
+        for key in sorted(fresh):
+            if not self._admit(vid, key):
+                continue
+            value = counter_last[(vid, key)] = frame.counters[key]
+            hist = counter_hist[(vid, key)] = deque(maxlen=self.long_window)
+            if value > 0:
+                hist.append((epoch, value))
         for store, values in ((self._gauge_last, frame.gauges),
                               (self._hist_last, frame.histograms)):
-            for key in sorted(values):
-                series = (vid, key)
-                if series in store or self._admit(vid, key):
-                    store[series] = values[key]
+            fresh = []
+            for key, value in values.items():
+                if (vid, key) in store:
+                    store[(vid, key)] = value
+                else:
+                    fresh.append(key)
+            for key in sorted(fresh):
+                if self._admit(vid, key):
+                    store[(vid, key)] = values[key]
 
     # -- window measurement ------------------------------------------------
     def _window_seconds(self, window_epochs: int) -> float:

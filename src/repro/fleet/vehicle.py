@@ -33,7 +33,6 @@ from ..lsm.policycache import PolicyCache
 from ..sack import events as ev
 from ..sds.detectors import Detector
 from ..sds.sensors import Sensor
-from ..sds.service import SensorHealth
 from ..vehicle.ivi import build_ivi_world, sack_mode
 from .bundle import BundleVerificationError, PolicyBundle, verify_bundle
 from .rollout import VehicleAck
@@ -171,8 +170,7 @@ class FleetVehicle:
         self.world = build_ivi_world(config, fault_plan=self.fault_plan,
                                      policy_cache=policy_cache, **kwargs)
         self.receiver = _V2xReceiverSensor()
-        self.world.sds.sensors.append(self.receiver)
-        self.world.sds.health[self.receiver.name] = SensorHealth()
+        self.world.sds.add_sensor(self.receiver)
         self.world.sds.detectors.append(V2xAlertDetector())
 
         self.online = True
@@ -337,8 +335,7 @@ class FleetVehicle:
         # initial state); resync the detectors so the next SDS sweep
         # re-emits the situation the vehicle is physically in.
         if self.world.sds is not None:
-            for detector in self.world.sds.detectors:
-                detector.resync()
+            self.world.sds.resync()
         self.bundle_version = bundle.version
         self.committed_bundle = bundle
         self.apply_log.append((bundle.version, "applied"))

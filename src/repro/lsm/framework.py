@@ -17,7 +17,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..kernel.credentials import Capability
 from ..kernel.security import SecurityHooks
-from ..obs.metrics import sample
 from ..obs.tracepoints import LSM_HOOK_DISPATCH
 from .capability import CapabilityLsm
 from .hooks import HOOK_BIT, HOOK_NAME, Hook
@@ -201,18 +200,17 @@ class LsmFramework(SecurityHooks):
         stats = self.stats
         if stats is None:
             return []
-        out = [sample("lsm_hook_calls_total", {"site": key}, "counter",
-                      count) for key, count in stats.calls.items()]
-        out.extend(sample("lsm_hook_denials_total", {"site": key},
-                          "counter", count)
-                   for key, count in stats.denials.items())
+        out = [("lsm_hook_calls_total", (("site", key),), "counter", count)
+               for key, count in stats.calls.items()]
+        out += [("lsm_hook_denials_total", (("site", key),), "counter",
+                 count) for key, count in stats.denials.items()]
         return out
 
     def _collect_epoch(self):
-        out = [sample("lsm_situation_epoch", {}, "gauge", self.epoch)]
-        out.extend(sample("lsm_situation_epoch_bumps_total",
-                          {"reason": reason}, "counter", count)
-                   for reason, count in self.bump_reasons.items())
+        out = [("lsm_situation_epoch", (), "gauge", self.epoch)]
+        out += [("lsm_situation_epoch_bumps_total", (("reason", reason),),
+                 "counter", count)
+                for reason, count in self.bump_reasons.items()]
         return out
 
     # -- hook latency collection ---------------------------------------------

@@ -24,7 +24,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from .audit import (AUDIT_AVC, AUDIT_EVENT_REJECTED, AUDIT_FAILSAFE,
                     AUDIT_POLICY_LOAD, AUDIT_ROLLBACK,
                     AUDIT_STATE_TRANSITION, AuditRing)
-from .metrics import MetricsRegistry, sample
+from .metrics import MetricsRegistry
 from .spans import SpanTracer
 from .tracepoints import (FAULT_INJECT, SACK_EVENT_REJECTED,
                           SACK_EVENT_WRITE, SACK_FAILSAFE, SACK_POLICY_LOAD,
@@ -55,20 +55,19 @@ class Observability:
         """Overflow-drop visibility: a lossy run must look lossy."""
         span_stats = self.spans.stats()
         return [
-            sample("obs_trace_ring_dropped_total", None, "counter",
-                   self.trace_dropped),
-            sample("obs_audit_ring_dropped_total", None, "counter",
-                   self.audit.dropped),
-            sample("obs_audit_suppressed_total", None, "counter",
-                   self.audit.suppressed),
-            sample("obs_span_ring_dropped_total", None, "counter",
-                   span_stats["dropped"]),
-            sample("obs_span_traces_discarded_total", None, "counter",
-                   span_stats["discarded"]),
-            sample("obs_spans_started_total", None, "counter",
-                   span_stats["started"]),
-            sample("obs_span_traces_stored", None, "gauge",
-                   span_stats["stored"]),
+            ("obs_trace_ring_dropped_total", (), "counter",
+             self.trace_dropped),
+            ("obs_audit_ring_dropped_total", (), "counter",
+             self.audit.dropped),
+            ("obs_audit_suppressed_total", (), "counter",
+             self.audit.suppressed),
+            ("obs_span_ring_dropped_total", (), "counter",
+             span_stats["dropped"]),
+            ("obs_span_traces_discarded_total", (), "counter",
+             span_stats["discarded"]),
+            ("obs_spans_started_total", (), "counter",
+             span_stats["started"]),
+            ("obs_span_traces_stored", (), "gauge", span_stats["stored"]),
         ]
 
     def ring_stats(self) -> Dict[str, Dict[str, int]]:
@@ -176,22 +175,22 @@ class Observability:
         if ssm is None:
             return []
         return [
-            sample("sack_ssm_events_processed_total", None, "counter",
-                   ssm.events_processed),
-            sample("sack_ssm_events_ignored_total", None, "counter",
-                   ssm.events_ignored),
-            sample("sack_ssm_transitions_total", None, "counter",
-                   ssm.transition_count),
-            sample("sack_ssm_transitions_failed_total", None, "counter",
-                   getattr(ssm, "transitions_failed", 0)),
-            sample("sack_ssm_rollbacks_total", None, "counter",
-                   getattr(ssm, "rollback_count", 0)),
-            sample("sack_ssm_forced_total", None, "counter",
-                   getattr(ssm, "forced_count", 0)),
-            sample("sack_ssm_failsafe_engaged", None, "gauge",
-                   int(getattr(ssm, "failsafe_engaged", False))),
-            sample("sack_ssm_states", None, "gauge", len(ssm.states)),
-            sample("sack_ssm_rules", None, "gauge", len(ssm.rules)),
+            ("sack_ssm_events_processed_total", (), "counter",
+             ssm.events_processed),
+            ("sack_ssm_events_ignored_total", (), "counter",
+             ssm.events_ignored),
+            ("sack_ssm_transitions_total", (), "counter",
+             ssm.transition_count),
+            ("sack_ssm_transitions_failed_total", (), "counter",
+             getattr(ssm, "transitions_failed", 0)),
+            ("sack_ssm_rollbacks_total", (), "counter",
+             getattr(ssm, "rollback_count", 0)),
+            ("sack_ssm_forced_total", (), "counter",
+             getattr(ssm, "forced_count", 0)),
+            ("sack_ssm_failsafe_engaged", (), "gauge",
+             int(getattr(ssm, "failsafe_engaged", False))),
+            ("sack_ssm_states", (), "gauge", len(ssm.states)),
+            ("sack_ssm_rules", (), "gauge", len(ssm.rules)),
         ]
 
     def transition(self, transition, latency_ns: int,
@@ -275,16 +274,16 @@ class Observability:
     def _collect_sackfs(self):
         out = []
         for fs in self._observed_sackfs:
-            out.extend([
-                sample("sackfs_events_received_total", None, "counter",
-                       fs.events_received),
-                sample("sackfs_events_accepted_total", None, "counter",
-                       fs.events_accepted),
-                sample("sackfs_events_rejected_total", None, "counter",
-                       fs.events_rejected),
-                sample("sackfs_heartbeats_received_total", None, "counter",
-                       getattr(fs, "heartbeats_received", 0)),
-            ])
+            out += [
+                ("sackfs_events_received_total", (), "counter",
+                 fs.events_received),
+                ("sackfs_events_accepted_total", (), "counter",
+                 fs.events_accepted),
+                ("sackfs_events_rejected_total", (), "counter",
+                 fs.events_rejected),
+                ("sackfs_heartbeats_received_total", (), "counter",
+                 getattr(fs, "heartbeats_received", 0)),
+            ]
         return out
 
     def event_write(self, n_events: int, n_bytes: int, task) -> None:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -199,8 +199,11 @@ class Sample(NamedTuple):
     value: float
 
 
-#: A collector yields Samples from live external state at export time.
-Collector = Callable[[], Iterable[Sample]]
+#: A collector yields ``(name, labels, kind, value)`` rows from live
+#: external state at export time: :class:`Sample` rows, or plain tuples
+#: whose *labels* are already sorted :data:`LabelPairs` — what the
+#: per-frame collectors return, since a telemetry frame reads every row.
+Collector = Callable[[], Iterable[Tuple[str, LabelPairs, str, float]]]
 
 
 def sample(name: str, labels: Optional[Dict[str, str]], kind: str,
@@ -241,9 +244,14 @@ class MetricsRegistry:
         #: Drops per metric name (exported as metrics_series_dropped).
         self._series_dropped: Dict[str, int] = {}
         #: (name, labels) -> rendered series key, for instruments and
-        #: collector samples alike (see :meth:`series`); as large as the
-        #: set of series the registry exports.
+        #: labelled collector rows alike (see :meth:`series`); as large
+        #: as the set of series the registry exports.
         self._series_keys: Dict[Tuple[str, LabelPairs], str] = {}
+        #: (rendered key, instrument) per kind, in registration order:
+        #: what :meth:`series` reads, rendering nothing per frame.
+        self._counter_keys: List[Tuple[str, Counter]] = []
+        self._gauge_keys: List[Tuple[str, Gauge]] = []
+        self._histogram_keys: List[Tuple[str, Histogram]] = []
 
     def _admit(self, name: str) -> bool:
         """Charge one new series against *name*'s budget."""
@@ -254,6 +262,13 @@ class MetricsRegistry:
             return False
         self._series_count[name] = used + 1
         return True
+
+    def _register(self, store: dict, keyed: list,
+                  series: Tuple[str, LabelPairs], instrument) -> None:
+        """Admit a new instrument under *series*, if its budget allows."""
+        if self._admit(series[0]):
+            store[series] = instrument
+            keyed.append((self._render(series), instrument))
 
     @property
     def series_dropped(self) -> Dict[str, int]:
@@ -266,8 +281,8 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = Counter()
-            if self._admit(name):
-                self._counters[key] = instrument
+            self._register(self._counters, self._counter_keys, key,
+                           instrument)
         return instrument
 
     def gauge(self, name: str,
@@ -276,8 +291,7 @@ class MetricsRegistry:
         instrument = self._gauges.get(key)
         if instrument is None:
             instrument = Gauge()
-            if self._admit(name):
-                self._gauges[key] = instrument
+            self._register(self._gauges, self._gauge_keys, key, instrument)
         return instrument
 
     def histogram(self, name: str,
@@ -287,8 +301,8 @@ class MetricsRegistry:
         instrument = self._histograms.get(key)
         if instrument is None:
             instrument = Histogram(bounds)
-            if self._admit(name):
-                self._histograms[key] = instrument
+            self._register(self._histograms, self._histogram_keys, key,
+                           instrument)
         return instrument
 
     def register_collector(self, collector: Collector) -> None:
@@ -312,17 +326,20 @@ class MetricsRegistry:
                 if n == name}
 
     # -- export ------------------------------------------------------------
-    def _collected(self) -> List[Sample]:
-        out: List[Sample] = []
+    def _collector_rows(self) -> Iterator[Tuple[str, LabelPairs, str,
+                                                float]]:
+        """Every collector row, then the registry's own drop counts."""
         for collector in self._collectors:
-            out.extend(collector())
+            yield from collector()
         # Registry self-accounting: only present once a drop happened,
         # so bounded-but-unexercised registries export byte-identically.
         for name in sorted(self._series_dropped):
-            out.append(Sample("metrics_series_dropped",
-                              (("metric", name),), "counter",
-                              float(self._series_dropped[name])))
-        return out
+            yield ("metrics_series_dropped", (("metric", name),), "counter",
+                   self._series_dropped[name])
+
+    def _collected(self) -> List[Sample]:
+        return [Sample(name, labels, kind, float(value))
+                for name, labels, kind, value in self._collector_rows()]
 
     def series(self) -> Tuple[Dict[str, float], Dict[str, float],
                               Dict[str, Dict[str, object]]]:
@@ -330,39 +347,41 @@ class MetricsRegistry:
 
         The telemetry frame's reader: it folds the same series
         :meth:`to_dict` exports, without building rows, sorting or
-        computing percentiles.  A collector counter on a registry
+        computing percentiles.  Instruments carry their key from
+        registration and an unlabelled collector row's key is its name,
+        so a frame renders no key.  A collector counter on a registry
         counter's key adds to it; a collector gauge on a registry gauge's
         key replaces it.  Histogram entries carry
         ``count/sum/min/max/bounds/buckets`` with lists copied, so they
         never alias the live instrument.
         """
-        keys = self._series_keys
         counters: Dict[str, float] = {}
-        for series, instrument in self._counters.items():
-            key = keys.get(series) or self._render(series)
+        for key, instrument in self._counter_keys:
             counters[key] = counters.get(key, 0.0) + float(instrument.value)
-        gauges: Dict[str, float] = {}
-        for series, instrument in self._gauges.items():
-            gauges[keys.get(series) or self._render(series)] = \
-                float(instrument.value)
-        for name, labels, kind, value in self._collected():
-            series = (name, labels)
-            key = keys.get(series) or self._render(series)
+        gauges = {key: float(instrument.value)
+                  for key, instrument in self._gauge_keys}
+        keys = self._series_keys
+        for name, labels, kind, value in self._collector_rows():
+            if labels:
+                key = keys.get((name, labels)) or self._render((name, labels))
+            else:
+                key = name
             if kind == "counter":
                 counters[key] = counters.get(key, 0.0) + float(value)
             else:
                 gauges[key] = float(value)
-        histograms: Dict[str, Dict[str, object]] = {}
-        for series, h in self._histograms.items():
-            histograms[keys.get(series) or self._render(series)] = {
-                "count": h.count, "sum": float(h.total),
-                "min": float(h.min or 0.0), "max": float(h.max or 0.0),
-                "bounds": list(h.bounds), "buckets": list(h.bucket_counts)}
+        histograms = {
+            key: {"count": h.count, "sum": float(h.total),
+                  "min": float(h.min or 0.0), "max": float(h.max or 0.0),
+                  "bounds": list(h.bounds), "buckets": list(h.bucket_counts)}
+            for key, h in self._histogram_keys}
         return counters, gauges, histograms
 
     def _render(self, series: Tuple[str, LabelPairs]) -> str:
-        name, labels = series
-        key = self._series_keys[series] = series_key(name, dict(labels))
+        key = self._series_keys.get(series)
+        if key is None:
+            name, labels = series
+            key = self._series_keys[series] = series_key(name, dict(labels))
         return key
 
     def to_dict(self) -> Dict[str, object]:

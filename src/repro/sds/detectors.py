@@ -17,7 +17,15 @@ Samples = Dict[str, object]
 
 
 class Detector:
-    """Base detector: stateful sample-stream → event-name mapper."""
+    """Base detector: stateful sample-stream → event-name mapper.
+
+    ``update`` is edge-triggered: it emits on a change of situation,
+    so the same sweep twice in a row emits nothing the second time and
+    leaves the detector's state as the first left it.  The SDS relies on
+    this to skip the detectors on a sweep that repeats the previous one;
+    a detector whose output depends on anything but its state and the
+    sweep (``now_ns``, say, for a debounce) breaks that contract.
+    """
 
     name = "detector"
 

@@ -136,8 +136,15 @@ class SituationDetectionService:
         self.fault_plan = fault_plan
         self.stats = SdsStats()
         self.last_samples: Dict[str, object] = {}
-        self.health: Dict[str, SensorHealth] = {
+        self._health: Dict[str, SensorHealth] = {
             sensor.name: SensorHealth() for sensor in self.sensors}
+        #: True while ``_health`` lags ``last_samples``: a sweep without
+        #: a fault plan leaves health to be brought up to date on read.
+        self._health_stale = False
+        #: The last sweep every detector consumed in full, or None when
+        #: the detectors must run on the next sweep whatever it reads.  A
+        #: detector joins ``detectors`` before the first poll.
+        self._prev_sweep: Optional[Dict[str, object]] = None
         #: Coalescing outbox: event name -> (line, traceparent) awaiting
         #: retry.  A newer occurrence of a queued event replaces the stale
         #: payload; the traceparent keeps the retry in the original trace.
@@ -146,35 +153,76 @@ class SituationDetectionService:
         self.next_retry_ns: Optional[int] = None
         self._last_heartbeat_ns: Optional[int] = None
 
+    # -- configuration -------------------------------------------------------
+    def add_sensor(self, sensor: Sensor) -> None:
+        """Append *sensor* to the sweep, healthy until a fault says not."""
+        self.sensors.append(sensor)
+        self.health[sensor.name] = SensorHealth()
+
+    def resync(self) -> None:
+        """Rewind every detector after a policy (re)load.
+
+        See :meth:`Detector.resync`.  The previous sweep is forgotten
+        too: the next poll runs the detectors even when the vehicle has
+        not moved, so the situation it is in reaches the fresh SSM.
+        """
+        for detector in self.detectors:
+            detector.resync()
+        self._prev_sweep = None
+
     # -- sensing -------------------------------------------------------------
+    @property
+    def health(self) -> Dict[str, SensorHealth]:
+        """Per-sensor health, by sensor name.
+
+        A sweep without a fault plan samples every sensor and every
+        sample is good, so it leaves the health records alone: each is
+        healthy with its last sample as the last-known-good value, which
+        is what reading them here fills in.
+        """
+        if self._health_stale:
+            self._health_stale = False
+            for name, value in self.last_samples.items():
+                self._health.setdefault(name, SensorHealth()).record_good(
+                    value)
+        return self._health
+
     def _sample_sensors(self, now_ns: int) -> Dict[str, object]:
         """One sampling sweep, with faults applied and health tracked.
 
-        A dropped-out sensor contributes its last-known-good value (the
+        Without a fault plan it is one pass over the sensors.  With one,
+        a dropped-out sensor contributes its last-known-good value (the
         detectors keep running on slightly stale data rather than on
         holes); a stuck sensor silently repeats its previous value; a
         spiked numeric sensor is scaled by the plan's magnitude.
         """
         plan = self.fault_plan
+        if plan is None:
+            dynamics = self.dynamics
+            samples = {sensor.name: sensor.sample(dynamics)
+                       for sensor in self.sensors}
+            self._health_stale = True
+            return samples
+        health_of = self.health
         samples: Dict[str, object] = {}
         for sensor in self.sensors:
-            health = self.health.setdefault(sensor.name, SensorHealth())
-            if plan is not None and plan.should_fail(
-                    fault_points.SDS_SENSOR_DROPOUT, now_ns, arg=sensor.name):
+            health = health_of.setdefault(sensor.name, SensorHealth())
+            if plan.should_fail(fault_points.SDS_SENSOR_DROPOUT, now_ns,
+                                arg=sensor.name):
                 self.stats.sensor_faults += 1
                 health.record_failure()
                 if health.last_good is not None:
                     samples[sensor.name] = health.last_good
                 continue
             value = sensor.sample(self.dynamics)
-            if plan is not None and plan.should_fail(
-                    fault_points.SDS_SENSOR_STUCK, now_ns, arg=sensor.name):
+            if plan.should_fail(fault_points.SDS_SENSOR_STUCK, now_ns,
+                                arg=sensor.name):
                 self.stats.sensor_faults += 1
                 if health.last_good is not None:
                     value = health.last_good
                 samples[sensor.name] = value
                 continue
-            if (plan is not None and isinstance(value, (int, float))
+            if (isinstance(value, (int, float))
                     and not isinstance(value, bool)
                     and plan.should_fail(fault_points.SDS_SENSOR_SPIKE,
                                          now_ns, arg=sensor.name)):
@@ -191,11 +239,17 @@ class SituationDetectionService:
         return spans if spans is not None and spans.enabled else None
 
     def poll(self) -> List[str]:
-        """One detection cycle; returns the event names transmitted."""
+        """One detection cycle; returns the event names transmitted.
+
+        Detectors are edge-triggered (see :class:`Detector`), so a sweep
+        without a fault plan that repeats the previous one exactly skips
+        them: they would emit nothing and keep their state.
+        """
         self.stats.polls += 1
         now_ns = self.kernel.clock.now_ns
         samples = self._sample_sensors(now_ns)
         self.last_samples = samples
+        repeat = self.fault_plan is None and samples == self._prev_sweep
         spans = self._tracer()
         # The trace root: this sensor sweep.  Every event the detectors
         # derive from it — and everything those events cause down in the
@@ -209,10 +263,15 @@ class SituationDetectionService:
                                     attributes=span_attributes(samples))
         sent: List[str] = []
         try:
-            for detector in self.detectors:
-                for event_name in detector.update(samples, now_ns):
-                    if self.send_event(event_name, samples):
-                        sent.append(event_name)
+            if not repeat:
+                # A sweep the detectors abandon midway is never a
+                # previous sweep: they may have consumed part of it.
+                self._prev_sweep = None
+                for detector in self.detectors:
+                    for event_name in detector.update(samples, now_ns):
+                        if self.send_event(event_name, samples):
+                            sent.append(event_name)
+                self._prev_sweep = samples
         finally:
             if spans is not None:
                 spans.end_span(root)

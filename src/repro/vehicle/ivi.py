@@ -343,11 +343,12 @@ class IviWorld(SecurityStack):
     def run_sds(self, ticks: int = 1, dt_s: float = 0.1) -> list:
         """Advance the world: dynamics steps + SDS polls.
 
-        With a live SDS the staleness watchdog is evaluated every tick —
-        heartbeats keep it fed, so it only ever fires when the channel is
-        genuinely broken.  Without an SDS (a world built for direct event
-        writes) the watchdog is left to the caller; see
-        :meth:`check_watchdog`.
+        With a live SDS the staleness watchdog is evaluated once per
+        call, after all *ticks* polls (``run_sds(30)`` checks it once, at
+        the last tick's virtual time) — heartbeats keep it fed, so it only
+        ever fires when the channel is genuinely broken.  Without an SDS
+        (a world built for direct event writes) the watchdog is left to
+        the caller; see :meth:`check_watchdog`.
         """
         if self.sds is None:
             for _ in range(ticks):
