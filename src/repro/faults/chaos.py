@@ -244,10 +244,7 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
         elif roll < 0.16:
             # Administrative policy reload mid-drive.
             try:
-                world.kernel.write_file(
-                    world.kernel.procs.init,
-                    "/sys/kernel/security/SACK/policy",
-                    DEFAULT_SACK_POLICY.encode(), create=False)
+                world.load_policy(DEFAULT_SACK_POLICY)
             except KernelError:
                 act("policy_reload_failed")
             else:
@@ -256,10 +253,6 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
         else:
             act("cruise")
         world.run_sds(1)
-        if world.sds is None:
-            # A killed SDS: run_sds skipped the watchdog, so check it
-            # here, where it engages the failsafe.
-            world.check_watchdog()
         checker.check(tick)
 
     module = world.sack or world.bridge
@@ -274,12 +267,9 @@ def run_chaos(seed: int, ticks: int = 200, mode: str = "independent",
             "heartbeats_received": fs.heartbeats_received,
         }
         if fs.watchdog is not None:
-            wd = fs.watchdog.stats()
             stats["watchdog"] = {
-                "engagements": wd["engagements"],
-                "engaged": wd["engaged"],
-                "checks": wd["checks"],
-            }
+                "engagements": fs.watchdog.engagements,
+                "engaged": int(fs.watchdog.ssm.failsafe_engaged)}
     if ssm is not None:
         stats["ssm"] = ssm.stats()
     sds = live_sds

@@ -226,8 +226,8 @@ class FleetVehicle:
 
     # -- time --------------------------------------------------------------
     def tick(self, dt_s: float = 0.1) -> List[str]:
-        """One vehicle tick: alert TTL, then dynamics + SDS, whose sweep
-        checks the staleness watchdog once at the tick's virtual time."""
+        """One vehicle tick: alert TTL, then dynamics + SDS; the kernel
+        clock's advance fires the staleness watchdog if it is due."""
         self.tick_count += 1
         if (self._alert_expires_at is not None
                 and self.tick_count >= self._alert_expires_at):
@@ -305,7 +305,6 @@ class FleetVehicle:
             return VehicleAck(vehicle_id=self.vehicle_id,
                               version=bundle.version, ok=False,
                               detail="injected apply failure")
-        kernel = self.world.kernel
         db = (self.world.apparmor.policy
               if bundle.apparmor_profiles and self.world.apparmor is not None
               else None)
@@ -315,9 +314,7 @@ class FleetVehicle:
             if db is not None:
                 for text in bundle.apparmor_profiles.values():
                     db.load_text(text)
-            kernel.write_file(kernel.procs.init,
-                              "/sys/kernel/security/SACK/policy",
-                              bundle.policy_text.encode(), create=False)
+            self.world.load_policy(bundle.policy_text)
         except (KernelError, ValueError) as exc:
             # A failed load — SACKfs reports a bridge profile reload
             # dying mid load as EIO — leaves the previous policy in
@@ -331,11 +328,6 @@ class FleetVehicle:
             return VehicleAck(vehicle_id=self.vehicle_id,
                               version=bundle.version, ok=False,
                               detail=f"apply failed: {exc}")
-        # The policy load replaced the SSM (it restarts in the policy's
-        # initial state); resync the detectors so the next SDS sweep
-        # re-emits the situation the vehicle is physically in.
-        if self.world.sds is not None:
-            self.world.sds.resync()
         self.bundle_version = bundle.version
         self.committed_bundle = bundle
         self.apply_log.append((bundle.version, "applied"))
@@ -383,7 +375,6 @@ class FleetVehicle:
     def health_snapshot(self) -> Dict[str, object]:
         """Deterministic health counters for rollout gating and roll-up."""
         fs = self.world.sackfs
-        wd = fs.watchdog.stats() if fs.watchdog is not None else {}
         totals = self.world.kernel.obs.metrics.counter_totals(
             ("lsm_denials_total", "sack_failsafe_engagements_total",
              "sack_transition_rollbacks_total"))
@@ -396,7 +387,8 @@ class FleetVehicle:
             "failsafe_engagements":
                 totals["sack_failsafe_engagements_total"],
             "rollbacks": totals["sack_transition_rollbacks_total"],
-            "watchdog_engaged": bool(wd.get("engaged", False)),
+            "watchdog_engaged": (fs.watchdog is not None
+                                 and fs.watchdog.ssm.failsafe_engaged),
             "events_accepted": fs.events_accepted,
             "events_rejected": fs.events_rejected,
             "rejected_bundles": self.rejected_bundles,

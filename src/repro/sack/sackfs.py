@@ -229,12 +229,13 @@ class SackFs:
             # A backend fault mid-load (e.g. a bridge profile reload):
             # the module kept its old policy, so fail like a load fault.
             raise KernelError(Errno.EIO, f"policy: {exc}") from exc
-        if policy.failsafe_deadline_ms is not None:
-            self.watchdog = StalenessWatchdog(
-                self.module.ssm, policy.failsafe_deadline_ms,
-                self.kernel.clock)
-        else:
-            self.watchdog = None
+        # A refused load raised above and kept the old watchdog armed.
+        if self.watchdog is not None:
+            self.watchdog.disarm()
+        deadline_ms = policy.failsafe_deadline_ms
+        self.watchdog = (StalenessWatchdog(self.module.ssm, deadline_ms,
+                                           self.kernel.clock)
+                         if deadline_ms is not None else None)
         return len(data)
 
     def _compile_text(self, text: str):
@@ -305,17 +306,6 @@ class SackFs:
         return ("\n".join(lines) + "\n").encode()
 
     # -- fail-safe plumbing -------------------------------------------------------
-    def check_watchdog(self) -> bool:
-        """Evaluate the staleness deadline now.
-
-        The world's tick loop calls this; returns True when the check
-        engaged the failsafe.  A no-op without a watchdog (no policy, or
-        a policy with no ``failsafe ... after`` deadline).
-        """
-        if self.watchdog is None:
-            return False
-        return self.watchdog.check(self.kernel.clock.now_ns)
-
     def attach_fault_plan(self, plan) -> None:
         """Attach (or replace, with ``None``) the channel fault plan."""
         self.fault_plan = plan

@@ -16,13 +16,19 @@ the state machine.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..kernel.clock import NSEC_PER_MSEC
 
 
 class StalenessWatchdog:
-    """Deadline supervisor over one SSM's event stream."""
+    """Deadline supervisor over one SSM's event stream.
+
+    One clock timer at ``last_seen + deadline + 1ns`` engages the
+    failsafe once the stream is silent for *more* than the deadline.
+    :meth:`feed` only stores the time: a timer that finds the watchdog
+    fed re-arms from the last feed, one that finds it stale a deadline on.
+    """
 
     def __init__(self, ssm, deadline_ms: float, clock):
         if deadline_ms <= 0:
@@ -32,50 +38,41 @@ class StalenessWatchdog:
         self.deadline_ns = int(deadline_ms * NSEC_PER_MSEC)
         self.clock = clock
         self.last_seen_ns = clock.now_ns
-        self.checks = 0
         self.engagements = 0
+        self._arm(self.last_seen_ns)
 
     # -- feeding -----------------------------------------------------------
-    def feed(self, now_ns: Optional[int] = None) -> None:
+    def feed(self, now_ns: int) -> None:
         """Any accepted event write or heartbeat pets the watchdog."""
-        self.last_seen_ns = (now_ns if now_ns is not None
-                             else self.clock.now_ns)
-
-    @property
-    def stale_ns(self) -> int:
-        return max(0, self.clock.now_ns - self.last_seen_ns)
-
-    @property
-    def expired(self) -> bool:
-        return self.stale_ns > self.deadline_ns
+        self.last_seen_ns = now_ns
 
     # -- supervision -------------------------------------------------------
-    def check(self, now_ns: Optional[int] = None) -> bool:
-        """Engage failsafe if the deadline has passed; True when it fired.
+    def _arm(self, from_ns: int) -> None:
+        self._timer = self.clock.call_at(from_ns + self.deadline_ns + 1,
+                                         self._fire)
 
-        Idempotent while degraded: once the SSM sits in failsafe the
-        watchdog stays quiet until fresh events clear the flag (and feed
-        the deadline again).
-        """
-        now = now_ns if now_ns is not None else self.clock.now_ns
-        self.checks += 1
-        if self.ssm.failsafe_engaged:
-            return False
-        if now - self.last_seen_ns <= self.deadline_ns:
-            return False
-        self.engagements += 1
-        stale_ms = (now - self.last_seen_ns) / NSEC_PER_MSEC
-        self.ssm.enter_failsafe(
-            f"event stream stale for {stale_ms:.0f}ms "
-            f"(deadline {self.deadline_ms:.0f}ms)", now_ns=now)
-        return True
+    def disarm(self) -> None:
+        """Stop supervising (the policy that declared the deadline went)."""
+        self.clock.cancel(self._timer)
+
+    def _fire(self) -> None:
+        now = self.clock.now_ns
+        stale_ns = now - self.last_seen_ns
+        if stale_ns <= self.deadline_ns:
+            self._arm(self.last_seen_ns)
+            return
+        self._arm(now)
+        if not self.ssm.failsafe_engaged:
+            self.engagements += 1
+            self.ssm.enter_failsafe(
+                f"event stream stale for {stale_ns / NSEC_PER_MSEC:.0f}ms "
+                f"(deadline {self.deadline_ms:.0f}ms)", now_ns=now)
 
     def stats(self) -> Dict[str, object]:
         return {
             "deadline_ms": self.deadline_ms,
             "last_event_ns": self.last_seen_ns,
-            "stale_ns": self.stale_ns,
-            "checks": self.checks,
+            "stale_ns": max(0, self.clock.now_ns - self.last_seen_ns),
             "engagements": self.engagements,
             "engaged": int(self.ssm.failsafe_engaged),
         }

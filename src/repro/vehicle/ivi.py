@@ -221,6 +221,11 @@ class SecurityStack:
                              ioctl_symbols=IOCTL_SYMBOLS,
                              fault_plan=self.fault_plan,
                              policy_cache=self.policy_cache)
+        self.load_policy(policy_text)
+
+    def load_policy(self, policy_text: str) -> None:
+        """Write *policy_text* through SACKfs as root; a refused load
+        raises :class:`KernelError` and leaves the old policy enforcing."""
         self.kernel.write_file(self.kernel.procs.init,
                                "/sys/kernel/security/SACK/policy",
                                policy_text.encode(), create=False)
@@ -340,30 +345,23 @@ class IviWorld(SecurityStack):
     def task(self, app: str) -> Task:
         return self.tasks[app]
 
-    def run_sds(self, ticks: int = 1, dt_s: float = 0.1) -> list:
-        """Advance the world: dynamics steps + SDS polls.
+    def load_policy(self, policy_text: str) -> None:
+        """Load *policy_text*, then resync the attached SDS: the load
+        restarts the SSM in the policy's initial state, and the next
+        sweep re-emits the situation the vehicle is physically in."""
+        super().load_policy(policy_text)
+        if self.sds is not None:
+            self.sds.resync()
 
-        With a live SDS the staleness watchdog is evaluated once per
-        call, after all *ticks* polls (``run_sds(30)`` checks it once, at
-        the last tick's virtual time) — heartbeats keep it fed, so it only
-        ever fires when the channel is genuinely broken.  Without an SDS
-        (a world built for direct event writes) the watchdog is left to
-        the caller; see :meth:`check_watchdog`.
-        """
+    def run_sds(self, ticks: int = 1, dt_s: float = 0.1) -> list:
+        """Advance the world: dynamics steps + SDS polls.  The clock
+        advance fires the staleness watchdog, with or without an SDS."""
         if self.sds is None:
             for _ in range(ticks):
                 self.dynamics.step(dt_s)
                 self.kernel.clock.advance_s(dt_s)
             return []
-        events = self.sds.run(ticks, dt_s=dt_s)
-        self.check_watchdog()
-        return events
-
-    def check_watchdog(self) -> bool:
-        """Evaluate the kernel's event-staleness deadline now."""
-        if self.sackfs is None:
-            return False
-        return self.sackfs.check_watchdog()
+        return self.sds.run(ticks, dt_s=dt_s)
 
     def drive_to_speed(self, speed_kmh: float, accel_ms2: float = 3.0,
                        max_ticks: int = 2000) -> None:

@@ -156,8 +156,8 @@ class TestHeartbeatAndWatchdog:
     def test_live_sds_keeps_watchdog_fed(self):
         kernel, sack, sackfs, sds = make_world()
         sds.run(600)          # 6s of quiet 10ms polls; heartbeats at 1Hz
-        assert not sackfs.check_watchdog()
         assert not sack.ssm.failsafe_engaged
+        assert sackfs.watchdog.engagements == 0
 
     def test_dead_sds_triggers_failsafe_within_deadline(self):
         kernel, sack, sackfs, sds = make_world()
@@ -165,39 +165,72 @@ class TestHeartbeatAndWatchdog:
         sds.dynamics.accelerate(5.0)
         sds.run(200)
         assert sack.current_state == "driving"
+        last_seen = sackfs.watchdog.last_seen_ns
         # SDS dies: time passes with no events and no heartbeats.
         kernel.clock.advance_ms(2500)
-        assert sackfs.check_watchdog()
         assert sack.current_state == "emergency"
         assert sack.ssm.failsafe_engaged
-        # The engagement is audited and counted.
+        # The engagement is audited at the deadline, and counted.
         failsafes = kernel.obs.audit.by_kind(AUDIT_FAILSAFE)
         assert len(failsafes) == 1
-        assert "stale" in failsafes[0].detail
+        assert "stale for 2000ms (deadline 2000ms)" in failsafes[0].detail
+        assert failsafes[0].when_ns == last_seen + 2000 * NSEC_PER_MSEC + 1
         counter = kernel.obs.metrics.counter(
             "sack_failsafe_engagements_total")
         assert counter.value == 1
 
+    def test_deadline_boundary_is_strict(self):
+        kernel, sack, sackfs, _ = make_world()
+        assert sackfs.watchdog.last_seen_ns == 0
+        kernel.clock.advance_ns(2000 * NSEC_PER_MSEC)
+        assert not sack.ssm.failsafe_engaged
+        kernel.clock.advance_ns(1)
+        assert sack.ssm.failsafe_engaged
+        assert sackfs.watchdog.engagements == 1
+
+    def test_fed_once_then_silent_still_engages(self):
+        # The boot-time timer finds the watchdog fed and must re-arm
+        # from the feed; dropping the re-arm leaves it silent forever.
+        kernel, sack, sackfs, sds = make_world()
+        kernel.clock.advance_ms(1000)
+        assert sds.send_heartbeat()
+        kernel.clock.advance_ms(2000)
+        assert not sack.ssm.failsafe_engaged
+        kernel.clock.advance_ns(1)
+        assert sack.ssm.failsafe_engaged
+
     def test_watchdog_silent_while_engaged(self):
         kernel, sack, sackfs, sds = make_world()
         kernel.clock.advance_ms(2500)
-        assert sackfs.check_watchdog()
         assert sackfs.watchdog.engagements == 1
-        kernel.clock.advance_ms(2500)
-        assert not sackfs.check_watchdog()    # already degraded: no-op
-        assert sackfs.watchdog.engagements == 1
+        kernel.clock.advance_ms(10_000)
+        assert sackfs.watchdog.engagements == 1    # already degraded
+        assert len(kernel.obs.audit.by_kind(AUDIT_FAILSAFE)) == 1
 
     def test_recovery_after_failsafe(self):
         kernel, sack, sackfs, sds = make_world()
         kernel.clock.advance_ms(2500)
-        sackfs.check_watchdog()
         assert sack.current_state == "emergency"
         # SDS comes back; the next real event recovers the machine.
+        kernel.clock.advance_ms(3000)
         assert sds.send_event("emergency_cleared")
         assert sack.current_state == "parking_with_driver"
         assert not sack.ssm.failsafe_engaged
-        # ... and the fresh event stream keeps the watchdog quiet again.
-        assert not sackfs.check_watchdog()
+        # ... the fresh stream holds the deadline off, and a second
+        # silence engages it again exactly a deadline after the event.
+        kernel.clock.advance_ms(2000)
+        assert not sack.ssm.failsafe_engaged
+        kernel.clock.advance_ns(1)
+        assert sack.ssm.failsafe_engaged
+        assert sackfs.watchdog.engagements == 2
+
+    def test_detached_sds_world_reaches_failsafe_by_clock_alone(self):
+        world = build_ivi_world(EnforcementConfig.SACK_INDEPENDENT)
+        world.run_sds(5)
+        world.sds = None
+        world.kernel.clock.advance_ms(2500)
+        assert world.situation == "emergency"
+        assert world.sackfs.watchdog.engagements == 1
 
     def test_watchdog_file_readable(self):
         kernel, _, _, _ = make_world()
@@ -220,6 +253,32 @@ class TestHeartbeatAndWatchdog:
                                 "/sys/kernel/security/SACK/watchdog"
                                 ).decode()
         assert text == "disabled\n"
+
+    def test_deadline_free_reload_disarms_replaced_watchdog(self):
+        kernel, sack, sackfs, _ = make_world()
+        old_ssm, old_watchdog = sack.ssm, sackfs.watchdog
+        policy = DEFAULT_SACK_POLICY.replace(
+            "failsafe emergency after 2000ms;", "failsafe emergency;")
+        kernel.write_file(kernel.procs.init,
+                          "/sys/kernel/security/SACK/policy",
+                          policy.encode(), create=False)
+        kernel.clock.advance_ms(10_000)
+        assert old_watchdog.engagements == 0
+        assert not old_ssm.failsafe_engaged
+        assert not sack.ssm.failsafe_engaged
+        assert not kernel.obs.audit.by_kind(AUDIT_FAILSAFE)
+
+    def test_refused_reload_keeps_watchdog_armed(self):
+        kernel, sack, sackfs, _ = make_world()
+        watchdog = sackfs.watchdog
+        with pytest.raises(KernelError):
+            kernel.write_file(kernel.procs.init,
+                              "/sys/kernel/security/SACK/policy",
+                              b"policy broken;", create=False)
+        assert sackfs.watchdog is watchdog
+        kernel.clock.advance_ms(2500)
+        assert sack.ssm.failsafe_engaged
+        assert watchdog.engagements == 1
 
 
 class TestSackfsStats:

@@ -27,13 +27,19 @@ KEY = b"sack-fleet-signing-key"
 #: duration and joined the fingerprint: only those two records were added.
 #: It moved again when the chaos harness stopped re-checking the watchdog
 #: at the instant ``run_sds`` had just checked it: only
-#: ``stats.watchdog.checks`` changed (153 -> 101).
+#: ``stats.watchdog.checks`` changed (153 -> 101).  It moved once more
+#: when the watchdog began firing from the kernel clock: its one failsafe
+#: record went from 2.5s ("stale for 2100ms", the first tick-end check
+#: past the deadline) to its exact deadline 2.4s + 1ns ("stale for
+#: 2000ms"), and the polled ``stats.watchdog.checks`` left the report.
+#: Routing the harness's admin reload through ``IviWorld.load_policy``
+#: (which resyncs the SDS) moved nothing here.
 BASELINE_FLEET_10x7 = \
     "ee3a35ef759d4965895eaf844af830cbf403495d04df8158eddd641472b4e044"
 BASELINE_FLEET_4x3_W2 = \
     "ebb803531b6384916f0811768c3bbb37599403d2b346f0986ed5c8f113f0eb3b"
 BASELINE_CHAOS_1 = \
-    "ed01299d57a558fddf73606ce18c53352e584fb27b9a0e503e754d1378f15915"
+    "e90db8e1d71063e3141b1c874e6604e11eecdc293a5c10e870ca02cf247145f9"
 
 #: An objective a cruising fleet can never meet (it has no 1 MHz
 #: heartbeat): measured 0 -> clamped burn in every window -> the

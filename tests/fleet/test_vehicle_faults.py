@@ -1,30 +1,70 @@
-"""A fleet vehicle's own fault plan and its once-per-tick watchdog check.
+"""A fleet vehicle's own fault plan and its clock-driven watchdog.
 
-A vehicle tick runs the SDS sweep, which checks the SACK staleness
-watchdog at the tick's virtual time; a second check at the same instant
-can never fire, so a tick makes exactly one.  ``arm_vehicle_fault`` arms
-a rule on the vehicle's own plan, which the world's SDS, SACKfs channel
-and bridge read only when the vehicle booted with a plan, and which no
-fleet-level point is ever read from: arming a point the plan cannot
-fire raises instead of leaving a rule that nothing reads.
+The SACK staleness watchdog fires from the vehicle's kernel clock: a
+live SDS keeps it fed, and a detached one leaves it to engage the
+failsafe at its deadline, in a checkpointed copy as in the original.
+``arm_vehicle_fault`` arms a rule on the vehicle's own plan, which the
+world's SDS, SACKfs channel and bridge read only when the vehicle booted
+with a plan, and which no fleet-level point is ever read from: arming a
+point the plan cannot fire raises instead of leaving a rule that nothing
+reads.
 """
 
 import pytest
 
 from repro.faults import points as fp
 from repro.fleet.orchestrator import Fleet, FleetConfig, ScriptedDriver
+from repro.fleet.resilience import CheckpointStore
 from repro.fleet.vehicle import FleetVehicle
+from repro.kernel.clock import NSEC_PER_MSEC
+from repro.obs import AUDIT_FAILSAFE
+
+
+def _failsafes(vehicle):
+    return vehicle.world.kernel.obs.audit.by_kind(AUDIT_FAILSAFE)
+
+
+def _detach_and_expire(vehicle):
+    """Detach the SDS and tick past the deadline; returns the deadline."""
+    world = vehicle.world
+    world.sds = None
+    due = world.sackfs.watchdog.last_seen_ns + 2000 * NSEC_PER_MSEC + 1
+    while world.kernel.clock.now_ns < due:
+        assert not world.sackfs.watchdog.engagements
+        vehicle.tick()
+    return due
 
 
 @pytest.mark.parametrize("mode", ["independent", "apparmor"])
-def test_one_watchdog_check_per_tick(mode):
+def test_live_sds_never_engages_and_detached_one_does(mode):
     vehicle = FleetVehicle("veh000", 0, seed=1, mode=mode)
-    watchdog = vehicle.world.sackfs.watchdog
-    assert watchdog is not None
-    assert watchdog.checks == 0
-    for _ in range(25):
+    for _ in range(500):          # 5 s of 10 ms polls
         vehicle.tick()
-    assert watchdog.checks == 25
+    assert vehicle.world.sackfs.watchdog.engagements == 0
+    due = _detach_and_expire(vehicle)
+    assert vehicle.situation == "emergency"
+    [record] = _failsafes(vehicle)
+    assert record.when_ns == due
+    assert "stale for 2000ms (deadline 2000ms)" in record.detail
+
+
+def test_restored_checkpoint_engages_on_its_own_clock():
+    vehicle = FleetVehicle("veh000", 0, seed=1, mode="independent")
+    for _ in range(50):
+        vehicle.tick()
+    store = CheckpointStore()
+    store.take(vehicle, epoch=0)
+    restored = store.materialize("veh000")
+    digest = vehicle.state_digest()
+    _detach_and_expire(restored)
+    assert restored.situation == "emergency"
+    assert restored.world.sackfs.watchdog.engagements == 1
+    # The original's timer, SSM and audit trail are its own.
+    assert vehicle.world.sds is not None
+    assert vehicle.state_digest() == digest
+    assert vehicle.world.sackfs.watchdog.engagements == 0
+    assert not _failsafes(vehicle)
+    assert vehicle.situation != "emergency"
 
 
 def _fleet(mode="apparmor", intensity=0.0):

@@ -5,6 +5,7 @@ import pytest
 from repro.kernel import KernelError
 from repro.vehicle import (EnforcementConfig, PermissionDenied,
                            build_ivi_world)
+from repro.vehicle.ivi import DEFAULT_SACK_POLICY
 
 
 class TestBuildAllConfigs:
@@ -61,6 +62,32 @@ class TestSituationFlow:
         world.dynamics.set_driver_present(False)
         world.run_sds(2)
         assert world.situation == "parking_without_driver"
+
+
+class TestPolicyReload:
+    @pytest.mark.parametrize("config", [EnforcementConfig.SACK_INDEPENDENT,
+                                        EnforcementConfig.SACK_APPARMOR])
+    def test_reload_while_driving_catches_up(self, config):
+        # A load restarts the SSM in the policy's initial state; the
+        # world resyncs its SDS so the next sweep re-emits "driving".
+        world = build_ivi_world(config)
+        world.drive_to_speed(60)
+        assert world.situation == "driving"
+        world.load_policy(DEFAULT_SACK_POLICY)
+        assert world.situation == "parking_with_driver"
+        world.run_sds(1)
+        assert world.situation == "driving"
+        world.run_sds(50)
+        assert world.situation == "driving"
+
+    def test_refused_reload_keeps_the_situation(self):
+        world = build_ivi_world(EnforcementConfig.SACK_INDEPENDENT)
+        world.drive_to_speed(60)
+        ssm = world.sack.ssm
+        with pytest.raises(KernelError):
+            world.load_policy("policy broken;")
+        assert world.sack.ssm is ssm
+        assert world.situation == "driving"
 
 
 class TestAccessPaths:
