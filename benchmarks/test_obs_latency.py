@@ -15,6 +15,7 @@ Two questions the paper's Table II cannot answer on its own:
 
 from repro.bench import TABLE2_STACKS, run_hook_latency_breakdown
 from repro.kernel import OpenFlags
+from repro.lsm import HookLatency, hook_latency_summary
 from repro.vehicle.ivi import EnforcementConfig, build_stack
 from conftest import SCALE
 
@@ -80,10 +81,11 @@ def test_obs_enabled_overhead(benchmark):
     world = build_stack(EnforcementConfig.SACK_INDEPENDENT)
     kernel = world.kernel
     kernel.obs.enable_all_recording()
-    kernel.security.enable_hook_latency()
+    HookLatency().attach(kernel.obs)
     task = kernel.procs.init
     kernel.vfs.create_file("/tmp/obs_probe")
     benchmark(lambda: _open_close_loop(kernel, task, "/tmp/obs_probe"))
+    assert hook_latency_summary(kernel.obs.metrics)["file_open"]["count"] > 0
 
 
 def test_spans_disabled_overhead(benchmark):

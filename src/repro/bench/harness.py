@@ -15,12 +15,14 @@ import time
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..kernel import OpenFlags, SocketFamily
+from ..lsm import HookLatency, HookStats, hook_latency_summary
 from ..sack import SituationEvent, format_policy
 from ..sack.policy.model import (MacRule, RuleDecision, RuleOp,
                                  SackPermission, SackPolicy)
 from ..sack.ssm import TransitionRule
 from ..sack.states import SituationState, StateSpace
-from ..vehicle.ivi import EnforcementConfig, SecurityStack, build_stack
+from ..vehicle.ivi import (DEFAULT_SACK_POLICY, EnforcementConfig,
+                           SecurityStack, build_stack)
 from .lmbench import (FILE_OP_BENCHES, TABLE2_BENCHES, BenchResult,
                       LmbenchSuite)
 from .stats import best_result
@@ -83,10 +85,10 @@ def run_hook_latency_breakdown(
         ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Per-hook latency histograms under the LMBench workload.
 
-    Runs the suite once per stack with hook-latency collection enabled
-    and reports, per stack and per LSM hook, the merged
-    ``{count, mean_ns, p50_ns, p99_ns, max_ns}`` summary from the
-    framework's latency histograms.  This is the observability
+    Runs the suite once per stack with a :class:`HookLatency` probe
+    attached and reports, per stack and per LSM hook, the merged
+    ``{count, mean_ns, p50_ns, p99_ns, max_ns}`` summary of its
+    histograms.  This is the observability
     counterpart of :func:`run_hook_census`: the census says how often
     each hook runs, this says how long it takes when it does.
     """
@@ -96,9 +98,10 @@ def run_hook_latency_breakdown(
         if stack.framework is None:
             breakdown[config.value] = {}
             continue
-        stack.framework.enable_hook_latency()
+        HookLatency().attach(stack.kernel.obs)
         LmbenchSuite(stack.kernel, scale=scale).run(benches)
-        breakdown[config.value] = stack.framework.hook_latency_summary()
+        breakdown[config.value] = hook_latency_summary(
+            stack.kernel.obs.metrics)
     return breakdown
 
 
@@ -107,21 +110,24 @@ def run_hook_census(configs: Sequence[EnforcementConfig] = TABLE2_STACKS,
                     scale: float = 0.1) -> Dict[str, Dict[str, int]]:
     """Deterministic complement to the wall-clock tables.
 
-    Runs the suite once per stack with hook statistics enabled and
-    reports, per stack: total syscalls issued, total LSM hook
-    invocations, and hook invocations attributable to the SACK module.
-    These counts are exact and noise-free — they explain *why* the
-    wall-clock deltas are small (how much extra code actually runs).
+    Runs the suite once per stack with a :class:`HookStats` probe
+    attached and reports, per stack: total syscalls issued, total LSM
+    hook invocations, and hook invocations attributable to the SACK
+    module.  These counts are exact and noise-free — they explain *why*
+    the wall-clock deltas are small (how much extra code actually runs).
+    The probe attaches before the SACK policy is activated, so the
+    activation's own hook calls are counted too.
     """
     census: Dict[str, Dict[str, int]] = {}
     for config in configs:
-        stack = build_stack(config, with_ubuntu_profiles=True,
-                            collect_stats=True)
+        stack = build_stack(config, policy_text=None,
+                            with_ubuntu_profiles=True)
+        stats = HookStats().attach(stack.kernel.obs)
+        stack.activate(DEFAULT_SACK_POLICY)
         LmbenchSuite(stack.kernel, scale=scale).run(benches)
-        stats = stack.framework.stats if stack.framework else None
         syscalls = sum(stack.kernel.syscall_counts.values())
-        hook_calls = stats.total_calls() if stats else 0
-        sack_calls = sum(v for k, v in (stats.calls if stats else {}).items()
+        hook_calls = stats.total_calls()
+        sack_calls = sum(v for k, v in stats.calls.items()
                          if k.startswith("sack."))
         census[config.value] = {
             "syscalls": syscalls,

@@ -374,11 +374,6 @@ def expand_cells(config: SuiteConfig) -> List[SweepCell]:
 
 # -- workload executors --------------------------------------------------------
 
-def _fold_counters(kernels) -> Dict[str, int]:
-    from ..fleet.report import aggregate_counters
-    return aggregate_counters(k.obs.metrics.to_dict() for k in kernels)
-
-
 #: Fresh fleets behind every host-timed metric.  Interference on a
 #: shared host only adds time, so the best (minimum) of them is the
 #: noise-robust estimate (see docs/benchmarking.md).
@@ -399,6 +394,7 @@ def _run_fleet_cell(params: Dict[str, object]
     from ..fleet.bundle import BundleSigner, make_bundle
     from ..fleet.orchestrator import (Fleet, FleetConfig, ScriptedDriver,
                                       TrafficDriver)
+    from ..lsm import HookLatency, hook_latency_summary
     from ..vehicle.ivi import DEFAULT_SACK_POLICY
 
     cycle = params["drive_cycle"]
@@ -427,7 +423,7 @@ def _run_fleet_cell(params: Dict[str, object]
             driver=make_driver())
         if hook_latency:
             for vehicle in fleet.vehicles.values():
-                vehicle.world.kernel.security.enable_hook_latency()
+                HookLatency().attach(vehicle.world.kernel.obs)
         if params["rollout"]:
             fleet.stage_rollout(make_bundle(
                 1, DEFAULT_SACK_POLICY,
@@ -455,19 +451,16 @@ def _run_fleet_cell(params: Dict[str, object]
         "bus": report.bus_stats,
     }
     if hook_latency:
-        rows = []
-        for vehicle in fleet.vehicles.values():
-            summary = vehicle.world.kernel.security \
-                .hook_latency_summary()
-            rows.extend(summary.values())
+        summaries = {vid: hook_latency_summary(v.world.kernel.obs.metrics)
+                     for vid, v in sorted(fleet.vehicles.items())}
+        rows = [row for summary in summaries.values()
+                for row in summary.values()]
         if rows:
             total = sum(r["count"] for r in rows)
             metrics["hook_mean_ns"] = sum(
                 r["count"] * r["mean_ns"] for r in rows) / total
             metrics["hook_p99_ns"] = max(r["p99_ns"] for r in rows)
-        obs["hook_latency"] = {
-            vid: v.world.kernel.security.hook_latency_summary()
-            for vid, v in sorted(fleet.vehicles.items())}
+        obs["hook_latency"] = summaries
     return metrics, obs
 
 

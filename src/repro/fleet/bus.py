@@ -114,11 +114,6 @@ class V2xBus:
             if vehicle_id not in subs:
                 subs.append(vehicle_id)
 
-    def unsubscribe(self, vehicle_id: str) -> None:
-        for subs in self._subscribers.values():
-            if vehicle_id in subs:
-                subs.remove(vehicle_id)
-
     # -- publish -----------------------------------------------------------
     def publish(self, topic: str, origin: str, position_km: float,
                 now_ns: int, payload: Optional[Dict[str, str]] = None,

@@ -368,9 +368,6 @@ class VehicleSupervisor:
     def is_dead(self, vehicle_id: str) -> bool:
         return self.status[vehicle_id].state != RUNNING
 
-    def is_quarantined(self, vehicle_id: str) -> bool:
-        return self.status[vehicle_id].state == QUARANTINED
-
     def quarantined_ids(self) -> List[str]:
         return sorted(vid for vid, st in self.status.items()
                       if st.state == QUARANTINED)

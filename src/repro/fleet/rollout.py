@@ -197,19 +197,6 @@ class RolloutController:
                                  * len(self.fleet_ids)))
         return self.fleet_ids[:count]
 
-    def expected_version(self, vehicle_id: str) -> Optional[int]:
-        """What a *converged, connected* vehicle should be running now."""
-        if self.state in (RolloutState.ROLLING_BACK,
-                          RolloutState.ROLLED_BACK):
-            return self.committed_version
-        if self.state is RolloutState.COMPLETE:
-            return self.committed_version
-        if self.state is RolloutState.IN_PROGRESS:
-            if self.phase[vehicle_id] is VehiclePhase.APPLIED:
-                return self.target_version
-            return self.committed_version
-        return self.committed_version
-
     def _log(self, message: str) -> None:
         self.history.append((self._epoch, message))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..kernel.credentials import Capability
 from ..kernel.security import SecurityHooks
@@ -23,59 +23,18 @@ from .hooks import HOOK_BIT, HOOK_NAME, Hook
 from .module import LsmModule
 
 
-class HookStats:
-    """Per-(module, hook) call and denial counters."""
-
-    def __init__(self):
-        self.calls: Counter = Counter()
-        self.denials: Counter = Counter()
-
-    def record(self, module: str, hook: Hook, denied: bool) -> None:
-        key = f"{module}.{hook.value}"
-        self.calls[key] += 1
-        if denied:
-            self.denials[key] += 1
-
-    def total_calls(self) -> int:
-        return self.calls.total()
-
-    def total_denials(self) -> int:
-        return self.denials.total()
-
-    def snapshot(self) -> Dict[str, object]:
-        """Point-in-time copy, safe to hold across further dispatches."""
-        return {
-            "calls": dict(self.calls),
-            "denials": dict(self.denials),
-            "total_calls": self.total_calls(),
-            "total_denials": self.total_denials(),
-        }
-
-    def top(self, n: int = 10) -> List[Tuple[str, int, int]]:
-        """The *n* hottest (module.hook, calls, denials) sites."""
-        return [(key, count, self.denials.get(key, 0))
-                for key, count in self.calls.most_common(n)]
-
-    def reset(self) -> None:
-        self.calls.clear()
-        self.denials.clear()
-
-
 class LsmFramework(SecurityHooks):
     """Hook multiplexer over an ordered list of :class:`LsmModule`."""
 
     name = "lsm"
 
-    def __init__(self, modules: Sequence[LsmModule] = (),
-                 collect_stats: bool = False):
+    def __init__(self, modules: Sequence[LsmModule] = ()):
         self.capability = CapabilityLsm()
         self.modules: List[LsmModule] = [self.capability, *modules]
-        self.stats = HookStats() if collect_stats else None
         self._kernel = None
         self.obs = None            # set by attach(); the kernel's hub
         self._tp_hook = None       # cached lsm:hook_dispatch tracepoint
         self._spans = None         # cached hub SpanTracer
-        self._latency = None       # {(module, hook): Histogram} when on
         names = [m.name for m in self.modules]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate LSM names in stack: {names}")
@@ -153,8 +112,7 @@ class LsmFramework(SecurityHooks):
 
     @classmethod
     def from_config(cls, config_lsm: str,
-                    registry: Dict[str, LsmModule],
-                    collect_stats: bool = False) -> "LsmFramework":
+                    registry: Dict[str, LsmModule]) -> "LsmFramework":
         """Build a stack from a ``CONFIG_LSM="sack,apparmor"`` string.
 
         *registry* maps module names to instances; unknown names raise
@@ -174,7 +132,7 @@ class LsmFramework(SecurityHooks):
             if name == "capability":
                 continue  # always present, always first
             modules.append(registry[name])
-        return cls(modules, collect_stats=collect_stats)
+        return cls(modules)
 
     @property
     def config_lsm(self) -> str:
@@ -188,23 +146,9 @@ class LsmFramework(SecurityHooks):
         if self.obs is not None:
             self._tp_hook = self.obs.tracepoints.get(LSM_HOOK_DISPATCH)
             self._spans = getattr(self.obs, "spans", None)
-            if self.stats is not None:
-                # The metrics export reads HookStats live instead of
-                # keeping duplicate counts that could drift.
-                self.obs.metrics.register_collector(self._collect_stats)
             self.obs.metrics.register_collector(self._collect_epoch)
         for module in self.modules:
             module.registered(kernel)
-
-    def _collect_stats(self):
-        stats = self.stats
-        if stats is None:
-            return []
-        out = [("lsm_hook_calls_total", (("site", key),), "counter", count)
-               for key, count in stats.calls.items()]
-        out += [("lsm_hook_denials_total", (("site", key),), "counter",
-                 count) for key, count in stats.denials.items()]
-        return out
 
     def _collect_epoch(self):
         out = [("lsm_situation_epoch", (), "gauge", self.epoch)]
@@ -212,55 +156,6 @@ class LsmFramework(SecurityHooks):
                  "counter", count)
                 for reason, count in self.bump_reasons.items()]
         return out
-
-    # -- hook latency collection ---------------------------------------------
-    def enable_hook_latency(self) -> None:
-        """Collect per-(module, hook) latency histograms on every dispatch.
-
-        Requires an attached kernel (histograms live in its metrics
-        registry).  Until enabled, the dispatch fast path never reads the
-        wall clock.
-        """
-        if self.obs is None:
-            raise RuntimeError("attach() the framework to a kernel first")
-        self._latency = {}
-
-    def disable_hook_latency(self) -> None:
-        self._latency = None
-
-    def _latency_histogram(self, module: str, hook: Hook):
-        hist = self._latency.get((module, hook))
-        if hist is None:
-            hist = self.obs.metrics.histogram(
-                "lsm_hook_latency_ns",
-                {"module": module, "hook": hook.value})
-            self._latency[(module, hook)] = hist
-        return hist
-
-    def hook_latency_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-hook latency summary (merged across modules).
-
-        Returns ``{hook: {count, mean_ns, p50_ns, p99_ns, max_ns}}``; the
-        percentiles of the merged view are the worst (largest) per-module
-        percentile, a conservative bound that avoids re-binning.
-        """
-        if self._latency is None:
-            return {}
-        merged: Dict[str, Dict[str, float]] = {}
-        for (module, hook), hist in self._latency.items():
-            if hist.count == 0:
-                continue
-            row = merged.setdefault(hook.value, {
-                "count": 0, "total_ns": 0.0, "p50_ns": 0.0,
-                "p99_ns": 0.0, "max_ns": 0.0})
-            row["count"] += hist.count
-            row["total_ns"] += hist.total
-            row["p50_ns"] = max(row["p50_ns"], hist.percentile(50))
-            row["p99_ns"] = max(row["p99_ns"], hist.percentile(99))
-            row["max_ns"] = max(row["max_ns"], hist.max or 0.0)
-        for row in merged.values():
-            row["mean_ns"] = row.pop("total_ns") / row["count"]
-        return merged
 
     def module_named(self, name: str) -> LsmModule:
         for module in self.modules:
@@ -314,11 +209,12 @@ class LsmFramework(SecurityHooks):
     def _walk(self, hook: Hook, args, void: bool = False) -> int:
         """The one module walk every dispatch takes.
 
-        Each module on the hook's call list is called in stack order and
-        counted in HookStats; the first nonzero return is audited and
-        wins.  Observation rides the same loop: a module call is timed
-        (latency histogram, ``lsm:hook_dispatch``) only while an observer
-        is present, and an int hook runs inside a root span *linked* to
+        Each module on the hook's call list is called in stack order;
+        the first nonzero return is audited and wins.  The walk has one
+        per-call observer, the ``lsm:hook_dispatch`` tracepoint: while a
+        probe is attached (hook counts, latency histograms, the trace
+        ring) each module call is timed and emitted, otherwise the loop
+        reads no clock.  An int hook runs inside a root span *linked* to
         the trace that caused the current situation while hooks are
         watched — a link, not a parent edge, since the hook runs under
         the new state rather than on the transition's critical path.
@@ -334,28 +230,19 @@ class LsmFramework(SecurityHooks):
                             "comm": getattr(task, "comm", "")})
             if span is not None:
                 span.add_link(spans.consume_link())
-        stats = self.stats
-        latency = self._latency
         tp = self._tp_hook
-        timed = latency is not None or (tp is not None and tp.callbacks)
-        trace_id = span.trace_id if span is not None else None
+        if tp is not None and not tp.callbacks:
+            tp = None
         rc = 0
         try:
             for name, method in self._hook_lists[hook]:
-                t0 = time.perf_counter_ns() if timed else 0
+                t0 = time.perf_counter_ns() if tp is not None else 0
                 rc = method(*args)
                 if void:
                     rc = 0
-                if timed:
-                    dt = time.perf_counter_ns() - t0
-                    if latency is not None:
-                        self._latency_histogram(name, hook).record(
-                            dt, trace_id=trace_id)
-                    if tp is not None and tp.callbacks:
-                        tp.emit(module=name, hook=hook.value, rc=rc,
-                                latency_ns=dt)
-                if stats is not None:
-                    stats.record(name, hook, denied=rc != 0)
+                if tp is not None:
+                    tp.emit(module=name, hook=hook.value, rc=rc,
+                            latency_ns=time.perf_counter_ns() - t0)
                 if rc != 0:
                     if span is not None:
                         span.attributes["module"] = name
@@ -444,9 +331,7 @@ class LsmFramework(SecurityHooks):
         return self._call_int(Hook.SOCKET_RECVMSG, task, sock, size)
 
 
-def boot_kernel(modules: Sequence[LsmModule] = (),
-                collect_stats: bool = False,
-                clock=None):
+def boot_kernel(modules: Sequence[LsmModule] = (), clock=None):
     """Boot a kernel with the given LSM stack; returns ``(kernel, framework)``.
 
     The returned framework is already attached (modules hold a kernel
@@ -454,7 +339,7 @@ def boot_kernel(modules: Sequence[LsmModule] = (),
     runs before init starts.
     """
     from ..kernel.syscalls import Kernel
-    framework = LsmFramework(modules, collect_stats=collect_stats)
+    framework = LsmFramework(modules)
     kernel = Kernel(security=framework, clock=clock)
     framework.attach(kernel)
     return kernel, framework

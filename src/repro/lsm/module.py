@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from ..kernel.credentials import Capability
 from ..kernel.errors import Errno
+from ..kernel.security import SecurityHooks
 
 
-class LsmModule:
+class LsmModule(SecurityHooks):
     """A security module: a named bundle of hook implementations.
 
-    Subclasses override the hooks they care about.  The default for every
+    Subclasses override the hooks they care about; :class:`SecurityHooks`
+    declares the hook surface and its defaults.  The default for every
     decision hook is 0 (allow) — an LSM that implements nothing restricts
     nothing, exactly as in Linux.  Deny by returning ``-int(Errno.EACCES)``
     (or any negative errno).
@@ -59,78 +61,7 @@ class LsmModule:
                        uid=cred.euid if cred is not None else -1,
                        situation=obs.situation(), detail=detail)
 
-    # -- task hooks -----------------------------------------------------------
-    def task_alloc(self, parent, child) -> int:
-        return 0
-
-    def bprm_check_security(self, task, exe_path: str) -> int:
-        return 0
-
-    def bprm_committed_creds(self, task, exe_path: str) -> None:
-        pass
-
-    def task_kill(self, task, target) -> int:
-        return 0
-
     def capable(self, task, cap: Capability) -> int:
-        return 0
-
-    # -- inode hooks ------------------------------------------------------------
-    def inode_create(self, task, parent_inode, path: str, mode: int) -> int:
-        return 0
-
-    def inode_mkdir(self, task, parent_inode, path: str, mode: int) -> int:
-        return 0
-
-    def inode_mknod(self, task, parent_inode, path: str, mode: int) -> int:
-        return 0
-
-    def inode_unlink(self, task, inode, path: str) -> int:
-        return 0
-
-    def inode_rmdir(self, task, inode, path: str) -> int:
-        return 0
-
-    def inode_rename(self, task, old_path: str, new_path: str) -> int:
-        return 0
-
-    def inode_getattr(self, task, path: str) -> int:
-        return 0
-
-    def inode_setattr(self, task, path: str) -> int:
-        return 0
-
-    # -- file hooks ------------------------------------------------------------
-    def file_open(self, task, file) -> int:
-        return 0
-
-    def file_permission(self, task, file, mask: int) -> int:
-        return 0
-
-    def file_ioctl(self, task, file, cmd: int, arg: int) -> int:
-        return 0
-
-    def mmap_file(self, task, file, prot: int) -> int:
-        return 0
-
-    # -- socket hooks ------------------------------------------------------------
-    def socket_create(self, task, family) -> int:
-        return 0
-
-    def socket_bind(self, task, sock, addr) -> int:
-        return 0
-
-    def socket_listen(self, task, sock) -> int:
-        return 0
-
-    def socket_connect(self, task, sock, addr) -> int:
-        return 0
-
-    def socket_accept(self, task, sock) -> int:
-        return 0
-
-    def socket_sendmsg(self, task, sock, size: int) -> int:
-        return 0
-
-    def socket_recvmsg(self, task, sock, size: int) -> int:
+        """A module allows every capability unless it says otherwise;
+        possession is the capability module's check."""
         return 0

@@ -4,10 +4,10 @@
 
 * the syscall layer fires ``syscalls:*`` tracepoints and (when syscall
   instrumentation is on) feeds the syscall-latency histograms;
-* the LSM framework fires ``lsm:hook_dispatch``, feeds the per-hook
-  latency histograms, and reports every denial here so an AVC-style audit
-  record — including the **situation state** at the time of denial — is
-  emitted;
+* the LSM framework fires ``lsm:hook_dispatch`` (whose probes keep the
+  hook counts and latency histograms) and reports every denial here so
+  an AVC-style audit record — including the **situation state** at the
+  time of denial — is emitted;
 * the SACK layers (SSM, SACKfs, the bridges) report transitions, event
   writes, and policy loads.
 
@@ -128,10 +128,6 @@ class Observability:
             rendered = " ".join(f"{k}={v}" for k, v in fields.items())
             lines.append(f"[{when_ns / 1e9:12.6f}] {name}: {rendered}")
         return lines
-
-    def clear_trace(self) -> None:
-        self.trace_buffer.clear()
-        self.trace_dropped = 0
 
     # -- LSM denials (AVC) -------------------------------------------------
     def denial(self, module: str, hook: str, path: str, task,

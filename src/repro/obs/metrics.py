@@ -5,7 +5,7 @@ A single registry per kernel holds every instrument, keyed by
 honest:
 
 * **Collectors.**  Subsystems that already maintain counters (the LSM
-  framework's :class:`~repro.lsm.framework.HookStats`, the SSM's event
+  hook counts of :class:`~repro.lsm.probes.HookStats`, the SSM's event
   counters, SACKfs's accept/reject counts) are not mirrored into duplicate
   instruments that could drift — they register a *collector* callback and
   the registry reads the live values at export time.  The ``SACK/stats``

@@ -75,10 +75,6 @@ class DoorDevice(CarDevice):
     def all_locked(self) -> bool:
         return all(self.locked)
 
-    @property
-    def any_unlocked(self) -> bool:
-        return not self.all_locked
-
     def _set(self, locked: bool, door: int) -> None:
         if door == 0:
             self.locked = [locked] * self.NUM_DOORS

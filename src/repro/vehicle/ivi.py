@@ -234,7 +234,6 @@ class SecurityStack:
 def build_stack(config: EnforcementConfig,
                 policy_text: Optional[str] = DEFAULT_SACK_POLICY,
                 with_ubuntu_profiles: bool = False,
-                collect_stats: bool = False,
                 fault_plan=None,
                 policy_cache: Optional[PolicyCache] = None
                 ) -> SecurityStack:
@@ -272,7 +271,7 @@ def build_stack(config: EnforcementConfig,
         modules = [apparmor]
 
     if modules:
-        kernel, framework = boot_kernel(modules, collect_stats=collect_stats)
+        kernel, framework = boot_kernel(modules)
     else:
         kernel, framework = Kernel(), None
     stack = SecurityStack(config, kernel, framework, apparmor=apparmor,

@@ -25,10 +25,6 @@ class Phase:
     on_enter: Optional[Callable] = None
 
 
-def _enter(action: Callable) -> Callable:
-    return action
-
-
 def urban_commute() -> List[Phase]:
     """Stop-and-go city driving: pull out, two lights, park."""
     return [

@@ -21,7 +21,7 @@ from repro.bench.harness import (SPEED_POLICY, build_rule_count_world,
 from repro.bench.lmbench import LmbenchSuite
 from repro.cli import sackctl
 from repro.kernel import Kernel
-from repro.lsm import LsmFramework, boot_kernel
+from repro.lsm import HookStats, LsmFramework, boot_kernel
 from repro.sack import (SackAppArmorBridge, SackFs, SackLsm,
                         compile_policy, format_policy)
 from repro.sack.policy.model import (MacRule, RuleDecision, RuleOp,
@@ -36,6 +36,7 @@ class OldWorld:
     kernel: Kernel
     apparmor: object = None
     module: object = None
+    stats: object = None
 
 
 # -- the hand-built stacks, kept as the reference --------------------------------
@@ -44,7 +45,9 @@ def old_build_world(config: str, policy_text: str = DEFAULT_SACK_POLICY,
                     with_ubuntu_profiles: bool = True,
                     collect_stats: bool = False) -> OldWorld:
     if config == "no-lsm":
-        return OldWorld(Kernel())
+        kernel = Kernel()
+        return OldWorld(kernel, stats=(HookStats().attach(kernel.obs)
+                                       if collect_stats else None))
     apparmor = sack = bridge = None
     if config in ("apparmor", "sack-apparmor"):
         apparmor = AppArmorLsm()
@@ -59,7 +62,8 @@ def old_build_world(config: str, policy_text: str = DEFAULT_SACK_POLICY,
     else:
         sack = SackLsm()
         modules = [sack]
-    kernel, _ = boot_kernel(modules, collect_stats=collect_stats)
+    kernel, _ = boot_kernel(modules)
+    stats = HookStats().attach(kernel.obs) if collect_stats else None
     module = sack or bridge
     if module is not None:
         SackFs(kernel, module, authorized_event_uids={990},
@@ -67,7 +71,7 @@ def old_build_world(config: str, policy_text: str = DEFAULT_SACK_POLICY,
         kernel.write_file(kernel.procs.init,
                           "/sys/kernel/security/SACK/policy",
                           policy_text.encode(), create=False)
-    return OldWorld(kernel, apparmor, module)
+    return OldWorld(kernel, apparmor, module, stats)
 
 
 def old_rule_count_world(n_rules: int, with_ubuntu_profiles: bool = True
@@ -160,14 +164,12 @@ def new_snapshot(stack) -> dict:
     return snapshot(stack.kernel, stack.apparmor, stack.module)
 
 
-def census(kernel) -> dict:
+def census(kernel, stats) -> dict:
     LmbenchSuite(kernel, scale=0.02).run()
-    stats = getattr(kernel.security, "stats", None)
     return {
         "syscalls": sum(kernel.syscall_counts.values()),
-        "hook_calls": stats.total_calls() if stats else 0,
-        "sack_hook_calls": sum(v for k, v in (stats.calls if stats
-                                              else {}).items()
+        "hook_calls": stats.total_calls(),
+        "sack_hook_calls": sum(v for k, v in stats.calls.items()
                                if k.startswith("sack.")),
     }
 
@@ -188,9 +190,12 @@ class TestEveryConfig:
 
     def test_same_census(self, config):
         old = old_build_world(OLD_NAMES[config], collect_stats=True)
-        new = build_stack(config, with_ubuntu_profiles=True,
-                          collect_stats=True)
-        assert census(new.kernel) == census(old.kernel)
+        # Counted from boot: the probe attaches before the activation.
+        new = build_stack(config, policy_text=None,
+                          with_ubuntu_profiles=True)
+        stats = HookStats().attach(new.kernel.obs)
+        new.activate(DEFAULT_SACK_POLICY)
+        assert census(new.kernel, stats) == census(old.kernel, old.stats)
 
 
 @pytest.mark.parametrize("count", [10, 1000])

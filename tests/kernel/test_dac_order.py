@@ -11,7 +11,7 @@ import pytest
 
 from repro.kernel import (Capability, KernelError, MAY_EXEC, MAY_READ,
                           MAY_WRITE, user_credentials)
-from repro.lsm import LsmModule, boot_kernel
+from repro.lsm import HookStats, LsmModule, boot_kernel
 
 OWNER, GROUP = 1000, 500
 
@@ -63,7 +63,8 @@ def mode_bits_first(kernel, task, inode, mask):
 
 
 def _world(modules):
-    kernel, framework = boot_kernel(modules, collect_stats=True)
+    kernel, _ = boot_kernel(modules)
+    stats = HookStats().attach(kernel.obs)
     inode = kernel.vfs.create_file("/tmp/f", uid=OWNER, gid=GROUP).inode
     tasks = {}
     for kind, cred in TASKS.items():
@@ -71,19 +72,19 @@ def _world(modules):
         if cred is not None:
             task.cred = cred
         tasks[kind] = task
-    return kernel, framework, inode, tasks
+    return kernel, stats, inode, tasks
 
 
-def _capable_calls(framework):
+def _capable_calls(stats):
     """``capable`` dispatches: every walk starts at the capability
     module."""
-    return framework.stats.calls.get("capability.capable", 0)
+    return stats.calls.get("capability.capable", 0)
 
 
 @pytest.mark.parametrize("modules", [[], [DenyCapable()]],
                          ids=["capability", "mac-denies-capable"])
 def test_verdicts_match_capability_first_order(modules):
-    kernel, framework, inode, tasks = _world(modules)
+    kernel, _, inode, tasks = _world(modules)
     checked = 0
     for mode in range(0o1000):
         inode.mode = (inode.mode & ~0o777) | mode
@@ -99,7 +100,7 @@ def test_verdicts_match_capability_first_order(modules):
 @pytest.mark.parametrize("modules", [[], [DenyCapable()]],
                          ids=["capability", "mac-denies-capable"])
 def test_capable_is_asked_only_when_the_bits_refuse(modules):
-    kernel, framework, inode, tasks = _world(modules)
+    kernel, stats, inode, tasks = _world(modules)
     for mode in (0o000, 0o640, 0o666, 0o777):
         inode.mode = (inode.mode & ~0o777) | mode
         for kind, task in tasks.items():
@@ -108,9 +109,9 @@ def test_capable_is_asked_only_when_the_bits_refuse(modules):
             for mask in range(8):
                 bits_allow = (kind == "root" or capability_first(
                     kernel, bits_task, inode, mask))
-                before = _capable_calls(framework)
+                before = _capable_calls(stats)
                 mode_bits_first(kernel, task, inode, mask)
-                asked = _capable_calls(framework) - before
+                asked = _capable_calls(stats) - before
                 assert asked == (0 if bits_allow else 1), (
                     kind, oct(mode), mask)
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.kernel import Capability, Errno, KernelError, OpenFlags
-from repro.lsm import Hook, LsmFramework, LsmModule, boot_kernel
+from repro.lsm import (Hook, HookStats, LsmFramework, LsmModule,
+                       boot_kernel)
 
 
 class Recorder(LsmModule):
@@ -158,59 +159,25 @@ class TestCapableThroughStack:
 class TestStats:
     def test_stats_recorded(self):
         rec = Recorder("r")
-        kernel, fw = boot_kernel([rec], collect_stats=True)
+        kernel, fw = boot_kernel([rec])
+        stats = HookStats().attach(kernel.obs)
         kernel.vfs.create_file("/f")
         init = kernel.procs.init
         fd = kernel.sys_open(init, "/f")
         kernel.sys_read(init, fd, 1)
-        assert fw.stats.calls["r.file_open"] == 1
-        assert fw.stats.calls["r.file_permission"] == 1
-        assert fw.stats.total_denials() == 0
+        assert stats.calls["r.file_open"] == 1
+        assert stats.calls["r.file_permission"] == 1
+        assert stats.total_calls() == 2
+        assert not stats.denials
 
     def test_denials_counted(self):
         rec = Recorder("r", deny_paths=["/x"])
-        kernel, fw = boot_kernel([rec], collect_stats=True)
+        kernel, fw = boot_kernel([rec])
+        stats = HookStats().attach(kernel.obs)
         kernel.vfs.create_file("/x")
         with pytest.raises(KernelError):
             kernel.sys_open(kernel.procs.init, "/x")
-        assert fw.stats.denials["r.file_open"] == 1
-
-    def test_reset(self):
-        rec = Recorder("r")
-        kernel, fw = boot_kernel([rec], collect_stats=True)
-        kernel.sys_getpid(kernel.procs.init)
-        fw.stats.reset()
-        assert fw.stats.total_calls() == 0
-
-    def test_snapshot_is_point_in_time(self):
-        rec = Recorder("r", deny_paths=["/x"])
-        kernel, fw = boot_kernel([rec], collect_stats=True)
-        kernel.vfs.create_file("/x")
-        with pytest.raises(KernelError):
-            kernel.sys_open(kernel.procs.init, "/x")
-        snap = fw.stats.snapshot()
-        assert snap["calls"]["r.file_open"] == 1
-        assert snap["denials"]["r.file_open"] == 1
-        assert snap["total_calls"] == fw.stats.total_calls()
-        with pytest.raises(KernelError):
-            kernel.sys_open(kernel.procs.init, "/x")
-        # The snapshot does not track further dispatches.
-        assert snap["calls"]["r.file_open"] == 1
-        assert fw.stats.calls["r.file_open"] == 2
-
-    def test_top_orders_by_call_count(self):
-        rec = Recorder("r", deny_paths=["/x"])
-        kernel, fw = boot_kernel([rec], collect_stats=True)
-        kernel.vfs.create_file("/x")
-        kernel.vfs.create_file("/ok")
-        for _ in range(3):
-            fd = kernel.sys_open(kernel.procs.init, "/ok")
-            kernel.sys_close(kernel.procs.init, fd)
-        with pytest.raises(KernelError):
-            kernel.sys_open(kernel.procs.init, "/x")
-        top = fw.stats.top(1)
-        assert top == [("r.file_open", 4, 1)]
-        assert len(fw.stats.top(10)) >= 1
+        assert stats.denials["r.file_open"] == 1
 
 
 class TestBootKernel:

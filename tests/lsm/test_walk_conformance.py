@@ -1,13 +1,15 @@
 """Walk conformance: observation never changes a dispatch.
 
 Every LSM dispatch — an int or a void hook, observed or not — runs
-through one module loop.  This suite replays the same seeded access
-trace (opens, reads, writes, ioctls and fork+exec, across real
-drive-cycle transitions) under every observation mode and asserts that
-verdicts and HookStats are identical in all of them.  It also checks
-the observers against ground truth: in every mode HookStats counts
-exactly the real module calls, and every ``lsm:hook_dispatch`` emission
-and every latency record corresponds to one of them.
+through one module loop, whose one per-call observer is the
+``lsm:hook_dispatch`` tracepoint.  This suite replays the same seeded
+access trace (opens, reads, writes, ioctls and fork+exec, across real
+drive-cycle transitions) under every observation mode: none, hook
+counts (:class:`HookStats`), latency histograms (:class:`HookLatency`),
+a bare tracepoint probe and hook spans.  Verdicts and the real module
+calls are identical in all of them; each tracepoint consumer sees
+exactly the real module calls, and the modes without a consumer emit
+nothing.
 """
 
 import random
@@ -16,8 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.kernel import KernelError, OpenFlags
-from repro.lsm import Hook
-from repro.lsm.framework import HookStats
+from repro.lsm import Hook, HookLatency, HookStats
 from repro.obs import LSM_HOOK_DISPATCH
 from repro.vehicle.devices import IOCTL_SYMBOLS
 from repro.vehicle.ivi import EnforcementConfig, build_ivi_world
@@ -33,7 +34,7 @@ IOCTL_CMDS = sorted(IOCTL_SYMBOLS.values())
 PER_PHASE = 40
 SEED = 1313
 
-MODES = ["none", "latency", "tracepoint", "spans"]
+MODES = ["none", "counts", "latency", "tracepoint", "spans"]
 CONFIGS = [EnforcementConfig.SACK_INDEPENDENT,
            EnforcementConfig.SACK_APPARMOR]
 
@@ -73,13 +74,17 @@ def _one_access(world, rng):
     return app, op, path, outcome
 
 
-def _count_module_calls(framework, real_calls):
+def _count_module_calls(framework, real_calls, real_denials):
     """Wrap every call-list entry so *real_calls* counts the module
-    invocations that actually happen, keyed like HookStats."""
+    invocations that actually happen, and *real_denials* those that
+    returned nonzero, keyed like HookStats."""
     def counted(key, method):
         def call(*args):
             real_calls[key] += 1
-            return method(*args)
+            rc = method(*args)
+            if rc:
+                real_denials[key] += 1
+            return rc
         return call
 
     for hook, entries in framework._hook_lists.items():
@@ -94,13 +99,15 @@ def _replay(config, mode):
     world.kernel.vfs.create_file(PRIVATE, mode=0o600, uid=0)
     framework = world.framework
     obs = world.kernel.obs
-    framework.stats = HookStats()
-    real_calls = Counter()
-    _count_module_calls(framework, real_calls)
+    real_calls, real_denials = Counter(), Counter()
+    _count_module_calls(framework, real_calls, real_denials)
+    stats = HookStats()
     emitted = Counter()
     hook_spans = []
-    if mode == "latency":
-        framework.enable_hook_latency()
+    if mode == "counts":
+        stats.attach(obs)
+    elif mode == "latency":
+        HookLatency().attach(obs)
     elif mode == "tracepoint":
         obs.tracepoints.attach(
             LSM_HOOK_DISPATCH,
@@ -134,10 +141,12 @@ def _replay(config, mode):
     module = world.sack or world.bridge
     return {
         "verdicts": verdicts,
-        "calls": dict(framework.stats.calls),
-        "denials": dict(framework.stats.denials),
+        "calls": stats.calls,
+        "denials": stats.denials,
         "real_calls": real_calls,
+        "real_denials": real_denials,
         "emitted": emitted,
+        "emissions": obs.tracepoints.get(LSM_HOOK_DISPATCH).hits,
         "latency": latency,
         "transitions": module.ssm.transition_count,
         "hook_spans": hook_spans,
@@ -162,7 +171,7 @@ def test_trace_exercises_every_dispatch_shape(replays):
     # The mode bits refuse the private file to the unprivileged apps, so
     # the DAC check reached ``capable``, which refused too.
     assert "err:13" in {v[3] for v in base["verdicts"] if v[1] == "private"}
-    sites = {site.split(".", 1)[1] for site in base["calls"]}
+    sites = {site.split(".", 1)[1] for site in base["real_calls"]}
     assert {Hook.FILE_OPEN.value, Hook.FILE_IOCTL.value,
             Hook.BPRM_CHECK_SECURITY.value, Hook.CAPABLE.value} <= sites
     if replays["config"] is EnforcementConfig.SACK_APPARMOR:
@@ -171,18 +180,22 @@ def test_trace_exercises_every_dispatch_shape(replays):
 
 @pytest.mark.parametrize("mode", MODES[1:])
 def test_mode_leaves_verdicts_and_hookstats_unchanged(replays, mode):
+    # The per-site calls and denials HookStats would count are the same
+    # with and without any observer.
     base, run = replays["none"], replays[mode]
     assert run["verdicts"] == base["verdicts"]
-    assert run["calls"] == base["calls"]
-    assert run["denials"] == base["denials"]
+    assert run["real_calls"] == base["real_calls"]
+    assert run["real_denials"] == base["real_denials"]
 
 
 def test_uncached_walk_records_every_module_call(replays):
-    # In every mode, observed or not, HookStats counts exactly the real
-    # calls — the ground truth the observer checks below lean on.
-    for mode in MODES:
-        run = replays[mode]
-        assert run["calls"] == dict(run["real_calls"]), mode
+    # HookStats, a tracepoint probe, counts exactly the real calls and
+    # exactly the nonzero returns.
+    run = replays["counts"]
+    assert run["calls"] == run["real_calls"]
+    assert run["denials"] == run["real_denials"]
+    assert run["denials"]
+    assert run["emissions"] == run["real_calls"].total()
 
 
 @pytest.mark.parametrize("mode,observed", [("tracepoint", "emitted"),
@@ -191,13 +204,14 @@ def test_observers_see_exactly_the_real_module_calls(replays, mode,
                                                      observed):
     run = replays[mode]
     assert run[observed] == run["real_calls"]
-    assert run[observed] == Counter(run["calls"])
+    assert run["emissions"] == run["real_calls"].total()
 
 
 def test_unobserved_modes_emit_nothing(replays):
     for mode in ("none", "spans"):
-        assert not replays[mode]["emitted"]
-        assert not replays[mode]["latency"]
+        run = replays[mode]
+        assert run["emissions"] == 0
+        assert not run["emitted"] and not run["latency"]
 
 
 def test_watched_hooks_span_int_dispatches_and_cache_hits(replays):

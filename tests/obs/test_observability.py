@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.kernel import KernelError, OpenFlags, user_credentials
-from repro.lsm import LsmModule, boot_kernel
+from repro.lsm import (HookLatency, HookStats, LsmModule, boot_kernel,
+                       hook_latency_summary)
 from repro.obs import AUDIT_AVC, AUDIT_POLICY_LOAD, AUDIT_STATE_TRANSITION
 from repro.sack import SackFs, SackLsm
 from repro.vehicle import DOOR_UNLOCK, EnforcementConfig, build_ivi_world
@@ -106,25 +107,51 @@ class TestSyscallInstrumentation:
 
 
 class TestHookLatency:
-    def test_requires_attached_kernel(self):
-        from repro.lsm import LsmFramework
-        with pytest.raises(RuntimeError):
-            LsmFramework().enable_hook_latency()
-
     def test_summary_has_percentiles(self):
         kernel, fw = boot_kernel([Watcher()])
-        fw.enable_hook_latency()
+        HookLatency().attach(kernel.obs)
         init = kernel.procs.init
         for i in range(10):
             kernel.write_file(init, f"/tmp/f{i}", b"x")
             kernel.read_file(init, f"/tmp/f{i}")
-        summary = fw.hook_latency_summary()
+        summary = hook_latency_summary(kernel.obs.metrics)
         assert "file_open" in summary
         row = summary["file_open"]
         assert row["count"] >= 1
         assert row["p50_ns"] > 0 and row["p99_ns"] >= row["p50_ns"]
-        fw.disable_hook_latency()
-        assert fw.hook_latency_summary() == {}
+
+    def test_no_probe_no_histograms(self):
+        kernel, fw = boot_kernel([Watcher()])
+        kernel.write_file(kernel.procs.init, "/tmp/f", b"x")
+        assert hook_latency_summary(kernel.obs.metrics) == {}
+
+    def test_exemplar_is_the_walks_own_hook_span(self):
+        kernel, fw = boot_kernel([Watcher()])
+        HookLatency().attach(kernel.obs)
+        spans = kernel.obs.spans
+        spans.enable()
+        spans.keep_empty_roots = True
+        init = kernel.procs.init
+        kernel.write_file(init, "/tmp/f", b"x")
+        # An unwatched walk leaves no exemplar, also while another
+        # stage's span is open around it.
+        outer = spans.start_span("sds.send", stage="sds")
+        kernel.read_file(init, "/tmp/f")
+        spans.end_span(outer)
+        hist = kernel.obs.metrics.histograms_named("lsm_hook_latency_ns")[
+            (("hook", "file_open"), ("module", "watcher"))]
+        assert hist.count == 2
+        assert not hist.exemplars
+
+        spans.trace_all_hooks()
+        kernel.read_file(init, "/tmp/f")
+        hook_span = [root for root in spans.roots()
+                     if root.name == "lsm.file_open"][-1]
+        assert hist.count == 3
+        [(trace_id, value)] = hist.exemplars.values()
+        assert trace_id == hook_span.trace_id != outer.trace_id
+        assert f'# {{trace_id="{trace_id}"}} {value:g}' in \
+            kernel.obs.metrics.to_prometheus()
 
 
 class TestDenialAudit:
@@ -251,13 +278,14 @@ class TestStatsMetricsConsistency:
             int(stats["ssm_transitions"])
 
     def test_hookstats_exported_via_collector(self):
-        kernel, fw = boot_kernel([Watcher()], collect_stats=True)
+        kernel, fw = boot_kernel([Watcher()])
+        stats = HookStats().attach(kernel.obs)
         kernel.write_file(kernel.procs.init, "/tmp/f", b"x")
         kernel.read_file(kernel.procs.init, "/tmp/f")
         prom = kernel.obs.metrics.to_prometheus()
         assert 'lsm_hook_calls_total{site="watcher.file_open"}' in prom
         # The export value equals the live HookStats value, by identity.
-        value = fw.stats.calls["watcher.file_open"]
+        value = stats.calls["watcher.file_open"]
         assert f'site="watcher.file_open"}} {value}' in prom
 
 
