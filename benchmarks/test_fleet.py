@@ -1,66 +1,19 @@
-"""Fleet orchestration benchmarks: epoch throughput and bus fan-out.
+"""Fleet V2X bus benchmark: the cost of one publish's fan-out.
 
-Speed is host time: ``REPS`` fresh fleets run the same seeded workload
-(a crash that clears, plus a staged rollout) and the best epoch wall is
-reported as vehicle-epochs per host second; every run must fingerprint
-identically.  Run with
+Fleet epoch speed is not timed here: hostbench's ``fleet-ota`` workload
+(``hostbench/run.py``) is the one fleet-speed benchmark.  Run with
 
     pytest benchmarks/test_fleet.py --benchmark-json=BENCH_fleet.json
 
-to emit the JSON artifact the CI job uploads; vehicle-epochs/s and the
-bus fan-out latencies ride along in ``extra_info``.
+to emit the JSON artifact the CI job uploads; the fan-out size and the
+copies delivered ride along in ``extra_info``.
 """
 
-import time
-
-from repro.fleet.bundle import BundleSigner, make_bundle
 from repro.fleet.bus import V2xBus
-from repro.fleet.orchestrator import Fleet, FleetConfig, ScriptedDriver
-from repro.vehicle.ivi import DEFAULT_SACK_POLICY
-from conftest import REPS, SCALE
-
-#: Fleet size for the throughput run.
-FLEET_SIZE = max(8, 4 * round(4 * SCALE))
-
-EPOCHS = 8
+from conftest import SCALE
 
 #: Subscribers for the bus fan-out measurement.
 FANOUT_SUBSCRIBERS = max(100, int(400 * SCALE))
-
-
-def _run_fleet():
-    """One fresh fleet: ``(host seconds for EPOCHS, report)``."""
-    driver = ScriptedDriver().at(1, "veh001", "crash") \
-                             .at(5, "veh001", "clear")
-    fleet = Fleet(FleetConfig(n_vehicles=FLEET_SIZE, seed=3),
-                  driver=driver)
-    fleet.stage_rollout(make_bundle(
-        1, DEFAULT_SACK_POLICY,
-        signer=BundleSigner(fleet.config.fleet_key)))
-    start = time.perf_counter()
-    for _ in range(EPOCHS):
-        fleet.run_epoch()
-    return time.perf_counter() - start, fleet.report()
-
-
-def test_fleet_throughput(benchmark, show):
-    """Host vehicle-epochs/s, best of fresh fleets that all
-    fingerprint identically."""
-    runs = [_run_fleet() for _ in range(max(2, REPS))]
-    best = min(wall for wall, _ in runs)
-    prints = {report.fingerprint() for _, report in runs}
-    assert len(prints) == 1, "a rerun changed the outcome"
-    vps = FLEET_SIZE * EPOCHS / best
-
-    benchmark.pedantic(_run_fleet, rounds=1, iterations=1)
-    benchmark.extra_info["vehicles"] = FLEET_SIZE
-    benchmark.extra_info["epochs"] = EPOCHS
-    benchmark.extra_info["host_vehicle_epochs_per_second"] = round(vps, 1)
-
-    show(f"fleet throughput ({FLEET_SIZE} vehicles, {EPOCHS} epochs, "
-         f"best of {len(runs)} fresh fleets, host time): "
-         f"{vps:.1f} vehicle-epochs/s "
-         f"(epoch wall {best / EPOCHS * 1e3:.2f} ms)")
 
 
 def test_bus_fanout_latency(benchmark, show):

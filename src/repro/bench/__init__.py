@@ -18,9 +18,8 @@ from .lmbench import (BenchResult, FILE_OP_BENCHES, LmbenchSuite,
 from .reporting import (TABLE2_ROWS, format_delta, format_value,
                         mean_abs_overhead_pct, render_comparison_table,
                         render_sweep_table)
-from .stats import best_result, mean, median, pct_delta, stdev
-from .timing import (best_of, best_of_ns, latency_summary_us, percentile,
-                     summarize_ns)
+from .stats import best_result, mean, median, pct_delta
+from .timing import best_of, latency_summary_us, percentile, summarize_ns
 
 __all__ = [
     "LATENCY_EVENTS", "SPEED_POLICY", "TABLE2_STACKS",
@@ -34,6 +33,5 @@ __all__ = [
     "LmbenchSuite", "TABLE2_BENCHES", "TABLE2_ROWS", "format_delta",
     "format_value", "mean_abs_overhead_pct", "render_comparison_table",
     "render_sweep_table", "best_result", "mean", "median", "pct_delta",
-    "stdev", "best_of", "best_of_ns", "latency_summary_us", "percentile",
-    "summarize_ns",
+    "best_of", "latency_summary_us", "percentile", "summarize_ns",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import List, Sequence
 
 from .lmbench import BenchResult
@@ -13,13 +12,6 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def stdev(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
 
 
 def median(values: Sequence[float]) -> float:

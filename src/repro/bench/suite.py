@@ -8,23 +8,23 @@ the regression *gates* the run is judged by::
     defaults:
       seed: 7
     scenarios:
-      - name: fleet-scale
-        workload: fleet
-        matrix:
-          vehicles: [8, 16]
-          hook_latency: true
-      - name: chaos-faults
+      - name: chaos-soak
         workload: chaos
         matrix:
-          ticks: 200
+          ticks: 400
+          mode: [independent, apparmor]
+      - name: verify-proofs
+        workload: verify
+        matrix:
+          revisions: 2
     gates:
-      fleet_epoch_wall_ms: 150   # fail check on a >150% rise
+      verify_wall_ms: 100   # fail check on a >100% rise
 
 ``expand_cells`` turns that into one :class:`SweepCell` per matrix
 combination; ``--dry-run`` prints exactly that matrix and executes
 nothing.  ``run_suite`` executes each cell through the *existing*
-harnesses — the fleet scheduler, the chaos harness, the per-hook
-latency breakdown, the model checker — and writes a run
+harnesses — the chaos harness, the fleet supervisor's crash recovery,
+the fleet telemetry pipeline, the model checker — and writes a run
 directory::
 
     <out>/<suite>-<UTC stamp>-<confighash8>/
@@ -33,10 +33,9 @@ directory::
       cells/<cell id>.json # envelope: params, metrics, obs capture
       summary.json         # envelope: gate metrics per cell (check input)
 
-Every cell doubles as an observability capture: its JSON folds in the
-kernel's :mod:`repro.obs` metrics-hub counters (via the same
-``aggregate_counters`` fold the fleet report uses) and, where spans are
-cheap to arm, the span tracer's CPU breakdown.  ``suite check``
+Every cell doubles as an observability capture: its JSON carries the
+run's deterministic outputs (fingerprints, fault and resilience
+reports, telemetry rollups, proof effort).  ``suite check``
 compares ``summary.json`` against the committed trajectory
 (:mod:`repro.bench.trajectory`) and exits non-zero on any gate breach.
 """
@@ -118,17 +117,6 @@ _MEASURE_MEMORY_OFF = Axis("measure_memory", "bool", False)
 
 #: Per-workload matrix schemas.  Axis order here fixes cell-id layout.
 WORKLOAD_AXES: Dict[str, Dict[str, Axis]] = {
-    "fleet": _axes(
-        Axis("vehicles", "int", 8, minimum=1),
-        Axis("epochs", "int", 6, minimum=1),
-        Axis("mode", "choice", "independent", choices=tuple(SACK_MODES)),
-        Axis("fault_intensity", "float", 0.0, minimum=0.0, maximum=1.0),
-        Axis("drive_cycle", "choice", "traffic",
-             choices=("traffic", "calm", "crash")),
-        Axis("rollout", "bool", False),
-        Axis("hook_latency", "bool", False),
-        _SEED, _MEASURE_MEMORY_OFF,
-    ),
     "chaos": _axes(
         Axis("ticks", "int", 200, minimum=1),
         Axis("mode", "choice", "independent", choices=tuple(SACK_MODES)),
@@ -143,10 +131,6 @@ WORKLOAD_AXES: Dict[str, Dict[str, Axis]] = {
         Axis("crash_probability", "float", 0.0, minimum=0.0,
              maximum=1.0),
         _SEED, _MEASURE_MEMORY_ON,
-    ),
-    "hooks": _axes(
-        Axis("scale", "float", 0.1, minimum=0.001, maximum=1.0),
-        _SEED, _MEASURE_MEMORY_OFF,
     ),
     "telemetry": _axes(
         Axis("vehicles", "int", 25, minimum=1),
@@ -380,90 +364,6 @@ def expand_cells(config: SuiteConfig) -> List[SweepCell]:
 HOST_REPS = 3
 
 
-def _timed_epochs_ns(fleet, epochs: int) -> int:
-    """Host nanoseconds spent running *epochs* fleet epochs."""
-    start = time.perf_counter_ns()
-    for _ in range(epochs):
-        fleet.run_epoch()
-    return time.perf_counter_ns() - start
-
-
-def _run_fleet_cell(params: Dict[str, object]
-                    ) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Fleet cell: the best epoch wall of :data:`HOST_REPS` fresh fleets."""
-    from ..fleet.bundle import BundleSigner, make_bundle
-    from ..fleet.orchestrator import (Fleet, FleetConfig, ScriptedDriver,
-                                      TrafficDriver)
-    from ..lsm import HookLatency, hook_latency_summary
-    from ..vehicle.ivi import DEFAULT_SACK_POLICY
-
-    cycle = params["drive_cycle"]
-    epochs = int(params["epochs"])
-
-    def make_driver():
-        # Fresh per fleet: scripted drivers carry per-run schedule state.
-        if cycle == "traffic":
-            return TrafficDriver(int(params["seed"]))
-        if cycle == "calm":
-            return ScriptedDriver()
-        # crash: first vehicle crashes early and recovers later
-        driver = ScriptedDriver().at(1, "veh000", "crash")
-        if epochs > 4:
-            driver.at(epochs - 2, "veh000", "clear")
-        return driver
-
-    hook_latency = bool(params["hook_latency"])
-
-    def run_once():
-        """One fresh fleet: ``(ns per epoch, fleet, report)``."""
-        fleet = Fleet(FleetConfig(
-            n_vehicles=int(params["vehicles"]), seed=int(params["seed"]),
-            mode=str(params["mode"]),
-            vehicle_fault_intensity=float(params["fault_intensity"])),
-            driver=make_driver())
-        if hook_latency:
-            for vehicle in fleet.vehicles.values():
-                HookLatency().attach(vehicle.world.kernel.obs)
-        if params["rollout"]:
-            fleet.stage_rollout(make_bundle(
-                1, DEFAULT_SACK_POLICY,
-                signer=BundleSigner(fleet.config.fleet_key)))
-        wall_ns = _timed_epochs_ns(fleet, epochs) / epochs
-        return wall_ns, fleet, fleet.report()
-
-    walls = []
-    for _ in range(HOST_REPS):
-        wall_ns, fleet, report = run_once()
-        walls.append(wall_ns)
-    wall_ns = min(walls)
-
-    metrics: Dict[str, float] = {
-        "fleet_epoch_wall_ms": wall_ns / 1e6,
-        "fleet_transitions": float(report.total_transitions),
-        "fleet_bus_copies_delivered":
-            float(report.bus_stats.get("copies_delivered", 0)),
-        "fleet_violations": float(len(report.violations)),
-    }
-    obs: Dict[str, object] = {
-        "counters": report.counters,
-        "fingerprint": report.fingerprint(),
-        "rollout": report.rollout,
-        "bus": report.bus_stats,
-    }
-    if hook_latency:
-        summaries = {vid: hook_latency_summary(v.world.kernel.obs.metrics)
-                     for vid, v in sorted(fleet.vehicles.items())}
-        rows = [row for summary in summaries.values()
-                for row in summary.values()]
-        if rows:
-            total = sum(r["count"] for r in rows)
-            metrics["hook_mean_ns"] = sum(
-                r["count"] * r["mean_ns"] for r in rows) / total
-            metrics["hook_p99_ns"] = max(r["p99_ns"] for r in rows)
-        obs["hook_latency"] = summaries
-    return metrics, obs
-
-
 def _run_chaos_cell(params: Dict[str, object]
                     ) -> Tuple[Dict[str, float], Dict[str, object]]:
     """Seeded fault-injection run.  A cell whose SSM never commits a
@@ -542,24 +442,6 @@ def _run_recovery_cell(params: Dict[str, object]
     return metrics, obs
 
 
-def _run_hooks_cell(params: Dict[str, object]
-                    ) -> Tuple[Dict[str, float], Dict[str, object]]:
-    from .harness import run_hook_latency_breakdown
-    breakdown = run_hook_latency_breakdown(
-        scale=float(params["scale"]))
-    metrics: Dict[str, float] = {}
-    for config, hooks in breakdown.items():
-        if not hooks:
-            continue
-        total = sum(r["count"] for r in hooks.values())
-        key = config.replace("-", "_")
-        metrics[f"hooks_{key}_mean_ns"] = sum(
-            r["count"] * r["mean_ns"] for r in hooks.values()) / total
-        metrics[f"hooks_{key}_p99_ns"] = max(
-            r["p99_ns"] for r in hooks.values())
-    return metrics, {"hook_latency": breakdown}
-
-
 def _run_telemetry_cell(params: Dict[str, object]
                         ) -> Tuple[Dict[str, float], Dict[str, object]]:
     """Telemetry-overhead cell: a seeded fleet with the pipeline on.
@@ -578,7 +460,10 @@ def _run_telemetry_cell(params: Dict[str, object]
             telemetry=True,
             telemetry_short_window_epochs=int(params["short_window"]),
             telemetry_long_window_epochs=int(params["long_window"])))
-        wall_ns = _timed_epochs_ns(fleet, epochs)
+        start = time.perf_counter_ns()
+        for _ in range(epochs):
+            fleet.run_epoch()
+        wall_ns = time.perf_counter_ns() - start
         report = fleet.report()
         cpu_ns = int(report.telemetry["overhead"]["cpu_ns_total"])
         return cpu_ns / max(1, wall_ns - cpu_ns) * 100.0, report
@@ -660,10 +545,8 @@ def _run_verify_cell(params: Dict[str, object]
 _EXECUTORS: Dict[str, Callable[[Dict[str, object]],
                                Tuple[Dict[str, float],
                                      Dict[str, object]]]] = {
-    "fleet": _run_fleet_cell,
     "chaos": _run_chaos_cell,
     "recovery": _run_recovery_cell,
-    "hooks": _run_hooks_cell,
     "telemetry": _run_telemetry_cell,
     "verify": _run_verify_cell,
 }
@@ -726,9 +609,9 @@ class SuiteRun:
         """Fold cell metrics per metric set (= workload name).
 
         When a sweep produces the same metric in several cells (every
-        fleet cell reports ``fleet_epoch_wall_ms``), the fold
-        keeps the *worst* value per gate direction — the gate then
-        defends the weakest cell, not the luckiest.
+        verify cell reports ``verify_wall_ms``), the fold keeps the
+        *worst* value per gate direction — the gate then defends the
+        weakest cell, not the luckiest.
         """
         from .trajectory import direction_of
         folded: Dict[str, Dict[str, float]] = {}
@@ -863,8 +746,8 @@ def check_run(run_dir: str, trajectory_dir: str):
 def _suite_source(summary_data: Dict[str, object]) -> str:
     """The trajectory ``source`` tag for a suite run's records.
 
-    Baselines are suite-scoped (``suite:smoke`` vs ``suite:nightly``): two
-    suites folding the same metric over different cell populations must
+    Baselines are suite-scoped (``suite:smoke`` vs a local
+    ``suite:soak``): two suites folding the same metric over different cell populations must
     not serve as each other's baselines.
     """
     return f"suite:{summary_data.get('suite', 'unknown')}"

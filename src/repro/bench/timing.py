@@ -34,20 +34,6 @@ def best_of(fn: Callable[[], object], reps: int = 3) -> float:
     return best
 
 
-def best_of_ns(fn: Callable[[], object], reps: int = 3) -> int:
-    """Minimum wall-clock nanoseconds of *fn* over *reps* runs."""
-    if reps < 1:
-        raise ValueError("need at least one repetition")
-    best = None
-    for _ in range(reps):
-        start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
-
-
 def summarize_ns(values: Sequence[float]) -> Dict[str, float]:
     """``{count, mean_ns, p50_ns, p99_ns, max_ns}`` of a latency sample."""
     if not values:

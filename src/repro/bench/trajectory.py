@@ -6,10 +6,10 @@ has an append-only, schema-versioned history file committed under
 
     {
       "schema": "sack-bench-trajectory/v1",
-      "metric_set": "fleet",
+      "metric_set": "verify",
       "records": [
         {"git_sha": ..., "timestamp": ..., "seed": ..., "source": ...,
-         "metrics": {"fleet_epoch_wall_ms": 61.2, ...}},
+         "metrics": {"verify_wall_ms": 13.3, ...}},
         ...
       ]
     }
@@ -142,8 +142,8 @@ class Trajectory:
 
         With *source*, records from that exact source are preferred —
         two suites may legitimately report the same metric over
-        different cell populations (smoke's one fleet cell, nightly's
-        sweep of fleet sizes), and a gate
+        different cell populations (smoke's two-revision proof, a
+        local suite's longer OTA chains), and a gate
         must compare a run against its own lineage, not whichever suite
         appended last.  If no same-source record carries the metric the
         scan falls back to any source, so the first run of a renamed or
@@ -235,8 +235,8 @@ def metrics_from_pytest_benchmark(doc: Dict[str, object]
     ``<name>_mean_ns`` plus every numeric scalar from ``extra_info``
     (prefixed with the benchmark name; nested dicts flatten with their
     key path).  That captures exactly the numbers the benchmark files
-    advertise — ``speedup``, host vehicle-epochs per second, per-op
-    latencies — under stable, direction-inferable names.
+    advertise — ``speedup``, copies delivered, per-op latencies —
+    under stable, direction-inferable names.
     """
     out: Dict[str, float] = {}
 

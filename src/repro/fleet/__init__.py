@@ -37,7 +37,7 @@ from .bundle import (BundleCheck, BundleError, BundleSigner,
 from .bus import BusRecord, V2xBus, V2xMessage
 from .orchestrator import (Fleet, FleetConfig, FleetRunResult,
                            ScriptedDriver, TrafficDriver)
-from .report import FleetReport, aggregate_counters, aggregate_metrics
+from .report import FleetReport, aggregate_metrics
 from .resilience import (CheckpointStore, ControlPlaneGuard, EpochJournal,
                          RestartPolicy, VehicleSupervisor,
                          CRASHED, QUARANTINED, RUNNING)
@@ -55,7 +55,7 @@ __all__ = [
     "BusRecord", "V2xBus", "V2xMessage",
     "Fleet", "FleetConfig", "FleetRunResult", "ScriptedDriver",
     "TrafficDriver",
-    "FleetReport", "aggregate_counters", "aggregate_metrics",
+    "FleetReport", "aggregate_metrics",
     "FleetTelemetry", "SloAlert", "SloEngine", "SloSpec",
     "TelemetryAggregator", "default_slos", "parse_slo",
     "CheckpointStore", "ControlPlaneGuard", "EpochJournal",

@@ -22,22 +22,6 @@ from typing import Dict, List, Tuple
 from ..obs.telemetry import merge_histograms, series_key
 
 
-def aggregate_counters(metric_dicts) -> Dict[str, int]:
-    """Sum ``repro.obs`` counter values across kernels.
-
-    *metric_dicts* is an iterable of ``MetricsRegistry.to_dict()``
-    results; the return maps ``name{label=value,...}`` (or bare ``name``)
-    to the fleet-wide total.  Only counters are folded here — see
-    :func:`aggregate_metrics` for the full-instrument roll-up.
-    """
-    totals: Dict[str, int] = {}
-    for doc in metric_dicts:
-        for row in doc.get("counters", []):
-            key = series_key(row["name"], row.get("labels"))
-            totals[key] = totals.get(key, 0) + int(row["value"])
-    return dict(sorted(totals.items()))
-
-
 def aggregate_metrics(metric_dicts) -> Dict[str, Dict[str, object]]:
     """Fold every instrument kind across kernels, not just counters.
 

@@ -61,8 +61,11 @@ class HookLatency:
     metrics registry.
 
     A record's exemplar is the trace id of the walk's own
-    ``lsm.<hook>`` span (the only spans of stage ``hook``); a walk that
-    opened no span leaves none, even inside another stage's span.
+    ``lsm.<hook>`` span (the only spans of stage ``hook``), and only
+    when the tracer will keep that span (:meth:`SpanTracer.keeps`): an
+    exemplar never names a trace that ``spans.roots()`` cannot return.
+    A walk that opened no span leaves none, even inside another stage's
+    span.
     """
 
     def __init__(self):
@@ -80,10 +83,12 @@ class HookLatency:
         if hist is None:
             hist = self._histograms[key] = self.obs.metrics.histogram(
                 HOOK_LATENCY_METRIC, {"module": key[0], "hook": key[1]})
-        span = self.obs.spans.active
+        spans = self.obs.spans
+        span = spans.active
         hist.record(fields["latency_ns"],
                     trace_id=(span.trace_id if span is not None
-                              and span.stage == "hook" else None))
+                              and span.stage == "hook"
+                              and spans.keeps(span) else None))
 
 
 def hook_latency_summary(metrics) -> Dict[str, Dict[str, float]]:

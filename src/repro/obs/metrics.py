@@ -37,7 +37,7 @@ def _label_key(labels: Optional[Dict[str, str]]) -> LabelPairs:
 
 def series_key(name: str, labels: Optional[Dict[str, str]]) -> str:
     """``name{label=value,...}`` (or bare ``name``) — the one rendered
-    series key, which :func:`repro.fleet.report.aggregate_counters` also
+    series key, which :func:`repro.fleet.report.aggregate_metrics` also
     uses, so frame series and report counters join on equal strings."""
     if not labels:
         return name

@@ -305,10 +305,17 @@ class SpanTracer:
         if span is not None:
             span.attributes.update(attributes)
 
+    def keeps(self, root: Span) -> bool:
+        """Whether *root*, once finished, will be stored: a childless,
+        link-less local root is discarded unless empty roots are kept.
+        Children and links only accumulate, so a true answer for an
+        open span holds when it ends."""
+        return bool(self.keep_empty_roots or root.children or root.links
+                    or root.parent_id)
+
     def _store(self, root: Span) -> None:
         self.finished += 1
-        if (not self.keep_empty_roots and not root.children
-                and not root.links and not root.parent_id):
+        if not self.keeps(root):
             self.discarded += 1
             return
         if len(self.traces) >= self.capacity:

@@ -22,7 +22,7 @@ def test_zero_transition_cell_fails():
                          "fault_intensity": 0.05})
 
 
-@pytest.mark.parametrize("suite", ["smoke.yaml", "nightly.yaml"])
+@pytest.mark.parametrize("suite", ["smoke.yaml"])
 def test_shipped_chaos_cells_transition(suite):
     cells = [cell for cell in expand_cells(load_suite_config(
         str(CONFIGS / suite))) if cell.workload == "chaos"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.lmbench import BenchResult
-from repro.bench.stats import best_result, mean, median, pct_delta, stdev
+from repro.bench.stats import best_result, mean, median, pct_delta
 
 
 class TestScalars:
@@ -17,11 +17,6 @@ class TestScalars:
     def test_median_odd_even(self):
         assert median([3, 1, 2]) == 2
         assert median([1, 2, 3, 4]) == 2.5
-
-    def test_stdev(self):
-        assert stdev([2, 2, 2]) == 0
-        assert stdev([1, 3]) == pytest.approx(1.4142, rel=1e-3)
-        assert stdev([5]) == 0
 
     def test_pct_delta(self):
         assert pct_delta(100, 103) == pytest.approx(3.0)

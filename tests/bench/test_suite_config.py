@@ -11,7 +11,7 @@ from repro.bench.suite import (ConfigError, SuiteConfig, WORKLOAD_AXES,
                                run_suite)
 
 
-def minimal(workload="fleet", matrix=None, **top):
+def minimal(workload="recovery", matrix=None, **top):
     doc = {
         "suite": "t",
         "scenarios": [{"name": "s", "workload": workload,
@@ -25,7 +25,7 @@ class TestTopLevel:
     def test_minimal_config_parses(self):
         config = parse_suite_config(minimal())
         assert config.name == "t"
-        assert config.scenarios[0].workload == "fleet"
+        assert config.scenarios[0].workload == "recovery"
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError, match="top level"):
@@ -51,7 +51,7 @@ class TestTopLevel:
 
     def test_duplicate_scenario_names_rejected(self):
         doc = {"suite": "t", "scenarios": [
-            {"name": "s", "workload": "fleet"},
+            {"name": "s", "workload": "recovery"},
             {"name": "s", "workload": "chaos"},
         ]}
         with pytest.raises(ConfigError, match="duplicate scenario"):
@@ -63,13 +63,26 @@ class TestAxes:
         with pytest.raises(ConfigError, match="unknown workload"):
             parse_suite_config(minimal(workload="warp"))
 
+    def test_fleet_workload_refused_with_known_list(self):
+        # Fleet speed is hostbench's fleet-ota workload; the suite has
+        # no fleet (or hooks) cell.
+        assert sorted(WORKLOAD_AXES) == ["chaos", "recovery", "telemetry",
+                                         "verify"]
+        for workload in ("fleet", "hooks"):
+            with pytest.raises(ConfigError) as err:
+                parse_suite_config(minimal(workload=workload))
+            assert f"unknown workload {workload!r}; choose from " \
+                   "['chaos', 'recovery', 'telemetry', 'verify']" \
+                in str(err.value)
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError, match="unknown axis"):
             parse_suite_config(minimal(matrix={"warp_factor": 9}))
 
     def test_bad_choice_rejected(self):
-        with pytest.raises(ConfigError, match="drive_cycle.*one of"):
-            parse_suite_config(minimal(matrix={"drive_cycle": "gpu"}))
+        with pytest.raises(ConfigError, match="mode.*one of"):
+            parse_suite_config(minimal(workload="chaos",
+                                       matrix={"mode": "gpu"}))
 
     def test_non_integer_vehicles_rejected(self):
         with pytest.raises(ConfigError, match="vehicles.*integer"):
@@ -84,12 +97,13 @@ class TestAxes:
             parse_suite_config(minimal(matrix={"seed": -1}))
 
     def test_bool_axis_rejects_strings(self):
-        with pytest.raises(ConfigError, match="rollout.*true/false"):
-            parse_suite_config(minimal(matrix={"rollout": "yes"}))
+        with pytest.raises(ConfigError, match="measure_memory.*true/false"):
+            parse_suite_config(minimal(matrix={"measure_memory": "yes"}))
 
     def test_fault_intensity_range_enforced(self):
         with pytest.raises(ConfigError, match="fault_intensity"):
-            parse_suite_config(minimal(matrix={"fault_intensity": 1.5}))
+            parse_suite_config(minimal(workload="chaos",
+                                       matrix={"fault_intensity": 1.5}))
 
     def test_empty_sweep_list_rejected(self):
         with pytest.raises(ConfigError, match="sweep list is empty"):
@@ -108,14 +122,14 @@ class TestAxes:
             "suite": "t",
             "defaults": {"seed": 9, "ticks": 50},
             "scenarios": [
-                {"name": "f", "workload": "fleet"},
+                {"name": "v", "workload": "verify"},
                 {"name": "c", "workload": "chaos"},
             ],
         }
         config = parse_suite_config(doc)
-        fleet, chaos = config.scenarios
-        assert fleet.matrix["seed"] == 9
-        assert "ticks" not in fleet.matrix  # fleet has no ticks axis
+        verify, chaos = config.scenarios
+        assert verify.matrix["seed"] == 9
+        assert "ticks" not in verify.matrix  # verify has no ticks axis
         assert chaos.matrix == {"seed": 9, "ticks": 50}
 
 
@@ -127,25 +141,26 @@ class TestGates:
     def test_gate_tolerance_must_be_positive(self):
         with pytest.raises(ConfigError, match="positive"):
             parse_suite_config(
-                minimal(gates={"fleet_epoch_wall_ms": -5}))
+                minimal(gates={"recovery_restore_latency_ns": -5}))
 
     def test_null_tolerance_means_default(self):
         config = parse_suite_config(
-            minimal(gates={"fleet_epoch_wall_ms": None}))
-        assert config.gates == {"fleet_epoch_wall_ms": None}
+            minimal(gates={"recovery_restore_latency_ns": None}))
+        assert config.gates == {"recovery_restore_latency_ns": None}
 
 
 class TestExpansion:
     def test_cross_product_order_and_ids(self):
         config = parse_suite_config(minimal(
-            matrix={"vehicles": [1, 2],
+            workload="chaos",
+            matrix={"ticks": [1, 2],
                     "mode": ["independent", "apparmor"]}))
         cells = expand_cells(config)
         assert [c.cell_id for c in cells] == [
-            "s__vehicles=1,mode=independent",
-            "s__vehicles=1,mode=apparmor",
-            "s__vehicles=2,mode=independent",
-            "s__vehicles=2,mode=apparmor",
+            "s__ticks=1,mode=independent",
+            "s__ticks=1,mode=apparmor",
+            "s__ticks=2,mode=independent",
+            "s__ticks=2,mode=apparmor",
         ]
 
     def test_unswept_scenario_uses_bare_name(self):
@@ -156,14 +171,14 @@ class TestExpansion:
     def test_defaults_fill_unspecified_axes(self):
         cells = expand_cells(parse_suite_config(minimal()))
         params = cells[0].param_dict
-        for axis_name, axis in WORKLOAD_AXES["fleet"].items():
+        for axis_name, axis in WORKLOAD_AXES["recovery"].items():
             assert params[axis_name] == axis.default
 
     def test_bool_sweep_renders_on_off(self):
         cells = expand_cells(parse_suite_config(
-            minimal(matrix={"rollout": [True, False]})))
+            minimal(matrix={"measure_memory": [True, False]})))
         assert {c.cell_id for c in cells} == \
-            {"s__rollout=on", "s__rollout=off"}
+            {"s__measure_memory=on", "s__measure_memory=off"}
 
     def test_seed_is_sweepable(self):
         cells = expand_cells(parse_suite_config(
@@ -204,7 +219,7 @@ class TestConfigHash:
     def test_round_trips_through_to_dict(self):
         config = parse_suite_config(minimal(
             matrix={"vehicles": [1, 2]},
-            gates={"fleet_epoch_wall_ms": 10}))
+            gates={"recovery_restore_latency_ns": 10}))
         again = parse_suite_config(config.to_dict())
         assert isinstance(again, SuiteConfig)
         assert again.config_hash() == config.config_hash()

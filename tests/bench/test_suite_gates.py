@@ -17,7 +17,7 @@ TRAJECTORY_DIR = str(ROOT / "benchmarks" / "trajectory")
 
 
 def test_configs_are_shipped():
-    assert {path.stem for path in CONFIGS} >= {"smoke", "nightly"}
+    assert {path.stem for path in CONFIGS} == {"smoke"}
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench.timing import (best_of, best_of_ns, latency_summary_us,
-                                percentile, summarize_ns)
+from repro.bench.timing import (best_of, latency_summary_us, percentile,
+                                summarize_ns)
 
 
 class TestBestOf:
@@ -12,16 +12,9 @@ class TestBestOf:
         assert best_of(lambda: calls.append(1), reps=4) >= 0.0
         assert len(calls) == 4
 
-    def test_best_of_ns_integer(self):
-        elapsed = best_of_ns(lambda: sum(range(100)), reps=2)
-        assert isinstance(elapsed, int)
-        assert elapsed >= 0
-
     def test_zero_reps_rejected(self):
         with pytest.raises(ValueError):
             best_of(lambda: None, reps=0)
-        with pytest.raises(ValueError):
-            best_of_ns(lambda: None, reps=0)
 
 
 class TestPercentile:

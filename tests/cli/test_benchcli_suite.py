@@ -20,13 +20,13 @@ CONFIG = """\
 suite: tiny
 scenarios:
   - name: mini
-    workload: fleet
+    workload: verify
     matrix:
-      vehicles: [2, 3]
-      epochs: 2
+      revisions: [1, 2]
+      reps: 1
       seed: 3
 gates:
-  fleet_epoch_wall_ms: 10
+  verify_wall_ms: 10
 """
 
 
@@ -54,9 +54,9 @@ class TestDryRun:
         assert not out.exists()
         stdout = capsys.readouterr().out
         assert "2 cell(s)" in stdout
-        assert "mini__vehicles=2" in stdout
-        assert "mini__vehicles=3" in stdout
-        assert "epochs=2" in stdout  # resolved params are shown
+        assert "mini__revisions=1" in stdout
+        assert "mini__revisions=2" in stdout
+        assert "reps=1" in stdout  # resolved params are shown
 
     def test_invalid_config_raises_config_error(self, tmp_path):
         config = tmp_path / "bad.yaml"
@@ -73,7 +73,7 @@ class TestRunDirectory:
         for name in ("manifest.json", "config.json", "summary.json"):
             assert (run_dir / name).is_file()
         cells = sorted(p.name for p in (run_dir / "cells").iterdir())
-        assert cells == ["mini__vehicles=2.json", "mini__vehicles=3.json"]
+        assert cells == ["mini__revisions=1.json", "mini__revisions=2.json"]
 
     def test_manifest_envelope(self, suite_run):
         doc = json.loads((suite_run["run_dir"] / "manifest.json")
@@ -88,19 +88,19 @@ class TestRunDirectory:
 
     def test_cell_metrics_and_obs_capture(self, suite_run):
         cell = json.loads(
-            (suite_run["run_dir"] / "cells" / "mini__vehicles=3.json")
+            (suite_run["run_dir"] / "cells" / "mini__revisions=2.json")
             .read_text())
         check_envelope(cell)
         data = cell["data"]
-        assert data["params"]["vehicles"] == 3
-        assert data["metrics"]["fleet_epoch_wall_ms"] > 0
-        assert "counters" in data["observability"]
+        assert data["params"]["revisions"] == 2
+        assert data["metrics"]["verify_wall_ms"] > 0
+        assert len(data["observability"]["policies"]) == 2
 
     def test_summary_carries_gate_metrics(self, suite_run):
         doc = json.loads((suite_run["run_dir"] / "summary.json")
                          .read_text())
         by_set = doc["data"]["by_metric_set"]
-        assert "fleet_epoch_wall_ms" in by_set["fleet"]
+        assert "verify_wall_ms" in by_set["verify"]
 
 
 class TestCheck:
@@ -113,7 +113,7 @@ class TestCheck:
         assert main(args + ["--update"]) == 0
         stdout = capsys.readouterr().out
         assert "0 gated metric(s)" in stdout  # first run has no baseline
-        assert (trajectory_dir / "BENCH_fleet.json").is_file()
+        assert (trajectory_dir / "BENCH_verify.json").is_file()
         # second check now gates against the record --update appended
         assert main(args) == 0
         assert "1 gated metric(s)" in capsys.readouterr().out
@@ -122,14 +122,14 @@ class TestCheck:
                                                 tmp_path, capsys):
         trajectory_dir = tmp_path / "trajectory"
         trajectory_dir.mkdir()
-        baseline = Trajectory("fleet")
-        baseline.append({"fleet_epoch_wall_ms": 1e-6}, sha="golden")
-        baseline.save(trajectory_path(str(trajectory_dir), "fleet"))
+        baseline = Trajectory("verify")
+        baseline.append({"verify_wall_ms": 1e-6}, sha="golden")
+        baseline.save(trajectory_path(str(trajectory_dir), "verify"))
         rc = main(["suite", "check", "--run", str(suite_run["run_dir"]),
                    "--trajectory", str(trajectory_dir)])
         assert rc == 1
         stdout = capsys.readouterr().out
-        assert "REGRESSION fleet/fleet_epoch_wall_ms" in stdout
+        assert "REGRESSION verify/verify_wall_ms" in stdout
 
     def test_resolves_newest_run_under_out(self, suite_run, tmp_path,
                                            capsys):
@@ -145,9 +145,9 @@ class TestReport:
     def test_writes_markdown(self, suite_run, tmp_path):
         trajectory_dir = tmp_path / "trajectory"
         trajectory_dir.mkdir()
-        baseline = Trajectory("fleet")
-        baseline.append({"fleet_epoch_wall_ms": 100.0}, sha="abc")
-        baseline.save(trajectory_path(str(trajectory_dir), "fleet"))
+        baseline = Trajectory("verify")
+        baseline.append({"verify_wall_ms": 100.0}, sha="abc")
+        baseline.save(trajectory_path(str(trajectory_dir), "verify"))
         out = tmp_path / "report.md"
         rc = main(["suite", "report",
                    "--trajectory", str(trajectory_dir),
@@ -155,8 +155,8 @@ class TestReport:
         assert rc == 0
         text = out.read_text()
         assert "# Performance trajectory" in text
-        assert "## Trend — `fleet`" in text
-        assert "fleet_epoch_wall_ms" in text
+        assert "## Trend — `verify`" in text
+        assert "verify_wall_ms" in text
 
     def test_run_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -153,6 +153,39 @@ class TestHookLatency:
         assert f'# {{trace_id="{trace_id}"}} {value:g}' in \
             kernel.obs.metrics.to_prometheus()
 
+    def test_exemplars_name_only_kept_traces(self):
+        kernel, _, _, _ = make_world()
+        HookLatency().attach(kernel.obs)
+        spans = kernel.obs.spans
+        spans.enable()
+        spans.trace_all_hooks()
+        init = kernel.procs.init
+
+        def exemplar_traces():
+            return {trace_id for hist in kernel.obs.metrics
+                    .histograms_named("lsm_hook_latency_ns").values()
+                    for trace_id, _ in hist.exemplars.values()}
+
+        def kept_traces():
+            return {root.trace_id for root in spans.roots()}
+
+        # With no transition every hook span is childless and
+        # link-less, so the tracer discards it: no exemplar may name it.
+        kernel.write_file(init, "/tmp/f", b"x")
+        kernel.read_file(init, "/tmp/f")
+        assert spans.discarded > 0
+        assert exemplar_traces() <= kept_traces()
+
+        kernel.write_file(sds_task(kernel),
+                          "/sys/kernel/security/SACK/events",
+                          b"crash_detected\n", create=False)
+        kernel.read_file(init, "/tmp/f")
+        linked = {root.trace_id for root in spans.roots()
+                  if root.name.startswith("lsm.") and root.links}
+        assert linked
+        assert exemplar_traces() & linked
+        assert exemplar_traces() <= kept_traces()
+
 
 class TestDenialAudit:
     def test_one_avc_record_per_denied_access(self):
