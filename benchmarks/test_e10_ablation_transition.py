@@ -3,9 +3,11 @@ AppArmor, as a function of policy size.
 
 Independent SACK pays at *check* time (a guard/rule lookup per hook) but
 transitions are an O(1) pointer swap; the bridge's check path is vanilla
-AppArmor but every transition rewrites and reloads profiles.  This is the
-design trade-off DESIGN.md §5 calls out; the crossover against transition
-frequency follows from these numbers.
+AppArmor but every transition reloads profiles: its first entry into a
+state translates the rules and stages the state's profile set, and each
+later entry swaps the kept set in again.  This is the design trade-off
+DESIGN.md §5 calls out; the crossover against transition frequency
+follows from these numbers.
 """
 
 import pytest
@@ -31,17 +33,19 @@ def test_transition_cost_sweep(benchmark, show):
     out = holder["out"]
 
     lines = ["Transition cost: independent vs bridge (us/transition)",
-             f"  {'rules':>8} {'independent':>13} {'bridge':>10} "
-             f"{'ratio':>8}"]
+             f"  {'rules':>8} {'independent':>13} {'bridge 1st':>11} "
+             f"{'bridge':>10} {'ratio':>8}"]
     for count in RULE_COUNTS:
         row = out[count]
         lines.append(f"  {count:>8} {row['independent_us']:>13.1f} "
+                     f"{row['bridge_first_us']:>11.1f} "
                      f"{row['bridge_us']:>10.1f} {row['ratio']:>7.1f}x")
     show("\n".join(lines))
 
-    # Shape checks: the bridge's transition cost grows with policy size;
-    # independent SACK's does not (pointer swap).
-    assert out[1000]["bridge_us"] > out[10]["bridge_us"]
+    # Slope bounds: a bridged re-entry swaps in the state's kept profile
+    # set, so like independent SACK's pointer swap it stays flat over
+    # 10..1000 rules (the first entry, which translates, still grows).
+    assert out[1000]["bridge_us"] <= out[10]["bridge_us"] * 3
     assert out[1000]["independent_us"] < out[10]["independent_us"] * 5
     # The bridge is always the more expensive transition.
     assert all(out[c]["ratio"] > 1 for c in RULE_COUNTS)

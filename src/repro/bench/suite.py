@@ -609,9 +609,11 @@ class SuiteRun:
         """Fold cell metrics per metric set (= workload name).
 
         When a sweep produces the same metric in several cells (every
-        verify cell reports ``verify_wall_ms``), the fold keeps the
-        *worst* value per gate direction — the gate then defends the
-        weakest cell, not the luckiest.
+        verify cell reports ``verify_wall_ms``, every chaos cell
+        ``chaos_violations``), the fold keeps the *worst* value per gate
+        direction — the gate then defends the weakest cell, not the
+        luckiest, and a violation in any cell reaches the summary.  A
+        metric with no known direction keeps the first cell's value.
         """
         from .trajectory import direction_of
         folded: Dict[str, Dict[str, float]] = {}

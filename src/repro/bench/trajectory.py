@@ -43,7 +43,7 @@ DEFAULT_TOLERANCE_PCT = 20.0
 #: matched here or in _HIGHER_SUFFIXES must be declared explicitly via
 #: a gate entry; :func:`direction_of` then refuses to guess.
 _LOWER_SUFFIXES = ("_ns", "_us", "_ms", "_ns_per_op", "_us_per_event",
-                   "_kb", "_bytes", "_pct", "_crossings")
+                   "_kb", "_bytes", "_pct", "_crossings", "_violations")
 
 #: Substrings that mean "bigger is better" (checked first, anywhere in
 #: the name, so per-axis variants like ``speedup_1_to_4`` still match).

@@ -149,10 +149,12 @@ def cmd_transport(args) -> int:
 
 def cmd_transition(args) -> int:
     out = run_transition_cost_ablation(transitions=max(20, int(200 * args.scale)))
-    print("Transition cost (us): independent vs bridge")
+    print("Transition cost (us): independent vs bridge "
+          "(first entry into a state, then re-entry)")
     for count, row in out.items():
         print(f"  {count:>5} rules: {row['independent_us']:.1f} vs "
-              f"{row['bridge_us']:.1f} ({row['ratio']:.0f}x)")
+              f"{row['bridge_first_us']:.1f}, {row['bridge_us']:.1f} "
+              f"({row['ratio']:.0f}x)")
     _emit(args, "transition",
           {"rule_counts": {str(k): v for k, v in out.items()}})
     return 0

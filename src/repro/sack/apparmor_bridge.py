@@ -6,12 +6,23 @@ original AppArmor" (§IV-B).  Instead, on every situation transition the
 bridge rewrites the AppArmor profiles of the target services: SACK MAC
 rules active in the new state are translated into AppArmor path rules
 (tagged ``origin='sack'``) and the profiles are replaced in the live policy
-store, the equivalent of ``apparmor_parser -r`` at transition time.  The
-translation of a (state, profile) pair depends only on the loaded policy,
-so it is done once per policy and kept; a transition then swaps every
-target profile in one :meth:`~repro.apparmor.policydb.PolicyDb.swap_profiles`:
-one policy revision, and no ``profile-reload`` epoch bump of its own —
-the SACK front end's ``transition`` bump is the transition's one bump.
+store, the equivalent of ``apparmor_parser -r`` at transition time.
+
+The translation of a (state, profile) pair depends only on the policy
+text and the ioctl symbols, so it is done once per *host*: the table
+lives on the :class:`~repro.sack.policy.compiler.CompiledPolicy` that
+SACKfs shares through the host's policy cache, and every vehicle that
+loads the policy reads it.  Each bridge keeps one staged profile set per
+*state*, built on the state's first entry (clone each target, strip its
+bridged rules, append the state's); re-entering the state installs the
+kept set again.  Either way a transition is one
+:meth:`~repro.apparmor.policydb.PolicyDb.swap_profiles`: one policy
+revision, and no ``profile-reload`` epoch bump of its own — the SACK
+front end's ``transition`` bump is the transition's one bump.  The kept
+sets hold while the compile and the AppArmor policy revision are the ones
+the bridge's last swap left; loading another policy or any profile (an
+admin load, a bundle's profiles, a profile edited in place and loaded
+again) drops them, and the next entry rebuilds on the new base.
 
 Fidelity note: AppArmor's file rules cannot filter individual ioctl
 commands, so an ioctl rule with a ``cmd=`` list becomes plain write access
@@ -95,10 +106,14 @@ class SackAppArmorBridge(SackModule):
         self.update_count = 0
         self.rules_injected = 0
         self.fault_plan = fault_plan
-        #: ``(state, profile name)`` -> that profile's sack rules in that
-        #: state, for the policy and symbols in :attr:`_translated_for`.
-        self._translated: Dict[Tuple[str, str], Tuple[PathRule, ...]] = {}
-        self._translated_for: tuple = (None, None)
+        #: state -> (its staged target profiles, sack rules they carry),
+        #: built on the state's first entry onto the current base.
+        self._state_sets: Dict[str, Tuple[List[Profile], int]] = {}
+        #: ``(compile, AppArmor revision)`` the last swap left: the kept
+        #: sets hold while both are unchanged, so any profile load (an
+        #: in-place edit loaded again included) or another policy's load
+        #: drops them.
+        self._kept_for: tuple = (None, None)
 
     # -- transition handling ------------------------------------------------------
     def _target_profiles(self) -> List[Profile]:
@@ -115,19 +130,15 @@ class SackAppArmorBridge(SackModule):
     def _sack_rules(self, state_name: str,
                     profile_name: str) -> Tuple[PathRule, ...]:
         """The path rules *state_name* injects into *profile_name*,
-        translated at most once per loaded policy."""
-        loaded = (self.policy, self.ioctl_symbols)
-        if self._translated_for != loaded:
-            self._translated = {}
-            self._translated_for = loaded
-        key = (state_name, profile_name)
-        rules = self._translated.get(key)
+        translated at most once per host for the loaded compile."""
+        table = self.compiled.bridge_rules
+        key = (self.backend, state_name, profile_name)
+        rules = table.get(key)
         if rules is None:
-            rules = tuple(
+            rules = table[key] = tuple(
                 mac_rule_to_path_rule(rule, self.ioctl_symbols)
                 for rule in self.policy.rules_for_state(state_name)
                 if self._rule_applies_to(rule, profile_name))
-            self._translated[key] = rules
         return rules
 
     def _apply_state(self, state_name: str) -> None:
@@ -152,16 +163,25 @@ class SackAppArmorBridge(SackModule):
     def _install_state(self, state_name: str) -> Dict[str, int]:
         """All-or-nothing: every updated profile is staged first, then
         the live policy store swaps them all in one step."""
-        injected = 0
-        staged: List[Profile] = []
-        for profile in self._target_profiles():
-            rules = self._sack_rules(state_name, profile.name)
-            updated = profile.clone()
-            updated.remove_rules_by_origin(SACK_ORIGIN)
-            updated.path_rules.extend(rules)
-            injected += len(rules)
-            staged.append(updated)
-        self.apparmor.policy.swap_profiles(staged)
+        db = self.apparmor.policy
+        if self._kept_for != (self.compiled, db.revision):
+            self._state_sets = {}
+        kept = self._state_sets.get(state_name)
+        if kept is None:
+            injected = 0
+            staged: List[Profile] = []
+            for profile in self._target_profiles():
+                rules = self._sack_rules(state_name, profile.name)
+                updated = profile.clone()
+                updated.remove_rules_by_origin(SACK_ORIGIN)
+                updated.path_rules.extend(rules)
+                injected += len(rules)
+                staged.append(updated)
+            kept = staged, injected
+        staged, injected = kept
+        db.swap_profiles(staged)
+        self._state_sets[state_name] = kept
+        self._kept_for = (self.compiled, db.revision)
         self.update_count += 1
         self.rules_injected = injected
         return {"profiles": len(staged), "rules": injected}

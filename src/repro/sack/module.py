@@ -48,6 +48,9 @@ class SackModule(LsmModule):
         self.policy: Optional[SackPolicy] = None
         self.ssm: Optional[SituationStateMachine] = None
         self.ioctl_symbols: dict = {}
+        #: :attr:`policy` compiled with :attr:`ioctl_symbols`; on a
+        #: host, the one compile every world loading that text shares.
+        self.compiled: Optional[CompiledPolicy] = None
 
     @property
     def current_state(self) -> Optional[str]:
@@ -65,26 +68,29 @@ class SackModule(LsmModule):
         """Compile, validate and activate *policy*; returns its SSM.
 
         Every variant compiles: independent SACK enforces the compiled
-        rulesets, the bridges compile only to validate.  *compiled* is
-        *policy* already compiled with *ioctl_symbols* (SACKfs passes its
-        host's shared compile); it is read, never changed.  A failed
-        install leaves the previous policy, SSM and enforcement state in
-        force and re-raises.
+        rulesets, the bridges validate with it and keep their backend
+        translations on it (:attr:`CompiledPolicy.bridge_rules`).
+        *compiled* is *policy* already compiled with *ioctl_symbols*
+        (SACKfs passes its host's shared compile); nothing but that memo
+        of translations is written to it.  A failed install leaves the
+        previous policy, compile, SSM and enforcement state in force and
+        re-raises.
         """
         started_ns = time.perf_counter_ns()
         if compiled is None:
             compiled = compile_policy(policy, ioctl_symbols=ioctl_symbols)
         self._validate(policy)
         ssm = policy.build_ssm()
-        previous = self.policy, self.ioctl_symbols
+        previous = self.policy, self.ioctl_symbols, self.compiled
         self.policy = policy
         self.ioctl_symbols = dict(ioctl_symbols or {})
+        self.compiled = compiled
         try:
             self._install(compiled, ssm)
         except Exception:
             # The install is all-or-nothing, so restoring the policy the
             # live state was built from leaves the old one in force.
-            self.policy, self.ioctl_symbols = previous
+            self.policy, self.ioctl_symbols, self.compiled = previous
             raise
         self.ssm = ssm
         # After the variant's own listener: by the time the epoch moves,

@@ -87,13 +87,31 @@ class CompiledRuleset:
         return False
 
 
+class _SharedMemo(dict):
+    """A memo of pure results: a deep copy of a world (a fleet
+    checkpoint) keeps reading it instead of copying it."""
+
+    def __deepcopy__(self, memo) -> "_SharedMemo":
+        return self
+
+
 class CompiledPolicy:
-    """Per-state compiled rulesets plus the source policy."""
+    """Per-state compiled rulesets plus the source policy.
+
+    A host's :class:`~repro.lsm.policycache.PolicyCache` shares one
+    instance among every world that loads the same text, so it is
+    read-only but for :attr:`bridge_rules`, a memo of pure translations.
+    """
 
     def __init__(self, policy: SackPolicy,
                  rulesets: Dict[str, CompiledRuleset]):
         self.policy = policy
         self.rulesets = rulesets
+        #: A bridge's backend rules, translated from this policy (and
+        #: the ioctl symbols it was compiled with) on first use and
+        #: shared by every world that loads it:
+        #: ``(backend, state, target) -> rules``.
+        self.bridge_rules: Dict[tuple, tuple] = _SharedMemo()
 
     def ruleset_for(self, state_name: str) -> CompiledRuleset:
         try:

@@ -133,6 +133,7 @@ class TestSweepMechanics:
         out = run_transition_cost_ablation(rule_counts=(10,), transitions=10)
         assert out[10]["independent_us"] > 0
         assert out[10]["bridge_us"] > 0
+        assert out[10]["bridge_first_us"] > 0
 
     def test_hook_census_counts(self):
         census = run_hook_census(configs=[APPARMOR, SACK_INDEPENDENT],

@@ -255,3 +255,26 @@ class TestRecoveryWorkload:
                         "metrics": {"recovery_restore_latency_ns": 5.0}}]
         assert run.gate_metrics_by_set() == {
             "chaos": {"recovery_restore_latency_ns": 5.0}}
+
+
+class TestGateFold:
+    def test_violations_fold_to_the_worst_cell(self):
+        """A violation in any cell reaches the summary, whichever cell
+        ran first, for every workload that counts them."""
+        from repro.bench.suite import SuiteRun
+        run = SuiteRun(config=parse_suite_config(minimal(), "t"), cells=[])
+        run.results = [
+            {"workload": "chaos", "metrics": {"chaos_violations": 0.0}},
+            {"workload": "chaos", "metrics": {"chaos_violations": 2.0}},
+            {"workload": "chaos", "metrics": {"chaos_violations": 1.0}},
+            {"workload": "recovery",
+             "metrics": {"recovery_violations": 0.0}},
+            {"workload": "recovery",
+             "metrics": {"recovery_violations": 3.0}},
+            {"workload": "verify", "metrics": {"verify_violations": 0.0}},
+            {"workload": "verify", "metrics": {"verify_violations": 1.0}},
+        ]
+        folded = run.gate_metrics_by_set()
+        assert folded["chaos"] == {"chaos_violations": 2.0,
+                                   "recovery_violations": 3.0}
+        assert folded["verify"] == {"verify_violations": 1.0}

@@ -29,6 +29,7 @@ class TestDirections:
         assert direction_of("fleet_epoch_wall_ms") == "lower"
         assert direction_of("telemetry_host_overhead_pct") == "lower"
         assert direction_of("fleet_ipc_crossings") == "lower"
+        assert direction_of("chaos_violations") == "lower"
 
     def test_unknown_is_none(self):
         assert direction_of("chaos_transitions") is None
