@@ -326,9 +326,14 @@ class Kernel:
                     f"write {file.path}")
         inode = file.inode
         if inode.is_pseudo:
-            if inode.pseudo_ops.write is None:
+            ops = inode.pseudo_ops
+            if ops.write is None:
                 raise KernelError(Errno.EINVAL, f"{file.path} is read-only")
-            return inode.pseudo_ops.write(task, bytes(data))
+            if ops.write_cap is not None and not self.capable(
+                    task, ops.write_cap):
+                raise KernelError(Errno.EPERM, f"{file.path}: requires "
+                                               f"{ops.write_cap.value}")
+            return ops.write(task, bytes(data))
         if file.driver is not None:
             return file.driver.write(task, file, bytes(data))
         written = inode.write_at(file.pos, bytes(data))

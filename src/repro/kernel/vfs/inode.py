@@ -11,6 +11,7 @@ import enum
 import itertools
 from typing import Callable, Dict, Optional, Tuple
 
+from ..credentials import Capability
 from ..errors import Errno, KernelError
 
 
@@ -31,14 +32,19 @@ class PseudoFileOps:
     ``read`` produces the whole file content; ``write`` consumes the whole
     buffer.  Either may raise :class:`KernelError`.  ``task`` is the calling
     task so handlers can enforce capability checks, exactly like real
-    securityfs file ops consult ``current_cred()``.
+    securityfs file ops consult ``current_cred()``.  ``write_cap``, when
+    set, is the capability the kernel's write path demands before it
+    calls ``write`` — a check of the kernel that owns the file, so a deep
+    copy of a world checks its own.
     """
 
     def __init__(self,
                  read: Optional[Callable[[object], bytes]] = None,
-                 write: Optional[Callable[[object, bytes], int]] = None):
+                 write: Optional[Callable[[object, bytes], int]] = None,
+                 write_cap: Optional[Capability] = None):
         self.read = read
         self.write = write
+        self.write_cap = write_cap
 
 
 class Inode:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..kernel.credentials import Capability
-from ..kernel.errors import Errno, KernelError
 from ..kernel.vfs.inode import PseudoFileOps
 
 #: Where securityfs lives, as on Linux.
@@ -42,22 +41,14 @@ class SecurityFs:
         """Register a securityfs file backed by *read*/*write* callbacks.
 
         When *write_cap* is given, writes additionally require that
-        capability — the hook checks ``capable()`` through the full LSM
-        stack, the same way SACK's policy files demand ``CAP_MAC_ADMIN``.
+        capability — the kernel's write path checks ``capable()`` through
+        the full LSM stack, the same way SACK's policy files demand
+        ``CAP_MAC_ADMIN``.
         """
         path = f"{self.root}/{relpath}"
         parent = path.rsplit("/", 1)[0]
         self.kernel.vfs.makedirs(parent)
-
-        guarded_write = write
-        if write is not None and write_cap is not None:
-            def guarded_write(task, data, _inner=write, _cap=write_cap):
-                if not self.kernel.capable(task, _cap):
-                    raise KernelError(Errno.EPERM,
-                                      f"{path}: requires {_cap.value}")
-                return _inner(task, data)
-
-        ops = PseudoFileOps(read=read, write=guarded_write)
+        ops = PseudoFileOps(read=read, write=write, write_cap=write_cap)
         self.kernel.vfs.create_pseudo(path, ops, mode=mode)
         return path
 

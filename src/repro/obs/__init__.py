@@ -24,8 +24,7 @@ catalogue and formats.
 """
 
 from .audit import (AUDIT_AVC, AUDIT_COMPLAIN, AUDIT_EVENT_REJECTED,
-                    AUDIT_FAILSAFE, AUDIT_PERMISSIVE, AUDIT_POLICY_LOAD,
-                    AUDIT_ROLLBACK,
+                    AUDIT_FAILSAFE, AUDIT_POLICY_LOAD, AUDIT_ROLLBACK,
                     AUDIT_STATE_TRANSITION, AuditEvent, AuditRing,
                     errno_name)
 from .hub import Observability
@@ -46,7 +45,7 @@ from .tracefs import TRACEFS_ROOT, TraceFs, mount_tracefs
 
 __all__ = [
     "AUDIT_AVC", "AUDIT_COMPLAIN", "AUDIT_EVENT_REJECTED", "AUDIT_FAILSAFE",
-    "AUDIT_PERMISSIVE", "AUDIT_POLICY_LOAD", "AUDIT_ROLLBACK",
+    "AUDIT_POLICY_LOAD", "AUDIT_ROLLBACK",
     "AUDIT_STATE_TRANSITION", "AuditEvent", "AuditRing", "errno_name",
     "Observability", "Counter", "DEFAULT_NS_BUCKETS", "Gauge", "Histogram",
     "MetricsRegistry", "Sample", "sample", "CATALOGUE", "FAULT_INJECT",

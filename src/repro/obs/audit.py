@@ -27,9 +27,9 @@ Record kinds:
 ``transition_rollback`` / ``failsafe``
     A transition undone by a failing listener; the SSM degrading to its
     failsafe state.
-``complain`` / ``permissive``
-    An access an AppArmor complain-mode profile, or SELinux in permissive
-    mode, let through although the policy would deny it.
+``complain``
+    An access an AppArmor complain-mode profile let through although the
+    policy would deny it.
 
 The ring is bounded (oldest records drop first, as with
 ``audit_backlog_limit``) and supports field-match filtering both at emit
@@ -51,7 +51,6 @@ AUDIT_EVENT_REJECTED = "event_rejected"
 AUDIT_ROLLBACK = "transition_rollback"
 AUDIT_FAILSAFE = "failsafe"
 AUDIT_COMPLAIN = "complain"
-AUDIT_PERMISSIVE = "permissive"
 
 
 def errno_name(code: int) -> str:

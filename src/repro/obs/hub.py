@@ -8,7 +8,7 @@
   hook counts and latency histograms) and reports every denial here so
   an AVC-style audit record — including the **situation state** at the
   time of denial — is emitted;
-* the SACK layers (SSM, SACKfs, the bridges) report transitions, event
+* the SACK layers (SSM, SACKfs, the bridge) report transitions, event
   writes, and policy loads.
 
 The hub also owns the ftrace-style trace ring buffer: enabling an event

@@ -33,6 +33,7 @@ ablation E10 measures its cost side.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Tuple
 
 from ..apparmor.module import AppArmorLsm
@@ -41,7 +42,9 @@ from ..apparmor.globs import glob_match
 from ..faults import points as fault_points
 from ..faults.points import InjectedFault
 from .module import SackModule
+from .policy.compiler import CompiledPolicy
 from .policy.model import MacRule, RuleDecision, RuleOp
+from .ssm import SituationStateMachine, Transition
 
 #: Provenance tag on every AppArmor rule the bridge injects.
 SACK_ORIGIN = "sack"
@@ -132,7 +135,7 @@ class SackAppArmorBridge(SackModule):
         """The path rules *state_name* injects into *profile_name*,
         translated at most once per host for the loaded compile."""
         table = self.compiled.bridge_rules
-        key = (self.backend, state_name, profile_name)
+        key = (state_name, profile_name)
         rules = table.get(key)
         if rules is None:
             rules = table[key] = tuple(
@@ -141,28 +144,59 @@ class SackAppArmorBridge(SackModule):
                 if self._rule_applies_to(rule, profile_name))
         return rules
 
+    # -- policy install and transitions -------------------------------------
+    def _install(self, compiled: CompiledPolicy,
+                 ssm: SituationStateMachine) -> None:
+        self._apply_state(ssm.current_name)
+        ssm.add_listener(self._on_transition)
+
+    def _on_transition(self, transition: Transition) -> None:
+        self._apply_state(transition.to_state)
+
     def _apply_state(self, state_name: str) -> None:
-        """Rewrite every target profile for *state_name* and reload it.
+        """Install *state_name*'s rules into the target profiles, traced
+        as one ``apparmor.reload`` span and timed into
+        ``sack_bridge_apply_ns``.
 
         The injectable reload failure fires *before* the reload span opens
         and before any mutation, so an SSM rollback after a bridge failure
         always finds the profiles still consistent with the previous state.
         """
+        obs = getattr(self.kernel, "obs", None)
         plan = self.fault_plan
         if plan is not None and plan.should_fail(
                 fault_points.BRIDGE_RELOAD_FAIL,
                 getattr(self.kernel.clock, "now_ns", 0)):
-            obs = getattr(self.kernel, "obs", None)
             if obs is not None:
                 obs.fault_injected(fault_points.BRIDGE_RELOAD_FAIL)
             raise InjectedFault(fault_points.BRIDGE_RELOAD_FAIL,
                                 f"profile reload failed entering "
                                 f"{state_name!r}")
-        super()._apply_state(state_name)
+        if obs is None:
+            self._install_state(state_name)
+            return
+        spans = obs.spans
+        span = spans.start_span("apparmor.reload", stage="reload",
+                                attributes={"state": state_name})
+        started_ns = time.perf_counter_ns()
+        try:
+            applied = self._install_state(state_name)
+        except Exception:
+            spans.end_span(span, status="error")
+            raise
+        if span is not None:
+            span.attributes.update(applied)
+        spans.end_span(span)
+        obs.metrics.histogram(
+            "sack_bridge_apply_ns", {"backend": self.backend}).record(
+                time.perf_counter_ns() - started_ns,
+                trace_id=span.trace_id if span is not None else None)
 
     def _install_state(self, state_name: str) -> Dict[str, int]:
-        """All-or-nothing: every updated profile is staged first, then
-        the live policy store swaps them all in one step."""
+        """Stage and swap in *state_name*'s target profiles; returns the
+        counts the reload span carries.  All-or-nothing: every updated
+        profile is staged first, then the live policy store swaps them
+        all in one step."""
         db = self.apparmor.policy
         if self._kept_for != (self.compiled, db.revision):
             self._state_sets = {}

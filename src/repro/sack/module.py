@@ -1,14 +1,14 @@
-"""SACK's security modules: one activation front end, three variants.
+"""SACK's security modules: one activation front end, two variants.
 
 The paper separates policy from enforcement (§III-D): one SSM front end
 drives either SACK's own hooks or a MAC backend's policy store.
-:class:`SackModule` is that front end — the one ``load_policy`` every
-variant shares.  :class:`SackLsm` is the first of the paper's two
-prototypes (§III-E-3): SACK registers its own hooks and answers access
-checks from its own (situation-indexed) rulesets — low check latency, no
-dependence on other LSMs' policies.  The bridges
-(:mod:`~repro.sack.apparmor_bridge`, :mod:`~repro.sack.selinux_bridge`)
-instead rewrite a backend's policy store on every transition.
+:class:`SackModule` is that front end — the one ``load_policy`` both
+variants share.  They are the paper's two prototypes (§III-E-3).
+:class:`SackLsm` is independent SACK: it registers its own hooks and
+answers access checks from its own (situation-indexed) rulesets — low
+check latency, no dependence on other LSMs' policies.  The AppArmor
+bridge (:mod:`~repro.sack.apparmor_bridge`) instead rewrites AppArmor's
+profiles on every transition.
 
 Tasks holding ``CAP_MAC_OVERRIDE`` bypass SACK, mirroring the threat-model
 boundary (§III-A): attackers are assumed unable to obtain it.
@@ -17,7 +17,7 @@ boundary (§III-A): attackers are assumed unable to obtain it.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 from ..kernel.credentials import Capability
 from ..kernel.syscalls import MAY_READ, MAY_WRITE
@@ -26,17 +26,14 @@ from ..lsm.module import LsmModule
 from .ape import AdaptivePolicyEnforcer
 from .policy.compiler import CompiledPolicy, compile_policy
 from .policy.model import RULE_OP_NAME, RuleOp, SackPolicy
-from .ssm import SituationStateMachine, Transition
+from .ssm import SituationStateMachine
 
 
 class SackModule(LsmModule):
     """The ``sack`` LSM front end: policy, SSM and the activation path.
 
     A variant names its :attr:`backend` and supplies :meth:`_install`,
-    the step that makes a freshly compiled policy enforce.  The default
-    install is the bridges': apply the initial state to the backend, then
-    re-apply on every transition through :meth:`_install_state`, the
-    variant's translate-and-install step.
+    the step that makes a freshly compiled policy enforce.
     """
 
     name = "sack"
@@ -57,19 +54,19 @@ class SackModule(LsmModule):
         return self.ssm.current_name if self.ssm is not None else None
 
     def _on_transition_bump_epoch(self, _transition) -> None:
-        # A committed transition's one epoch bump, in every variant: the
-        # bridges' backend swaps make none of their own.
+        # A committed transition's one epoch bump, in both variants: the
+        # bridge's profile swaps make none of their own.
         self.bump_epoch("transition")
 
     # -- policy lifecycle ----------------------------------------------------
     def load_policy(self, policy: SackPolicy, ioctl_symbols=None,
                     compiled: Optional[CompiledPolicy] = None
                     ) -> SituationStateMachine:
-        """Compile, validate and activate *policy*; returns its SSM.
+        """Compile and activate *policy*; returns its SSM.
 
-        Every variant compiles: independent SACK enforces the compiled
-        rulesets, the bridges validate with it and keep their backend
-        translations on it (:attr:`CompiledPolicy.bridge_rules`).
+        Both variants compile: independent SACK enforces the compiled
+        rulesets, the bridge keeps its AppArmor translations on it
+        (:attr:`CompiledPolicy.bridge_rules`).
         *compiled* is *policy* already compiled with *ioctl_symbols*
         (SACKfs passes its host's shared compile); nothing but that memo
         of translations is written to it.  A failed install leaves the
@@ -79,7 +76,6 @@ class SackModule(LsmModule):
         started_ns = time.perf_counter_ns()
         if compiled is None:
             compiled = compile_policy(policy, ioctl_symbols=ioctl_symbols)
-        self._validate(policy)
         ssm = policy.build_ssm()
         previous = self.policy, self.ioctl_symbols, self.compiled
         self.policy = policy
@@ -104,49 +100,10 @@ class SackModule(LsmModule):
                             time.perf_counter_ns() - started_ns)
         return ssm
 
-    def _validate(self, policy: SackPolicy) -> None:
-        """Reject *policy* (raise ``ValueError``) before anything changes."""
-
     def _install(self, compiled: CompiledPolicy,
                  ssm: SituationStateMachine) -> None:
-        self._apply_state(ssm.current_name)
-        ssm.add_listener(self._on_transition)
-
-    # -- bridge apply ----------------------------------------------------------
-    def _on_transition(self, transition: Transition) -> None:
-        self._apply_state(transition.to_state)
-
-    def _apply_state(self, state_name: str) -> None:
-        """Install *state_name*'s rules into the backend, traced as one
-        ``<backend>.reload`` span and timed into ``sack_bridge_apply_ns``.
-        """
-        obs = getattr(self.kernel, "obs", None)
-        spans = obs.spans if obs is not None else None
-        span = None
-        if spans is not None:
-            span = spans.start_span(f"{self.backend}.reload",
-                                    stage="reload",
-                                    attributes={"state": state_name})
-        started_ns = time.perf_counter_ns() if obs is not None else 0
-        try:
-            applied = self._install_state(state_name)
-        except Exception:
-            if spans is not None:
-                spans.end_span(span, status="error")
-            raise
-        if span is not None:
-            span.attributes.update(applied)
-        if spans is not None:
-            spans.end_span(span)
-        if obs is not None:
-            obs.metrics.histogram(
-                "sack_bridge_apply_ns", {"backend": self.backend}).record(
-                    time.perf_counter_ns() - started_ns,
-                    trace_id=span.trace_id if span is not None else None)
-
-    def _install_state(self, state_name: str) -> Dict[str, object]:
-        """Translate and install *state_name*'s rules; returns the
-        counts the span carries.  Bridges only."""
+        """Make *compiled* enforce from *ssm*'s current state on; all or
+        nothing."""
         raise NotImplementedError
 
 

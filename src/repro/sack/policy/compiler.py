@@ -107,10 +107,10 @@ class CompiledPolicy:
                  rulesets: Dict[str, CompiledRuleset]):
         self.policy = policy
         self.rulesets = rulesets
-        #: A bridge's backend rules, translated from this policy (and
-        #: the ioctl symbols it was compiled with) on first use and
+        #: The AppArmor bridge's path rules, translated from this policy
+        #: (and the ioctl symbols it was compiled with) on first use and
         #: shared by every world that loads it:
-        #: ``(backend, state, target) -> rules``.
+        #: ``(state, target) -> rules``.
         self.bridge_rules: Dict[tuple, tuple] = _SharedMemo()
 
     def ruleset_for(self, state_name: str) -> CompiledRuleset:

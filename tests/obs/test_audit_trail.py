@@ -3,8 +3,8 @@
 Each denial, whichever module refuses it, leaves exactly one AVC record
 in ``kernel.obs.audit`` and adds one to ``lsm_denials_total`` for that
 module; nothing else records it a second time.  Accesses that a
-complain-mode profile or a permissive SELinux let through leave one
-record of their own kind and no AVC record.
+complain-mode profile lets through leave one record of their own kind
+and no AVC record.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.kernel import (Capability, KernelError, SocketFamily,
 from repro.lsm import boot_kernel
 from repro.sack import SackAppArmorBridge, SackLsm, parse_policy
 from repro.sack.policy.model import RuleOp
-from repro.selinux import SelinuxLsm, parse_te_policy
 
 POLICY = """
 policy trail;
@@ -52,19 +51,6 @@ profile noisy /usr/bin/noisy flags=(complain) {
   /usr/bin/noisy rm,
 }
 """
-
-TE_POLICY = """
-type app_t;
-type app_exec_t;
-type car_audio_t;
-
-allow app_t app_exec_t : file { read execute };
-allow app_t car_audio_t : file { read };
-type_transition init_t app_exec_t : process app_t;
-filecon /usr/bin/app system_u:object_r:app_exec_t;
-filecon /dev/car/** system_u:object_r:car_audio_t;
-"""
-
 
 def boot(modules):
     kernel, _ = boot_kernel(modules)
@@ -106,10 +92,6 @@ def apparmor_bridge():
     return kernel, "apparmor"
 
 
-def selinux():
-    return boot([SelinuxLsm(parse_te_policy(TE_POLICY))]), "selinux"
-
-
 def abac():
     module = AbacLsm()
     kernel = boot([module])
@@ -119,8 +101,7 @@ def abac():
     return kernel, "abac"
 
 
-@pytest.mark.parametrize("world", [independent_sack, apparmor_bridge,
-                                   selinux, abac])
+@pytest.mark.parametrize("world", [independent_sack, apparmor_bridge, abac])
 def test_one_denial_one_record_one_count(world):
     kernel, module = world()
     task = spawn(kernel)
@@ -166,17 +147,6 @@ def test_complain_allow_leaves_one_non_avc_record():
     kernel.sys_socket(task, SocketFamily.AF_UNIX)
     added = kernel.obs.audit.records()[records:]
     assert [(r.kind, r.module) for r in added] == [("complain", "apparmor")]
-
-
-def test_permissive_allow_leaves_one_non_avc_record():
-    module = SelinuxLsm(parse_te_policy(TE_POLICY), enforcing=False)
-    kernel = boot([module])
-    task = spawn(kernel)
-    records = len(kernel.obs.audit)
-    kernel.sys_socket(task, SocketFamily.AF_UNIX)
-    added = kernel.obs.audit.records()[records:]
-    assert [(r.kind, r.module) for r in added] == [("permissive", "selinux")]
-    assert denials_of(kernel, "selinux") == 0
 
 
 def test_abac_policy_load_is_recorded():

@@ -1,6 +1,6 @@
 """One policy activation through SACKfs, for every SACK variant.
 
-Independent SACK and both MAC bridges share one front end: a policy
+Independent SACK and the AppArmor bridge share one front end: a policy
 written to ``SACK/policy`` is compiled, its SSM wired and its load
 recorded once, and the SACKfs views read the same way whichever variant
 sits behind them.
@@ -12,8 +12,6 @@ from repro.apparmor import AppArmorLsm
 from repro.kernel import user_credentials
 from repro.lsm import boot_kernel
 from repro.sack import SackAppArmorBridge, SackFs, SackLsm
-from repro.sack.selinux_bridge import SackSelinuxBridge
-from repro.selinux import SelinuxLsm, parse_te_policy
 
 POLICY = """
 policy activation;
@@ -55,19 +53,6 @@ profile rescue_daemon /usr/bin/rescue_daemon {
 }
 """
 
-TE_BASE = """
-type rescue_t;
-type rescue_exec_t;
-type car_door_t;
-type car_audio_t;
-
-allow rescue_t rescue_exec_t : file { read execute };
-type_transition init_t rescue_exec_t : process rescue_t;
-filecon /dev/car/door system_u:object_r:car_door_t;
-filecon /dev/car/audio system_u:object_r:car_audio_t;
-filecon /usr/bin/rescue_daemon system_u:object_r:rescue_exec_t;
-"""
-
 SDS_UID = 990
 SACK = "/sys/kernel/security/SACK"
 
@@ -84,15 +69,7 @@ def apparmor():
     return bridge, [bridge, apparmor]
 
 
-def selinux():
-    selinux = SelinuxLsm(parse_te_policy(TE_BASE))
-    bridge = SackSelinuxBridge(selinux,
-                               subject_domains={"rescue_daemon": "rescue_t"})
-    return bridge, [bridge, selinux]
-
-
-VARIANTS = {"independent": independent, "apparmor": apparmor,
-            "selinux": selinux}
+VARIANTS = {"independent": independent, "apparmor": apparmor}
 
 
 def read(kernel, name):

@@ -309,7 +309,7 @@ class TestHostSharedTranslations:
         stack = _stack()
         bridge = stack.bridge
         table = bridge.compiled.bridge_rules
-        table[("apparmor", "emergency", "rescue_daemon")] = ()
+        table[("emergency", "rescue_daemon")] = ()
         bridge.ssm.process_event(SituationEvent(name="crash_detected"))
         assert bridge.verify_consistency() != []
 
