@@ -78,20 +78,30 @@ class AppArmorLsm(LsmModule):
         """Explicitly place *task* under *profile_name* (test/boot helper)."""
         set_blob(task, MODULE_NAME, profile_name)
 
-    def _decide(self, profile: Profile, allowed: bool, task,
-                detail: str) -> int:
+    def _decide(self, profile: Profile, allowed: bool, task, what: str,
+                args: tuple = ()) -> int:
+        """The verdict of one check of *task* under *profile*: 0 allows,
+        ``-EACCES`` refuses.
+
+        A complain-mode profile allows what it would refuse and writes a
+        ``complain`` record.  The access's description is *what* ``%``
+        *args* (``"open %s"``, ``(path,)``), or *what* alone without
+        *args*; it is rendered only for a complain record or for the
+        annotation of an open hook span, so an allowed check builds no
+        text.
+        """
         if allowed:
             return 0
         if profile.mode is ProfileMode.COMPLAIN:
-            self.audit(AUDIT_COMPLAIN, detail, task)
+            self.audit(AUDIT_COMPLAIN, what % args if args else what, task)
             return 0
         obs = getattr(self.kernel, "obs", None)
-        if obs is not None:
+        if obs is not None and obs.spans.active is not None:
             # Attribution for post-transition hook spans: which profile,
             # in which mode, denied this access.  The framework writes
             # the denial's AVC record.
             obs.spans.annotate(profile=profile.name, mode=_ENFORCE,
-                               detail=detail)
+                               detail=what % args if args else what)
         return self.EACCES
 
     def _check_path(self, task, path: str, perms: int, what: str) -> int:
@@ -99,7 +109,7 @@ class AppArmorLsm(LsmModule):
         if profile is None or not perms:
             return 0
         ok = profile.allows_file(path, perms)
-        return self._decide(profile, ok, task, f"{what} {path}")
+        return self._decide(profile, ok, task, "%s %s", (what, path))
 
     # -- exec & fork ------------------------------------------------------------
     def bprm_check_security(self, task, exe_path: str) -> int:
@@ -107,8 +117,8 @@ class AppArmorLsm(LsmModule):
         if profile is None:
             return 0
         mode = profile.exec_mode_for(exe_path)
-        return self._decide(profile, mode is not None, task,
-                            f"exec {exe_path}")
+        return self._decide(profile, mode is not None, task, "exec %s",
+                            (exe_path,))
 
     def bprm_committed_creds(self, task, exe_path: str) -> None:
         profile = self.profile_of(task)
@@ -134,12 +144,14 @@ class AppArmorLsm(LsmModule):
     # ``fctx->allow`` covers the request under an unchanged label.
     # Profiles are replaced, never edited in place, so an unchanged
     # (profile, revision) pair means unchanged bits.  Any other check
-    # recomputes and stores the fresh context.  ``_decide`` runs for
-    # every check either way, so audits and span annotations match a
+    # recomputes and stores the fresh context.  A refused check goes to
+    # ``_decide`` either way, so audits and span annotations match a
     # fresh lookup.
     def _file_perm(self, name: str, task, file: OpenFile, perms: int,
-                   what: str) -> int:
-        """Decide *perms* on *file* for *task*, confined by profile *name*."""
+                   what: str, args: tuple = ()) -> int:
+        """Decide *perms* on *file* for *task*, confined by profile *name*;
+        *what* ``%`` (*args* + the path) describes a refused access to
+        :meth:`_decide`."""
         profile = self.policy.get(name)
         if profile is None or not perms:
             return 0
@@ -150,8 +162,9 @@ class AppArmorLsm(LsmModule):
         else:
             bits = profile._perm_bits(file.path)
             file.security[MODULE_NAME] = (profile, revision, bits)
-        return self._decide(profile, bits & perms == perms, task,
-                            f"{what} {file.path}")
+        if bits & perms == perms:
+            return 0
+        return self._decide(profile, False, task, what, args + (file.path,))
 
     def file_open(self, task, file: OpenFile) -> int:
         # Unconfined tasks short-circuit before any flag arithmetic — in
@@ -161,14 +174,14 @@ class AppArmorLsm(LsmModule):
             return 0
         perms = ((_READ if file.wants_read else 0)
                  | (_WRITE if file.wants_write else 0))
-        return self._file_perm(name, task, file, perms, "open")
+        return self._file_perm(name, task, file, perms, "open %s")
 
     def file_permission(self, task, file: OpenFile, mask: int) -> int:
         name = task.security.get(MODULE_NAME)
         if name is None:
             return 0
         return self._file_perm(name, task, file, _mask_to_perms(mask),
-                               "access")
+                               "access %s")
 
     def file_ioctl(self, task, file: OpenFile, cmd: int, arg: int) -> int:
         name = task.security.get(MODULE_NAME)
@@ -177,7 +190,8 @@ class AppArmorLsm(LsmModule):
         # AppArmor mediates device ioctl through file access to the node:
         # read-direction commands need read access, everything else write.
         perm = _WRITE if ioctl_is_write(cmd) else _READ
-        return self._file_perm(name, task, file, perm, f"ioctl[{cmd:#x}]")
+        return self._file_perm(name, task, file, perm, "ioctl[%#x] %s",
+                               (cmd,))
 
     def mmap_file(self, task, file, prot: int) -> int:
         if file is None:
@@ -186,7 +200,7 @@ class AppArmorLsm(LsmModule):
         if name is None:
             return 0
         if prot & _PROT_EXEC:
-            return self._file_perm(name, task, file, _MMAP, "mmap")
+            return self._file_perm(name, task, file, _MMAP, "mmap %s")
         return 0
 
     # -- inode hooks ------------------------------------------------------------
@@ -221,7 +235,7 @@ class AppArmorLsm(LsmModule):
             return 0
         cap_name = cap.value.removeprefix("CAP_").lower()
         ok = profile.allows_capability(cap_name)
-        return self._decide(profile, ok, task, f"capability {cap_name}")
+        return self._decide(profile, ok, task, "capability %s", (cap_name,))
 
     def _check_net(self, task, sock_or_family, what: str) -> int:
         if task.security.get(MODULE_NAME) is None:
@@ -236,7 +250,8 @@ class AppArmorLsm(LsmModule):
             family_name = ("inet" if sock_or_family.family is SocketFamily.AF_INET
                            else "unix")
         ok = profile.allows_network(family_name)
-        return self._decide(profile, ok, task, f"network {what} {family_name}")
+        return self._decide(profile, ok, task, "network %s %s",
+                            (what, family_name))
 
     def socket_create(self, task, family) -> int:
         return self._check_net(task, family, "create")

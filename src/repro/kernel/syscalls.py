@@ -129,15 +129,18 @@ class Kernel:
                 del self.__dict__[attr]
         self._syscall_wrappers.clear()
 
-    def _check(self, rc: int, what: str) -> None:
+    def _check(self, rc: int, what: str, args: tuple = ()) -> None:
         """Translate an LSM hook return code into a raised denial.
 
-        The kernel keeps no audit log of its own: the LSM framework has
-        already written the denial's one AVC record to ``obs.audit``.
+        The error text is *what* ``%`` *args* (``"open %s"``, ``(path,)``),
+        or *what* alone without *args*: it is rendered only when *rc*
+        refuses, so an allowed syscall formats nothing.  The kernel
+        keeps no audit log of its own: the LSM framework has already
+        written the denial's one AVC record to ``obs.audit``.
         """
         if rc != 0:
             errno = Errno._value2member_map_.get(-rc, Errno.EACCES)
-            raise KernelError(errno, what)
+            raise KernelError(errno, what % args if args else what)
 
     def capable(self, task: Task, cap: Capability) -> bool:
         """``capable()``: does *task* hold *cap*, per the security stack?"""
@@ -195,7 +198,7 @@ class Kernel:
             raise KernelError(Errno.EISDIR, path)
         self._dac_permission(task, dentry.inode, MAY_EXEC, path)
         self._check(self.security.bprm_check_security(task, exe_path),
-                    f"exec {exe_path}")
+                    "exec %s", (exe_path,))
         task.exe_path = exe_path
         task.comm = comm or exe_path.rsplit("/", 1)[-1]
         task.mm.clear()
@@ -216,7 +219,7 @@ class Kernel:
         if (task.cred.euid != 0 and task.cred.euid != target.cred.uid
                 and not self.capable(task, Capability.CAP_KILL)):
             raise KernelError(Errno.EPERM, f"kill {pid}")
-        self._check(self.security.task_kill(task, target), f"kill {pid}")
+        self._check(self.security.task_kill(task, target), "kill %s", (pid,))
         self.procs.exit(target, code=-9)
 
     # -- filesystem syscalls -----------------------------------------------------
@@ -235,7 +238,7 @@ class Kernel:
             self._dac_permission(task, parent.inode, MAY_WRITE, norm)
             self._check(self.security.inode_create(task, parent.inode,
                                                    norm, mode),
-                        f"create {norm}")
+                        "create %s", (norm,))
             dentry = self.vfs.create_file(norm, mode=mode,
                                           uid=task.cred.euid,
                                           gid=task.cred.egid)
@@ -257,7 +260,7 @@ class Kernel:
             driver = self.devices.lookup(inode.rdev)
         file = OpenFile(dentry, inode, flags, fpath, driver=driver,
                         fid=next(self._file_ids))
-        self._check(self.security.file_open(task, file), f"open {norm}")
+        self._check(self.security.file_open(task, file), "open %s", (norm,))
         if driver is not None:
             driver.open(task, file)
         if raw & _O_TRUNC and inode.is_regular and not inode.is_pseudo:
@@ -295,7 +298,7 @@ class Kernel:
         file: OpenFile = entry.obj
         file.require_readable()
         self._check(self.security.file_permission(task, file, MAY_READ),
-                    f"read {file.path}")
+                    "read %s", (file.path,))
         inode = file.inode
         if inode.is_pseudo:
             if inode.pseudo_ops.read is None:
@@ -323,7 +326,7 @@ class Kernel:
         file: OpenFile = entry.obj
         file.require_writable()
         self._check(self.security.file_permission(task, file, MAY_WRITE),
-                    f"write {file.path}")
+                    "write %s", (file.path,))
         inode = file.inode
         if inode.is_pseudo:
             ops = inode.pseudo_ops
@@ -349,7 +352,7 @@ class Kernel:
         file: OpenFile = entry.obj
         file.require_open()
         self._check(self.security.file_ioctl(task, file, cmd, arg),
-                    f"ioctl {file.path} cmd={cmd}")
+                    "ioctl %s cmd=%s", (file.path, cmd))
         if file.driver is None:
             raise KernelError(Errno.ENOTTY, file.path)
         return file.driver.ioctl(task, file, cmd, arg)
@@ -358,7 +361,7 @@ class Kernel:
         self._count("stat")
         dentry, resolved = self.vfs.lookup(path, task.cwd)
         self._check(self.security.inode_getattr(task, resolved),
-                    f"stat {path}")
+                    "stat %s", (path,))
         return dentry.inode.stat()
 
     def sys_mkdir(self, task: Task, path: str, mode: int = 0o755) -> None:
@@ -367,7 +370,7 @@ class Kernel:
         parent = self.vfs.resolve(norm.rsplit("/", 1)[0] or "/")
         self._dac_permission(task, parent.inode, MAY_WRITE, norm)
         self._check(self.security.inode_mkdir(task, parent.inode, norm, mode),
-                    f"mkdir {norm}")
+                    "mkdir %s", (norm,))
         self.vfs.mkdir(norm, mode=mode, uid=task.cred.euid, gid=task.cred.egid)
 
     def sys_rmdir(self, task: Task, path: str) -> None:
@@ -375,7 +378,7 @@ class Kernel:
         dentry, resolved = self.vfs.lookup(path, task.cwd,
                                            follow_symlinks=False)
         self._check(self.security.inode_rmdir(task, dentry.inode, resolved),
-                    f"rmdir {path}")
+                    "rmdir %s", (path,))
         self.vfs.rmdir(resolved)
 
     def sys_unlink(self, task: Task, path: str) -> None:
@@ -386,7 +389,7 @@ class Kernel:
         if parent is not None:
             self._dac_permission(task, parent.inode, MAY_WRITE, path)
         self._check(self.security.inode_unlink(task, dentry.inode, resolved),
-                    f"unlink {path}")
+                    "unlink %s", (path,))
         self.vfs.unlink(resolved)
 
     def sys_rename(self, task: Task, old: str, new: str) -> None:
@@ -394,7 +397,7 @@ class Kernel:
         old_norm = normalize(old, task.cwd)
         new_norm = normalize(new, task.cwd)
         self._check(self.security.inode_rename(task, old_norm, new_norm),
-                    f"rename {old_norm} -> {new_norm}")
+                    "rename %s -> %s", (old_norm, new_norm))
         self.vfs.rename(old_norm, new_norm)
 
     def sys_mknod(self, task: Task, path: str, rdev: Tuple[int, int],
@@ -405,7 +408,7 @@ class Kernel:
         norm = normalize(path, task.cwd)
         parent = self.vfs.resolve(norm.rsplit("/", 1)[0] or "/")
         self._check(self.security.inode_mknod(task, parent.inode, norm, mode),
-                    f"mknod {norm}")
+                    "mknod %s", (norm,))
         self.vfs.mknod(norm, rdev, mode=mode, uid=task.cred.euid,
                        gid=task.cred.egid)
 
@@ -424,7 +427,7 @@ class Kernel:
                 and not self.capable(task, Capability.CAP_FOWNER)):
             raise KernelError(Errno.EPERM, f"chmod {path}")
         self._check(self.security.inode_setattr(task, resolved),
-                    f"chmod {path}")
+                    "chmod %s", (path,))
         inode.mode = mode & 0o7777
 
     def sys_chown(self, task: Task, path: str, uid: int, gid: int) -> None:
@@ -433,7 +436,7 @@ class Kernel:
         if not self.capable(task, Capability.CAP_CHOWN):
             raise KernelError(Errno.EPERM, f"chown {path}")
         self._check(self.security.inode_setattr(task, resolved),
-                    f"chown {path}")
+                    "chown %s", (path,))
         dentry.inode.uid = uid
         dentry.inode.gid = gid
 
@@ -460,7 +463,7 @@ class Kernel:
     def sys_socket(self, task: Task, family: SocketFamily) -> int:
         self._count("socket")
         self._check(self.security.socket_create(task, family),
-                    f"socket {family.value}")
+                    "socket %s", (family.value,))
         sock = self.net.socket(family)
         return task.install_fd(FdKind.SOCKET, sock)
 
@@ -474,7 +477,7 @@ class Kernel:
         self._count("bind")
         sock = self._sock_of(task, fd)
         self._check(self.security.socket_bind(task, sock, addr),
-                    f"bind {addr}")
+                    "bind %s", (addr,))
         self.net.bind(sock, addr)
 
     def sys_listen(self, task: Task, fd: int, backlog: int = 16) -> None:
@@ -487,7 +490,7 @@ class Kernel:
         self._count("connect")
         sock = self._sock_of(task, fd)
         self._check(self.security.socket_connect(task, sock, addr),
-                    f"connect {addr}")
+                    "connect %s", (addr,))
         self.net.connect(sock, addr)
 
     def sys_accept(self, task: Task, fd: int) -> int:

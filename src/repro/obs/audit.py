@@ -39,10 +39,9 @@ rules) and at query time (``query``).
 
 from __future__ import annotations
 
-import dataclasses
 import errno as _errno
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, NamedTuple, Optional
 
 AUDIT_AVC = "avc"
 AUDIT_STATE_TRANSITION = "state_transition"
@@ -58,9 +57,13 @@ def errno_name(code: int) -> str:
     return _errno.errorcode.get(abs(int(code)), str(abs(int(code))))
 
 
-@dataclasses.dataclass(frozen=True)
-class AuditEvent:
-    """One structured audit record."""
+class AuditEvent(NamedTuple):
+    """One structured audit record: an immutable tuple of its fields.
+
+    :meth:`AuditRing.emit` builds it from one positional field tuple, so
+    a record costs about what the tuple does; the text is rendered only
+    when read (:meth:`to_text`).
+    """
 
     seq: int
     when_ns: int
@@ -74,6 +77,11 @@ class AuditEvent:
     situation: str = ""         # current situation state (SACK's context)
     errno: int = 0              # positive errno for denials
     detail: str = ""            # free-form complement (event names, sizes)
+
+    def __deepcopy__(self, memo) -> "AuditEvent":
+        # Immutable and made of immutable values: a checkpoint's ring
+        # shares its records, as a deep copy shares a tuple of strings.
+        return self
 
     def matches(self, criteria: Dict[str, object]) -> bool:
         """Field-match: every criterion equals the record's field."""
@@ -110,6 +118,20 @@ class AuditEvent:
                 f"comm=\"{self.comm}\" {self.detail}")
 
 
+#: ``tuple.__new__``: builds a record from its field tuple without the
+#: keyword handling of the generated ``AuditEvent.__new__``.
+_new_record = tuple.__new__
+
+
+def _check_fields(criteria: Dict[str, object]) -> None:
+    """``ValueError`` naming the first key of *criteria* that is not an
+    :class:`AuditEvent` field."""
+    for key in criteria:
+        if key not in AuditEvent._fields:
+            raise ValueError(f"unknown audit field {key!r} (fields: "
+                             f"{', '.join(AuditEvent._fields)})")
+
+
 class AuditRing:
     """Bounded ring buffer of :class:`AuditEvent` with emit-time filters."""
 
@@ -135,23 +157,34 @@ class AuditRing:
     def add_filter(self, **criteria) -> None:
         """Keep only records matching at least one filter (auditctl-style).
 
-        With no filters installed, everything is kept.
+        With no filters installed, everything is kept.  A criterion must
+        name a record field: a misspelt one would match nothing and
+        silently suppress the whole trail.
         """
         if not criteria:
             raise ValueError("empty audit filter")
+        _check_fields(criteria)
         self._filters.append(dict(criteria))
 
     def clear_filters(self) -> None:
         self._filters.clear()
 
     # -- emission ----------------------------------------------------------
-    def emit(self, when_ns: int, kind: str, **fields) -> Optional[AuditEvent]:
-        """Record one event; returns it, or None if disabled/filtered."""
+    def emit(self, when_ns: int, kind: str, module: str = "",
+             hook: str = "", path: str = "", pid: int = 0, comm: str = "",
+             uid: int = -1, situation: str = "", errno: int = 0,
+             detail: str = "") -> Optional[AuditEvent]:
+        """Record one event; returns it, or None if disabled/filtered.
+
+        The fields after *kind* are :class:`AuditEvent`'s, in its order,
+        positionally or by name.
+        """
         if not self.enabled:
             return None
         self._seq += 1
-        record = AuditEvent(seq=self._seq, when_ns=when_ns, kind=kind,
-                            **fields)
+        record = _new_record(AuditEvent, (
+            self._seq, when_ns, kind, module, hook, path, pid, comm, uid,
+            situation, errno, detail))
         if self._filters and not any(record.matches(f)
                                      for f in self._filters):
             self.suppressed += 1
@@ -174,6 +207,7 @@ class AuditRing:
 
     def query(self, **criteria) -> List[AuditEvent]:
         """Records matching every given field (query-time filtering)."""
+        _check_fields(criteria)
         return [r for r in self._records if r.matches(criteria)]
 
     def tail(self, n: int) -> List[AuditEvent]:

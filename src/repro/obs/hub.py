@@ -24,7 +24,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from .audit import (AUDIT_AVC, AUDIT_EVENT_REJECTED, AUDIT_FAILSAFE,
                     AUDIT_POLICY_LOAD, AUDIT_ROLLBACK,
                     AUDIT_STATE_TRANSITION, AuditRing)
-from .metrics import MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 from .spans import SpanTracer
 from .tracepoints import (FAULT_INJECT, SACK_EVENT_REJECTED,
                           SACK_EVENT_WRITE, SACK_FAILSAFE, SACK_POLICY_LOAD,
@@ -49,6 +49,9 @@ class Observability:
         self._situation_provider = None
         self._ssm_collector_registered = False
         self._observed_sackfs: List[object] = []
+        #: ``(module, hook) -> lsm_denials_total`` series, bound on the
+        #: pair's first denial (see :meth:`denial`).
+        self._denial_counters: Dict[Tuple[str, str], Counter] = {}
         self.metrics.register_collector(self._collect_ring_stats)
 
     def _collect_ring_stats(self):
@@ -135,18 +138,23 @@ class Observability:
         """One denied access: AVC audit record + denial counter.
 
         Called by the framework's dispatch core on the first nonzero hook
-        return — once per denied access, never for allow paths.
+        return — once per denied access, never for allow paths.  It pays
+        for one record (:meth:`AuditRing.emit`, a positional tuple) and
+        one counter bump: ``lsm_denials_total{module,hook}`` is bound on
+        the pair's first denial, not at boot, so a series exists only
+        once something was denied.
         """
-        self.metrics.counter("lsm_denials_total",
-                             {"module": module, "hook": hook}).inc()
-        if self.audit.enabled:
-            cred = getattr(task, "cred", None)
-            self.audit.emit(
-                self.now_ns, AUDIT_AVC, module=module, hook=hook,
-                path=path, pid=getattr(task, "pid", 0),
-                comm=getattr(task, "comm", ""),
-                uid=getattr(cred, "euid", -1) if cred is not None else -1,
-                situation=self.situation(), errno=-rc)
+        counter = self._denial_counters.get((module, hook))
+        if counter is None:
+            counter = self._denial_counters[(module, hook)] = \
+                self.metrics.counter("lsm_denials_total",
+                                     {"module": module, "hook": hook})
+        counter.value += 1
+        audit = self.audit
+        if audit.enabled:
+            audit.emit(self.now_ns, AUDIT_AVC, module, hook, path,
+                       task.pid, task.comm, task.cred.euid,
+                       self.situation(), -rc)
 
     # -- SSM wiring --------------------------------------------------------
     def attach_ssm(self, ssm, provider=None) -> None:

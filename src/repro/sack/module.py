@@ -131,7 +131,7 @@ class SackLsm(SackModule):
         if self.ape.check(op, path, task.comm, cmd):
             return 0
         obs = getattr(self.kernel, "obs", None)
-        if obs is not None:
+        if obs is not None and obs.spans.active is not None:
             # When a post-transition hook span is open, record which
             # state's ruleset denied — the attribution the trace exists
             # to provide.  The framework writes the AVC record.

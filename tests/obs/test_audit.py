@@ -1,9 +1,11 @@
 """Tests for the AVC-style audit ring."""
 
+import copy
+
 import pytest
 
-from repro.obs import (AUDIT_AVC, AUDIT_STATE_TRANSITION, AuditRing,
-                       errno_name)
+from repro.obs import (AUDIT_AVC, AUDIT_STATE_TRANSITION, AuditEvent,
+                       AuditRing, errno_name)
 
 
 def emit_denial(ring, seqless_path="/dev/car/door", situation="emergency"):
@@ -41,6 +43,15 @@ class TestEmission:
         assert [r.path for r in ring.records()] == ["/p2", "/p3", "/p4"]
         assert ring.emitted == 5
 
+    def test_deep_copy_shares_records_not_the_ring(self):
+        ring = AuditRing()
+        record = emit_denial(ring)
+        clone = copy.deepcopy(ring)
+        assert clone.records()[0] is record
+        emit_denial(clone)
+        assert len(clone) == 2 and len(ring) == 1
+        assert clone.records()[1].seq == 2
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             AuditRing(capacity=0)
@@ -69,6 +80,20 @@ class TestFilters:
         with pytest.raises(ValueError):
             AuditRing().add_filter()
 
+    def test_misspelt_filter_field_rejected(self):
+        # A field no record has would match nothing: the whole trail
+        # would be suppressed without a word.
+        ring = AuditRing()
+        with pytest.raises(ValueError, match="'comn'"):
+            ring.add_filter(comn="media_app")
+        assert emit_denial(ring) is not None
+        assert ring.suppressed == 0 and len(ring) == 1
+
+    def test_filter_on_every_record_field_accepted(self):
+        ring = AuditRing()
+        ring.add_filter(**{field: None for field in AuditEvent._fields})
+        assert emit_denial(ring) is None and ring.suppressed == 1
+
     def test_clear_filters(self):
         ring = AuditRing()
         ring.add_filter(comm="nobody")
@@ -85,6 +110,12 @@ class TestQueries:
         assert len(ring.query(kind=AUDIT_AVC, situation="emergency")) == 1
         assert len(ring.query(situation="emergency")) == 2
         assert ring.query(comm="nope") == []
+
+    def test_query_on_unknown_field_rejected(self):
+        ring = AuditRing()
+        emit_denial(ring)
+        with pytest.raises(ValueError, match="'situaton'"):
+            ring.query(situaton="emergency")
 
     def test_by_kind_and_tail(self):
         ring = AuditRing()
