@@ -47,8 +47,12 @@ def test_transition_cost_sweep(benchmark, show):
     # 10..1000 rules (the first entry, which translates, still grows).
     assert out[1000]["bridge_us"] <= out[10]["bridge_us"] * 3
     assert out[1000]["independent_us"] < out[10]["independent_us"] * 5
-    # The bridge is always the more expensive transition.
-    assert all(out[c]["ratio"] > 1 for c in RULE_COUNTS)
+    # A bridged first entry, which translates the state's rules, always
+    # costs more than the independent pointer swap.  A re-entry swaps a
+    # kept profile set in, about as cheap as that swap, so its ratio
+    # is noise and is not asserted.
+    assert all(out[c]["bridge_first_us"] > out[c]["independent_us"]
+               for c in RULE_COUNTS)
 
 
 def test_independent_transition(benchmark):

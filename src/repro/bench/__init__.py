@@ -1,6 +1,6 @@
 """Benchmark substrate: LMBench-style suite, harness, stats, reporting.
 
-The declarative scenario runner and the trajectory store (with its
+The smoke scenario suite and the trajectory store (with its
 trend-table report) live in :mod:`repro.bench.suite` and
 :mod:`repro.bench.trajectory`; they are imported lazily (not
 re-exported here) so ``import repro.bench`` stays light.
@@ -18,7 +18,7 @@ from .lmbench import (BenchResult, FILE_OP_BENCHES, LmbenchSuite,
 from .reporting import (TABLE2_ROWS, format_delta, format_value,
                         mean_abs_overhead_pct, render_comparison_table,
                         render_sweep_table)
-from .stats import best_result, mean, median, pct_delta
+from .stats import best_result, pct_delta
 from .timing import best_of, latency_summary_us, percentile, summarize_ns
 
 __all__ = [
@@ -32,6 +32,6 @@ __all__ = [
     "BenchResult", "FILE_OP_BENCHES",
     "LmbenchSuite", "TABLE2_BENCHES", "TABLE2_ROWS", "format_delta",
     "format_value", "mean_abs_overhead_pct", "render_comparison_table",
-    "render_sweep_table", "best_result", "mean", "median", "pct_delta",
+    "render_sweep_table", "best_result", "pct_delta",
     "best_of", "latency_summary_us", "percentile", "summarize_ns",
 ]

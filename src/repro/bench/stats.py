@@ -3,25 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
+from typing import List
 
 from .lmbench import BenchResult
-
-
-def mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
-
-
-def median(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("median of empty sequence")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def pct_delta(baseline: float, value: float) -> float:

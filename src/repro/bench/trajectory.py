@@ -225,66 +225,6 @@ def check_metrics(trajectory: Trajectory, metrics: Dict[str, float],
     return regressions
 
 
-# -- pytest-benchmark ingestion ------------------------------------------------
-
-def metrics_from_pytest_benchmark(doc: Dict[str, object]
-                                  ) -> Dict[str, float]:
-    """Flatten a ``--benchmark-json`` document into trajectory metrics.
-
-    Each benchmark contributes its mean wall-clock seconds as
-    ``<name>_mean_ns`` plus every numeric scalar from ``extra_info``
-    (prefixed with the benchmark name; nested dicts flatten with their
-    key path).  That captures exactly the numbers the benchmark files
-    advertise — ``speedup``, copies delivered, per-op latencies —
-    under stable, direction-inferable names.
-    """
-    out: Dict[str, float] = {}
-
-    def put(name: str, value) -> None:
-        if isinstance(value, bool):
-            return
-        if isinstance(value, (int, float)):
-            out[name] = float(value)
-
-    def flatten(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                flatten(f"{prefix}_{key}", sub)
-        else:
-            put(prefix, value)
-
-    for bench in doc.get("benchmarks", []):
-        raw = str(bench.get("name", "bench"))
-        name = raw.removeprefix("test_")
-        stats = bench.get("stats") or {}
-        if isinstance(stats.get("mean"), (int, float)):
-            put(f"{name}_mean_ns", stats["mean"] * 1e9)
-        extra = bench.get("extra_info") or {}
-        for key, value in extra.items():
-            # extra_info keys already carry their own unit suffixes
-            # (speedup, *_ns_per_op, *_per_second); nested dicts
-            # (nested maps, hook breakdowns) flatten by key path.
-            flatten(f"{name}_{key}", value)
-    return out
-
-
-def ingest_pytest_benchmark(trajectory_dir: str, metric_set: str,
-                            bench_json_path: str,
-                            seed: Optional[int] = None,
-                            sha: Optional[str] = None) -> Trajectory:
-    """Append one pytest-benchmark JSON file to a trajectory and save."""
-    with open(bench_json_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    metrics = metrics_from_pytest_benchmark(doc)
-    if not metrics:
-        raise ValueError(f"{bench_json_path}: no benchmarks to ingest")
-    trajectory = load_or_new(trajectory_dir, metric_set)
-    trajectory.append(metrics, seed=seed, source="pytest-benchmark",
-                      sha=sha)
-    trajectory.save(trajectory_path(trajectory_dir, metric_set))
-    return trajectory
-
-
 def load_all(trajectory_dir: str) -> List[Trajectory]:
     """Every ``BENCH_*.json`` trajectory under *trajectory_dir*."""
     out: List[Trajectory] = []

@@ -13,12 +13,13 @@ Experiment subcommands mirror the benchmark files::
     sack-bench census
     sack-bench hooks
 
-The declarative batch runner lives under ``suite``::
+The smoke scenario suite (:data:`repro.bench.suite.SMOKE`) and its
+trajectory gate live under ``suite``::
 
-    sack-bench suite run config.yaml [--out DIR] [--dry-run]
+    sack-bench suite run [--out DIR]
     sack-bench suite check [--run DIR | --out DIR] [--trajectory DIR]
+                           [--update]
     sack-bench suite report [--trajectory DIR] [--out FILE]
-    sack-bench suite ingest BENCH.json --set obs [--trajectory DIR]
 
 Every subcommand accepts ``--json PATH`` (``-`` for stdout) and emits
 the same ``sack-bench/v1`` envelope — schema version, kind, timestamp,
@@ -42,6 +43,7 @@ from ..bench import (FILE_OP_BENCHES, LATENCY_EVENTS, TABLE2_STACKS,
                      run_rule_sweep, run_state_sweep,
                      run_transition_cost_ablation, run_transport_ablation)
 from ..bench.envelope import make_envelope
+from ..bench.suite import DEFAULT_OUT
 
 #: Default location of the committed perf trajectory.
 DEFAULT_TRAJECTORY_DIR = "benchmarks/trajectory"
@@ -202,29 +204,11 @@ def cmd_hooks(args) -> int:
 # -- suite subcommands ---------------------------------------------------------
 
 def cmd_suite_run(args) -> int:
-    from ..bench.suite import load_suite_config, run_suite
-    config = load_suite_config(args.config)
-    run = run_suite(config, out_root=args.out, dry_run=args.dry_run,
-                    show=lambda line: print(line))
-    if args.dry_run:
-        print(f"suite {config.name}: {len(run.cells)} cell(s) "
-              f"(config hash {config.config_hash()}) — dry run, "
-              f"nothing executed")
-        for cell in run.cells:
-            rendered = ", ".join(f"{k}={v}" for k, v in cell.params)
-            print(f"  {cell.cell_id}: {cell.workload}({rendered})")
-        _emit(args, "suite-dry-run", {
-            "suite": config.name,
-            "config_hash": config.config_hash(),
-            "cells": [{"cell": c.cell_id, "workload": c.workload,
-                       "params": c.param_dict} for c in run.cells],
-        })
-        return 0
-    print(f"suite {config.name}: {len(run.results)} cell(s) -> "
-          f"{run.run_dir}")
+    from ..bench.suite import SUITE, run_suite
+    run = run_suite(args.out, show=print)
+    print(f"suite {SUITE}: {len(run.results)} cell(s) -> {run.run_dir}")
     _emit(args, "suite-run", {
-        "suite": config.name,
-        "config_hash": config.config_hash(),
+        "suite": SUITE,
         "run_dir": run.run_dir,
         "cells": run.summary_cells(),
     })
@@ -283,22 +267,6 @@ def cmd_suite_report(args) -> int:
     return 0
 
 
-def cmd_suite_ingest(args) -> int:
-    from ..bench.trajectory import ingest_pytest_benchmark
-    trajectory = ingest_pytest_benchmark(
-        args.trajectory, args.set, args.bench_json, seed=args.seed)
-    record = trajectory.records[-1]
-    print(f"appended {len(record['metrics'])} metric(s) to "
-          f"BENCH_{args.set}.json ({len(trajectory.records)} record(s) "
-          f"total)")
-    _emit(args, "suite-ingest", {
-        "metric_set": args.set,
-        "metrics": record["metrics"],
-        "records": len(trajectory.records),
-    }, seed=args.seed)
-    return 0
-
-
 _EXPERIMENTS = {
     "table2": cmd_table2,
     "table3": cmd_table3,
@@ -323,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sack-bench",
         description="Regenerate the SACK paper's tables and figures, "
-                    "and run the declarative benchmark suite")
+                    "and run the smoke scenario suite")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, handler in sorted(_EXPERIMENTS.items()):
@@ -336,17 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     suite = sub.add_parser("suite",
-                           help="declarative scenario suite: "
-                                "run / check / report / ingest")
+                           help="smoke scenario suite: run / check / report")
     suite_sub = suite.add_subparsers(dest="suite_command", required=True)
 
-    p = suite_sub.add_parser("run", help="execute a YAML suite config")
-    p.add_argument("config", help="suite YAML file")
-    p.add_argument("--out", default=None,
-                   help="output root (default: the config's 'out')")
-    p.add_argument("--dry-run", action="store_true",
-                   help="validate and list the sweep matrix, "
-                        "execute nothing")
+    p = suite_sub.add_parser("run", help="run the smoke suite's cells")
+    p.add_argument("--out", default=DEFAULT_OUT,
+                   help="output root for the run directory")
     _add_json_arg(p)
     p.set_defaults(handler=cmd_suite_run)
 
@@ -354,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="gate a run against the committed trajectory")
     p.add_argument("--run", default=None,
                    help="run directory (default: newest under --out)")
-    p.add_argument("--out", default="bench-runs",
+    p.add_argument("--out", default=DEFAULT_OUT,
                    help="output root to search for the newest run")
     p.add_argument("--trajectory", default=DEFAULT_TRAJECTORY_DIR,
                    help="trajectory directory with BENCH_*.json files")
@@ -371,16 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="markdown output path (default: stdout)")
     _add_json_arg(p)
     p.set_defaults(handler=cmd_suite_report)
-
-    p = suite_sub.add_parser(
-        "ingest", help="append a pytest-benchmark JSON to a trajectory")
-    p.add_argument("bench_json", help="--benchmark-json output file")
-    p.add_argument("--set", required=True,
-                   help="metric set name (obs, fleet, chaos, ...)")
-    p.add_argument("--trajectory", default=DEFAULT_TRAJECTORY_DIR)
-    p.add_argument("--seed", type=int, default=None)
-    _add_json_arg(p)
-    p.set_defaults(handler=cmd_suite_ingest)
 
     return parser
 

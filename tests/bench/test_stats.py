@@ -3,21 +3,10 @@
 import pytest
 
 from repro.bench.lmbench import BenchResult
-from repro.bench.stats import best_result, mean, median, pct_delta
+from repro.bench.stats import best_result, pct_delta
 
 
 class TestScalars:
-    def test_mean(self):
-        assert mean([1, 2, 3]) == 2
-
-    def test_mean_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
-
-    def test_median_odd_even(self):
-        assert median([3, 1, 2]) == 2
-        assert median([1, 2, 3, 4]) == 2.5
-
     def test_pct_delta(self):
         assert pct_delta(100, 103) == pytest.approx(3.0)
         assert pct_delta(100, 97) == pytest.approx(-3.0)

@@ -1,16 +1,15 @@
 """Tests for the telemetry-overhead benchmark workload and its gate
 wiring."""
 
-from repro.bench.suite import (WORKLOAD_AXES, _METRIC_SET_ALIASES,
+from repro.bench.suite import (SMOKE, _METRIC_SET_ALIASES,
                                _run_telemetry_cell)
 from repro.bench.trajectory import direction_of
 
 
 def _params(**overrides):
-    params = {name: axis.default
-              for name, axis in WORKLOAD_AXES["telemetry"].items()}
-    params.update(overrides)
-    return params
+    """The smoke suite's telemetry cell, with *overrides*."""
+    [cell] = [cell for cell in SMOKE if cell.workload == "telemetry"]
+    return {**cell.params, **overrides}
 
 
 class TestTelemetryCell:
@@ -46,8 +45,8 @@ class TestGateWiring:
         assert _METRIC_SET_ALIASES["telemetry"] == "obs"
 
     def test_workers_axis_is_gone(self):
-        # Every fleet runs on the one in-process host: no workload has a
-        # worker count or a backend to sweep.
-        for axes in WORKLOAD_AXES.values():
-            assert "workers" not in axes
-            assert "backend" not in axes
+        # Every fleet runs on the one in-process host: no cell has a
+        # worker count or a backend.
+        for cell in SMOKE:
+            assert "workers" not in cell.params
+            assert "backend" not in cell.params

@@ -7,9 +7,7 @@ import pytest
 
 from repro.bench.trajectory import (Trajectory, TRAJECTORY_SCHEMA,
                                     check_metrics, direction_of,
-                                    ingest_pytest_benchmark, load_all,
-                                    load_or_new,
-                                    metrics_from_pytest_benchmark,
+                                    load_all, load_or_new,
                                     render_report, render_trend_table,
                                     trajectory_path)
 
@@ -201,49 +199,6 @@ class TestCheck:
         assert check_metrics(trajectory,
                              {"fleet_mp_host_speedup": 49.0},
                              {"fleet_mp_host_speedup": 10.0})
-
-
-class TestPytestIngest:
-    DOC = {
-        "benchmarks": [
-            {
-                "name": "test_avc_speedup_target",
-                "stats": {"mean": 0.002},
-                "extra_info": {
-                    "speedup": 15.5,
-                    "cached_ns_per_op": 2300.0,
-                    "rule_count": 200,
-                    "per_worker": {"1": 49.9, "4": 198.0},
-                    "note": "not-a-number",
-                },
-            },
-        ],
-    }
-
-    def test_flattening(self):
-        metrics = metrics_from_pytest_benchmark(self.DOC)
-        assert metrics["avc_speedup_target_mean_ns"] == \
-            pytest.approx(2e6)
-        assert metrics["avc_speedup_target_speedup"] == 15.5
-        assert metrics["avc_speedup_target_per_worker_4"] == 198.0
-        assert "avc_speedup_target_note" not in metrics
-
-    def test_ingest_appends_and_saves(self, tmp_path):
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps(self.DOC))
-        ingest_pytest_benchmark(str(tmp_path), "avc", str(bench),
-                                seed=1, sha="abc")
-        again = ingest_pytest_benchmark(str(tmp_path), "avc",
-                                        str(bench), sha="def")
-        assert len(again.records) == 2
-        assert [r["git_sha"] for r in again.records] == ["abc", "def"]
-        assert again.records[0]["source"] == "pytest-benchmark"
-
-    def test_ingest_rejects_empty(self, tmp_path):
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({"benchmarks": []}))
-        with pytest.raises(ValueError, match="no benchmarks"):
-            ingest_pytest_benchmark(str(tmp_path), "avc", str(bench))
 
 
 class TestRendering:

@@ -1,16 +1,15 @@
 """Tests for the static-verifier benchmark workload and its gate
 wiring (satellite: the suite gains a verify cell + BENCH_verify set)."""
 
-from repro.bench.suite import (WORKLOAD_AXES, _METRIC_SET_ALIASES,
+from repro.bench.suite import (SMOKE, _METRIC_SET_ALIASES,
                                _run_verify_cell)
 from repro.bench.trajectory import direction_of
 
 
 def _params(**overrides):
-    params = {name: axis.default
-              for name, axis in WORKLOAD_AXES["verify"].items()}
-    params.update(overrides)
-    return params
+    """The smoke suite's verify cell, with *overrides*."""
+    [cell] = [cell for cell in SMOKE if cell.workload == "verify"]
+    return {**cell.params, **overrides}
 
 
 class TestVerifyCell:

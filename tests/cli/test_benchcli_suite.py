@@ -1,94 +1,57 @@
 """End-to-end `sack-bench suite` CLI: run, check, report, envelopes.
 
-Covers the acceptance criteria that a suite run produces a run
-directory with a manifest and per-cell metrics, that ``--dry-run``
-validates without executing, and that ``suite check`` exits non-zero
-when a synthetic regression is injected against the committed
-trajectory.
+Covers the acceptance criteria that a suite run writes a run directory
+with a summary and per-cell metrics, and that ``suite check`` exits
+non-zero when a synthetic regression is injected against the
+committed trajectory.  The module runs the real smoke suite once.
 """
 
 import json
-import os
 
 import pytest
 
 from repro.bench.envelope import ENVELOPE_SCHEMA, check_envelope
+from repro.bench.suite import GATES, SMOKE
 from repro.bench.trajectory import Trajectory, trajectory_path
 from repro.cli.benchcli import main
-
-CONFIG = """\
-suite: tiny
-scenarios:
-  - name: mini
-    workload: verify
-    matrix:
-      revisions: [1, 2]
-      reps: 1
-      seed: 3
-gates:
-  verify_wall_ms: 10
-"""
 
 
 @pytest.fixture(scope="module")
 def suite_run(tmp_path_factory):
-    """One real suite run shared by the module's tests."""
-    root = tmp_path_factory.mktemp("suite")
-    config = root / "tiny.yaml"
-    config.write_text(CONFIG)
-    out = root / "runs"
-    assert main(["suite", "run", str(config), "--out", str(out)]) == 0
+    """One real smoke-suite run shared by the module's tests."""
+    out = tmp_path_factory.mktemp("suite") / "runs"
+    assert main(["suite", "run", "--out", str(out)]) == 0
     run_dirs = [p for p in out.iterdir() if p.is_dir()]
     assert len(run_dirs) == 1
-    return {"config": config, "out": out, "run_dir": run_dirs[0]}
+    return {"out": out, "run_dir": run_dirs[0]}
 
 
-class TestDryRun:
-    def test_lists_matrix_and_writes_nothing(self, tmp_path, capsys):
-        config = tmp_path / "tiny.yaml"
-        config.write_text(CONFIG)
-        out = tmp_path / "runs"
-        rc = main(["suite", "run", str(config), "--out", str(out),
-                   "--dry-run"])
-        assert rc == 0
-        assert not out.exists()
-        stdout = capsys.readouterr().out
-        assert "2 cell(s)" in stdout
-        assert "mini__revisions=1" in stdout
-        assert "mini__revisions=2" in stdout
-        assert "reps=1" in stdout  # resolved params are shown
-
-    def test_invalid_config_raises_config_error(self, tmp_path):
-        config = tmp_path / "bad.yaml"
-        config.write_text("suite: t\nscenarios:\n"
-                          "  - {name: s, workload: warp}\n")
-        from repro.bench.suite import ConfigError
-        with pytest.raises(ConfigError, match="unknown workload"):
-            main(["suite", "run", str(config), "--dry-run"])
+def _summary(suite_run):
+    return json.loads((suite_run["run_dir"] / "summary.json").read_text())
 
 
 class TestRunDirectory:
     def test_layout(self, suite_run):
         run_dir = suite_run["run_dir"]
-        for name in ("manifest.json", "config.json", "summary.json"):
-            assert (run_dir / name).is_file()
+        assert run_dir.name.startswith("smoke-")
+        assert sorted(p.name for p in run_dir.iterdir()) == \
+            ["cells", "summary.json"]
         cells = sorted(p.name for p in (run_dir / "cells").iterdir())
-        assert cells == ["mini__revisions=1.json", "mini__revisions=2.json"]
+        assert cells == sorted(f"{cell.id}.json" for cell in SMOKE)
 
-    def test_manifest_envelope(self, suite_run):
-        doc = json.loads((suite_run["run_dir"] / "manifest.json")
-                         .read_text())
+    def test_summary_envelope(self, suite_run):
+        doc = _summary(suite_run)
         check_envelope(doc)
-        assert doc["kind"] == "suite-run"
+        assert doc["kind"] == "suite-summary"
         data = doc["data"]
-        assert data["suite"] == "tiny"
-        assert len(data["config_hash"]) == 12
+        assert data["suite"] == "smoke"
+        assert data["gates"] == GATES
         assert data["wall_time_s"] >= 0
         assert "python" in data["host"]
 
     def test_cell_metrics_and_obs_capture(self, suite_run):
         cell = json.loads(
-            (suite_run["run_dir"] / "cells" / "mini__revisions=2.json")
+            (suite_run["run_dir"] / "cells" / "verify-proofs.json")
             .read_text())
         check_envelope(cell)
         data = cell["data"]
@@ -97,10 +60,17 @@ class TestRunDirectory:
         assert len(data["observability"]["policies"]) == 2
 
     def test_summary_carries_gate_metrics(self, suite_run):
-        doc = json.loads((suite_run["run_dir"] / "summary.json")
-                         .read_text())
-        by_set = doc["data"]["by_metric_set"]
+        by_set = _summary(suite_run)["data"]["by_metric_set"]
         assert "verify_wall_ms" in by_set["verify"]
+        assert "telemetry_host_overhead_pct" in by_set["obs"]
+
+    def test_every_chaos_cell_transitions(self, suite_run):
+        chaos = [row for row in _summary(suite_run)["data"]["cells"]
+                 if row["workload"] == "chaos"]
+        assert len(chaos) == 13
+        for row in chaos:
+            assert row["metrics"]["chaos_transitions"] > 0, row["cell"]
+            assert row["metrics"]["chaos_violations"] == 0, row["cell"]
 
 
 class TestCheck:
@@ -116,7 +86,7 @@ class TestCheck:
         assert (trajectory_dir / "BENCH_verify.json").is_file()
         # second check now gates against the record --update appended
         assert main(args) == 0
-        assert "1 gated metric(s)" in capsys.readouterr().out
+        assert f"{len(GATES)} gated metric(s)" in capsys.readouterr().out
 
     def test_synthetic_regression_exits_nonzero(self, suite_run,
                                                 tmp_path, capsys):
@@ -171,8 +141,8 @@ class TestEnvelopeUniformity:
         monkeypatch.setenv("SACK_BENCH_GIT_SHA", "deadbeef")
         invocations = {
             "experiment": ["transport", "--scale", "0.01"],
-            "dry": ["suite", "run", str(suite_run["config"]),
-                    "--dry-run"],
+            "report": ["suite", "report", "--trajectory", str(tmp_path),
+                       "--out", str(tmp_path / "report.md")],
             "check": ["suite", "check", "--run",
                       str(suite_run["run_dir"]),
                       "--trajectory", str(tmp_path)],
