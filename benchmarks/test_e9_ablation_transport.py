@@ -23,7 +23,7 @@ def test_transport_comparison(benchmark, show):
     benchmark.pedantic(run, rounds=1, iterations=1)
     out = holder["out"]
 
-    lines = ["Event transport ablation (mean per-event latency)",
+    lines = ["Event transport ablation (per-event latency, best round)",
              f"  {'channel':>20} {'us/event':>10}"]
     for channel, us in out.items():
         lines.append(f"  {channel.removesuffix('_us'):>20} {us:>10.2f}")

@@ -390,48 +390,62 @@ def run_event_latency(samples_per_event: int = 200
 # -- E9 ablation: event transport channels ----------------------------------------------
 
 def run_transport_ablation(samples: int = 500) -> Dict[str, float]:
-    """Mean per-event latency (µs): SACKfs vs AF_UNIX vs TCP relay.
+    """Per-event latency (µs): SACKfs vs AF_UNIX vs TCP relay.
 
     The socket channels model the alternative the paper rejects for C1: a
     user-space relay daemon receives the event over a socket and then
     still has to inject it into the kernel — an extra hop and two extra
     copies per event.
+
+    The three channels run interleaved: *samples* events each, in 10
+    rounds of one block per channel, in an order that rotates per
+    round, so drift within a run hits every channel alike.  Each
+    channel reports its best round's mean, as :func:`_best_of_sweep`
+    does.
     """
     kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT).kernel
     task = kernel.procs.init
     event_line = b"speed_high\n"
-    results: Dict[str, float] = {}
+    events = "/sys/kernel/security/SACK/events"
 
-    # Channel 1: direct SACKfs write (the paper's design).
-    start = time.perf_counter_ns()
-    for _ in range(samples):
-        kernel.write_file(task, "/sys/kernel/security/SACK/events",
-                          event_line, create=False)
-    results["sackfs_us"] = (time.perf_counter_ns() - start) / samples / 1e3
+    def direct():
+        kernel.write_file(task, events, event_line, create=False)
 
-    def relay_channel(family: SocketFamily, addr) -> float:
+    def relay(family: SocketFamily, addr):
         server = kernel.sys_socket(task, family)
         kernel.sys_bind(task, server, addr)
         kernel.sys_listen(task, server)
         client = kernel.sys_socket(task, family)
         kernel.sys_connect(task, client, addr)
         conn = kernel.sys_accept(task, server)
-        start = time.perf_counter_ns()
-        for _ in range(samples):
+
+        def once():
             kernel.sys_send(task, client, event_line)
             data = kernel.sys_recv(task, conn, 64)
-            kernel.write_file(task, "/sys/kernel/security/SACK/events",
-                              data, create=False)
-        elapsed = time.perf_counter_ns() - start
-        for fd in (client, conn, server):
-            kernel.sys_close(task, fd)
-        return elapsed / samples / 1e3
+            kernel.write_file(task, events, data, create=False)
+        return once, (client, conn, server)
 
-    results["af_unix_relay_us"] = relay_channel(SocketFamily.AF_UNIX,
-                                                "/tmp/relay.sock")
-    results["tcp_relay_us"] = relay_channel(SocketFamily.AF_INET,
-                                            ("127.0.0.1", 48000))
-    return results
+    unix_once, unix_fds = relay(SocketFamily.AF_UNIX, "/tmp/relay.sock")
+    tcp_once, tcp_fds = relay(SocketFamily.AF_INET, ("127.0.0.1", 48000))
+    channels = {"sackfs_us": direct, "af_unix_relay_us": unix_once,
+                "tcp_relay_us": tcp_once}
+    keys = list(channels)
+    rounds = min(10, samples)
+    block = max(1, samples // rounds)
+    best: Dict[str, float] = {}
+    for rnd in range(rounds):
+        shift = rnd % len(keys)
+        for key in keys[shift:] + keys[:shift]:
+            once = channels[key]
+            start = time.perf_counter_ns()
+            for _ in range(block):
+                once()
+            us = (time.perf_counter_ns() - start) / block / 1e3
+            if key not in best or us < best[key]:
+                best[key] = us
+    for fd in unix_fds + tcp_fds:
+        kernel.sys_close(task, fd)
+    return {key: best[key] for key in keys}
 
 
 # -- E11: ABAC baseline comparison (Varshith et al.) -------------------------------------

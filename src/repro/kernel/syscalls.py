@@ -139,8 +139,12 @@ class Kernel:
         written the denial's one AVC record to ``obs.audit``.
         """
         if rc != 0:
-            errno = Errno._value2member_map_.get(-rc, Errno.EACCES)
-            raise KernelError(errno, what % args if args else what)
+            message = what % args if args else what
+            try:
+                error = KernelError(-rc, message)   # the one errno lookup
+            except ValueError:      # an rc that names no errno: EACCES
+                error = KernelError(Errno.EACCES, message)
+            raise error
 
     def capable(self, task: Task, cap: Capability) -> bool:
         """``capable()``: does *task* hold *cap*, per the security stack?"""
@@ -228,8 +232,7 @@ class Kernel:
         """Open (optionally creating) *path*; returns an fd."""
         self._count("open")
         raw = int(flags)
-        norm = normalize(path, task.cwd)
-        dentry, fpath = self.vfs.walk(norm)
+        dentry, fpath, norm = self.vfs.walk_cached(path, task.cwd)
         if dentry is None:
             if not raw & _O_CREAT:
                 raise KernelError(Errno.ENOENT, norm)

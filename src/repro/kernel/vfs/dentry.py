@@ -12,8 +12,10 @@ class Dentry:
     """A named link from a directory to an inode.
 
     The dentry tree *is* the namespace; path resolution walks it.  Unlike
-    Linux we keep the whole tree in memory (no dcache eviction) — the
-    simulator's worlds are small.
+    Linux we keep the whole tree in memory and never evict a dentry —
+    the simulator's worlds are small.  The lookup cache in front of the
+    walk is ``VirtualFileSystem.dcache``; a dentry is attached and
+    detached only through the VFS, which drops that cache each time.
     """
 
     def __init__(self, name: str, inode: Inode,

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Dict, List, Sequence
+from operator import itemgetter
+from typing import Callable, Dict, List, Sequence
 
 from ..kernel.credentials import Capability
 from ..kernel.security import SecurityHooks
@@ -21,6 +22,44 @@ from ..obs.tracepoints import LSM_HOOK_DISPATCH
 from .capability import CapabilityLsm
 from .hooks import HOOK_BIT, HOOK_NAME, Hook
 from .module import LsmModule
+
+
+def _no_object(args) -> str:
+    return ""
+
+
+def _file_path(args) -> str:
+    file = args[1]
+    return "" if file is None else file.path     # anonymous mmap: no file
+
+
+def _capability_name(args) -> str:
+    return args[1].value
+
+
+def _address(args) -> str:
+    addr = args[2]
+    return addr if isinstance(addr, str) else ""    # a path, not (host, port)
+
+
+#: How a denial's audit record names its object, fixed per hook by the
+#: hook's signature: a path argument, the open file's path, the
+#: capability's name or an ``AF_UNIX`` address; hooks on tasks and
+#: socket objects name none.
+OBJECT_PATH: Dict[Hook, Callable[[tuple], str]] = {
+    **dict.fromkeys((Hook.TASK_ALLOC, Hook.TASK_KILL, Hook.SOCKET_CREATE,
+                     Hook.SOCKET_LISTEN, Hook.SOCKET_ACCEPT,
+                     Hook.SOCKET_SENDMSG, Hook.SOCKET_RECVMSG), _no_object),
+    **dict.fromkeys((Hook.BPRM_CHECK_SECURITY, Hook.BPRM_COMMITTED_CREDS,
+                     Hook.INODE_RENAME, Hook.INODE_GETATTR,
+                     Hook.INODE_SETATTR), itemgetter(1)),
+    **dict.fromkeys((Hook.INODE_CREATE, Hook.INODE_MKDIR, Hook.INODE_MKNOD,
+                     Hook.INODE_UNLINK, Hook.INODE_RMDIR), itemgetter(2)),
+    **dict.fromkeys((Hook.FILE_OPEN, Hook.FILE_PERMISSION, Hook.FILE_IOCTL,
+                     Hook.MMAP_FILE), _file_path),
+    Hook.CAPABLE: _capability_name,
+    **dict.fromkeys((Hook.SOCKET_BIND, Hook.SOCKET_CONNECT), _address),
+}
 
 
 class LsmFramework(SecurityHooks):
@@ -164,20 +203,6 @@ class LsmFramework(SecurityHooks):
         raise KeyError(name)
 
     # -- dispatch core ---------------------------------------------------------
-    @staticmethod
-    def _object_path(args) -> str:
-        """Best-effort object path from a hook's arguments (for audit);
-        a ``capable`` record names the capability instead."""
-        for arg in args[1:]:
-            if isinstance(arg, str):
-                return arg
-            if isinstance(arg, Capability):
-                return arg.value
-            path = getattr(arg, "path", None)
-            if isinstance(path, str):
-                return path
-        return ""
-
     def _report_denial(self, hook: Hook, module: str, args,
                        rc: int) -> None:
         """AVC audit record for one denied access (never for allows).
@@ -192,7 +217,8 @@ class LsmFramework(SecurityHooks):
         if obs is None or module == CapabilityLsm.name:
             return
         task = args[0] if args else None
-        obs.denial(module, HOOK_NAME[hook], self._object_path(args), task, rc)
+        obs.denial(module, HOOK_NAME[hook], OBJECT_PATH[hook](args), task,
+                   rc)
 
     def _call_int(self, hook: Hook, *args) -> int:
         """Dispatch an int hook; first nonzero module return wins (deny).

@@ -7,7 +7,7 @@ texts the callers used to format on every call, pinned one per syscall.
 
 import pytest
 
-from repro.kernel import KernelError, MapProt, OpenFlags, SocketFamily
+from repro.kernel import Errno, KernelError, MapProt, OpenFlags, SocketFamily
 from repro.lsm import LsmModule, boot_kernel
 from repro.lsm.hooks import Hook
 
@@ -112,3 +112,32 @@ def test_chown_refusal_names_the_path(world):
     with pytest.raises(KernelError) as err:
         kernel.sys_chown(init, "/tmp/f", 1, 1)
     assert str(err.value) == "[EACCES] chown /tmp/f"
+
+
+class RcRefuser(LsmModule):
+    """Refuses every ``file_open`` with the return code in :attr:`rc`."""
+
+    name = "rc_refuser"
+    rc = 0
+
+    def file_open(self, task, file):
+        return self.rc
+
+
+@pytest.mark.parametrize("rc,errno", [
+    (RcRefuser.EPERM, Errno.EPERM),
+    (RcRefuser.EACCES, Errno.EACCES),
+    (-int(Errno.EROFS), Errno.EROFS),
+    (-9999, Errno.EACCES),          # names no errno
+    (1, Errno.EACCES),              # a positive rc names none either
+])
+def test_refusal_errno_follows_the_rc(rc, errno):
+    module = RcRefuser()
+    kernel, _ = boot_kernel([module])
+    kernel.vfs.create_file("/tmp/f", mode=0o666)
+    module.rc = rc
+    with pytest.raises(KernelError) as err:
+        kernel.sys_open(kernel.procs.init, "/tmp/f")
+    assert err.value.errno is errno
+    assert type(err.value.errno) is Errno
+    assert str(err.value) == f"[{errno.name}] open /tmp/f"

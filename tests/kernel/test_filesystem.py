@@ -174,6 +174,19 @@ class TestRename:
             vfs.rename("/a", "/d")
         assert exc.value.errno is Errno.ENOTEMPTY
 
+    def test_rename_onto_itself_does_nothing(self, vfs):
+        dentry = vfs.makedirs("/d")
+        assert vfs.rename("/d", "/d") is dentry
+        assert vfs.resolve("/d") is dentry
+
+    def test_rename_into_own_subtree_fails(self, vfs):
+        vfs.makedirs("/d/sub")
+        for new in ("/d/x", "/d/sub/x"):
+            with pytest.raises(KernelError) as exc:
+                vfs.rename("/d", new)
+            assert exc.value.errno is Errno.EINVAL
+        assert vfs.resolve("/d/sub").parent is vfs.resolve("/d")
+
 
 class TestListdirAndMounts:
     def test_listdir_sorted(self, vfs):

@@ -11,9 +11,18 @@ included), every query must give the same dentry or the same errno, and
 the path the walk hands back must be ``dentry.path()``.  ``sys_open`` is
 checked the same way, ``O_CREAT`` included: an ``O_CREAT`` miss must
 create the file the old open created, or fail with the same errno.
+
+All but ``walk`` go through the dcache (``VirtualFileSystem.dcache``),
+which the oracle never reads.  So that a stale entry would show, the
+last tests change the namespace *between* queries: random creates,
+mkdirs, symlinks, unlinks, rmdirs and renames interleaved with queries
+and opens; each mutator run on a tree whose paths were just cached; and
+a deep-copied kernel, whose lookups must reach only its own dentries.
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,8 +30,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.kernel import Kernel
 from repro.kernel.errors import Errno, KernelError
 from repro.kernel.vfs import OpenFlags
+from repro.kernel.vfs import PseudoFileOps
 from repro.kernel.vfs.filesystem import MAX_SYMLINK_DEPTH
-from repro.kernel.vfs.path import normalize, split_components, split_parent
+from repro.kernel.vfs.path import (NAME_MAX, PATH_MAX, normalize,
+                                   split_components, split_parent)
 
 NAMES = ("a", "b", "c", "d")
 #: Components a query or symlink target is built from.
@@ -300,3 +311,239 @@ def test_created_file_path_is_the_resolved_one():
     file = init.get_fd(fd).obj
     assert file.path == "/t/real/sub/new"
     assert kernel.vfs.resolve("/t/real/sub/new") is file.dentry
+
+
+# -- namespace changes between queries: no stale dcache entry ------------------
+
+def _absolute(comps):
+    return "/t" + _path_text(comps, True)
+
+
+def _existing(vfs):
+    """Every name under ``/t`` now, symlinks included (no cycles: a
+    symlink is a leaf of the dentry tree); none once ``/t`` itself was
+    renamed or removed."""
+    out = []
+    top = vfs.root.children.get("t")
+    if top is None or not top.inode.is_dir:
+        return out
+
+    def visit(node, path):
+        for name, child in node.children.items():
+            out.append(f"{path}/{name}")
+            if child.inode.is_dir:
+                visit(child, f"{path}/{name}")
+    visit(top, "/t")
+    return out
+
+
+def draw_path(data, vfs):
+    """Mostly a name the tree has now, so that changes and queries meet;
+    otherwise any path, ``.`` and ``..`` included."""
+    existing = _existing(vfs)
+    if existing and data.draw(st.integers(0, 3)):
+        path = data.draw(st.sampled_from(existing))
+        if data.draw(st.booleans()):
+            path += "/" + data.draw(st.sampled_from(NAMES))
+        return path
+    return _absolute(data.draw(paths)[0])
+
+
+MUTATIONS = ("create", "mkdir", "symlink", "unlink", "rmdir", "rename")
+
+
+def mutate(vfs, kind, path, other):
+    """Apply one mutation; a refused one changes nothing."""
+    try:
+        if kind == "create":
+            vfs.create_file(path)
+        elif kind == "mkdir":
+            vfs.mkdir(path)
+        elif kind == "unlink":
+            vfs.unlink(path)
+        elif kind == "rmdir":
+            vfs.rmdir(path)
+        elif kind == "symlink":
+            vfs.symlink(other, path)
+        else:
+            vfs.rename(path, other)
+    except KernelError:
+        pass
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trees(), st.data())
+def test_interleaved_changes_match_the_recursive_walk(steps, data):
+    """Creates, mkdirs, symlinks, unlinks, rmdirs and renames between
+    queries and opens.  After every change, every query made so far is
+    asked again, so an entry the change made stale is asked for while
+    it is still cached."""
+    kernel, _dirs = build(steps)
+    vfs = kernel.vfs
+    asked = []
+    for _ in range(data.draw(st.integers(2, 30))):
+        kind = data.draw(st.sampled_from(("query", "open") + MUTATIONS))
+        path = draw_path(data, vfs)
+        if kind in MUTATIONS:
+            other = draw_path(data, vfs)
+            if kind == "symlink" and data.draw(st.booleans()):
+                other = _path_text(data.draw(paths)[0], False)
+            mutate(vfs, kind, path, other)
+            for query in asked:
+                check_query(vfs, *query)
+            continue
+        if data.draw(st.booleans()):            # relative to a cwd
+            cwds = sorted(d.path() for d in _directories(vfs.root))
+            cwd = data.draw(st.sampled_from(cwds))
+            path = _path_text(data.draw(paths)[0], False)
+        else:
+            cwd = "/"
+        follow = data.draw(st.booleans())
+        if kind == "query":
+            check_query(vfs, path, cwd, follow)
+            asked.append((path, cwd, follow))
+        else:
+            check_open(kernel, path, cwd,
+                       CREAT if follow else OpenFlags.O_RDONLY)
+            asked.append((path, cwd, True))
+
+
+def _directories(node):
+    yield node
+    for child in node.children.values():
+        if child.inode.is_dir:
+            yield from _directories(child)
+
+
+def _every_path(vfs):
+    """Every name in the tree and one below it, as the queries to cache."""
+    out = []
+
+    def visit(node, path):
+        for name, child in node.children.items():
+            out.append(f"{path}/{name}")
+            out.append(f"{path}/{name}/x")
+            if child.inode.is_dir:
+                visit(child, f"{path}/{name}")
+    visit(vfs.root, "")
+    return out
+
+
+def _prime(vfs):
+    """Resolve every path of the tree, which caches each one found."""
+    for path in _every_path(vfs):
+        try:
+            vfs.lookup(path)
+        except KernelError:
+            pass
+    assert vfs.dcache
+
+
+#: One call per VFS mutator on :func:`fixed_tree`, each removing,
+#: replacing or adding a name that cached paths cross.
+MUTATORS = {
+    "create_file": lambda vfs: vfs.create_file("/t/real/new"),
+    "mkdir": lambda vfs: vfs.mkdir("/t/nowhere"),
+    "makedirs": lambda vfs: vfs.makedirs("/t/nowhere/x"),
+    "mknod": lambda vfs: vfs.mknod("/t/real/node", (1, 3)),
+    "symlink": lambda vfs: vfs.symlink("/t/real/sub", "/t/real/link"),
+    "create_pseudo": lambda vfs: vfs.create_pseudo(
+        "/t/real/pseudo", PseudoFileOps(read=lambda task: b"")),
+    "unlink": lambda vfs: vfs.unlink("/t/abs"),
+    "unlink_file": lambda vfs: vfs.unlink("/t/real/sub/g"),
+    "rmdir": lambda vfs: (vfs.unlink("/t/real/sub/g"),
+                          vfs.unlink("/t/real/sub/up"),
+                          vfs.rmdir("/t/real/sub")),
+    "rename": lambda vfs: vfs.rename("/t/real", "/t/moved"),
+    "rename_over": lambda vfs: vfs.rename("/t/tofile", "/t/abs"),
+}
+
+
+@pytest.mark.parametrize("mutator", list(MUTATORS))
+def test_each_mutator_drops_the_cache(mutator):
+    kernel = fixed_tree()
+    vfs = kernel.vfs
+    _prime(vfs)
+    before = _every_path(vfs)
+    MUTATORS[mutator](vfs)
+    assert vfs.dcache == {}
+    for path in before + _every_path(vfs):
+        for follow in (True, False):
+            check_query(vfs, path, "/", follow)
+
+
+def test_unlinked_file_is_not_served():
+    kernel = fixed_tree()
+    init = kernel.procs.init
+    kernel.sys_close(init, kernel.sys_open(init, "/t/abs/f"))
+    assert "/t/abs/f" in kernel.vfs.dcache
+    kernel.sys_unlink(init, "/t/real/f")
+    with pytest.raises(KernelError) as err:
+        kernel.sys_open(init, "/t/abs/f")
+    assert err.value.errno is Errno.ENOENT
+
+
+def test_hit_skips_normalise_only_for_canonical_paths():
+    kernel = fixed_tree()
+    vfs = kernel.vfs
+    vfs.resolve("/t/abs/f")
+    assert set(vfs.dcache) == {"/t/abs/f"}
+    entry = vfs.dcache["/t/abs/f"]
+    assert entry == (vfs.walk("/t/real/f")[0], "/t/real/f", "/t/abs/f")
+    # Non-canonical spellings reach the same entry after normalising
+    # and store nothing new; a relative path is never a key.
+    for path, cwd in (("/t//abs/./f", "/"), ("abs/f", "/t"),
+                      ("../abs/f", "/t/real")):
+        assert vfs.walk_cached(path, cwd) is entry
+    assert set(vfs.dcache) == {"/t/abs/f"}
+    # No-follow lookups and misses are never stored.
+    vfs.lookup("/t/abs", follow_symlinks=False)
+    assert vfs.try_resolve("/t/real/missing") is None
+    for path in ("/t/loop1", "/t/real/f/x"):
+        with pytest.raises(KernelError):
+            vfs.resolve(path)
+    assert set(vfs.dcache) == {"/t/abs/f"}
+
+
+def test_a_path_longer_than_path_max_is_never_a_key():
+    kernel = Kernel()
+    vfs = kernel.vfs
+    name = "n" * NAME_MAX
+    cwd = "/"
+    while len(cwd) <= PATH_MAX:
+        vfs.mkdir(name, cwd=cwd)
+        cwd = cwd.rstrip("/") + "/" + name
+    # Relative to a cwd this deep the path resolves, but as an absolute
+    # path it is too long, so it must not be served from the cache.
+    assert vfs.lookup(".", cwd)[1] == cwd
+    assert all(len(key) <= PATH_MAX for key in vfs.dcache)
+    with pytest.raises(KernelError) as err:
+        vfs.lookup(cwd)
+    assert err.value.errno is Errno.ENAMETOOLONG
+
+
+def test_deep_copy_resolves_only_to_its_own_dentries():
+    kernel = fixed_tree()
+    _prime(kernel.vfs)
+    clone = copy.deepcopy(kernel)
+    assert clone.vfs.dcache == {}
+    originals = {id(d) for d in _all_dentries(kernel.vfs.root)}
+    copies = {id(d) for d in _all_dentries(clone.vfs.root)}
+    for path in _every_path(clone.vfs):
+        for _ in range(2):                  # a miss, then a hit
+            outcome = check_query(clone.vfs, path, "/", True)
+            if not isinstance(outcome, Errno):
+                assert id(outcome) in copies and id(outcome) not in originals
+    init = clone.procs.init
+    fd = clone.sys_open(init, "/t/chain2/g")
+    assert id(init.get_fd(fd).obj.dentry) in copies
+    # The original's cache still serves the original's dentries.
+    assert all(id(entry[0]) in originals
+               for entry in kernel.vfs.dcache.values())
+
+
+def _all_dentries(node):
+    yield node
+    for child in node.children.values():
+        yield from _all_dentries(child)
