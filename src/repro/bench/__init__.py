@@ -18,8 +18,8 @@ from .lmbench import (BenchResult, FILE_OP_BENCHES, LmbenchSuite,
 from .reporting import (TABLE2_ROWS, format_delta, format_value,
                         mean_abs_overhead_pct, render_comparison_table,
                         render_sweep_table)
-from .stats import best_result, pct_delta
-from .timing import best_of, latency_summary_us, percentile, summarize_ns
+from .stats import pct_delta
+from .timing import latency_summary_us, percentile, summarize_ns
 
 __all__ = [
     "LATENCY_EVENTS", "SPEED_POLICY", "TABLE2_STACKS",
@@ -32,6 +32,6 @@ __all__ = [
     "BenchResult", "FILE_OP_BENCHES",
     "LmbenchSuite", "TABLE2_BENCHES", "TABLE2_ROWS", "format_delta",
     "format_value", "mean_abs_overhead_pct", "render_comparison_table",
-    "render_sweep_table", "best_result", "pct_delta",
-    "best_of", "latency_summary_us", "percentile", "summarize_ns",
+    "render_sweep_table", "pct_delta",
+    "latency_summary_us", "percentile", "summarize_ns",
 ]

@@ -4,17 +4,21 @@ Drives the sweeps behind Table II, Table III, Fig. 3(a), Fig. 3(b), the
 situation awareness latency measurement, and our ablations (E9-E11).
 Every world is :func:`~repro.vehicle.ivi.build_stack`'s: a booted kernel
 with one :class:`~repro.vehicle.ivi.EnforcementConfig`'s stack and its
-SACK policy written through SACKfs, without the IVI car.  The LMBench
-sweeps share one loop, :func:`_best_of_sweep`.
+SACK policy written through SACKfs, without the IVI car.  Every
+best-of measurement (the LMBench sweeps, Fig. 3(b), E9-E11 and the smoke
+suite's telemetry and verify cells) goes through one loop,
+:func:`_best_of_sweep`; E5 reports a distribution, not a best-of.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import time
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple, TypeVar)
 
-from ..kernel import OpenFlags, SocketFamily
+from ..kernel import Kernel, OpenFlags, SocketFamily
 from ..lsm import HookLatency, HookStats, hook_latency_summary
 from ..sack import SituationEvent, format_policy
 from ..sack.policy.model import (MacRule, RuleDecision, RuleOp,
@@ -25,7 +29,6 @@ from ..vehicle.ivi import (DEFAULT_SACK_POLICY, EnforcementConfig,
                            SecurityStack, build_stack)
 from .lmbench import (FILE_OP_BENCHES, TABLE2_BENCHES, BenchResult,
                       LmbenchSuite)
-from .stats import best_result
 from .timing import latency_summary_us
 
 #: Table II's stacks, the AppArmor baseline first.
@@ -33,36 +36,60 @@ TABLE2_STACKS = (EnforcementConfig.APPARMOR,
                  EnforcementConfig.SACK_APPARMOR,
                  EnforcementConfig.SACK_INDEPENDENT)
 
+World = TypeVar("World")
+Sample = TypeVar("Sample")
 
-def _best_of_sweep(builders: Dict[Hashable, Callable[[], SecurityStack]],
-                   benches: Sequence[str], scale: float, repetitions: int
-                   ) -> Dict[Hashable, Dict[str, BenchResult]]:
-    """The one LMBench sweep loop: ``{key: {bench: best result}}``.
+
+def _cost(sample) -> float:
+    """What best-of minimises: a latency as is, a bandwidth negated."""
+    if isinstance(sample, BenchResult):
+        return sample.value if sample.smaller_is_better else -sample.value
+    return sample
+
+
+def _best_of_sweep(builders: Mapping[Hashable, Callable[[], World]],
+                   measures: Mapping[str, Callable[[World], Sample]],
+                   repetitions: int) -> Dict[Hashable, Dict[str, Sample]]:
+    """The one measurement loop: ``{key: {measure: best sample}}``.
 
     Every repetition builds a fresh world per key (a kernel instance's
     memory layout is fixed at build time, so reusing one would bake its
-    allocation luck into every sample) and runs each bench on every
-    world before the next bench, so drift (frequency scaling, GC, page
-    cache) hits every column alike.  The key order rotates per
+    allocation luck into every sample) and runs each measure on every
+    world before the next measure, so drift (frequency scaling, GC,
+    page cache) hits every column alike.  The key order rotates per
     repetition so no column always runs first (cold) or last (warm).
-    Interference on a shared host is additive, so the best run is the
-    noise-robust estimate: min for latencies, max for bandwidths, as
-    LMBench itself reports.
+    Interference on a shared host is additive, so the best sample is
+    the noise-robust estimate: the minimum of a latency (a number, or a
+    smaller-is-better :class:`BenchResult`), the maximum of a bandwidth,
+    as LMBench itself reports.
     """
     keys = list(builders)
-    samples: Dict[Hashable, Dict[str, List[BenchResult]]] = {
-        key: {bench: [] for bench in benches} for key in keys}
-    for rep in range(max(1, repetitions)):
-        suites = {key: LmbenchSuite(build().kernel, scale=scale)
-                  for key, build in builders.items()}
+    if not keys or repetitions < 1:
+        raise ValueError(f"need a world and a repetition, got {len(keys)} "
+                         f"world(s) and {repetitions} repetition(s)")
+    best: Dict[Hashable, Dict[str, Sample]] = {key: {} for key in keys}
+    for rep in range(repetitions):
+        worlds = {key: build() for key, build in builders.items()}
         shift = rep % len(keys)
         order = keys[shift:] + keys[:shift]
-        for bench in benches:
+        for name, measure in measures.items():
             for key in order:
-                samples[key][bench].append(
-                    getattr(suites[key], f"bench_{bench}")())
-    return {key: {bench: best_result(runs) for bench, runs in row.items()}
-            for key, row in samples.items()}
+                sample = measure(worlds[key])
+                kept = best[key].get(name)
+                if kept is None or _cost(sample) < _cost(kept):
+                    best[key][name] = sample
+    return best
+
+
+def _lmbench_sweep(builders: Mapping[Hashable, Callable[[], SecurityStack]],
+                   benches: Sequence[str], scale: float, repetitions: int
+                   ) -> Dict[Hashable, Dict[str, BenchResult]]:
+    """:func:`_best_of_sweep` of LMBench *benches* on *builders*' stacks."""
+    return _best_of_sweep(
+        {key: lambda build=build: LmbenchSuite(build().kernel, scale=scale)
+         for key, build in builders.items()},
+        {bench: operator.methodcaller(f"bench_{bench}") for bench in benches},
+        repetitions)
 
 
 # -- Table II -------------------------------------------------------------------
@@ -72,7 +99,7 @@ def run_lmbench(configs: Sequence[EnforcementConfig] = TABLE2_STACKS,
                 scale: float = 1.0, repetitions: int = 5
                 ) -> Dict[str, Dict[str, BenchResult]]:
     """LMBench across stacks (Table II's data), keyed by config value."""
-    return _best_of_sweep(
+    return _lmbench_sweep(
         {config.value: functools.partial(build_stack, config,
                                          with_ubuntu_profiles=True)
          for config in configs},
@@ -194,7 +221,7 @@ def run_rule_sweep(rule_counts: Sequence[int] = (0, 10, 100, 500, 1000),
     """Table III: LMBench at several SACK policy sizes (the paper
     averages 30 runs; best-of over interleaved runs resists the load
     bursts a shared host injects into small samples)."""
-    return _best_of_sweep(
+    return _lmbench_sweep(
         {count: functools.partial(build_rule_count_world, count)
          for count in rule_counts},
         benches or TABLE2_BENCHES, scale, repetitions)
@@ -224,7 +251,7 @@ def run_state_sweep(state_counts: Sequence[int] = (2, 5, 10, 25, 50, 100),
         "baseline": functools.partial(build_stack, EnforcementConfig.NO_LSM)}
     for count in state_counts:
         builders[count] = functools.partial(build_state_count_world, count)
-    return _best_of_sweep(builders, FILE_OP_BENCHES, scale, repetitions)
+    return _lmbench_sweep(builders, FILE_OP_BENCHES, scale, repetitions)
 
 
 # -- Fig. 3(b): transition-frequency sweep ---------------------------------------------
@@ -281,23 +308,24 @@ def run_frequency_sweep(periods_ms: Sequence[float] = (1, 10, 100, 1000),
     telemetry file to keep every access legal while state flips.
 
     Returns per-period dict with ``ns_per_access``, ``transitions``, and
-    ``overhead_pct`` relative to a never-transitioning run.
+    ``overhead_pct`` relative to a never-transitioning run (key
+    ``"baseline"``), best of *repetitions* through :func:`_best_of_sweep`.
     """
-    results: Dict[object, Dict[str, float]] = {}
+    transitions_of: Dict[object, int] = {}
 
-    def build():
-        stack = build_stack(EnforcementConfig.SACK_INDEPENDENT,
-                            policy_text=SPEED_POLICY)
-        kernel = stack.kernel
+    def build(key) -> Tuple[Kernel, object]:
+        kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT,
+                             policy_text=SPEED_POLICY).kernel
         kernel.vfs.makedirs("/etc/vehicle")
         kernel.vfs.create_file("/etc/vehicle/critical.conf")
         kernel.write_file(kernel.procs.init, "/etc/vehicle/critical.conf",
                           b"threshold=1\n")
         kernel.vfs.makedirs("/dev/car")
         kernel.vfs.create_file("/dev/car/telemetry")
-        return kernel, stack.sack
+        return kernel, key
 
-    def run(kernel, sack, period_ms: Optional[float]) -> Tuple[float, int]:
+    def run(world: Tuple[Kernel, object]) -> float:
+        kernel, key = world
         task = kernel.procs.init
         crit_fd = kernel.sys_open(task, "/etc/vehicle/critical.conf",
                                   OpenFlags.O_RDONLY)
@@ -307,7 +335,7 @@ def run_frequency_sweep(periods_ms: Sequence[float] = (1, 10, 100, 1000),
         # rate), so the default 20000 accesses span 2 s of virtual time —
         # enough for transitions even at the 1000 ms period.
         access_cost_ns = 100_000
-        period_ns = None if period_ms is None else int(period_ms * 1e6)
+        period_ns = None if key == "baseline" else int(key * 1e6)
         next_flip = kernel.clock.now_ns + period_ns if period_ns else None
         high = False
         transitions = 0
@@ -328,31 +356,19 @@ def run_frequency_sweep(periods_ms: Sequence[float] = (1, 10, 100, 1000),
         elapsed = time.perf_counter_ns() - start
         kernel.sys_close(task, crit_fd)
         kernel.sys_close(task, telem_fd)
-        return elapsed / accesses, transitions
+        transitions_of[key] = transitions
+        return elapsed / accesses
 
-    # Interleave the baseline and every period within each repetition so
-    # all of them sample the same load windows; reduce with best-of
-    # (fresh world per measurement).
-    keys: List[Optional[float]] = [None, *periods_ms]
-    best: Dict[Optional[float], float] = {}
-    transitions_of: Dict[Optional[float], int] = {}
-    for _ in range(max(1, repetitions)):
-        for key in keys:
-            kernel, sack = build()
-            ns, transitions = run(kernel, sack, key)
-            if key not in best or ns < best[key]:
-                best[key] = ns
-            transitions_of[key] = transitions
-    base_ns = best[None]
-    results["baseline"] = {"ns_per_access": base_ns, "transitions": 0,
-                           "overhead_pct": 0.0}
-    for period in periods_ms:
-        results[period] = {
-            "ns_per_access": best[period],
-            "transitions": transitions_of[period],
-            "overhead_pct": (best[period] - base_ns) / base_ns * 100.0,
-        }
-    return results
+    best = _best_of_sweep(
+        {key: functools.partial(build, key)
+         for key in ("baseline", *periods_ms)},
+        {"ns_per_access": run}, repetitions)
+    base_ns = best["baseline"]["ns_per_access"]
+    return {key: {"ns_per_access": row["ns_per_access"],
+                  "transitions": transitions_of[key],
+                  "overhead_pct":
+                      (row["ns_per_access"] - base_ns) / base_ns * 100.0}
+            for key, row in best.items()}
 
 
 # -- E5: situation awareness latency ---------------------------------------------------
@@ -397,21 +413,23 @@ def run_transport_ablation(samples: int = 500) -> Dict[str, float]:
     still has to inject it into the kernel — an extra hop and two extra
     copies per event.
 
-    The three channels run interleaved: *samples* events each, in 10
-    rounds of one block per channel, in an order that rotates per
-    round, so drift within a run hits every channel alike.  Each
-    channel reports its best round's mean, as :func:`_best_of_sweep`
-    does.
+    The three channels run interleaved through :func:`_best_of_sweep`:
+    *samples* events each, in 10 rounds of one block per channel on a
+    fresh world, in an order that rotates per round.  Each channel
+    reports its best round's mean.
     """
-    kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT).kernel
-    task = kernel.procs.init
     event_line = b"speed_high\n"
     events = "/sys/kernel/security/SACK/events"
 
     def direct():
-        kernel.write_file(task, events, event_line, create=False)
+        kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT).kernel
+        task = kernel.procs.init
+        return lambda: kernel.write_file(task, events, event_line,
+                                         create=False)
 
     def relay(family: SocketFamily, addr):
+        kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT).kernel
+        task = kernel.procs.init
         server = kernel.sys_socket(task, family)
         kernel.sys_bind(task, server, addr)
         kernel.sys_listen(task, server)
@@ -423,29 +441,25 @@ def run_transport_ablation(samples: int = 500) -> Dict[str, float]:
             kernel.sys_send(task, client, event_line)
             data = kernel.sys_recv(task, conn, 64)
             kernel.write_file(task, events, data, create=False)
-        return once, (client, conn, server)
+        return once
 
-    unix_once, unix_fds = relay(SocketFamily.AF_UNIX, "/tmp/relay.sock")
-    tcp_once, tcp_fds = relay(SocketFamily.AF_INET, ("127.0.0.1", 48000))
-    channels = {"sackfs_us": direct, "af_unix_relay_us": unix_once,
-                "tcp_relay_us": tcp_once}
-    keys = list(channels)
     rounds = min(10, samples)
     block = max(1, samples // rounds)
-    best: Dict[str, float] = {}
-    for rnd in range(rounds):
-        shift = rnd % len(keys)
-        for key in keys[shift:] + keys[:shift]:
-            once = channels[key]
-            start = time.perf_counter_ns()
-            for _ in range(block):
-                once()
-            us = (time.perf_counter_ns() - start) / block / 1e3
-            if key not in best or us < best[key]:
-                best[key] = us
-    for fd in unix_fds + tcp_fds:
-        kernel.sys_close(task, fd)
-    return {key: best[key] for key in keys}
+
+    def per_event_us(once: Callable[[], None]) -> float:
+        start = time.perf_counter_ns()
+        for _ in range(block):
+            once()
+        return (time.perf_counter_ns() - start) / block / 1e3
+
+    best = _best_of_sweep(
+        {"sackfs_us": direct,
+         "af_unix_relay_us": functools.partial(
+             relay, SocketFamily.AF_UNIX, "/tmp/relay.sock"),
+         "tcp_relay_us": functools.partial(
+             relay, SocketFamily.AF_INET, ("127.0.0.1", 48000))},
+        {"us": per_event_us}, rounds)
+    return {key: row["us"] for key, row in best.items()}
 
 
 # -- E11: ABAC baseline comparison (Varshith et al.) -------------------------------------
@@ -459,63 +473,62 @@ def run_baseline_comparison(rule_counts: Sequence[int] = (10, 100, 500),
     reads one governed file.  ABAC evaluates subject + environment
     attributes against the rule list per access; SACK consults the
     precompiled current-state ruleset.  Returns ns/access per approach,
-    measured best-of-3.
+    best of 3 through :func:`_best_of_sweep`, every (rule count,
+    approach) world fresh each repetition and in a rotating order.
     """
     from ..abac import AbacEffect, AbacLsm, AbacPolicy, AbacRule
     from ..lsm import boot_kernel
 
-    def measure(build) -> float:
-        best = None
-        for _ in range(3):
-            kernel, task, path = build()
-            fd = kernel.sys_open(task, path)
-            for _ in range(accesses // 10):
-                kernel.sys_read(task, fd, 8)  # warmup
-            start = time.perf_counter_ns()
-            for _ in range(accesses):
-                kernel.sys_read(task, fd, 8)
-            elapsed = (time.perf_counter_ns() - start) / accesses
-            kernel.sys_close(task, fd)
-            if best is None or elapsed < best:
-                best = elapsed
-        return best
+    probe = "/dev/car/probe"
 
+    def build_abac(count: int) -> Kernel:
+        abac = AbacLsm()
+        kernel, _ = boot_kernel([abac])
+        rules = [AbacRule(AbacEffect.PERMIT, frozenset({RuleOp.READ}),
+                          f"/dev/car/unit{i}", hour_range=(0, 24))
+                 for i in range(count - 1)]
+        rules.append(AbacRule(AbacEffect.PERMIT, frozenset({RuleOp.READ}),
+                              probe))
+        abac.load_policy(AbacPolicy(rules, guards=["/dev/car/**"]))
+        kernel.vfs.makedirs("/dev/car")
+        kernel.vfs.create_file(probe, mode=0o666)
+        return kernel
+
+    def build_sack(count: int) -> Kernel:
+        policy = make_synthetic_policy(count, n_states=2)
+        # Ensure the probe path is readable in the initial state.
+        policy.permissions["PROBE"] = SackPermission("PROBE")
+        policy.per_rules["PROBE"] = [MacRule(
+            RuleDecision.ALLOW, RuleOp.READ, probe)]
+        policy.state_per["s0"].add("PROBE")
+        kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT,
+                             policy_text=format_policy(policy)).kernel
+        kernel.vfs.makedirs("/dev/car")
+        kernel.vfs.create_file(probe, mode=0o666)
+        return kernel
+
+    def per_access_ns(kernel: Kernel) -> float:
+        task = kernel.procs.init
+        fd = kernel.sys_open(task, probe)
+        for _ in range(accesses // 10):
+            kernel.sys_read(task, fd, 8)  # warmup
+        start = time.perf_counter_ns()
+        for _ in range(accesses):
+            kernel.sys_read(task, fd, 8)
+        elapsed = (time.perf_counter_ns() - start) / accesses
+        kernel.sys_close(task, fd)
+        return elapsed
+
+    best = _best_of_sweep(
+        {(count, name): functools.partial(build, count)
+         for count in rule_counts
+         for name, build in (("abac_ns", build_abac), ("sack_ns", build_sack))},
+        {"ns": per_access_ns}, 3)
     out: Dict[int, Dict[str, float]] = {}
     for count in rule_counts:
-        def build_abac(count=count):
-            abac = AbacLsm()
-            kernel, _ = boot_kernel([abac])
-            rules = [AbacRule(AbacEffect.PERMIT,
-                              frozenset({RuleOp.READ}),
-                              f"/dev/car/unit{i}",
-                              hour_range=(0, 24))
-                     for i in range(count - 1)]
-            rules.append(AbacRule(AbacEffect.PERMIT,
-                                  frozenset({RuleOp.READ}),
-                                  "/dev/car/probe"))
-            abac.load_policy(AbacPolicy(rules, guards=["/dev/car/**"]))
-            kernel.vfs.makedirs("/dev/car")
-            kernel.vfs.create_file("/dev/car/probe", mode=0o666)
-            return kernel, kernel.procs.init, "/dev/car/probe"
-
-        def build_sack(count=count):
-            policy = make_synthetic_policy(count, n_states=2)
-            # Ensure the probe path is readable in the initial state.
-            policy.permissions["PROBE"] = SackPermission("PROBE")
-            policy.per_rules["PROBE"] = [MacRule(
-                RuleDecision.ALLOW, RuleOp.READ, "/dev/car/probe")]
-            policy.state_per["s0"].add("PROBE")
-            kernel = build_stack(EnforcementConfig.SACK_INDEPENDENT,
-                                 policy_text=format_policy(policy)).kernel
-            kernel.vfs.makedirs("/dev/car")
-            kernel.vfs.create_file("/dev/car/probe", mode=0o666)
-            return kernel, kernel.procs.init, "/dev/car/probe"
-
-        out[count] = {
-            "abac_ns": measure(build_abac),
-            "sack_ns": measure(build_sack),
-        }
-        out[count]["ratio"] = out[count]["abac_ns"] / out[count]["sack_ns"]
+        row = {name: best[count, name]["ns"]
+               for name in ("abac_ns", "sack_ns")}
+        out[count] = {**row, "ratio": row["abac_ns"] / row["sack_ns"]}
     return out
 
 
@@ -543,27 +556,32 @@ def run_transition_cost_ablation(rule_counts: Sequence[int] = (10, 100, 500,
     (``independent_us``).  The bridge's first entry into a state
     translates the state's rules and stages its profile set
     (``bridge_first_us``: the first transition of a fresh stack on a
-    fresh host, best of 5); every later entry installs the kept set
-    (``bridge_us``: the mean over *transitions* once both states have
-    been entered).  ``ratio`` is ``bridge_us`` over
-    ``independent_us``.  The crossover against check frequency is the
-    design trade-off discussed in DESIGN.md §5.
+    fresh host); every later entry installs the kept set (``bridge_us``:
+    the mean over *transitions* once both states have been entered,
+    as is ``independent_us``).  Each is the best of 5 through
+    :func:`_best_of_sweep`, every (rule count, prototype) stack fresh
+    each repetition and in a rotating order.  ``ratio`` is
+    ``bridge_us`` over ``independent_us``.  The crossover against check
+    frequency is the design trade-off discussed in DESIGN.md §5.
     """
+    prototypes = {"independent": EnforcementConfig.SACK_INDEPENDENT,
+                  "bridge": EnforcementConfig.SACK_APPARMOR}
+    texts = {count: format_policy(make_synthetic_policy(count))
+             for count in rule_counts}
+    # A fresh stack entered s0 at load: the first flip enters s1, and
+    # every flip after it re-enters a state.
+    best = _best_of_sweep(
+        {(count, name): functools.partial(build_stack, config,
+                                          policy_text=texts[count])
+         for count in rule_counts for name, config in prototypes.items()},
+        {"first_us": lambda stack: _flip_us(stack, 0, 1),
+         "us": lambda stack: _flip_us(stack, 1, transitions)}, 5)
     out: Dict[int, Dict[str, float]] = {}
     for count in rule_counts:
-        text = format_policy(make_synthetic_policy(count))
-        independent_us = _flip_us(
-            build_stack(EnforcementConfig.SACK_INDEPENDENT, policy_text=text),
-            0, transitions)
-        first_us = []
-        for _ in range(5):
-            stack = build_stack(EnforcementConfig.SACK_APPARMOR,
-                                policy_text=text)
-            first_us.append(_flip_us(stack, 0, 1))
-        # The last stack entered s0 at load and s1 just now.
-        bridge_us = _flip_us(stack, 1, transitions)
+        independent_us = best[count, "independent"]["us"]
+        bridge_us = best[count, "bridge"]["us"]
         out[count] = {"independent_us": independent_us,
-                      "bridge_first_us": min(first_us),
+                      "bridge_first_us": best[count, "bridge"]["first_us"],
                       "bridge_us": bridge_us,
                       "ratio": bridge_us / independent_us
                       if independent_us else float("inf")}

@@ -33,7 +33,6 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .envelope import make_envelope, utc_now_iso
-from .timing import best_of
 
 #: The suite's name: run directories start with it.
 SUITE = "smoke"
@@ -223,30 +222,33 @@ def _run_telemetry_cell(params: Dict[str, object]
     same run's epoch wall, best of :data:`HOST_REPS` fresh fleets.
     Frames, series and alerts are deterministic counts."""
     from ..fleet.orchestrator import Fleet, FleetConfig
+    from .harness import _best_of_sweep
 
     epochs = int(params["epochs"])
+    last: Dict[str, object] = {}
 
-    def run_once():
-        fleet = Fleet(FleetConfig(
+    def build() -> Fleet:
+        return Fleet(FleetConfig(
             n_vehicles=int(params["vehicles"]), seed=int(params["seed"]),
             telemetry=True,
             telemetry_short_window_epochs=int(params["short_window"]),
             telemetry_long_window_epochs=int(params["long_window"])))
+
+    def overhead_pct(fleet: Fleet) -> float:
         start = time.perf_counter_ns()
         for _ in range(epochs):
             fleet.run_epoch()
         wall_ns = time.perf_counter_ns() - start
-        report = fleet.report()
+        report = last["report"] = fleet.report()
         cpu_ns = int(report.telemetry["overhead"]["cpu_ns_total"])
-        return cpu_ns / max(1, wall_ns - cpu_ns) * 100.0, report
+        return cpu_ns / max(1, wall_ns - cpu_ns) * 100.0
 
-    overheads = []
-    for _ in range(HOST_REPS):
-        overhead_pct, report = run_once()
-        overheads.append(overhead_pct)
+    best = _best_of_sweep({"fleet": build}, {"overhead_pct": overhead_pct},
+                          HOST_REPS)
+    report = last["report"]
     telemetry = report.telemetry
     metrics: Dict[str, float] = {
-        "telemetry_host_overhead_pct": min(overheads),
+        "telemetry_host_overhead_pct": best["fleet"]["overhead_pct"],
         "telemetry_frames": float(telemetry.get("frames", 0)),
         "telemetry_series_tracked":
             float(telemetry.get("series_tracked", 0)),
@@ -275,21 +277,23 @@ def _run_verify_cell(params: Dict[str, object]
     from ..vehicle.devices import IOCTL_SYMBOLS
     from ..vehicle.ivi import DEFAULT_SACK_POLICY
     from ..verify import verify_policies
+    from .harness import _best_of_sweep
 
     revisions = int(params["revisions"])
-    reps = int(params["reps"])
     chain = [DEFAULT_SACK_POLICY]
     for i in range(1, revisions):
         chain.append(DEFAULT_SACK_POLICY.replace(
             "policy ivi_default;", f"policy ivi_rev{i};", 1))
-
     last: Dict[str, object] = {}
 
-    def prove() -> None:
-        last["report"] = verify_policies(chain,
-                                         ioctl_symbols=IOCTL_SYMBOLS)
+    def prove(texts: List[str]) -> float:
+        start = time.perf_counter()
+        last["report"] = verify_policies(texts, ioctl_symbols=IOCTL_SYMBOLS)
+        return time.perf_counter() - start
 
-    wall_s = best_of(prove, reps=reps)
+    # The texts are immutable, so every repetition proves the one chain.
+    wall_s = _best_of_sweep({"chain": lambda: chain}, {"wall_s": prove},
+                            int(params["reps"]))["chain"]["wall_s"]
     report = last["report"]
     _fail_on_violations("verify cell", report.failed_properties)
     stats = report.model_stats

@@ -1,37 +1,20 @@
-"""Shared timing and percentile helpers for every benchmark path.
+"""Latency-sample summaries for the benchmark harness.
 
-Before this module each benchmark file carried its own copy of the same
-three idioms — a best-of-N wall-clock loop, nearest-rank percentiles
-over a sorted sample, and a ``{mean, p50, p99}`` summary dict.  They
-now live here so the pytest benchmarks (``benchmarks/test_*.py``), the
-harness sweeps (:mod:`repro.bench.harness`), and the declarative suite
-runner (:mod:`repro.bench.suite`) all agree on the arithmetic.
-
-Noise discipline (see docs/benchmarking.md): interference on a shared
-host is additive, so *best-of-N* — the minimum over repetitions — is
-the noise-robust estimator for latencies.  Percentiles are
-:func:`repro.obs.metrics.percentile`, the one nearest-rank rule the
+Nearest-rank percentiles and the ``{mean, p50, p99}`` summary dict that
+E5 (:func:`repro.bench.harness.run_event_latency`) reports.  Percentiles
+are :func:`repro.obs.metrics.percentile`, the one nearest-rank rule the
 fleet telemetry rollups use too (re-exported here).
+
+Best-of-N is not here: every repeated measurement goes through the
+harness's one loop, ``repro.bench.harness._best_of_sweep`` (see
+docs/benchmarking.md, "Noise discipline").
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Sequence
+from typing import Dict, Sequence
 
 from ..obs.metrics import percentile
-
-
-def best_of(fn: Callable[[], object], reps: int = 3) -> float:
-    """Minimum wall-clock seconds of *fn* over *reps* runs."""
-    if reps < 1:
-        raise ValueError("need at least one repetition")
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def summarize_ns(values: Sequence[float]) -> Dict[str, float]:

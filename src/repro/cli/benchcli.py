@@ -4,8 +4,8 @@ Experiment subcommands mirror the benchmark files::
 
     sack-bench table2   [--scale 0.5] [--reps 5]
     sack-bench table3   [--scale 0.25] [--reps 5]
-    sack-bench fig3a    [--scale 0.4]
-    sack-bench fig3b
+    sack-bench fig3a    [--scale 0.4] [--reps 3]
+    sack-bench fig3b    [--reps 3]
     sack-bench latency
     sack-bench transport
     sack-bench transition
@@ -116,7 +116,8 @@ def cmd_fig3a(args) -> int:
 
 
 def cmd_fig3b(args) -> int:
-    results = run_frequency_sweep(accesses=max(2000, int(20000 * args.scale)))
+    results = run_frequency_sweep(accesses=max(2000, int(20000 * args.scale)),
+                                  repetitions=args.reps)
     print("Fig. 3(b): overhead vs transition period")
     for key, row in results.items():
         label = key if key == "baseline" else f"{key} ms"
@@ -267,6 +268,9 @@ def cmd_suite_report(args) -> int:
     return 0
 
 
+#: The experiments that take a best-of repetition count (``--reps``).
+_REPEATED = frozenset({"table2", "table3", "fig3a", "fig3b"})
+
 _EXPERIMENTS = {
     "table2": cmd_table2,
     "table3": cmd_table3,
@@ -298,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--scale", type=float, default=0.25,
                        help="iteration multiplier (1.0 = full)")
-        p.add_argument("--reps", type=int, default=3,
-                       help="repetitions for noise reduction")
+        if name in _REPEATED:
+            p.add_argument("--reps", type=int, default=3,
+                           help="best-of repetitions (at least 1)")
         _add_json_arg(p)
         p.set_defaults(handler=handler)
 
@@ -339,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "reps", 1) < 1:
+        parser.error(f"--reps must be at least 1, got {args.reps}")
     return args.handler(args)
 
 

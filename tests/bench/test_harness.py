@@ -157,41 +157,169 @@ class TestSweepMechanics:
                                  "sack_hook_calls": 799},
         }
 
-    def test_sweep_interleaves_fresh_worlds_and_keeps_the_best(
-            self, monkeypatch):
-        """One loop: fresh worlds each repetition, a rotating key order
-        within each bench, and best-of per bench (min latency)."""
-        from repro.bench import harness
 
-        calls = []
-        values = iter([5.0, 9.0, 7.0, 3.0])
+    # -- the one measurement loop, harness._best_of_sweep ------------------
 
-        class FakeSuite:
-            def __init__(self, kernel, scale):
-                self.key = kernel
-
-            def bench_stat(self):
-                calls.append(self.key)
-                return harness.BenchResult("stat", next(values), "ns/op",
-                                           1, True)
-
-        class FakeStack:
-            def __init__(self, key):
-                self.kernel = key
-
-        monkeypatch.setattr(harness, "LmbenchSuite", FakeSuite)
-        builds = []
-
+    @staticmethod
+    def _builders(keys, builds):
+        """Builders whose every world is a new ``(key, build number)``."""
         def builder(key):
             def build():
                 builds.append(key)
-                return FakeStack(key)
+                return key, len(builds) - 1
             return build
+        return {key: builder(key) for key in keys}
 
-        out = harness._best_of_sweep({"a": builder("a"),
-                                      "b": builder("b")},
-                                     ["stat"], scale=1.0, repetitions=2)
+    def test_sweep_interleaves_fresh_worlds_and_keeps_the_best(self):
+        """Fresh worlds each repetition, a rotating key order, and
+        best-of per measure (min latency)."""
+        from repro.bench import harness
+
+        builds, calls = [], []
+        values = iter([5.0, 9.0, 7.0, 3.0])
+
+        def stat(world):
+            calls.append(world)
+            return harness.BenchResult("stat", next(values), "ns/op", 1,
+                                       True)
+
+        out = harness._best_of_sweep(self._builders("ab", builds),
+                                     {"stat": stat}, repetitions=2)
         assert builds == ["a", "b", "a", "b"]
-        assert calls == ["a", "b", "b", "a"]
+        assert calls == [("a", 0), ("b", 1), ("b", 3), ("a", 2)]
         assert out["a"]["stat"].value == 3.0
         assert out["b"]["stat"].value == 7.0
+
+    def test_each_measure_runs_on_every_world_before_the_next(self):
+        from repro.bench import harness
+
+        calls = []
+
+        def measure(name):
+            def run(world):
+                calls.append((name, world[0]))
+                return 1.0
+            return run
+
+        out = harness._best_of_sweep(
+            self._builders("abc", []),
+            {"x": measure("x"), "y": measure("y")}, repetitions=2)
+        assert calls == [("x", "a"), ("x", "b"), ("x", "c"),
+                         ("y", "a"), ("y", "b"), ("y", "c"),
+                         ("x", "b"), ("x", "c"), ("x", "a"),
+                         ("y", "b"), ("y", "c"), ("y", "a")]
+        assert out == {key: {"x": 1.0, "y": 1.0} for key in "abc"}
+
+    def test_bandwidth_keeps_the_maximum(self):
+        from repro.bench import harness
+
+        values = iter([20.0, 90.0, 10.0])
+        out = harness._best_of_sweep(
+            self._builders("a", []),
+            {"bw": lambda world: harness.BenchResult(
+                "bw", next(values), "MB/s", 10, False)}, repetitions=3)
+        best = out["a"]["bw"]
+        assert best.value == 90.0
+        assert best.unit == "MB/s" and best.iterations == 10
+
+    def test_plain_numbers_keep_the_minimum(self):
+        from repro.bench import harness
+
+        values = iter([20.0, 10.0, 90.0])
+        out = harness._best_of_sweep(self._builders("a", []),
+                                     {"ns": lambda world: next(values)},
+                                     repetitions=3)
+        assert out == {"a": {"ns": 10.0}}
+
+    @pytest.mark.parametrize("keys, repetitions", [("a", 0), ("a", -1),
+                                                   ("", 3)])
+    def test_no_repetition_or_no_world_is_refused(self, keys, repetitions):
+        from repro.bench import harness
+
+        builds = []
+        with pytest.raises(ValueError):
+            harness._best_of_sweep(self._builders(keys, builds),
+                                   {"ns": lambda world: 1.0}, repetitions)
+        assert builds == []
+
+
+class TestEveryBestOfGoesThroughTheLoop:
+    """Each host-timed sweep and suite cell reaches the one loop exactly
+    once, with one build per (repetition, key): a sweep that grows its
+    own repeat-and-keep-the-best loop again fails here."""
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        from repro.bench import harness
+
+        real = harness._best_of_sweep
+        calls = []
+
+        def recording(builders, measures, repetitions):
+            builds = []
+
+            def counted(key, build):
+                def counted_build():
+                    builds.append(key)
+                    return build()
+                return counted_build
+
+            calls.append((list(builders), repetitions, builds))
+            return real({key: counted(key, build)
+                         for key, build in builders.items()},
+                        measures, repetitions)
+
+        monkeypatch.setattr(harness, "_best_of_sweep", recording)
+        return calls
+
+    @staticmethod
+    def _one_call(calls, repetitions):
+        [(keys, reps, builds)] = calls
+        assert reps == repetitions
+        assert builds == keys * repetitions
+        return keys
+
+    def test_frequency_sweep(self, loop_calls):
+        out = run_frequency_sweep(periods_ms=(1,), accesses=200,
+                                  repetitions=2)
+        assert self._one_call(loop_calls, 2) == ["baseline", 1]
+        assert out["baseline"] == {
+            "ns_per_access": out["baseline"]["ns_per_access"],
+            "transitions": 0, "overhead_pct": 0.0}
+        assert out[1]["transitions"] == 20
+
+    def test_transport_ablation(self, loop_calls):
+        run_transport_ablation(samples=3)
+        assert self._one_call(loop_calls, 3) == [
+            "sackfs_us", "af_unix_relay_us", "tcp_relay_us"]
+
+    def test_transition_cost_ablation(self, loop_calls):
+        run_transition_cost_ablation(rule_counts=(10,), transitions=2)
+        assert self._one_call(loop_calls, 5) == [(10, "independent"),
+                                                 (10, "bridge")]
+
+    def test_baseline_comparison(self, loop_calls):
+        from repro.bench.harness import run_baseline_comparison
+
+        run_baseline_comparison(rule_counts=(10,), accesses=20)
+        assert self._one_call(loop_calls, 3) == [(10, "abac_ns"),
+                                                 (10, "sack_ns")]
+
+    def test_telemetry_cell(self, loop_calls):
+        from repro.bench.suite import HOST_REPS, SMOKE, _run_telemetry_cell
+
+        [cell] = [c for c in SMOKE if c.workload == "telemetry"]
+        _run_telemetry_cell({**cell.params, "vehicles": 2, "epochs": 2})
+        self._one_call(loop_calls, HOST_REPS)
+
+    def test_verify_cell(self, loop_calls):
+        from repro.bench.suite import SMOKE, _run_verify_cell
+
+        [cell] = [c for c in SMOKE if c.workload == "verify"]
+        _run_verify_cell({**cell.params, "revisions": 1, "reps": 2})
+        self._one_call(loop_calls, 2)
+
+    def test_lmbench_sweep(self, loop_calls):
+        run_rule_sweep(rule_counts=(0, 10), benches=["stat"],
+                       repetitions=2, scale=0.01)
+        assert self._one_call(loop_calls, 2) == [0, 10]

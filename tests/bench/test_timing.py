@@ -2,19 +2,7 @@
 
 import pytest
 
-from repro.bench.timing import (best_of, latency_summary_us, percentile,
-                                summarize_ns)
-
-
-class TestBestOf:
-    def test_returns_minimum_elapsed(self):
-        calls = []
-        assert best_of(lambda: calls.append(1), reps=4) >= 0.0
-        assert len(calls) == 4
-
-    def test_zero_reps_rejected(self):
-        with pytest.raises(ValueError):
-            best_of(lambda: None, reps=0)
+from repro.bench.timing import latency_summary_us, percentile, summarize_ns
 
 
 class TestPercentile:
